@@ -145,6 +145,7 @@ def sample_workloads(
             f"store has {store.n_triples} triples, workload needs {size}"
         )
     rnd = random.Random(seed)
+    label_key = store.label_order_key()
     workloads: list[tuple[TripleSequence, list[str]]] = []
     for _ in range(count):
         reseed_order = list(range(store.n_entities))
@@ -181,7 +182,7 @@ def sample_workloads(
                 if len(picked) >= size:
                     break
         pairs = [(store.triples[idx], rnd.uniform(0.05, 1.0)) for idx in picked]
-        pairs.sort(key=lambda p: (-p[1], store.triple_labels(p[0])))
+        pairs.sort(key=lambda p: (-p[1], label_key(p[0])))
         sequence = TripleSequence.from_scores(store, pairs, "synthetic")
         anchors = [store.entity_label(start)]
         if len(visited) > 1 and rnd.random() < 0.5:

@@ -12,7 +12,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, EntityLookupError, ParseError
 from .textnorm import normalize_answer
@@ -43,6 +43,9 @@ class TripleStore:
         self._triple_set: set[Triple] = set()
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        # entity and relation ranks in label order, built on first use
+        self._entity_ranks: list[int] = []
+        self._relation_ranks: list[int] = []
 
     # -- construction -------------------------------------------------
 
@@ -81,6 +84,11 @@ class TripleStore:
     # -- lookups ------------------------------------------------------
 
     @property
+    def store(self) -> "TripleStore":
+        """The store resolving labels; a whole store is its own candidate set."""
+        return self
+
+    @property
     def n_entities(self) -> int:
         return len(self._entity_labels)
 
@@ -114,6 +122,31 @@ class TripleStore:
             self._entity_labels[triple.tail],
         )
 
+    def label_order_key(self) -> Callable[[Triple], int]:
+        """Integer key ordering triples exactly as their label tuples do.
+
+        Entity and relation labels are each ranked once and cached; labels
+        are only ever appended, so the cache is stale exactly when ``add``
+        has interned a new label since, and is then rebuilt. Interned labels
+        are unique, so the key ``(erank[h] * n_rel + rrank[r]) * n_ent +
+        erank[t]`` compares like ``triple_labels``. A key taken before a
+        later ``add`` is stale.
+        """
+        if len(self._entity_ranks) != len(self._entity_labels):
+            self._entity_ranks = _label_ranks(self._entity_labels)
+        if len(self._relation_ranks) != len(self._relation_labels):
+            self._relation_ranks = _label_ranks(self._relation_labels)
+        erank = self._entity_ranks
+        rrank = self._relation_ranks
+        n_ent = len(erank)
+        n_rel = len(rrank)
+
+        def key(triple: Triple) -> int:
+            head, relation, tail = triple
+            return (erank[head] * n_rel + rrank[relation]) * n_ent + erank[tail]
+
+        return key
+
     def out_indices(self, eid: int) -> list[int]:
         return self._out.get(eid, [])
 
@@ -127,6 +160,39 @@ class TripleStore:
         """Emit the store back as tab-separated lines (round-trip view)."""
         for triple in self.triples:
             h, r, t = self.triple_labels(triple)
+            yield f"{h}\t{r}\t{t}"
+
+
+def _label_ranks(labels: list[str]) -> list[int]:
+    ranks = [0] * len(labels)
+    for rank, idx in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
+        ranks[idx] = rank
+    return ranks
+
+
+class Subgraph:
+    """Candidate view: some triples of a parent store, in parent order.
+
+    Labels resolve through the parent, so nothing is re-interned; the view
+    offers the same read surface scorers use on a whole ``TripleStore``.
+    """
+
+    __slots__ = ("store", "triples")
+
+    def __init__(self, store: TripleStore, triples: list[Triple]):
+        self.store = store
+        self.triples = triples
+
+    @property
+    def n_triples(self) -> int:
+        return len(self.triples)
+
+    def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
+        return self.store.triple_labels(triple)
+
+    def lines(self) -> Iterator[str]:
+        for triple in self.triples:
+            h, r, t = self.store.triple_labels(triple)
             yield f"{h}\t{r}\t{t}"
 
 
@@ -180,8 +246,12 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
 
     Gold answers are deduplicated by normalized form, keeping the first
     spelling. ``query_entities`` may be empty (evaluation-only records).
+    An id names the query's prompt and completion files, so ids that are
+    empty, ``.``/``..``, contain ``/``, ``\\`` or NUL, or repeat an earlier
+    id raise ParseError.
     """
     records: list[QueryRecord] = []
+    seen_ids: set[str] = set()
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -196,6 +266,11 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
         if not question:
             raise ParseError("query record has no question", line=lineno)
         qid = str(payload.get("id", lineno))
+        if qid in ("", ".", "..") or any(c in qid for c in "/\\\0"):
+            raise ParseError(f"query id {qid!r} cannot name a file", line=lineno)
+        if qid in seen_ids:
+            raise ParseError(f"duplicate query id {qid!r}", line=lineno)
+        seen_ids.add(qid)
         entities = tuple(str(e) for e in payload.get("query_entities", []))
         answers: list[str] = []
         seen: set[str] = set()
@@ -211,14 +286,16 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
 
 def extract_subgraph(
     store: TripleStore, query_entities: Iterable[str], hops: int
-) -> TripleStore:
-    """Induced store of all triples within ``hops`` undirected steps of the query.
+) -> Subgraph:
+    """View of all triples within ``hops`` undirected steps of the query.
 
     An edge is kept when its nearer endpoint lies at undirected distance
     <= hops - 1 from some query entity, i.e. the edge itself is crossed by
     step ``hops`` at the latest. Unknown query entities raise
-    EntityLookupError; interning order of the result follows the original
-    edge order, so extraction is deterministic.
+    EntityLookupError. Only the adjacency lists of the visited entities are
+    read, so the cost follows the neighbourhood, not the KG. The result is a
+    view over ``store`` holding the kept triples in store order; labels are
+    not re-interned.
     """
     if hops < 1:
         raise ConfigError(f"hops must be >= 1, got {hops}")
@@ -247,8 +324,9 @@ def extract_subgraph(
                 dist[other] = d + 1
                 frontier.append(other)
 
-    result = TripleStore()
-    for triple in store.triples:
-        if triple.head in dist or triple.tail in dist:
-            result.add(*store.triple_labels(triple))
-    return result
+    kept: set[int] = set()
+    for eid in dist:
+        kept.update(store.out_indices(eid))
+        kept.update(store.in_indices(eid))
+    triples = store.triples
+    return Subgraph(store, [triples[idx] for idx in sorted(kept)])

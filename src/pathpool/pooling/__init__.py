@@ -135,12 +135,15 @@ class ScoredSubgraph:
 
     @property
     def lex_rank(self) -> list[int]:
-        """Per-edge rank under (head, relation, tail) label order; lazy."""
+        """Per-edge rank under (head, relation, tail) label order; lazy.
+
+        Sorts by the store's cached label key, not by label tuples; the ranks
+        are dense ``0..n_edges-1``.
+        """
         if self._lex_rank is None:
-            order = sorted(
-                range(self.n_edges),
-                key=lambda e: self.store.triple_labels(self.sequence.items[e].triple),
-            )
+            label_key = self.store.label_order_key()
+            items = self.sequence.items
+            order = sorted(range(self.n_edges), key=lambda e: label_key(items[e].triple))
             ranks = [0] * self.n_edges
             for rank, e in enumerate(order):
                 ranks[e] = rank

@@ -4,6 +4,9 @@ Backends are interchangeable: ``uniform`` (constant score), ``cosine``
 (embedding-table similarity), and ``precomputed`` (replay of scores produced
 by an external retriever). All of them feed the same top-k selection with a
 deterministic label tie-break.
+
+Candidates are a ``kg_store.Subgraph`` view or a whole ``TripleStore``: both
+expose ``triples`` and the ``store`` that resolves their labels.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ParseError, ScoringError
-from .kg_store import QueryRecord, Triple, TripleStore
+from .kg_store import QueryRecord, Subgraph, Triple, TripleStore
 
 logger = logging.getLogger(__name__)
 
@@ -108,9 +111,9 @@ class UniformScorer:
     name = "uniform"
 
     def score_candidates(
-        self, query: QueryRecord, store: TripleStore
+        self, query: QueryRecord, candidates: Subgraph | TripleStore
     ) -> list[tuple[Triple, float]]:
-        return [(triple, 1.0) for triple in store.triples]
+        return [(triple, 1.0) for triple in candidates.triples]
 
 
 class CosineScorer:
@@ -161,12 +164,13 @@ class CosineScorer:
         return vector
 
     def score_candidates(
-        self, query: QueryRecord, store: TripleStore
+        self, query: QueryRecord, candidates: Subgraph | TripleStore
     ) -> list[tuple[Triple, float]]:
         qvec = self._lookup(query.question)
         qnorm = float(np.linalg.norm(qvec))
+        store = candidates.store
         out: list[tuple[Triple, float]] = []
-        for triple in store.triples:
+        for triple in candidates.triples:
             sentence = triple_sentence(*store.triple_labels(triple))
             tvec = self._lookup(sentence)
             denom = qnorm * float(np.linalg.norm(tvec))
@@ -207,11 +211,12 @@ class PrecomputedScorer:
         return cls(table)
 
     def score_candidates(
-        self, query: QueryRecord, store: TripleStore
+        self, query: QueryRecord, candidates: Subgraph | TripleStore
     ) -> list[tuple[Triple, float]]:
+        store = candidates.store
         out: list[tuple[Triple, float]] = []
         missing = 0
-        for triple in store.triples:
+        for triple in candidates.triples:
             head, relation, tail = store.triple_labels(triple)
             score = self._table.get((query.id, head, relation, tail))
             if score is None:
@@ -222,7 +227,7 @@ class PrecomputedScorer:
             logger.info(
                 "precomputed scorer: %d/%d candidates had no score for query %s",
                 missing,
-                store.n_triples,
+                candidates.n_triples,
                 query.id,
             )
         return out
@@ -245,15 +250,20 @@ def build_scorer(spec: str):
 
 
 def score_triples(
-    query: QueryRecord, candidates: TripleStore, scorer, k: int
+    query: QueryRecord, candidates: Subgraph | TripleStore, scorer, k: int
 ) -> TripleSequence:
     """Top-k candidates by score, descending; label order breaks ties.
 
-    Returns all candidates when fewer than k exist. The output rank of each
-    triple is its position in this sequence.
+    Ties are broken by the store's cached ``label_order_key``, which orders
+    triples exactly as their (head, relation, tail) labels do. Returns all
+    candidates when fewer than k exist. The sequence references the store
+    behind ``candidates`` (the parent store for a subgraph view); the output
+    rank of each triple is its position in this sequence.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     scored = scorer.score_candidates(query, candidates)
-    scored.sort(key=lambda pair: (-pair[1], candidates.triple_labels(pair[0])))
-    return TripleSequence.from_scores(candidates, scored[:k], scorer.name)
+    store = candidates.store
+    label_key = store.label_order_key()
+    scored.sort(key=lambda pair: (-pair[1], label_key(pair[0])))
+    return TripleSequence.from_scores(store, scored[:k], scorer.name)

@@ -1,14 +1,31 @@
-"""Independent naive reference for the smoothing pipeline.
+"""Independent naive references for subgraph extraction and smoothing.
 
-Written directly from the algorithm definition with exhaustive path
-enumeration and a global best-path selection; shares no code or data
-structures with the package implementation it checks. Operates on plain
-label tuples.
+Written directly from the algorithm definitions: extraction by full scans
+of the whole KG, smoothing by exhaustive path enumeration and a global
+best-path selection. Shares no code or data structures with the package
+implementation it checks. Operates on plain label tuples.
 """
 
 from __future__ import annotations
 
 SHIFT_EPS = 1e-6
+
+
+def naive_extract_subgraph(
+    triples: list[tuple[str, str, str]], query_labels: list[str], hops: int
+) -> list[tuple[str, str, str]]:
+    """KG triples, in KG order, with an endpoint within hops - 1 undirected steps.
+
+    Every step scans all triples, as the original extraction did; no
+    adjacency index is used.
+    """
+    reached = set(query_labels)
+    for _ in range(hops - 1):
+        reached |= {
+            end for head, _, tail in triples if head in reached or tail in reached
+            for end in (head, tail)
+        }
+    return [t for t in triples if t[0] in reached or t[2] in reached]
 
 
 def _all_simple_paths(adjacency, endpoint_of, start, limit):

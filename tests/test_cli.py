@@ -49,6 +49,20 @@ def test_missing_kg_is_config_error(tmp_path, capsys):
     assert not out_dir.exists()  # no partial outputs
 
 
+def test_query_id_with_slash_is_parse_error(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        '{"id": "a/b", "question": "Q?", "query_entities": ["Mira Voss"]}\n',
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    code = run_cli("run", "--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out_dir)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'a/b'" in err and "line 1" in err
+    assert not out_dir.exists()
+
+
 def test_stagewise_roundtrip(tmp_path):
     retrieved = tmp_path / "retrieved.jsonl"
     pooled = tmp_path / "pooled.jsonl"

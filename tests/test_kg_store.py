@@ -7,9 +7,10 @@ import io
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
-from pathpool.kg_store import extract_subgraph, load_queries, load_triples
+from pathpool.kg_store import TripleStore, extract_subgraph, load_queries, load_triples
 
 
 def test_empty_input_gives_empty_store():
@@ -141,3 +142,113 @@ def test_load_queries_rejects_bad_json():
     with pytest.raises(ParseError) as err:
         load_queries(io.StringIO("{not json}\n"))
     assert err.value.line == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subgraph_matches_full_scan_oracle(data):
+    # few entities and relations: self-loops, parallel edges with different
+    # relations and shared neighbourhoods of several anchors are common
+    n = data.draw(st.integers(1, 7))
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    store = TripleStore()
+    for h, r, t in edges:
+        store.add(f"E{h}", f"r{r}", f"E{t}")
+    labels = [store.triple_labels(t) for t in store.triples]
+    present = sorted(store.entity_labels())
+    anchors = data.draw(st.lists(st.sampled_from(present), min_size=1, max_size=3))
+    hops = data.draw(st.integers(1, 4))
+    sub = extract_subgraph(store, anchors, hops)
+    expected = naive_extract_subgraph(labels, anchors, hops)
+    assert [sub.triple_labels(t) for t in sub.triples] == expected
+    assert list(sub.lines()) == ["\t".join(t) for t in expected]
+    assert sub.n_triples == len(expected)
+    assert sub.store is store
+
+
+def test_subgraph_shares_parent_triples():
+    store = load_triples(io.StringIO("A\tr\tA\nA\tr\tB\nA\tq\tB\nC\tr\tD\n"))
+    sub = extract_subgraph(store, ["A"], hops=1)
+    assert sub.triples == store.triples[:3]
+    assert store.n_entities == 4  # nothing re-interned into a new store
+
+
+_LABELS = st.text(alphabet="aAbBé\u00c9\u03a9\u4e2d_1 ", min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_LABELS, _LABELS, _LABELS), min_size=1, max_size=25))
+def test_label_order_key_matches_label_tuples(rows):
+    store = TripleStore()
+    for row in rows:
+        store.add(*row)
+    by_key = sorted(store.triples, key=store.label_order_key())
+    by_labels = sorted(store.triples, key=store.triple_labels)
+    assert by_key == by_labels
+    keys = [store.label_order_key()(t) for t in store.triples]
+    assert len(set(keys)) == len(keys)
+
+
+def test_label_order_key_case_and_prefix_labels():
+    store = TripleStore()
+    for row in [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]:
+        store.add(*row)
+    ordered = sorted(store.triples, key=store.label_order_key())
+    assert [store.triple_labels(t) for t in ordered] == [
+        ("A", "R", "AB"),
+        ("A", "r", "b"),
+        ("AB", "r", "a"),
+        ("a", "R", "A"),
+    ]
+
+
+def test_label_order_key_recomputed_after_add():
+    store = TripleStore()
+    store.add("M", "r", "N")
+    store.add("Z", "r", "N")
+    first = store.label_order_key()
+    assert first(store.triples[0]) < first(store.triples[1])
+    # new labels sorting before, between and after the existing ones
+    store.add("B", "q", "Z")
+    store.add("N", "s", "A")
+    key = store.label_order_key()
+    assert sorted(store.triples, key=key) == sorted(store.triples, key=store.triple_labels)
+    assert key(store.triples[2]) < key(store.triples[0])
+
+
+def _queries(*ids):
+    return io.StringIO(
+        "".join(
+            '{"id": %s, "question": "Q?", "query_entities": ["A"]}\n' % i for i in ids
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "bad_id", ['""', '"."', '".."', '"a/b"', '"/abs"', '"a\\\\b"', '"a\\u0000b"']
+)
+def test_load_queries_rejects_ids_that_cannot_name_a_file(bad_id):
+    with pytest.raises(ParseError) as err:
+        load_queries(_queries('"ok"', bad_id))
+    assert err.value.line == 2
+
+
+def test_load_queries_rejects_duplicate_ids():
+    with pytest.raises(ParseError) as err:
+        load_queries(_queries('"q1"', '"q2"', '"q1"'))
+    assert err.value.line == 3
+    assert "q1" in str(err.value)
+
+
+def test_load_queries_accepts_dotted_and_default_ids():
+    raw = io.StringIO(
+        '{"id": "a.b", "question": "Q?"}\n{"id": "..x", "question": "Q?"}\n'
+        '{"question": "Q?"}\n'
+    )
+    assert [r.id for r in load_queries(raw)] == ["a.b", "..x", "3"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpool.errors import ConfigError, ParseError, ScoringError
-from pathpool.kg_store import QueryRecord, load_triples
+from pathpool.kg_store import QueryRecord, extract_subgraph, load_triples
 from pathpool.scoring import (
     CosineScorer,
     PrecomputedScorer,
@@ -206,3 +206,33 @@ def test_topk_prefix_property(scores, k):
     smaller = score_triples(QUERY, store, scorer, k=k).labeled_items()
     bigger = score_triples(QUERY, store, scorer, k=k + 1).labeled_items()
     assert bigger[: len(smaller)] == smaller
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_view_and_standalone_store_score_identically(data):
+    n = data.draw(st.integers(2, 6))
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    # labels interned out of label order, so parent and standalone ids differ
+    lines = [f"{'zyxwvu'[h]}E\tr{2 - r}\t{'zyxwvu'[t]}E" for h, r, t in edges]
+    store = load_triples(io.StringIO("\n".join(lines) + "\n"))
+    anchor = lines[-1].split("\t")[0]
+    view = extract_subgraph(store, [anchor], data.draw(st.integers(1, 3)))
+    standalone = load_triples(io.StringIO("".join(f"{line}\n" for line in view.lines())))
+    # few distinct scores, so most of the order comes from the tie-break
+    values = data.draw(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(lines), max_size=len(lines))
+    )
+    table = {("q1", *line.split("\t")): v for line, v in zip(lines, values)}
+    k = data.draw(st.integers(1, 25))
+    for scorer in (UniformScorer(), PrecomputedScorer(table)):
+        from_view = score_triples(QUERY, view, scorer, k)
+        from_store = score_triples(QUERY, standalone, scorer, k)
+        assert from_view.labeled_items() == from_store.labeled_items()
+        assert from_view.store is store
