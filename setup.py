@@ -1,7 +1,9 @@
-"""Build script: compiles the optional Cython search core.
+"""Build script: compiles the optional C ``smooth_scores`` core.
 
-The extension is a pure speedup; if Cython or a C compiler is missing the
-build falls through and the package runs on the pure-Python backend.
+The library is a pure speedup, loaded with ctypes by ``pathpool.pooling``; if
+no C compiler is found the build falls through and the package runs on the
+pure-Python backend. ``-ffp-contract=off`` keeps floating-point results
+bit-identical to Python's.
 """
 
 import logging
@@ -10,28 +12,6 @@ from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 log = logging.getLogger("pathpool.setup")
-
-
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        log.warning("Cython not available; building without the compiled core")
-        return []
-    return cythonize(
-        [
-            Extension(
-                "pathpool.pooling._kernels_c",
-                ["src/pathpool/pooling/_kernels_c.pyx"],
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": False,
-        },
-    )
 
 
 class OptionalBuildExt(build_ext):
@@ -50,4 +30,13 @@ class OptionalBuildExt(build_ext):
             log.warning("compiled core %s skipped: %s", ext.name, exc)
 
 
-setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "pathpool.pooling._kernels_c",
+            ["src/pathpool/pooling/_kernels_c.c"],
+            extra_compile_args=["-ffp-contract=off"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

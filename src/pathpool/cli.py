@@ -10,6 +10,7 @@ the current triple sequence, so intermediate results are inspectable files:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from .errors import ConfigError, ParseError, PathPoolError
 from .kg_store import (
     QueryRecord,
     TripleStore,
+    check_query_id,
     extract_subgraph,
     load_queries,
     load_triples,
@@ -41,9 +43,15 @@ _ORDER_FLAGS = {"recency": "recency", "lost-in-middle": "lost_in_middle"}
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
+    """Write via ``<name>.tmp`` and a rename; a failed write leaves no ``.tmp``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
@@ -78,7 +86,7 @@ def _artifact_row(record: QueryRecord, sequence: TripleSequence) -> dict:
 
 def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
     record = QueryRecord(
-        id=str(row.get("id", "")),
+        id=check_query_id(str(row.get("id", ""))),
         question=str(row.get("question", "")),
         query_entities=tuple(row.get("query_entities", [])),
         gold_answers=tuple(row.get("answers", [])),
@@ -161,8 +169,9 @@ def _final_sequence(
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Retrieve, smooth, select, prompt, and (unless dry) generate + evaluate.
 
-    Per-query failures are recorded in the results and the run continues;
-    only configuration and IO problems abort.
+    Per-query failures, including a prompt or completion file that cannot be
+    written, are recorded in the results and the run continues; only
+    configuration problems and unreadable inputs abort.
     """
     store = load_triples(cfg.kg_path)
     queries = load_queries(cfg.queries_path)
@@ -211,7 +220,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 f1=result.f1,
             )
             return row
-        except PathPoolError as exc:
+        except (PathPoolError, OSError) as exc:
             logger.warning("query %s failed: %s", record.id, exc)
             return {"id": record.id, "status": "error", "error": str(exc)}
 
@@ -329,12 +338,16 @@ def cmd_prompt(args) -> int:
         if "error" in row:
             manifest.append(row)
             continue
-        record, sequence = _artifact_sequence(row)
-        bundle = generation.assemble_prompt(record, sequence)
-        _write_text_atomic(
-            out_dir / f"{record.id}.json",
-            json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
-        )
+        try:
+            record, sequence = _artifact_sequence(row)
+            bundle = generation.assemble_prompt(record, sequence)
+            _write_text_atomic(
+                out_dir / f"{record.id}.json",
+                json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
+            )
+        except (PathPoolError, OSError) as exc:
+            manifest.append({"id": row.get("id"), "error": str(exc)})
+            continue
         manifest.append({"id": record.id, "prompt_sha256": bundle.sha256()})
     _write_jsonl_atomic(out_dir / "manifest.jsonl", manifest)
     print(f"prompt: wrote {len(manifest)} prompts to {args.out}")
@@ -372,6 +385,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.queries_per_cell < bench_mod.MIN_QUERIES_PER_CELL:
+        raise ConfigError(
+            f"--queries-per-cell must be at least {bench_mod.MIN_QUERIES_PER_CELL}, "
+            f"got {args.queries_per_cell}"
+        )
     if args.kg:
         store = load_triples(args.kg)
     else:

@@ -241,14 +241,24 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
     return store
 
 
+def check_query_id(qid: str, line: int | None = None) -> str:
+    """``qid`` unchanged if it can name a file inside an output directory.
+
+    Ids name prompt and completion files, so ids that are empty, ``.``/``..``,
+    or contain ``/``, ``\\`` or NUL raise ParseError.
+    """
+    if qid in ("", ".", "..") or any(c in qid for c in "/\\\0"):
+        raise ParseError(f"query id {qid!r} cannot name a file", line=line)
+    return qid
+
+
 def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
     """Parse a JSONL query file with keys id, question, query_entities, answers.
 
     Gold answers are deduplicated by normalized form, keeping the first
     spelling. ``query_entities`` may be empty (evaluation-only records).
-    An id names the query's prompt and completion files, so ids that are
-    empty, ``.``/``..``, contain ``/``, ``\\`` or NUL, or repeat an earlier
-    id raise ParseError.
+    Ids that ``check_query_id`` rejects, or that repeat an earlier id, raise
+    ParseError.
     """
     records: list[QueryRecord] = []
     seen_ids: set[str] = set()
@@ -265,9 +275,7 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
         question = str(payload.get("question", "")).strip()
         if not question:
             raise ParseError("query record has no question", line=lineno)
-        qid = str(payload.get("id", lineno))
-        if qid in ("", ".", "..") or any(c in qid for c in "/\\\0"):
-            raise ParseError(f"query id {qid!r} cannot name a file", line=lineno)
+        qid = check_query_id(str(payload.get("id", lineno)), line=lineno)
         if qid in seen_ids:
             raise ParseError(f"duplicate query id {qid!r}", line=lineno)
         seen_ids.add(qid)

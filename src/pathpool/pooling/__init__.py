@@ -7,25 +7,25 @@ pushed back onto its member triples, taking the max where kernels overlap.
 Triples on no path are treated as single-hop kernels, so every input triple
 receives a smoothed score.
 
-Two interchangeable backends do the heavy lifting: a compiled Cython core
-(``_kernels_c``) and a pure-Python twin (``_kernels_py``). The compiled one
-is picked at import when available unless ``PATHPOOL_PURE_PYTHON=1`` is set.
+Two backends compute the smoothed scores, bit for bit the same: the
+pure-Python ``_kernels_py``, which also serves the kernel search, and an
+optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
+``setup.py``. The compiled one is loaded with ctypes when its library sits next
+to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 """
 
 from __future__ import annotations
 
-import os
+import ctypes
+import importlib.machinery
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import ConfigError, EmptyInputError
 from ..scoring import ScoredTriple, TripleSequence
 from . import _kernels_py
-
-try:  # compiled core is optional
-    from . import _kernels_c
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernels_c = None
 
 SCORE_SHIFT_EPS = 1e-6
 
@@ -36,23 +36,130 @@ DIRECTIONS = ("from_query", "to_query", "singleton")
 _ALGORITHM_CODES = {name: code for code, name in enumerate(ALGORITHMS)}
 _POOLING_CODES = {name: code for code, name in enumerate(POOLING_STRATEGIES)}
 
-_FORCE_PY = os.environ.get("PATHPOOL_PURE_PYTHON", "") == "1"
-DEFAULT_BACKEND = "c" if (_kernels_c is not None and not _FORCE_PY) else "py"
+_MASK64 = (1 << 64) - 1
+_PTR = ctypes.c_void_p  # address of an array("i") (int32) or array("d") buffer
+_SMOOTH_ARGTYPES = [
+    ctypes.c_int32,  # n_vertices
+    ctypes.c_int32,  # n_edges
+    _PTR,  # heads
+    _PTR,  # tails
+    _PTR,  # scores
+    _PTR,  # lex_rank, or NULL when the algorithm is not dijkstra
+    _PTR,  # sources
+    ctypes.c_int32,  # n_sources
+    ctypes.c_int32,  # algorithm
+    ctypes.c_int32,  # max_path_len, clamped to n_edges
+    ctypes.c_int64,  # walk_count
+    ctypes.c_uint64,  # seed
+    ctypes.c_int32,  # pooling
+    ctypes.c_double,  # s_min
+    ctypes.c_double,  # divisor
+    _PTR,  # final (written)
+]
+
+
+class _CompiledCore:
+    """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
+
+    The library rebuilds the CSR lists from ``heads`` and ``tails``, which
+    costs less than copying them into C buffers, so those four are unused.
+    """
+
+    def __init__(self, fn):
+        fn.argtypes = _SMOOTH_ARGTYPES
+        fn.restype = ctypes.c_int
+        self._fn = fn
+
+    def smooth_scores(
+        self,
+        n_vertices,
+        heads,
+        tails,
+        out_off,
+        out_eid,
+        in_off,
+        in_eid,
+        scores,
+        lex_rank,
+        sources,
+        algorithm,
+        max_path_len,
+        walk_count,
+        seed,
+        pooling,
+        s_min,
+        divisor,
+    ):
+        n_edges = len(heads)
+        # every buffer stays referenced by a local until the call returns
+        head_buf = array("i", heads)
+        tail_buf = array("i", tails)
+        score_buf = array("d", scores)
+        lex_buf = array("i", lex_rank if algorithm == _ALGORITHM_CODES["dijkstra"] else ())
+        source_buf = array("i", sources)
+        final = array("d", bytes(8 * n_edges))
+        status = self._fn(
+            n_vertices,
+            n_edges,
+            head_buf.buffer_info()[0],
+            tail_buf.buffer_info()[0],
+            score_buf.buffer_info()[0],
+            lex_buf.buffer_info()[0],
+            source_buf.buffer_info()[0],
+            len(source_buf),
+            algorithm,
+            min(max_path_len, n_edges),
+            walk_count,
+            seed & _MASK64,
+            pooling,
+            s_min,
+            divisor,
+            final.buffer_info()[0],
+        )
+        if status == -1:
+            raise MemoryError("compiled smooth_scores could not allocate its buffers")
+        if status != 0:
+            raise ValueError(f"unknown algorithm code {algorithm}")
+        return final.tolist()
+
+
+def _load_core(directory: Path) -> _CompiledCore | None:
+    """The compiled ``smooth_scores`` built into ``directory``, or None.
+
+    ``setup.py`` builds ``_kernels_c.c`` under an extension-module file name,
+    but the library has no Python entry point: it is opened with ctypes, never
+    imported. Loading compiles nothing and starts no process.
+    """
+    if array("i").itemsize != 4:  # the library reads int32_t buffers
+        return None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_kernels_c{suffix}"
+        if path.is_file():
+            try:
+                return _CompiledCore(ctypes.CDLL(str(path)).pathpool_smooth_scores)
+            except (OSError, AttributeError):
+                return None
+    return None
+
+
+_core = _load_core(Path(__file__).parent)
+DEFAULT_BACKEND = "c" if _core is not None else "py"
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("py", "c") if _kernels_c is not None else ("py",)
+    return ("py", "c") if _core is not None else ("py",)
 
 
 def backend_module(name: str = "auto"):
+    """The object whose ``smooth_scores`` the named backend runs."""
     if name == "auto":
         name = DEFAULT_BACKEND
     if name == "py":
         return _kernels_py
     if name == "c":
-        if _kernels_c is None:
+        if _core is None:
             raise ConfigError("compiled backend requested but not built")
-        return _kernels_c
+        return _core
     raise ConfigError(f"unknown backend: {name!r}")
 
 
@@ -221,12 +328,13 @@ def search_path_kernels(
     Every triple of the subgraph appears in at least one kernel: triples on
     no searched path are emitted as singletons. Query entities absent from
     the subgraph contribute nothing; with no usable query entity every
-    triple becomes a singleton.
+    triple becomes a singleton. The search always runs in ``_kernels_py``;
+    ``backend`` is only checked, as ``smooth`` checks it.
     """
     cfg.validate()
-    module = backend_module(backend)
+    backend_module(backend)
     sources = g.vertices_for_labels(query_entities)
-    raw = module.search_kernels(
+    raw = _kernels_py.search_kernels(
         *_backend_args(g, g.scores, cfg),
         sources,
         _ALGORITHM_CODES[cfg.search_algorithm],

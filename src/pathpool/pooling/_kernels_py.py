@@ -1,19 +1,21 @@
 """Pure-Python backend for path-kernel search and score smoothing.
 
-This module mirrors the compiled ``_kernels_c`` extension function for
-function; the two must stay bit-for-bit interchangeable. Both operate on a
-flattened subgraph: per-edge ``heads``/``tails``/``scores``/``lex_rank``
-lists plus CSR adjacency (``out_off``/``out_eid`` over head vertices,
-``in_off``/``in_eid`` over tail vertices).
+This is the reference implementation: ``search_kernels`` lives only here,
+and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
+alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
+``heads``/``tails``/``scores``/``lex_rank`` lists plus CSR adjacency
+(``out_off``/``out_eid`` over head vertices, ``in_off``/``in_eid`` over tail
+vertices; each vertex's edges in edge order).
 
-Conventions shared with the compiled twin:
+Conventions the compiled ``smooth_scores`` shares:
 
 * kernels are edge-id sequences ordered outward from the query entity, so
   position 1 is always the edge nearest a query entity, in both directions;
 * direction codes: 0 = from query, 1 = to query, 2 = singleton;
 * ``sources`` is a strictly ascending list of vertex ids;
 * random walks draw from a splitmix64 stream with mask-rejection sampling,
-  so the walk sequence is identical across backends for a given seed.
+  seeded with the seed modulo 2**64, so the walk sequence is identical
+  across backends for a given seed.
 """
 
 from __future__ import annotations

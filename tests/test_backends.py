@@ -1,35 +1,77 @@
-"""Compiled core vs pure-Python backend: results must match to the bit."""
+"""Compiled core vs pure-Python backend: results must match to the bit.
+
+The compiled ``smooth_scores`` is built once per test run with ``setup.py
+build_ext`` into a temporary directory, the same build an install runs, so
+nothing is written under ``src/``. It is loaded through the package's own
+loader. The tests skip only when no C compiler is found.
+"""
 
 from __future__ import annotations
 
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 
-from conftest import random_case
+from conftest import make_sequence, random_case
 from pathpool import pooling
+from pathpool.errors import ConfigError
 from pathpool.pooling import PoolingConfig, build_scored_subgraph
 
-needs_compiled = pytest.mark.skipif(
-    "c" not in pooling.available_backends(),
-    reason="compiled core not built",
-)
-
+ROOT = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("dijkstra", "bfs", "random_walk")
+WALK_SEEDS = (0, 1, 7, 123456789, -3, 2**63)
 
 
-@needs_compiled
-def test_search_kernels_identical_across_backends():
-    for seed in range(150):
-        seq, queries = random_case(seed, max_edges=24, positive=False)
-        g = build_scored_subgraph(seq)
-        for algorithm in ALGORITHMS:
-            cfg = PoolingConfig(search_algorithm=algorithm, rng_seed=seed)
-            py = pooling.search_path_kernels(g, queries, cfg, backend="py")
-            cc = pooling.search_path_kernels(g, queries, cfg, backend="c")
-            assert py == cc, (seed, algorithm)
+def _compiler_found() -> bool:
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(compiler)[0]) is not None
 
 
-@needs_compiled
-def test_smooth_identical_across_backends():
+@pytest.fixture(scope="session")
+def built_core(tmp_path_factory) -> Path:
+    """Directory that holds the freshly built library."""
+    if not _compiler_found():
+        pytest.skip("no C compiler found")
+    out = tmp_path_factory.mktemp("build")
+    subprocess.run(
+        [
+            sys.executable,
+            "setup.py",
+            "build_ext",
+            "--build-lib",
+            str(out),
+            "--build-temp",
+            str(out / "temp"),
+        ],
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+    )
+    return out / "pathpool" / "pooling"
+
+
+@pytest.fixture
+def compiled(built_core, monkeypatch):
+    """Make ``backend="c"`` run the freshly built library."""
+    core = pooling._load_core(built_core)
+    assert core is not None, f"setup.py built no loadable core in {built_core}"
+    monkeypatch.setattr(pooling, "_core", core)
+    assert pooling.available_backends() == ("py", "c")
+
+
+def assert_backends_agree(seq, queries, cfg, context):
+    py = pooling.smooth(seq, queries, cfg, backend="py").labeled_items()
+    cc = pooling.smooth(seq, queries, cfg, backend="c").labeled_items()
+    assert py == cc, context
+
+
+def test_smooth_identical_across_backends(compiled):
     for seed in range(150):
         seq, queries = random_case(seed, max_edges=24, positive=False)
         for algorithm in ALGORITHMS:
@@ -37,38 +79,121 @@ def test_smooth_identical_across_backends():
                 cfg = PoolingConfig(
                     search_algorithm=algorithm, pooling=strategy, rng_seed=seed
                 )
-                py = pooling.smooth(seq, queries, cfg, backend="py").labeled_items()
-                cc = pooling.smooth(seq, queries, cfg, backend="c").labeled_items()
-                assert py == cc, (seed, algorithm, strategy)
+                assert_backends_agree(seq, queries, cfg, (seed, algorithm, strategy))
 
 
-@needs_compiled
-@pytest.mark.skipif(
-    pooling._FORCE_PY, reason="pure-Python backend forced via environment"
-)
-def test_default_backend_prefers_compiled():
-    assert pooling.DEFAULT_BACKEND == "c"
+def test_smooth_identical_across_path_lengths(compiled):
+    # max_path_len 2**40 exceeds every edge count and the C int range: the
+    # compiled core clamps it to n_edges, which must change no kernel
+    for seed in range(150):
+        seq, queries = random_case(seed, max_edges=24, positive=False)
+        for algorithm in ALGORITHMS:
+            for max_path_len in (1, 3, 2**40):
+                cfg = PoolingConfig(
+                    search_algorithm=algorithm,
+                    max_path_len=max_path_len,
+                    positional_divisor=0.5 + seed % 7,
+                    rng_seed=seed,
+                )
+                assert_backends_agree(seq, queries, cfg, (seed, algorithm, max_path_len))
+
+
+def test_smooth_identical_on_whole_graph_paths(compiled):
+    # a chain of n edges holds a kernel with every edge: the longest path any
+    # work buffer has to hold, reached with max_path_len == n and above
+    for n in (1, 2, 5):
+        seq = make_sequence([(f"V{i}", "r", f"V{i + 1}", 0.1 + i / 8) for i in range(n)])
+        for anchor in ("V0", f"V{n}"):
+            for algorithm in ALGORITHMS:
+                for max_path_len in (n, n + 1, 2**40):
+                    cfg = PoolingConfig(
+                        search_algorithm=algorithm, max_path_len=max_path_len
+                    )
+                    assert_backends_agree(seq, [anchor], cfg, (n, anchor, algorithm))
+
+
+def test_dijkstra_tie_breaks_identical_across_backends(compiled):
+    # with one score for every triple (the uniform scorer's case) equal-hop
+    # paths tie on score, and the edge-rank order picks the tree path
+    for seed in range(150):
+        seq, queries = random_case(seed, max_edges=24)
+        flat = make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()])
+        cfg = PoolingConfig(search_algorithm="dijkstra")
+        assert_backends_agree(flat, queries, cfg, seed)
+
+
+def _branching_star(branches: int):
+    """Q -> A_i -> B_i for each i: a two-edge walk shows which branch it drew."""
+    rows = []
+    for i in range(branches):
+        rows.append(("Q", "r", f"A{i}", 0.25 + i / 512))
+        rows.append((f"A{i}", "r", f"B{i}", 0.75 - i / 1024))
+    return make_sequence(rows), ["Q"]
+
+
+def test_walk_streams_match_across_seeds(compiled):
+    # long walk budgets consume thousands of RNG draws; any divergence in the
+    # stream or the rejection sampling changes which paths become kernels
+    seq, queries = random_case(5, max_edges=20)
+    if not queries:
+        queries = [seq.labels(0)[0]]
+    for seed in WALK_SEEDS:
+        cfg = PoolingConfig(search_algorithm="random_walk", walk_count=2048, rng_seed=seed)
+        assert_backends_agree(seq, queries, cfg, seed)
+    # on a 48-branch star (draws below 48 reject masked values of 48..63) a
+    # few walks leave most branches unwalked, so each draw shows in the scores
+    star, anchors = _branching_star(48)
+    for seed in WALK_SEEDS:
+        for walk_count in (1, 5, 20):
+            cfg = PoolingConfig(
+                search_algorithm="random_walk", walk_count=walk_count, rng_seed=seed
+            )
+            assert_backends_agree(star, anchors, cfg, (seed, walk_count))
+
+
+def test_search_path_kernels_checks_backend_and_runs_in_python(compiled):
+    seq, queries = random_case(3, max_edges=24)
+    g = build_scored_subgraph(seq)
+    cfg = PoolingConfig(search_algorithm="bfs")
+    py = pooling.search_path_kernels(g, queries, cfg, backend="py")
+    assert pooling.search_path_kernels(g, queries, cfg, backend="c") == py
+    with pytest.raises(ConfigError):
+        pooling.search_path_kernels(g, queries, cfg, backend="fortran")
 
 
 def test_unknown_backend_rejected():
-    from pathpool.errors import ConfigError
-
     with pytest.raises(ConfigError):
         pooling.backend_module("fortran")
 
 
-@needs_compiled
-def test_walk_streams_match_across_seeds():
-    # long walk budgets consume thousands of RNG draws; any divergence in
-    # the stream or the rejection sampling would show up as different kernels
-    seq, queries = random_case(5, max_edges=20)
-    if not queries:
-        queries = [seq.labels(0)[0]]
-    for seed in (0, 1, 7, 123456789, -3, 2**63):
-        cfg = PoolingConfig(
-            search_algorithm="random_walk", walk_count=2048, rng_seed=seed
-        )
-        g = build_scored_subgraph(seq)
-        py = pooling.search_path_kernels(g, queries, cfg, backend="py")
-        cc = pooling.search_path_kernels(g, queries, cfg, backend="c")
-        assert py == cc, seed
+@pytest.mark.parametrize("library", ["none", "built", "corrupt"])
+def test_auto_resolves_to_c_exactly_when_the_library_loads(
+    built_core, tmp_path, library
+):
+    package = tmp_path / "pathpool"
+    shutil.copytree(
+        ROOT / "src" / "pathpool",
+        package,
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
+    )
+    if library != "none":
+        (built_so,) = built_core.glob("_kernels_c.*")
+        target = package / "pooling" / built_so.name
+        if library == "built":
+            shutil.copy(built_so, target)
+        else:
+            target.write_bytes(b"not a shared library")
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from pathpool import pooling; "
+            "print(pooling.DEFAULT_BACKEND, *pooling.available_backends())",
+        ],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    expected = "c py c" if library == "built" else "py py"
+    assert probe.stdout.split() == expected.split()

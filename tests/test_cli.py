@@ -413,3 +413,108 @@ def test_bench_subcommand_writes_report(tmp_path, capsys):
     csv_text = (out / "bench.csv").read_text()
     assert csv_text.count("\n") == 3  # header + 2 cells
     assert "dijkstra" in capsys.readouterr().out
+
+
+def _artifact_line(qid, triples) -> str:
+    return json.dumps(
+        {
+            "id": qid,
+            "question": "?",
+            "query_entities": ["A"],
+            "answers": ["B"],
+            "triples": triples,
+        }
+    ) + "\n"
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "..", "", "a\\b"])
+def test_prompt_rejects_artifact_ids_that_leave_out(tmp_path, bad_id):
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        _artifact_line(bad_id, [["A", "r", "B", 0.5]])
+        + _artifact_line("ok", [["A", "r", "B", 0.5]]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "work" / "prompts"
+    assert run_cli("prompt", "--in", artifact, "--out", out) == 0
+    manifest = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    assert manifest[0]["id"] == bad_id
+    assert "cannot name a file" in manifest[0]["error"]
+    assert "prompt_sha256" in manifest[1]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "ok.json"]
+    assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["prompts"]
+
+
+def test_pool_rejects_artifact_ids_that_leave_out(tmp_path):
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        _artifact_line("../escaped", [["A", "r", "B", 0.5]])
+        + _artifact_line("ok", [["A", "r", "B", 0.5]]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    assert run_cli("pool", "--in", artifact, "--out", out) == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert rows[0] == {"id": "../escaped", "error": rows[0]["error"]}
+    assert "cannot name a file" in rows[0]["error"]
+    assert rows[1]["triples"]
+
+
+def test_prompt_records_malformed_row_and_goes_on(tmp_path):
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        _artifact_line("first", [["A", "r", "B", 0.5]])
+        + _artifact_line("broken", [["a", "r"]])
+        + _artifact_line("last", [["A", "r", "B", 0.5]]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "prompts"
+    assert run_cli("prompt", "--in", artifact, "--out", out) == 0
+    manifest = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in manifest] == ["first", "broken", "last"]
+    assert "malformed triple entry" in manifest[1]["error"]
+    assert "prompt_sha256" in manifest[0] and "prompt_sha256" in manifest[2]
+    assert not (out / "broken.json").exists()
+
+
+def test_unwritable_prompt_costs_only_its_query(tmp_path):
+    out = tmp_path / "out"
+    (out / "prompts" / "q1.json").mkdir(parents=True)
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
+    ) == 0
+    rows = {
+        json.loads(line)["id"]: json.loads(line)
+        for line in (out / "results.jsonl").read_text().splitlines()
+    }
+    assert rows["q1"]["status"] == "error"
+    assert all(rows[q]["status"] == "dry_run" for q in ("q2", "q3", "q4", "q5"))
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n_queries"] == 5
+    assert metrics["n_errors"] == 1
+    assert not list((out / "prompts").glob("*.tmp"))
+
+
+def test_write_text_atomic_removes_tmp_when_replace_fails(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(OSError):
+        cli._write_text_atomic(target, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+def test_bench_rejects_too_few_queries_per_cell(tmp_path, capsys):
+    from pathpool.bench import MIN_QUERIES_PER_CELL
+
+    code = run_cli(
+        "bench",
+        "--sizes", "20",
+        "--algos", "dijkstra",
+        "--queries-per-cell", MIN_QUERIES_PER_CELL - 15,
+        "--out", tmp_path / "bench",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--queries-per-cell must be at least {MIN_QUERIES_PER_CELL}" in err
+    assert "got 15" in err
+    assert not (tmp_path / "bench").exists()
