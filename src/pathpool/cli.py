@@ -61,12 +61,22 @@ def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
 
 
 def _read_jsonl(path: Path) -> list[dict]:
+    """The JSON objects of a JSONL file; any other line raises ParseError."""
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"invalid JSON in {path}: {exc.msg}", line=lineno
+                ) from None
+            if not isinstance(row, dict):
+                raise ParseError(f"row of {path} is not a JSON object", line=lineno)
+            rows.append(row)
     return rows
 
 
@@ -331,14 +341,21 @@ def cmd_select(args) -> int:
 
 
 def cmd_prompt(args) -> int:
+    rows = _read_jsonl(Path(args.infile))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for row in _read_jsonl(Path(args.infile)):
+    seen_ids: set[str] = set()
+    for row in rows:
         if "error" in row:
             manifest.append(row)
             continue
         try:
+            # a repeated id would overwrite the earlier row's prompt file
+            qid = str(row.get("id", ""))
+            if qid in seen_ids:
+                raise ParseError(f"duplicate id {qid!r}")
+            seen_ids.add(qid)
             record, sequence = _artifact_sequence(row)
             bundle = generation.assemble_prompt(record, sequence)
             _write_text_atomic(

@@ -174,11 +174,14 @@ def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
         if not 200 <= response.status_code < 300:
             raise EndpointError(response.status_code, response.text)
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
             raise EndpointError(
                 response.status_code, f"malformed completion body: {response.text}"
             )
+        return content
     raise TransportError(
         f"endpoint unreachable after {cfg.retries + 1} attempts: {last_exc}"
     )

@@ -12,6 +12,12 @@ pure-Python ``_kernels_py``, which also serves the kernel search, and an
 optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
 ``setup.py``. The compiled one is loaded with ctypes when its library sits next
 to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
+
+For BFS the compiled core pools every enumerated simple path, while the
+Python backend never enumerates them: it takes the per-edge max over a
+prefix DFS and solves the last edge of the longest paths once per end
+vertex. Both give the same bits because rounding is monotone, so the max of
+fl(pooled + c) over paths is fl(max pooled + c) (see ``_kernels_py``).
 """
 
 from __future__ import annotations

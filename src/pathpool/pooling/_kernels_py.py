@@ -16,9 +16,25 @@ Conventions the compiled ``smooth_scores`` shares:
 * random walks draw from a splitmix64 stream with mask-rejection sampling,
   seeded with the seed modulo 2**64, so the walk sequence is identical
   across backends for a given seed.
+
+``search_kernels`` and the dijkstra and random-walk branches of
+``smooth_scores`` feed each kernel through ``_dispatch``, as the compiled
+core does for all three. BFS smoothing here (``_bfs_smooth``) does not visit
+each simple path: one DFS over the prefixes of up to ``max_path_len - 1``
+edges carries each prefix's running sum (or max) and the best pooled value
+below it, and the last edge of the longest paths is solved once per end
+vertex from the prefixes that end there. It still equals the exhaustive
+enumeration bit for bit, because IEEE rounding is monotone: ``x + c``,
+``x / n`` and the running max never fall when ``x`` rises, so the max over
+paths of fl(pooled + c) is fl(max pooled + c), and a path's pooled value is
+largest where its prefix's and its last edge's are. (The one exception is
+the sign of a zero result when the smallest score is ``-0.0``; ``smooth``
+shifts every score positive first.)
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 ALG_DIJKSTRA = 0
 ALG_BFS = 1
@@ -158,6 +174,130 @@ def _enumerate_simple_paths(n_vertices, endpoint, off, eid, source, max_len, emi
             stack.append([v, off[v]])
         else:
             path.pop()
+
+
+def _bfs_smooth(
+    n_vertices, endpoint, off, eid, scores, sources, max_len, average, pos, final, covered
+):
+    """Fold every simple path of 1..max_len edges into ``final``, one direction.
+
+    Per edge, the max over the paths ``_enumerate_simple_paths`` would emit
+    of pooled + ``pos[position]``, without visiting each path:
+
+    * a DFS walks the prefixes of up to ``max_len - 1`` edges once each; a
+      frame carries the running sum (or max) of its prefix, which is the
+      float sequence a per-path loop computes, and the best pooled value of
+      any path through it, which it folds into its parent on pop;
+    * a path of ``max_len`` edges is a prefix Q ending at u plus one edge
+      u->v with v not on Q. Its pooled value never falls when Q's running
+      value or the edge's score rises, so Q only needs its best-scored
+      out-edge of u whose endpoint is free, and each edge u->v only needs
+      the best Q ending at u that avoids v.
+    """
+    if max_len < 2:
+        return  # a one-edge path scores as the singleton the caller gives it
+    last = max_len - 1  # prefix depth the DFS stops at
+    neg_inf = float("-inf")
+    start = 0.0 if average else neg_inf
+    ends: dict[int, list] = {}  # u -> (running value, vertices) of prefixes at u
+    by_score: dict[int, list[int]] = {}  # u -> out-edges, highest score first
+    visited = bytearray(n_vertices)
+    for s in sources:
+        visited[s] = 1
+        path = [s]
+        # frame: [vertex, next slot in eid, edge in, running value, best pooled]
+        stack = [[s, off[s], -1, start, neg_inf]]
+        while stack:
+            frame = stack[-1]
+            u = frame[0]
+            k = frame[1]
+            if k >= off[u + 1]:
+                stack.pop()
+                if not stack:
+                    break
+                best = frame[4]
+                e = frame[2]
+                value = best + pos[len(stack)]
+                if not covered[e]:
+                    covered[e] = 1
+                    final[e] = value
+                elif value > final[e]:
+                    final[e] = value
+                if best > stack[-1][4]:
+                    stack[-1][4] = best
+                visited[u] = 0
+                path.pop()
+                continue
+            frame[1] = k + 1
+            e = eid[k]
+            v = endpoint[e]
+            if visited[v]:
+                continue
+            depth = len(stack)
+            score = scores[e]
+            acc = frame[3]
+            if average:
+                acc = acc + score
+                pooled = acc / depth
+            elif score > acc:
+                acc = pooled = score
+            else:
+                pooled = acc
+            if depth < last:
+                visited[v] = 1
+                path.append(v)
+                stack.append([v, off[v], e, acc, pooled])
+                continue
+            # a prefix of `last` edges ending at v: record it for the last
+            # level, and extend it by v's best free out-edge
+            record = (acc, (*path, v))
+            if v in ends:
+                ends[v].append(record)
+            else:
+                ends[v] = [record]
+            order = by_score.get(v)
+            if order is None:
+                order = sorted(
+                    eid[off[v] : off[v + 1]], key=scores.__getitem__, reverse=True
+                )
+                by_score[v] = order
+            for e2 in order:
+                w = endpoint[e2]
+                if w != v and not visited[w]:
+                    # under max pooling, pooled == acc here: only the score counts
+                    ext = (acc + scores[e2]) / max_len if average else scores[e2]
+                    if ext > pooled:
+                        pooled = ext
+                    break
+            value = pooled + pos[depth]
+            if not covered[e]:
+                covered[e] = 1
+                final[e] = value
+            elif value > final[e]:
+                final[e] = value
+            if pooled > frame[4]:
+                frame[4] = pooled
+        visited[s] = 0
+    top = pos[max_len]
+    for u, records in ends.items():
+        records.sort(key=itemgetter(0), reverse=True)
+        for k in range(off[u], off[u + 1]):
+            e = eid[k]
+            v = endpoint[e]
+            for acc, vertices in records:
+                if v not in vertices:
+                    score = scores[e]
+                    if average:
+                        pooled = (acc + score) / max_len
+                    else:
+                        pooled = score if score > acc else acc
+                    value = pooled + top
+                    if not covered[e]:
+                        covered[e] = 1
+                        final[e] = value
+                    elif value > final[e]:
+                        final[e] = value
+                    break
 
 
 def _random_walks(tails, off, eid, sources, max_len, walk_count, rng, emit):
@@ -320,6 +460,25 @@ def smooth_scores(
     final = [0.0] * ne
     covered = bytearray(ne)
 
+    if algorithm == ALG_BFS:
+        max_len = min(max_path_len, ne)
+        pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
+        for endpoint, off, eid in ((tails, out_off, out_eid), (heads, in_off, in_eid)):
+            _bfs_smooth(
+                n_vertices,
+                endpoint,
+                off,
+                eid,
+                scores,
+                sources,
+                max_len,
+                pooling == 0,
+                pos,
+                final,
+                covered,
+            )
+        return _fill_singletons(final, covered, scores, s_min, divisor)
+
     def process(path, _dircode):
         length = len(path)
         if pooling == 0:
@@ -359,7 +518,11 @@ def smooth_scores(
         seed,
         process,
     )
-    for e in range(ne):
+    return _fill_singletons(final, covered, scores, s_min, divisor)
+
+
+def _fill_singletons(final, covered, scores, s_min, divisor):
+    for e in range(len(final)):
         if not covered[e]:
             final[e] = scores[e] + s_min / divisor
     return final

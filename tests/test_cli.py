@@ -233,6 +233,34 @@ def test_run_with_mock_llm_scores_gold(tmp_path, mock_llm):
     assert (out / "completions" / "q1.txt").exists()
 
 
+def test_null_completion_costs_only_its_query(tmp_path, monkeypatch):
+    class NullContent:
+        status_code = 200
+        text = '{"choices": [{"message": {"content": null}}]}'
+
+        def json(self):
+            return json.loads(self.text)
+
+    monkeypatch.setattr(
+        "pathpool.generation.requests.post", lambda url, **kwargs: NullContent()
+    )
+    out = tmp_path / "out"
+    assert run_cli(
+        "run",
+        "--kg", TOY_KG,
+        "--queries", TOY_QUERIES,
+        "--endpoint", "http://mock.invalid/v1/chat/completions",
+        "--out", out,
+    ) == 0
+    rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+    assert len(rows) == 5
+    assert all(r["status"] == "error" for r in rows)
+    assert all("malformed completion body" in r["error"] for r in rows)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n_queries"] == 5
+    assert metrics["n_errors"] == 5
+
+
 def test_per_query_errors_recorded_run_continues(tmp_path):
     queries = tmp_path / "queries.jsonl"
     queries.write_text(
@@ -518,3 +546,46 @@ def test_bench_rejects_too_few_queries_per_cell(tmp_path, capsys):
     assert f"--queries-per-cell must be at least {MIN_QUERIES_PER_CELL}" in err
     assert "got 15" in err
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "lines", "message"),
+    [
+        ("prompt", ["[1, 2]"], "line 1: row of"),
+        ("pool", [None, "not json"], "line 2: invalid JSON in"),
+        ("select", ['"text"'], "line 1: row of"),
+    ],
+)
+def test_unreadable_artifact_line_exits_cleanly(tmp_path, capsys, command, lines, message):
+    artifact = tmp_path / "in.jsonl"
+    good = _artifact_line("ok", [["A", "r", "B", 0.5]])
+    artifact.write_text(
+        "".join(good if line is None else line + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli(command, "--in", artifact, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert str(artifact) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_prompt_duplicate_id_keeps_the_first_prompt(tmp_path):
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        _artifact_line("x", [["A", "r", "B", 0.5]])
+        + _artifact_line("x", [["C", "r", "D", 0.25]])
+        + _artifact_line("y", [["A", "r", "B", 0.5]]),
+        encoding="utf-8",
+    )
+    out = tmp_path / "prompts"
+    assert run_cli("prompt", "--in", artifact, "--out", out) == 0
+    manifest = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in manifest] == ["x", "x", "y"]
+    assert "prompt_sha256" in manifest[0] and "prompt_sha256" in manifest[2]
+    assert manifest[1] == {"id": "x", "error": "duplicate id 'x'"}
+    prompt = (out / "x.json").read_text(encoding="utf-8")
+    assert "(A, r, B)" in prompt and "(C, r, D)" not in prompt
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "x.json", "y.json"]

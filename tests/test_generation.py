@@ -240,6 +240,28 @@ def test_call_llm_malformed_body(mock_llm):
         call_llm(bundle, _cfg(mock_llm.url))
 
 
+class _NullContentResponse:
+    status_code = 200
+    text = '{"choices": [{"message": {"content": null}}]}'
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def test_call_llm_non_string_content_is_endpoint_error(monkeypatch):
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append(url)
+        return _NullContentResponse()
+
+    monkeypatch.setattr("pathpool.generation.requests.post", post)
+    bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
+    with pytest.raises(EndpointError, match="malformed completion body"):
+        call_llm(bundle, _cfg("http://mock.invalid/v1/chat/completions"))
+    assert len(calls) == 1  # not retried
+
+
 def test_generation_config_validation():
     with pytest.raises(ConfigError):
         GenerationConfig(endpoint="", model="m").validate()

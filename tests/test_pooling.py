@@ -18,7 +18,8 @@ from pathpool.pooling import (
     search_path_kernels,
     smooth,
 )
-from pathpool.pooling._kernels_py import _SplitMix
+from pathpool.pooling import _csr, _kernels_py
+from pathpool.pooling._kernels_py import ALG_BFS, _SplitMix
 
 CFG = PoolingConfig()
 
@@ -255,6 +256,93 @@ def test_rng_below_is_roughly_uniform():
     for _ in range(30000):
         counts[rng.below(3)] += 1
     assert all(abs(c - 10000) < 500 for c in counts)
+
+
+# -- bfs smoothing vs exhaustive enumeration --------------------------------
+
+
+def _flat_args(n_vertices, edges, scores):
+    heads = [h for h, _ in edges]
+    tails = [t for _, t in edges]
+    out_off, out_eid = _csr(n_vertices, heads)
+    in_off, in_eid = _csr(n_vertices, tails)
+    lex = list(range(len(edges)))
+    return (n_vertices, heads, tails, out_off, out_eid, in_off, in_eid, scores, lex)
+
+
+def _enumerated_bfs_scores(args, sources, max_path_len, pooling, divisor):
+    """Max over every kernel ``search_kernels`` lists of pooled + s_min/(i*divisor)."""
+    scores = args[7]
+    s_min = min(scores)
+    kernels = _kernels_py.search_kernels(*args, sources, ALG_BFS, max_path_len, 1, 0)
+    final = {}
+    for path, _ in kernels:
+        if pooling == 0:
+            total = 0.0
+            for e in path:
+                total += scores[e]
+            pooled = total / len(path)
+        else:
+            pooled = max(scores[e] for e in path)
+        for i, e in enumerate(path, start=1):
+            value = pooled + s_min / (i * divisor)
+            if e not in final or value > final[e]:
+                final[e] = value
+    return [final[e] for e in range(len(scores))]
+
+
+def _assert_bfs_matches_enumeration(n_vertices, edges, scores, sources, context):
+    args = _flat_args(n_vertices, edges, scores)
+    s_min = min(scores)
+    for max_path_len in (1, 2, 3, 4, 5, len(edges), 2**40):
+        for pooling in (0, 1):
+            for divisor in (10.0, 0.75):
+                got = _kernels_py.smooth_scores(
+                    *args, sources, ALG_BFS, max_path_len, 1, 0, pooling, s_min, divisor
+                )
+                expected = _enumerated_bfs_scores(
+                    args, sources, max_path_len, pooling, divisor
+                )
+                assert got == expected, (context, max_path_len, pooling, divisor)
+
+
+def test_bfs_smoothing_equals_enumeration_on_random_multigraphs():
+    # self-loops and parallel edges arise freely; half the scores come from a
+    # pool of at most three values, so pooled values tie often
+    for seed in range(300):
+        rnd = random.Random(seed)
+        n_vertices = rnd.randint(1, 8)
+        edges = [
+            (rnd.randrange(n_vertices), rnd.randrange(n_vertices))
+            for _ in range(rnd.randint(1, 16))
+        ]
+        pool = [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 3))]
+        scores = [
+            rnd.choice(pool) if rnd.random() < 0.5 else rnd.uniform(-1.0, 1.0)
+            for _ in edges
+        ]
+        sources = sorted(rnd.sample(range(n_vertices), rnd.randint(0, min(3, n_vertices))))
+        _assert_bfs_matches_enumeration(n_vertices, edges, scores, sources, seed)
+
+
+def test_bfs_smoothing_edge_back_into_the_source():
+    # 0->1->2->0: every prefix from 0 holds vertex 0, so no prefix may be
+    # extended by 2->0 although it is the best-scored out-edge of 2
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (0, 0)]
+    scores = [0.125, 0.25, 0.875, 0.0625, 0.5]
+    _assert_bfs_matches_enumeration(4, edges, scores, [0], "back edge")
+    _assert_bfs_matches_enumeration(4, edges, scores, [0, 2], "back edge, two sources")
+
+
+def test_bfs_smoothing_best_prefix_blocked_by_the_last_edge():
+    # prefixes into 3: 0->1->3 (high) holds 1, 0->2->3 (low) does not, so
+    # 3->1 must end the low one; 3->4 may end the high one
+    edges = [(0, 1), (1, 3), (0, 2), (2, 3), (3, 1), (3, 4)]
+    scores = [0.875, 0.75, 0.125, 0.0625, 0.5, 0.25]
+    _assert_bfs_matches_enumeration(5, edges, scores, [0], "blocked prefix")
+    args = _flat_args(5, edges, scores)
+    got = _kernels_py.smooth_scores(*args, [0], ALG_BFS, 3, 1, 0, 0, 0.0625, 10.0)
+    assert got[4] == (0.125 + 0.0625 + 0.5) / 3 + 0.0625 / 30.0
 
 
 # -- smoothing properties ------------------------------------------------------
