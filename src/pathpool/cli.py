@@ -109,8 +109,10 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
             score = float(score)
         except (TypeError, ValueError):
             raise ParseError(f"malformed triple entry in artifact: {entry!r}")
-        store.add(str(head), str(relation), str(tail))
-        pairs.append((store.triples[-1], score))
+        head, relation, tail = str(head), str(relation), str(tail)
+        store.add(head, relation, tail)
+        # a repeated row adds nothing, so resolve the triple just read
+        pairs.append((store.find(head, relation, tail), score))
     sequence = TripleSequence.from_scores(
         store, pairs, str(row.get("provenance", "artifact"))
     )
@@ -180,8 +182,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Retrieve, smooth, select, prompt, and (unless dry) generate + evaluate.
 
     Per-query failures, including a prompt or completion file that cannot be
-    written, are recorded in the results and the run continues; only
-    configuration problems and unreadable inputs abort.
+    written and an unexpected exception in a stage (recorded as
+    ``"<TypeName>: <message>"``, traceback logged), are recorded in the
+    results and the run continues; only configuration problems and
+    unreadable inputs abort.
     """
     store = load_triples(cfg.kg_path)
     queries = load_queries(cfg.queries_path)
@@ -233,6 +237,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         except (PathPoolError, OSError) as exc:
             logger.warning("query %s failed: %s", record.id, exc)
             return {"id": record.id, "status": "error", "error": str(exc)}
+        except Exception as exc:
+            # a fault in a stage costs only its query; the traceback is logged
+            logger.exception("query %s failed", record.id)
+            return {
+                "id": record.id,
+                "status": "error",
+                "error": f"{type(exc).__name__}: {exc}",
+            }
 
     with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
         rows = list(pool.map(process, queries))
@@ -445,12 +457,18 @@ def cmd_eval(args) -> int:
     queries = {record.id: record for record in load_queries(args.queries)}
     rows = []
     results = []
+    seen_ids: set[str] = set()
     for row in _read_jsonl(Path(args.completions)):
         qid = str(row.get("id"))
         record = queries.get(qid)
         if record is None:
             rows.append({"id": qid, "error": "unknown query id"})
             continue
+        # only the first completion of a query counts
+        if qid in seen_ids:
+            rows.append({"id": qid, "error": f"duplicate id {qid!r}"})
+            continue
+        seen_ids.add(qid)
         predictions = generation.parse_answers(str(row.get("completion", "")))
         try:
             result = generation.evaluate(predictions, record.gold_answers)

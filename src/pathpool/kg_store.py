@@ -12,7 +12,9 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, EntityLookupError, ParseError
 from .textnorm import normalize_answer
@@ -44,8 +46,7 @@ class TripleStore:
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
         # entity and relation ranks in label order, built on first use
-        self._entity_ranks: list[int] = []
-        self._relation_ranks: list[int] = []
+        self._ranks: tuple[np.ndarray, np.ndarray] = (_label_ranks([]), _label_ranks([]))
 
     # -- construction -------------------------------------------------
 
@@ -115,6 +116,15 @@ class TripleStore:
     def relation_label(self, rid: int) -> str:
         return self._relation_labels[rid]
 
+    def find(self, head: str, relation: str, tail: str) -> Triple | None:
+        """The stored triple with these labels, or None."""
+        triple = Triple(
+            self._entity_ids.get(head, -1),
+            self._relation_ids.get(relation, -1),
+            self._entity_ids.get(tail, -1),
+        )
+        return triple if triple in self._triple_set else None
+
     def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
         return (
             self._entity_labels[triple.head],
@@ -122,22 +132,56 @@ class TripleStore:
             self._entity_labels[triple.tail],
         )
 
+    def label_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entity and relation ranks in label order, as arrays indexed by id.
+
+        ``erank[e]`` is the position of entity ``e``'s label among all entity
+        labels sorted, likewise ``rrank`` for relations. Both are ranked once
+        and cached; labels are only ever appended, so the cache is stale
+        exactly when ``add`` has interned a new label since, and is then
+        rebuilt. Arrays taken before a later ``add`` are stale.
+        """
+        ranks = self._ranks
+        if len(ranks[0]) != len(self._entity_labels) or len(ranks[1]) != len(
+            self._relation_labels
+        ):
+            ranks = (_label_ranks(self._entity_labels), _label_ranks(self._relation_labels))
+            self._ranks = ranks
+        return ranks
+
+    def label_sort_keys(
+        self, heads: Sequence[int], relations: Sequence[int], tails: Sequence[int]
+    ) -> tuple[np.ndarray, ...]:
+        """``np.lexsort`` keys ordering triples, given as id columns, by label.
+
+        One int64 key per triple, the value ``label_order_key`` gives. When
+        that value could overflow int64, the tail, relation and head ranks
+        instead, as three keys (``lexsort`` sorts by the last key first).
+        Either way the sort orders the triples exactly as their (head,
+        relation, tail) label tuples do.
+        """
+        erank, rrank = self.label_ranks()
+        n_ent = len(erank)
+        n_rel = len(rrank)
+        head = erank[np.fromiter(heads, np.intp, len(heads))]
+        relation = rrank[np.fromiter(relations, np.intp, len(relations))]
+        tail = erank[np.fromiter(tails, np.intp, len(tails))]
+        if n_ent * n_ent * n_rel >= _INT64_KEY_LIMIT:
+            return tail, relation, head
+        head *= n_rel
+        head += relation
+        head *= n_ent
+        head += tail
+        return (head,)
+
     def label_order_key(self) -> Callable[[Triple], int]:
         """Integer key ordering triples exactly as their label tuples do.
 
-        Entity and relation labels are each ranked once and cached; labels
-        are only ever appended, so the cache is stale exactly when ``add``
-        has interned a new label since, and is then rebuilt. Interned labels
-        are unique, so the key ``(erank[h] * n_rel + rrank[r]) * n_ent +
-        erank[t]`` compares like ``triple_labels``. A key taken before a
-        later ``add`` is stale.
+        Built from ``label_ranks``. Interned labels are unique, so the key
+        ``(erank[h] * n_rel + rrank[r]) * n_ent + erank[t]`` compares like
+        ``triple_labels``. A key taken before a later ``add`` is stale.
         """
-        if len(self._entity_ranks) != len(self._entity_labels):
-            self._entity_ranks = _label_ranks(self._entity_labels)
-        if len(self._relation_ranks) != len(self._relation_labels):
-            self._relation_ranks = _label_ranks(self._relation_labels)
-        erank = self._entity_ranks
-        rrank = self._relation_ranks
+        erank, rrank = (ranks.tolist() for ranks in self.label_ranks())
         n_ent = len(erank)
         n_rel = len(rrank)
 
@@ -163,10 +207,13 @@ class TripleStore:
             yield f"{h}\t{r}\t{t}"
 
 
-def _label_ranks(labels: list[str]) -> list[int]:
-    ranks = [0] * len(labels)
-    for rank, idx in enumerate(sorted(range(len(labels)), key=labels.__getitem__)):
-        ranks[idx] = rank
+# label keys below this fit int64: every key is < n_ent * n_ent * n_rel
+_INT64_KEY_LIMIT = 2**63
+
+
+def _label_ranks(labels: list[str]) -> np.ndarray:
+    ranks = np.empty(len(labels), dtype=np.int64)
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     return ranks
 
 

@@ -13,6 +13,13 @@ optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
 ``setup.py``. The compiled one is loaded with ctypes when its library sits next
 to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 
+The arrays both backends receive are built in bulk from the sequence's id
+columns: first-seen vertex ids with ``dict.fromkeys``, both CSR adjacencies
+(``_csr``) and the label-order ranks with numpy. The output is ordered by a
+stable sort with a C-level key and its rows are built by
+``scoring.scored_rows``. No step before or after the kernel calls Python
+code once per triple.
+
 For BFS the compiled core pools every enumerated simple path, while the
 Python backend never enumerates them: it takes the per-edge max over a
 prefix DFS and solves the last edge of the longest paths once per end
@@ -26,11 +33,14 @@ import ctypes
 import importlib.machinery
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError, EmptyInputError
-from ..scoring import ScoredTriple, TripleSequence
+from ..scoring import TripleSequence, scored_rows
 from . import _kernels_py
 
 SCORE_SHIFT_EPS = 1e-6
@@ -214,7 +224,10 @@ class ScoredSubgraph:
 
     Vertices are the entities appearing in the sequence, interned in
     first-seen order (head before tail, edge by edge). Adjacency is stored
-    CSR-style so both backends consume the same flat arrays.
+    CSR-style so both backends consume the same flat lists. Every array is
+    built from the sequence's id columns in bulk (``dict.fromkeys`` for the
+    vertex order, ``_csr`` and ``lex_rank`` with numpy), with no Python call
+    per triple.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -222,45 +235,36 @@ class ScoredSubgraph:
             raise EmptyInputError("cannot build a subgraph from an empty sequence")
         self.sequence = sequence
         self.store = sequence.store
-        entity_vertex: dict[int, int] = {}
-        vertex_entities: list[int] = []
-        heads: list[int] = []
-        tails: list[int] = []
-        scores: list[float] = []
-        for item in sequence.items:
-            for entity in (item.triple.head, item.triple.tail):
-                if entity not in entity_vertex:
-                    entity_vertex[entity] = len(vertex_entities)
-                    vertex_entities.append(entity)
-            heads.append(entity_vertex[item.triple.head])
-            tails.append(entity_vertex[item.triple.tail])
-            scores.append(item.score)
+        triples, scores, _ = zip(*sequence.items)
+        entity_heads, relations, entity_tails = zip(*triples)
+        self._columns = (entity_heads, relations, entity_tails)
+        vertex_entities = list(
+            dict.fromkeys(chain.from_iterable(zip(entity_heads, entity_tails)))
+        )
+        entity_vertex = dict(zip(vertex_entities, range(len(vertex_entities))))
         self.entity_vertex = entity_vertex
         self.vertex_entities = vertex_entities
         self.n_vertices = len(vertex_entities)
-        self.n_edges = len(heads)
-        self.heads = heads
-        self.tails = tails
-        self.scores = scores
-        self.out_off, self.out_eid = _csr(self.n_vertices, heads)
-        self.in_off, self.in_eid = _csr(self.n_vertices, tails)
+        self.n_edges = len(triples)
+        self.heads = list(map(entity_vertex.__getitem__, entity_heads))
+        self.tails = list(map(entity_vertex.__getitem__, entity_tails))
+        self.scores = list(scores)
+        self.out_off, self.out_eid = _csr(self.n_vertices, self.heads)
+        self.in_off, self.in_eid = _csr(self.n_vertices, self.tails)
         self._lex_rank: list[int] | None = None
 
     @property
     def lex_rank(self) -> list[int]:
         """Per-edge rank under (head, relation, tail) label order; lazy.
 
-        Sorts by the store's cached label key, not by label tuples; the ranks
-        are dense ``0..n_edges-1``.
+        One ``np.lexsort`` over the store's ``label_sort_keys`` of the edge
+        id columns; the ranks are dense ``0..n_edges-1``.
         """
         if self._lex_rank is None:
-            label_key = self.store.label_order_key()
-            items = self.sequence.items
-            order = sorted(range(self.n_edges), key=lambda e: label_key(items[e].triple))
-            ranks = [0] * self.n_edges
-            for rank, e in enumerate(order):
-                ranks[e] = rank
-            self._lex_rank = ranks
+            order = np.lexsort(self.store.label_sort_keys(*self._columns))
+            ranks = np.empty_like(order)
+            ranks[order] = np.arange(self.n_edges)
+            self._lex_rank = ranks.tolist()
         return self._lex_rank
 
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
@@ -275,15 +279,13 @@ class ScoredSubgraph:
 
 
 def _csr(n_vertices: int, anchor: list[int]) -> tuple[list[int], list[int]]:
-    buckets: list[list[int]] = [[] for _ in range(n_vertices)]
-    for e, v in enumerate(anchor):
-        buckets[v].append(e)
-    off = [0] * (n_vertices + 1)
-    eid: list[int] = []
-    for v, bucket in enumerate(buckets):
-        off[v + 1] = off[v] + len(bucket)
-        eid.extend(bucket)
-    return off, eid
+    """Offsets and edge ids of each vertex's edges, grouped by ``anchor[e]``.
+
+    Edges of one vertex keep ascending edge order (a stable argsort).
+    """
+    vertex = np.array(anchor, dtype=np.intp)
+    counts = np.bincount(vertex, minlength=n_vertices).cumsum()
+    return [0, *counts.tolist()], vertex.argsort(kind="stable").tolist()
 
 
 def build_scored_subgraph(sequence: TripleSequence) -> ScoredSubgraph:
@@ -366,7 +368,8 @@ def _shifted(scores: list[float]) -> list[float]:
     if low > 0.0:
         return scores
     shift = SCORE_SHIFT_EPS - low
-    return [s + shift for s in scores]
+    # shift + s is s + shift: IEEE addition commutes
+    return list(map(shift.__add__, scores))
 
 
 def smooth(
@@ -399,11 +402,14 @@ def smooth(
         s_min,
         cfg.positional_divisor,
     )
-    order = sorted(range(len(final)), key=lambda i: (-final[i], i))
-    source_items = sequence.items
-    items = [
-        ScoredTriple(source_items[i].triple, final[i], source_items[i].rank)
-        for i in order
-    ]
+    # descending, ties by input position: a stable sort with reverse=True
+    # keeps equal keys in input order
+    order = sorted(range(len(final)), key=final.__getitem__, reverse=True)
+    triples, _, ranks = zip(*sequence.items)
+    items = scored_rows(
+        map(triples.__getitem__, order),
+        map(final.__getitem__, order),
+        map(ranks.__getitem__, order),
+    )
     provenance = f"smoothed:{cfg.search_algorithm}:{cfg.pooling}"
     return TripleSequence._unchecked(sequence.store, items, provenance)

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import count, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,19 +34,27 @@ class ScoredTriple(NamedTuple):
     rank: int
 
 
+def scored_rows(
+    triples: Iterable[Triple], scores: Iterable[float], ranks: Iterable[int]
+) -> list[ScoredTriple]:
+    """``ScoredTriple`` rows zipped from three columns, with no Python call per row."""
+    return list(map(tuple.__new__, repeat(ScoredTriple), zip(triples, scores, ranks)))
+
+
+_TRIPLE = attrgetter("triple")
+_SCORE = attrgetter("score")
+
+
 class TripleSequence:
     """Ordered scored triples together with the store resolving their labels."""
 
     def __init__(self, store: TripleStore, items: list[ScoredTriple], provenance: str):
-        seen: set[Triple] = set()
-        for item in items:
-            if not math.isfinite(item.score):
-                raise ConfigError(f"non-finite score for triple {item.triple}")
-            if item.triple in seen:
-                raise ConfigError(
-                    f"duplicate triple in sequence: {store.triple_labels(item.triple)}"
-                )
-            seen.add(item.triple)
+        # both checks run in C; the per-item loop only names the first offender
+        if not (
+            all(map(math.isfinite, map(_SCORE, items)))
+            and len(set(map(_TRIPLE, items))) == len(items)
+        ):
+            _raise_first_invalid(store, items)
         self.store = store
         self.items = items
         self.provenance = provenance
@@ -67,11 +77,8 @@ class TripleSequence:
         pairs: list[tuple[Triple, float]],
         provenance: str,
     ) -> "TripleSequence":
-        items = [
-            ScoredTriple(triple, float(score), rank)
-            for rank, (triple, score) in enumerate(pairs)
-        ]
-        return cls(store, items, provenance)
+        triples, scores = zip(*pairs) if pairs else ((), ())
+        return cls(store, scored_rows(triples, map(float, scores), count()), provenance)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -96,6 +103,19 @@ class TripleSequence:
         )
 
 
+def _raise_first_invalid(store: TripleStore, items: list[ScoredTriple]) -> None:
+    """Raise ConfigError naming the first non-finite score or repeated triple."""
+    seen: set[Triple] = set()
+    for item in items:
+        if not math.isfinite(item.score):
+            raise ConfigError(f"non-finite score for triple {item.triple}")
+        if item.triple in seen:
+            raise ConfigError(
+                f"duplicate triple in sequence: {store.triple_labels(item.triple)}"
+            )
+        seen.add(item.triple)
+
+
 def relation_sentence(relation: str) -> str:
     """Relation label rewritten for text encoders (dots/underscores to spaces)."""
     return relation.replace(".", " ").replace("_", " ")
@@ -113,7 +133,7 @@ class UniformScorer:
     def score_candidates(
         self, query: QueryRecord, candidates: Subgraph | TripleStore
     ) -> list[tuple[Triple, float]]:
-        return [(triple, 1.0) for triple in candidates.triples]
+        return list(zip(candidates.triples, repeat(1.0)))
 
 
 class CosineScorer:
@@ -254,9 +274,10 @@ def score_triples(
 ) -> TripleSequence:
     """Top-k candidates by score, descending; label order breaks ties.
 
-    Ties are broken by the store's cached ``label_order_key``, which orders
-    triples exactly as their (head, relation, tail) labels do. Returns all
-    candidates when fewer than k exist. The sequence references the store
+    One stable ``np.lexsort`` sorts by -score, then by the store's
+    ``label_sort_keys``, which order triples exactly as their (head,
+    relation, tail) labels do. Returns all candidates when fewer than k
+    exist; a NaN score raises ConfigError. The sequence references the store
     behind ``candidates`` (the parent store for a subgraph view); the output
     rank of each triple is its position in this sequence.
     """
@@ -264,6 +285,16 @@ def score_triples(
         raise ConfigError(f"k must be >= 1, got {k}")
     scored = scorer.score_candidates(query, candidates)
     store = candidates.store
-    label_key = store.label_order_key()
-    scored.sort(key=lambda pair: (-pair[1], label_key(pair[0])))
-    return TripleSequence.from_scores(store, scored[:k], scorer.name)
+    if not scored:
+        return TripleSequence(store, [], scorer.name)
+    triples, scores = zip(*scored)
+    values = np.asarray(scores, dtype=np.float64)
+    if np.isnan(values).any():
+        # NaN has no place in a score order: fail wherever it would sort
+        _raise_first_invalid(store, scored_rows(triples, values.tolist(), count()))
+    keys = store.label_sort_keys(*zip(*triples))
+    order = np.lexsort((*keys, -values))[:k]
+    items = scored_rows(
+        map(triples.__getitem__, order.tolist()), values[order].tolist(), count()
+    )
+    return TripleSequence(store, items, scorer.name)

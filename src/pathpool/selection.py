@@ -9,12 +9,16 @@ the weakest sit in the middle. All ties break by original retrieval rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ConfigError
 from .scoring import ScoredTriple, TripleSequence
 
 ORDERS = ("recency", "lost_in_middle")
 MODES = ("rerank", "reselect")
+
+_SCORE = attrgetter("score")
+_RANK = attrgetter("rank")
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,11 @@ class SelectionConfig:
 
 
 def _descending(items: list[ScoredTriple]) -> list[ScoredTriple]:
-    return sorted(items, key=lambda item: (-item.score, item.rank))
+    """Score descending, ties by rank: two stable sorts with C-level keys.
+
+    ``reverse=True`` keeps equal scores in their rank order.
+    """
+    return sorted(sorted(items, key=_RANK), key=_SCORE, reverse=True)
 
 
 def _ordered(items: list[ScoredTriple], order: str) -> list[ScoredTriple]:
@@ -46,11 +54,8 @@ def _ordered(items: list[ScoredTriple], order: str) -> list[ScoredTriple]:
     if order == "recency":
         return ranked[::-1]
     if order == "lost_in_middle":
-        head: list[ScoredTriple] = []
-        tail: list[ScoredTriple] = []
-        for position, item in enumerate(ranked):
-            (head if position % 2 == 0 else tail).append(item)
-        return head + tail[::-1]
+        # even positions lead, odd positions close the sequence reversed
+        return ranked[0::2] + ranked[1::2][::-1]
     raise ConfigError(f"unknown ordering: {order!r}")
 
 

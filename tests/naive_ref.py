@@ -126,3 +126,39 @@ def naive_smooth(
 
     order = sorted(range(n), key=lambda i: (-final[i], i))
     return [(heads[i], edges[i][1], tails[i], final[i]) for i in order]
+
+
+def naive_scored_subgraph(edges: list[tuple[str, str, str, float]]) -> dict:
+    """The arrays a scored subgraph holds, derived from label tuples.
+
+    Vertices are entity labels in first-seen order (head before tail, edge
+    by edge). Each CSR lists, vertex by vertex, the edges anchored there
+    (by head for ``out``, by tail for ``in``) in edge order. ``lex_rank``
+    is each edge's position when the edges are sorted by label tuple.
+    """
+    vertices: list[str] = []
+    for head, _, tail, _ in edges:
+        for label in (head, tail):
+            if label not in vertices:
+                vertices.append(label)
+    heads = [vertices.index(e[0]) for e in edges]
+    tails = [vertices.index(e[2]) for e in edges]
+
+    def csr(anchor):
+        off = [0]
+        eid: list[int] = []
+        for v in range(len(vertices)):
+            eid += [e for e in range(len(edges)) if anchor[e] == v]
+            off.append(len(eid))
+        return off, eid
+
+    by_labels = sorted(range(len(edges)), key=lambda e: edges[e][:3])
+    return {
+        "vertices": vertices,
+        "heads": heads,
+        "tails": tails,
+        "scores": [float(e[3]) for e in edges],
+        "out": csr(heads),
+        "in": csr(tails),
+        "lex_rank": [by_labels.index(e) for e in range(len(edges))],
+    }

@@ -589,3 +589,69 @@ def test_prompt_duplicate_id_keeps_the_first_prompt(tmp_path):
     prompt = (out / "x.json").read_text(encoding="utf-8")
     assert "(A, r, B)" in prompt and "(C, r, D)" not in prompt
     assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "x.json", "y.json"]
+
+
+def test_eval_counts_a_repeated_completion_id_once(tmp_path):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        json.dumps({"id": "q1", "completion": "ans: Kestrel River"})
+        + "\n"
+        + json.dumps({"id": "q1", "completion": "ans: Kestrel River"})
+        + "\n"
+        + json.dumps({"id": "q2", "completion": "ans: nothing"})
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "eval"
+    assert run_cli(
+        "eval", "--queries", TOY_QUERIES, "--completions", completions, "--out", out
+    ) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n"] == 2
+    assert metrics["hit_at_1"] == pytest.approx(0.5)
+    rows = [json.loads(l) for l in (out / "eval.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == ["q1", "q1", "q2"]
+    assert rows[0]["hit"] == 1
+    assert rows[1] == {"id": "q1", "error": "duplicate id 'q1'"}
+
+
+def test_pool_names_the_repeated_artifact_triple(tmp_path):
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        _artifact_line(
+            "x", [["a", "r", "b", 1], ["c", "r", "d", 0.5], ["a", "r", "b", 0.9]]
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    assert run_cli("pool", "--in", artifact, "--out", out) == 0
+    [row] = [json.loads(l) for l in out.read_text().splitlines()]
+    assert row == {"id": "x", "error": "duplicate triple in sequence: ('a', 'r', 'b')"}
+
+
+def test_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch, caplog):
+    def run(out):
+        assert run_cli(
+            "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
+        ) == 0
+        rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        return rows, json.loads((out / "metrics.json").read_text())
+
+    clean_rows, _ = run(tmp_path / "clean")
+    score_triples = cli.score_triples
+
+    def failing_for_q3(record, *args, **kwargs):
+        if record.id == "q3":
+            raise RuntimeError("stage fault")
+        return score_triples(record, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_triples", failing_for_q3)
+    rows, metrics = run(tmp_path / "faulty")
+    assert [row["id"] for row in rows] == [row["id"] for row in clean_rows]
+    assert rows[2] == {"id": "q3", "status": "error", "error": "RuntimeError: stage fault"}
+    assert rows[:2] + rows[3:] == clean_rows[:2] + clean_rows[3:]
+    assert metrics["n_queries"] == 5
+    assert metrics["n_errors"] == 1
+    assert any(
+        r.exc_info and "q3" in r.getMessage() for r in caplog.records
+    ), "the traceback of the failed query is logged"
