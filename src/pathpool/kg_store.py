@@ -151,28 +151,19 @@ class TripleStore:
 
     def label_sort_keys(
         self, heads: Sequence[int], relations: Sequence[int], tails: Sequence[int]
-    ) -> tuple[np.ndarray, ...]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``np.lexsort`` keys ordering triples, given as id columns, by label.
 
-        One int64 key per triple, the value ``label_order_key`` gives. When
-        that value could overflow int64, the tail, relation and head ranks
-        instead, as three keys (``lexsort`` sorts by the last key first).
-        Either way the sort orders the triples exactly as their (head,
-        relation, tail) label tuples do.
+        The tail, relation and head ranks, in that order (``lexsort`` sorts
+        by the last key first), so the sort orders the triples exactly as
+        their (head, relation, tail) label tuples do.
         """
         erank, rrank = self.label_ranks()
-        n_ent = len(erank)
-        n_rel = len(rrank)
-        head = erank[np.fromiter(heads, np.intp, len(heads))]
-        relation = rrank[np.fromiter(relations, np.intp, len(relations))]
-        tail = erank[np.fromiter(tails, np.intp, len(tails))]
-        if n_ent * n_ent * n_rel >= _INT64_KEY_LIMIT:
-            return tail, relation, head
-        head *= n_rel
-        head += relation
-        head *= n_ent
-        head += tail
-        return (head,)
+        return (
+            erank[np.fromiter(tails, np.intp, len(tails))],
+            rrank[np.fromiter(relations, np.intp, len(relations))],
+            erank[np.fromiter(heads, np.intp, len(heads))],
+        )
 
     def label_order_key(self) -> Callable[[Triple], int]:
         """Integer key ordering triples exactly as their label tuples do.
@@ -205,10 +196,6 @@ class TripleStore:
         for triple in self.triples:
             h, r, t = self.triple_labels(triple)
             yield f"{h}\t{r}\t{t}"
-
-
-# label keys below this fit int64: every key is < n_ent * n_ent * n_rel
-_INT64_KEY_LIMIT = 2**63
 
 
 def _label_ranks(labels: list[str]) -> np.ndarray:

@@ -289,9 +289,10 @@ def score_triples(
         return TripleSequence(store, [], scorer.name)
     triples, scores = zip(*scored)
     values = np.asarray(scores, dtype=np.float64)
-    if np.isnan(values).any():
+    nan = np.isnan(values)
+    if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
-        _raise_first_invalid(store, scored_rows(triples, values.tolist(), count()))
+        raise ConfigError(f"non-finite score for triple {triples[int(nan.argmax())]}")
     keys = store.label_sort_keys(*zip(*triples))
     order = np.lexsort((*keys, -values))[:k]
     items = scored_rows(

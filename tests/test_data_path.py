@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_case
 from naive_ref import naive_scored_subgraph
-from pathpool import kg_store, pooling
+from pathpool import pooling
 from pathpool.errors import ConfigError
 from pathpool.kg_store import QueryRecord, Triple, TripleStore
 from pathpool.pooling import PoolingConfig, _kernels_py, build_scored_subgraph, smooth
@@ -122,17 +122,11 @@ def test_label_sort_keys_order_like_label_tuples(data):
         store.add(*row)
     triples = store.triples
     by_labels = sorted(range(len(triples)), key=lambda i: store.triple_labels(triples[i]))
-    columns = list(zip(*triples))
-    (keys,) = store.label_sort_keys(*columns)
+    keys = store.label_sort_keys(*zip(*triples))
     key = store.label_order_key()
-    assert keys.tolist() == [key(t) for t in triples]
-    assert np.lexsort((keys,)).tolist() == by_labels
-    # the three-key form, used when the one key could overflow int64
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kg_store, "_INT64_KEY_LIMIT", 0)
-        keys = store.label_sort_keys(*columns)
-    assert len(keys) == 3
     assert np.lexsort(keys).tolist() == by_labels
+    # one label order: the per-triple key agrees
+    assert sorted(range(len(triples)), key=lambda i: key(triples[i])) == by_labels
 
 
 def test_find_resolves_stored_triples_only():
@@ -307,11 +301,13 @@ def test_from_scores_builds_float_rows_in_order():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_score_triples_rejects_a_nan_score_wherever_it_would_sort(k):
+# an infinite candidate ahead of the NaN is not the one named
+@pytest.mark.parametrize("first", [0.5, float("inf"), float("-inf")])
+def test_score_triples_rejects_a_nan_score_wherever_it_would_sort(k, first):
     store, t0, t1 = _two_triple_store()
     store.add("e", "r", "f")
     table = {
-        ("q1", "a", "r", "b"): 0.5,
+        ("q1", "a", "r", "b"): first,
         ("q1", "c", "r", "d"): float("nan"),
         ("q1", "e", "r", "f"): 0.7,
     }
