@@ -14,7 +14,9 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import pooling
 from .errors import ConfigError
@@ -145,7 +147,6 @@ def sample_workloads(
             f"store has {store.n_triples} triples, workload needs {size}"
         )
     rnd = random.Random(seed)
-    label_key = store.label_order_key()
     workloads: list[tuple[TripleSequence, list[str]]] = []
     for _ in range(count):
         reseed_order = list(range(store.n_entities))
@@ -181,8 +182,11 @@ def sample_workloads(
                         frontier.append(other)
                 if len(picked) >= size:
                     break
-        pairs = [(store.triples[idx], rnd.uniform(0.05, 1.0)) for idx in picked]
-        pairs.sort(key=lambda p: (-p[1], label_key(p[0])))
+        triples = [store.triples[idx] for idx in picked]
+        scores = np.array([rnd.uniform(0.05, 1.0) for _ in picked])
+        # descending score, ties in label order
+        order = np.lexsort((*store.label_sort_keys(*zip(*triples)), -scores))
+        pairs = [(triples[i], scores[i].item()) for i in order.tolist()]
         sequence = TripleSequence.from_scores(store, pairs, "synthetic")
         anchors = [store.entity_label(start)]
         if len(visited) > 1 and rnd.random() < 0.5:
@@ -221,14 +225,7 @@ def measure_overhead(
     for backend in backends:
         pooling.backend_module(backend)  # fail fast if unavailable
         for algorithm in algorithms:
-            cfg = pooling.PoolingConfig(
-                search_algorithm=algorithm,
-                pooling=base.pooling,
-                positional_divisor=base.positional_divisor,
-                max_path_len=base.max_path_len,
-                walk_count=base.walk_count,
-                rng_seed=base.rng_seed,
-            )
+            cfg = replace(base, search_algorithm=algorithm)
             cfg.validate()
             for count in triple_counts:
                 trimmed = [

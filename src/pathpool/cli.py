@@ -5,6 +5,12 @@ the current triple sequence, so intermediate results are inspectable files:
 
     {"id": ..., "question": ..., "query_entities": [...], "answers": [...],
      "provenance": ..., "triples": [[head, relation, tail, score], ...]}
+
+``run`` and the subcommands call the same stage functions. A query or row
+that fails in any stage becomes an error row, ``{"id": ..., "error": ...}``
+(``run`` adds ``"status": "error"`` and counts it in ``n_errors``), and the
+command goes on with the next one; only configuration problems and
+unreadable input files abort.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -25,6 +31,7 @@ from .errors import ConfigError, ParseError, PathPoolError
 from .kg_store import (
     QueryRecord,
     TripleStore,
+    _list_field,
     check_query_id,
     extract_subgraph,
     load_queries,
@@ -98,12 +105,12 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
     record = QueryRecord(
         id=check_query_id(str(row.get("id", ""))),
         question=str(row.get("question", "")),
-        query_entities=tuple(row.get("query_entities", [])),
-        gold_answers=tuple(row.get("answers", [])),
+        query_entities=tuple(_list_field(row, "query_entities")),
+        gold_answers=tuple(_list_field(row, "answers")),
     )
     store = TripleStore()
     pairs = []
-    for entry in row.get("triples", []):
+    for entry in _list_field(row, "triples"):
         try:
             head, relation, tail, score = entry
             score = float(score)
@@ -119,12 +126,32 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
     return record, sequence
 
 
+def _isolated(row_id, work, item, **error_fields) -> dict:
+    """``work(item)`` behind the per-row fault boundary that every command shares.
+
+    A row whose work raises costs only itself: it becomes
+    ``{"id": row_id, **error_fields, "error": ...}``. A PathPoolError or
+    OSError is recorded as its message; any other exception as
+    ``"<TypeName>: <message>"``, with its traceback logged.
+    """
+    try:
+        return work(item)
+    except (PathPoolError, OSError) as exc:
+        logger.warning("query %s failed: %s", row_id, exc)
+        error = str(exc)
+    except Exception as exc:
+        logger.exception("query %s failed", row_id)
+        error = f"{type(exc).__name__}: {exc}"
+    return {"id": row_id, **error_fields, "error": error}
+
+
 # -- config assembly -------------------------------------------------------
 
 
-def _pooling_config(args) -> pooling.PoolingConfig:
+def _pooling_config(args, algo: str | None = None) -> pooling.PoolingConfig:
+    """The config the pooling flags name; ``algo`` stands in for ``--algo``."""
     cfg = pooling.PoolingConfig(
-        search_algorithm=_ALGO_FLAGS[args.algo],
+        search_algorithm=_ALGO_FLAGS[algo or args.algo],
         pooling=_POOLING_FLAGS[args.pooling],
         positional_divisor=args.a,
         max_path_len=args.max_path_len,
@@ -144,6 +171,56 @@ def _selection_config(args) -> selection.SelectionConfig:
     )
     cfg.validate()
     return cfg
+
+
+# -- stages ----------------------------------------------------------------
+# ``run_pipeline`` and the subcommands share these. They call through module
+# attributes (``extract_subgraph``, ``selection.rerank``, ...), which tests
+# and perfbench's tracer patch.
+
+
+def _retrieve(
+    store: TripleStore, record: QueryRecord, scorer, hops: int, coarse_k: int
+) -> TripleSequence:
+    if not record.query_entities:
+        raise ConfigError("query has no query entities")
+    subgraph = extract_subgraph(store, record.query_entities, hops)
+    return score_triples(record, subgraph, scorer, coarse_k)
+
+
+def _select(sequence: TripleSequence, cfg: selection.SelectionConfig) -> TripleSequence:
+    if cfg.mode == "rerank":
+        return selection.rerank(sequence, cfg.order)
+    return selection.reselect(sequence, cfg.fine_k, cfg.order)
+
+
+def _write_prompt(
+    out_dir: Path, record: QueryRecord, sequence: TripleSequence
+) -> tuple[generation.PromptBundle, dict]:
+    """Write ``<id>.json`` atomically; the bundle and its ``prompt_sha256`` row."""
+    bundle = generation.assemble_prompt(record, sequence)
+    _write_text_atomic(
+        out_dir / f"{record.id}.json",
+        json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
+    )
+    return bundle, {"id": record.id, "prompt_sha256": bundle.sha256()}
+
+
+def _evaluate(predictions: list[str], gold: tuple[str, ...]) -> dict:
+    """The predictions and ``EvalResult`` fields of one evaluated row."""
+    result = generation.evaluate(predictions, gold)
+    return {"predictions": predictions, **asdict(result)}
+
+
+def _eval_metrics(rows: list[dict]) -> dict:
+    """``generation.aggregate`` over the rows that ``_evaluate`` filled."""
+    names = [field.name for field in fields(generation.EvalResult)]
+    results = [
+        generation.EvalResult(**{n: row[n] for n in names})
+        for row in rows
+        if "hit" in row
+    ]
+    return generation.aggregate(results)
 
 
 @dataclass
@@ -166,6 +243,8 @@ def _final_sequence(
     cfg: PipelineConfig, record: QueryRecord, retrieved: TripleSequence
 ) -> TripleSequence:
     sel = cfg.selection_cfg
+    if len(retrieved) == 0:
+        return retrieved
     if cfg.baseline:
         # unenhanced path: the retriever's descending order, budget-matched
         budget = sel.fine_k if sel.mode == "reselect" else sel.coarse_k
@@ -173,19 +252,16 @@ def _final_sequence(
     smoothed = pooling.smooth(
         retrieved, record.query_entities, cfg.pooling_cfg, backend=cfg.backend
     )
-    if sel.mode == "rerank":
-        return selection.rerank(smoothed, sel.order)
-    return selection.reselect(smoothed, sel.fine_k, sel.order)
+    return _select(smoothed, sel)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Retrieve, smooth, select, prompt, and (unless dry) generate + evaluate.
 
-    Per-query failures, including a prompt or completion file that cannot be
-    written and an unexpected exception in a stage (recorded as
-    ``"<TypeName>: <message>"``, traceback logged), are recorded in the
-    results and the run continues; only configuration problems and
-    unreadable inputs abort.
+    A query that fails in any stage, including a prompt or completion file
+    that cannot be written, becomes an error row counted in ``n_errors``, and
+    the run continues; only configuration problems and unreadable inputs
+    abort.
     """
     store = load_triples(cfg.kg_path)
     queries = load_queries(cfg.queries_path)
@@ -200,68 +276,27 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         completions_dir.mkdir(parents=True, exist_ok=True)
 
     def process(record: QueryRecord) -> dict:
-        try:
-            if not record.query_entities:
-                raise ConfigError("query has no query entities")
-            subgraph = extract_subgraph(store, record.query_entities, cfg.hops)
-            retrieved = score_triples(
-                record, subgraph, scorer, cfg.selection_cfg.coarse_k
-            )
-            if len(retrieved) == 0:
-                final = retrieved
-            else:
-                final = _final_sequence(cfg, record, retrieved)
-            bundle = generation.assemble_prompt(record, final)
-            _write_text_atomic(
-                prompts_dir / f"{record.id}.json",
-                json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
-            )
-            row = {"id": record.id, "prompt_sha256": bundle.sha256()}
-            if cfg.no_llm:
-                row["status"] = "dry_run"
-                return row
-            completion = generation.call_llm(bundle, cfg.generation_cfg)
-            _write_text_atomic(completions_dir / f"{record.id}.txt", completion)
-            predictions = generation.parse_answers(completion)
-            result = generation.evaluate(predictions, record.gold_answers)
-            row.update(
-                status="ok",
-                predictions=predictions,
-                hit=result.hit,
-                hit_any=result.hit_any,
-                precision=result.precision,
-                recall=result.recall,
-                f1=result.f1,
-            )
+        coarse_k = cfg.selection_cfg.coarse_k
+        retrieved = _retrieve(store, record, scorer, cfg.hops, coarse_k)
+        final = _final_sequence(cfg, record, retrieved)
+        bundle, row = _write_prompt(prompts_dir, record, final)
+        if cfg.no_llm:
+            row["status"] = "dry_run"
             return row
-        except (PathPoolError, OSError) as exc:
-            logger.warning("query %s failed: %s", record.id, exc)
-            return {"id": record.id, "status": "error", "error": str(exc)}
-        except Exception as exc:
-            # a fault in a stage costs only its query; the traceback is logged
-            logger.exception("query %s failed", record.id)
-            return {
-                "id": record.id,
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        completion = generation.call_llm(bundle, cfg.generation_cfg)
+        _write_text_atomic(completions_dir / f"{record.id}.txt", completion)
+        predictions = generation.parse_answers(completion)
+        row.update(status="ok", **_evaluate(predictions, record.gold_answers))
+        return row
+
+    def guarded(record: QueryRecord) -> dict:
+        return _isolated(record.id, process, record, status="error")
 
     with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        rows = list(pool.map(process, queries))
+        rows = list(pool.map(guarded, queries))
 
     _write_jsonl_atomic(out_dir / "results.jsonl", rows)
-    evaluated = [
-        generation.EvalResult(
-            hit=row["hit"],
-            hit_any=row["hit_any"],
-            precision=row["precision"],
-            recall=row["recall"],
-            f1=row["f1"],
-        )
-        for row in rows
-        if row.get("status") == "ok"
-    ]
-    metrics = generation.aggregate(evaluated)
+    metrics = _eval_metrics(rows)
     metrics["n_queries"] = len(queries)
     metrics["n_errors"] = sum(1 for row in rows if row.get("status") == "error")
     metrics["dry_run"] = cfg.no_llm
@@ -296,32 +331,26 @@ def cmd_retrieve(args) -> int:
     store = load_triples(args.kg)
     queries = load_queries(args.queries)
     scorer = build_scorer(args.scorer)
-    rows = []
-    for record in queries:
-        try:
-            if not record.query_entities:
-                raise ConfigError("query has no query entities")
-            subgraph = extract_subgraph(store, record.query_entities, args.hops)
-            sequence = score_triples(record, subgraph, scorer, args.coarse_k)
-            rows.append(_artifact_row(record, sequence))
-        except PathPoolError as exc:
-            rows.append({"id": record.id, "error": str(exc)})
+
+    def retrieve(record: QueryRecord) -> dict:
+        sequence = _retrieve(store, record, scorer, args.hops, args.coarse_k)
+        return _artifact_row(record, sequence)
+
+    rows = [_isolated(record.id, retrieve, record) for record in queries]
     _write_jsonl_atomic(Path(args.out), rows)
     print(f"retrieve: wrote {len(rows)} records to {args.out}")
     return 0
 
 
 def _transform_artifacts(in_path: str, out_path: str, transform) -> int:
-    rows_out = []
-    for row in _read_jsonl(Path(in_path)):
+    def apply(row: dict) -> dict:
         if "error" in row:
-            rows_out.append(row)
-            continue
-        try:
-            record, sequence = _artifact_sequence(row)
-            rows_out.append(_artifact_row(record, transform(record, sequence)))
-        except PathPoolError as exc:
-            rows_out.append({"id": row.get("id"), "error": str(exc)})
+            return row
+        record, sequence = _artifact_sequence(row)
+        return _artifact_row(record, transform(record, sequence))
+
+    rows = _read_jsonl(Path(in_path))
+    rows_out = [_isolated(row.get("id"), apply, row) for row in rows]
     _write_jsonl_atomic(Path(out_path), rows_out)
     return len(rows_out)
 
@@ -341,13 +370,9 @@ def cmd_pool(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _selection_config(args)
-
-    def transform(record, sequence):
-        if cfg.mode == "rerank":
-            return selection.rerank(sequence, cfg.order)
-        return selection.reselect(sequence, cfg.fine_k, cfg.order)
-
-    n = _transform_artifacts(args.infile, args.out, transform)
+    n = _transform_artifacts(
+        args.infile, args.out, lambda record, sequence: _select(sequence, cfg)
+    )
     print(f"select: wrote {n} records to {args.out}")
     return 0
 
@@ -356,28 +381,20 @@ def cmd_prompt(args) -> int:
     rows = _read_jsonl(Path(args.infile))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
     seen_ids: set[str] = set()
-    for row in rows:
+
+    def prompt(row: dict) -> dict:
         if "error" in row:
-            manifest.append(row)
-            continue
-        try:
-            # a repeated id would overwrite the earlier row's prompt file
-            qid = str(row.get("id", ""))
-            if qid in seen_ids:
-                raise ParseError(f"duplicate id {qid!r}")
-            seen_ids.add(qid)
-            record, sequence = _artifact_sequence(row)
-            bundle = generation.assemble_prompt(record, sequence)
-            _write_text_atomic(
-                out_dir / f"{record.id}.json",
-                json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
-            )
-        except (PathPoolError, OSError) as exc:
-            manifest.append({"id": row.get("id"), "error": str(exc)})
-            continue
-        manifest.append({"id": record.id, "prompt_sha256": bundle.sha256()})
+            return row
+        # a repeated id would overwrite the earlier row's prompt file
+        qid = str(row.get("id", ""))
+        if qid in seen_ids:
+            raise ParseError(f"duplicate id {qid!r}")
+        seen_ids.add(qid)
+        record, sequence = _artifact_sequence(row)
+        return _write_prompt(out_dir, record, sequence)[1]
+
+    manifest = [_isolated(row.get("id"), prompt, row) for row in rows]
     _write_jsonl_atomic(out_dir / "manifest.jsonl", manifest)
     print(f"prompt: wrote {len(manifest)} prompts to {args.out}")
     return 0
@@ -433,13 +450,7 @@ def cmd_bench(args) -> int:
         backends = [pooling.DEFAULT_BACKEND]
     else:
         backends = [args.backend]
-    base = pooling.PoolingConfig(
-        pooling=_POOLING_FLAGS[args.pooling],
-        positional_divisor=args.a,
-        max_path_len=args.max_path_len,
-        walk_count=args.walk_count,
-        rng_seed=args.seed,
-    )
+    base = _pooling_config(args, "dijkstra")  # each cell sets its algorithm
     report = bench_mod.measure_overhead(
         workloads, algorithms, sizes, backends=backends, base_cfg=base
     )
@@ -455,39 +466,25 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     queries = {record.id: record for record in load_queries(args.queries)}
-    rows = []
-    results = []
     seen_ids: set[str] = set()
-    for row in _read_jsonl(Path(args.completions)):
+
+    def score(row: dict) -> dict:
         qid = str(row.get("id"))
         record = queries.get(qid)
         if record is None:
-            rows.append({"id": qid, "error": "unknown query id"})
-            continue
+            raise ParseError("unknown query id")
         # only the first completion of a query counts
         if qid in seen_ids:
-            rows.append({"id": qid, "error": f"duplicate id {qid!r}"})
-            continue
+            raise ParseError(f"duplicate id {qid!r}")
         seen_ids.add(qid)
         predictions = generation.parse_answers(str(row.get("completion", "")))
-        try:
-            result = generation.evaluate(predictions, record.gold_answers)
-        except PathPoolError as exc:
-            rows.append({"id": qid, "error": str(exc)})
-            continue
-        results.append(result)
-        rows.append(
-            {
-                "id": qid,
-                "predictions": predictions,
-                "hit": result.hit,
-                "hit_any": result.hit_any,
-                "precision": result.precision,
-                "recall": result.recall,
-                "f1": result.f1,
-            }
-        )
-    metrics = generation.aggregate(results)
+        return {"id": qid, **_evaluate(predictions, record.gold_answers)}
+
+    rows = [
+        _isolated(str(row.get("id")), score, row)
+        for row in _read_jsonl(Path(args.completions))
+    ]
+    metrics = _eval_metrics(rows)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -503,8 +500,8 @@ def cmd_eval(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_pooling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algo", choices=sorted(_ALGO_FLAGS), default="dijkstra")
+def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``PoolingConfig`` flags that ``pool``, ``run`` and ``bench`` share."""
     parser.add_argument("--pooling", choices=sorted(_POOLING_FLAGS), default="avg")
     parser.add_argument(
         "--a",
@@ -515,6 +512,11 @@ def _add_pooling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-path-len", type=int, default=4)
     parser.add_argument("--walk-count", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_pooling_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--algo", choices=sorted(_ALGO_FLAGS), default="dijkstra")
+    _add_smoothing_flags(parser)
     parser.add_argument(
         "--backend",
         choices=("auto", "py", "c"),
@@ -597,11 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="25,50,100,200,500")
     p.add_argument("--algos", default="dijkstra,bfs,random-walk")
     p.add_argument("--queries-per-cell", type=int, default=30)
-    p.add_argument("--pooling", choices=sorted(_POOLING_FLAGS), default="avg")
-    p.add_argument("--a", type=float, default=10.0)
-    p.add_argument("--max-path-len", type=int, default=4)
-    p.add_argument("--walk-count", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    _add_smoothing_flags(p)
     p.add_argument("--backend", choices=("auto", "py", "c", "both"), default="auto")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

@@ -12,7 +12,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,23 +165,6 @@ class TripleStore:
             erank[np.fromiter(heads, np.intp, len(heads))],
         )
 
-    def label_order_key(self) -> Callable[[Triple], int]:
-        """Integer key ordering triples exactly as their label tuples do.
-
-        Built from ``label_ranks``. Interned labels are unique, so the key
-        ``(erank[h] * n_rel + rrank[r]) * n_ent + erank[t]`` compares like
-        ``triple_labels``. A key taken before a later ``add`` is stale.
-        """
-        erank, rrank = (ranks.tolist() for ranks in self.label_ranks())
-        n_ent = len(erank)
-        n_rel = len(rrank)
-
-        def key(triple: Triple) -> int:
-            head, relation, tail = triple
-            return (erank[head] * n_rel + rrank[relation]) * n_ent + erank[tail]
-
-        return key
-
     def out_indices(self, eid: int) -> list[int]:
         return self._out.get(eid, [])
 
@@ -286,12 +269,26 @@ def check_query_id(qid: str, line: int | None = None) -> str:
     return qid
 
 
+def _list_field(payload: dict, key: str, line: int | None = None) -> list:
+    """``payload[key]``, ``[]`` when absent; any other non-list raises ParseError.
+
+    A JSON string would otherwise iterate as one-character items.
+    """
+    value = payload.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(
+            f"{key} must be a JSON list, got {type(value).__name__}", line=line
+        )
+    return value
+
+
 def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
     """Parse a JSONL query file with keys id, question, query_entities, answers.
 
     Gold answers are deduplicated by normalized form, keeping the first
-    spelling. ``query_entities`` may be empty (evaluation-only records).
-    Ids that ``check_query_id`` rejects, or that repeat an earlier id, raise
+    spelling. ``query_entities`` may be empty (evaluation-only records); it
+    and ``answers`` must be JSON lists when given. Ids that
+    ``check_query_id`` rejects, or that repeat an earlier id, raise
     ParseError.
     """
     records: list[QueryRecord] = []
@@ -313,10 +310,12 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
         if qid in seen_ids:
             raise ParseError(f"duplicate query id {qid!r}", line=lineno)
         seen_ids.add(qid)
-        entities = tuple(str(e) for e in payload.get("query_entities", []))
+        entities = tuple(
+            str(e) for e in _list_field(payload, "query_entities", line=lineno)
+        )
         answers: list[str] = []
         seen: set[str] = set()
-        for answer in payload.get("answers", []):
+        for answer in _list_field(payload, "answers", line=lineno):
             answer = str(answer)
             key = normalize_answer(answer)
             if key not in seen:

@@ -655,3 +655,159 @@ def test_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch, 
     assert any(
         r.exc_info and "q3" in r.getMessage() for r in caplog.records
     ), "the traceback of the failed query is logged"
+
+
+@pytest.mark.parametrize(
+    ("command", "field"),
+    [
+        ("run", '"query_entities": 5'),
+        ("eval", '"answers": 7'),
+        ("load-check", '"query_entities": "Mira Voss"'),
+    ],
+)
+def test_query_field_that_is_not_a_list_exits_cleanly(tmp_path, capsys, command, field):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        '{"id": "q1", "question": "Q?", "query_entities": ["Mira Voss"]}\n'
+        '{"id": "q2", "question": "Q?", %s}\n' % field,
+        encoding="utf-8",
+    )
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text('{"id": "q1", "completion": "ans: x"}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "run": ["--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out],
+        "eval": ["--queries", queries, "--completions", completions, "--out", out],
+        "load-check": ["--kg", TOY_KG, "--queries", queries],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "must be a JSON list" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _artifact(qid, **fields) -> dict:
+    row = json.loads(_artifact_line(qid, [["A", "r", "B", 0.5], ["B", "s", "C", 0.25]]))
+    return {**row, **fields}
+
+
+def _stage_outputs(command, rows, root: Path) -> dict[str, object]:
+    """Run a stage subcommand on ``rows``; its output rows (by id) and files."""
+    artifact = root / "in.jsonl"
+    artifact.parent.mkdir(parents=True)
+    artifact.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = root / "out"
+    assert run_cli(command, "--in", artifact, "--out", out) == 0
+    written = out / "manifest.jsonl" if command == "prompt" else out
+    outputs = {
+        json.loads(line)["id"]: json.loads(line)
+        for line in written.read_text(encoding="utf-8").splitlines()
+    }
+    if command == "prompt":
+        outputs["files"] = read_tree(out)
+    return outputs
+
+
+@pytest.mark.parametrize("command", ["pool", "select", "prompt"])
+def test_stage_records_a_non_list_field_and_goes_on(tmp_path, command):
+    good = _artifact("good")
+    entities = _artifact("entities", query_entities=5)
+    triples = _artifact("triples", triples=5)
+    named = _artifact("named", query_entities="A")
+    clean = _stage_outputs(command, [good], tmp_path / "clean")
+    outputs = _stage_outputs(command, [entities, good, triples, named], tmp_path / "bad")
+    assert outputs["entities"] == {
+        "id": "entities",
+        "error": "query_entities must be a JSON list, got int",
+    }
+    assert outputs["triples"] == {
+        "id": "triples",
+        "error": "triples must be a JSON list, got int",
+    }
+    assert outputs["named"] == {
+        "id": "named",
+        "error": "query_entities must be a JSON list, got str",
+    }
+    assert outputs["good"] == clean["good"]
+    if command == "prompt":
+        assert outputs["files"]["good.json"] == clean["files"]["good.json"]
+        assert sorted(outputs["files"]) == ["good.json", "manifest.jsonl"]
+
+
+def test_retrieve_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch):
+    def retrieve(out):
+        assert run_cli(
+            "retrieve", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--out", out
+        ) == 0
+        return [json.loads(l) for l in out.read_text().splitlines()]
+
+    clean_rows = retrieve(tmp_path / "clean.jsonl")
+    score_triples = cli.score_triples
+
+    def failing_for_q3(record, *args, **kwargs):
+        if record.id == "q3":
+            raise RuntimeError("stage fault")
+        return score_triples(record, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_triples", failing_for_q3)
+    rows = retrieve(tmp_path / "faulty.jsonl")
+    assert rows[2] == {"id": "q3", "error": "RuntimeError: stage fault"}
+    assert rows[:2] + rows[3:] == clean_rows[:2] + clean_rows[3:]
+
+
+@pytest.mark.parametrize(
+    ("mode", "baseline", "per_query"),
+    [
+        ("reselect", False, ["smooth", "reselect"]),
+        ("rerank", False, ["smooth", "rerank"]),
+        ("reselect", True, ["top_k"]),
+    ],
+)
+def test_run_pipeline_calls_each_stage_through_its_module_attribute(
+    tmp_path, monkeypatch, mode, baseline, per_query
+):
+    # perfbench's tracer replaces exactly these attributes for a traced run; a
+    # stage bound to one of them at import time would escape its spans
+    from pathpool import generation, pooling, selection
+
+    calls = []
+    targets = [
+        (cli, "load_triples"),
+        (cli, "load_queries"),
+        (cli, "build_scorer"),
+        (cli, "extract_subgraph"),
+        (cli, "score_triples"),
+        (pooling, "smooth"),
+        (selection, "reselect"),
+        (selection, "rerank"),
+        (selection, "top_k"),
+        (generation, "assemble_prompt"),
+        (generation.PromptBundle, "sha256"),
+    ]
+    for owner, name in targets:
+
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    metrics = cli.run_pipeline(
+        cli.PipelineConfig(
+            kg_path=TOY_KG,
+            queries_path=TOY_QUERIES,
+            scorer_spec=f"precomputed:{TOY_SCORES}",
+            hops=4,
+            pooling_cfg=pooling.PoolingConfig(),
+            selection_cfg=selection.SelectionConfig(mode=mode, fine_k=10),
+            generation_cfg=None,
+            out_dir=str(tmp_path / "out"),
+            no_llm=True,
+            baseline=baseline,
+            workers=1,
+        )
+    )
+    assert metrics["n_queries"] == 5 and metrics["n_errors"] == 0
+    query = ["extract_subgraph", "score_triples", *per_query, "assemble_prompt", "sha256"]
+    assert calls == ["load_triples", "load_queries", "build_scorer", *query * 5]

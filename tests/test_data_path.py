@@ -123,10 +123,7 @@ def test_label_sort_keys_order_like_label_tuples(data):
     triples = store.triples
     by_labels = sorted(range(len(triples)), key=lambda i: store.triple_labels(triples[i]))
     keys = store.label_sort_keys(*zip(*triples))
-    key = store.label_order_key()
     assert np.lexsort(keys).tolist() == by_labels
-    # one label order: the per-triple key agrees
-    assert sorted(range(len(triples)), key=lambda i: key(triples[i])) == by_labels
 
 
 def test_find_resolves_stored_triples_only():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,24 +183,30 @@ def test_subgraph_shares_parent_triples():
 _LABELS = st.text(alphabet="aAbBé\u00c9\u03a9\u4e2d_1 ", min_size=1, max_size=3)
 
 
+def _label_order(store, triples):
+    """``triples`` sorted by one ``np.lexsort`` over ``label_sort_keys``."""
+    order = np.lexsort(store.label_sort_keys(*zip(*triples)))
+    return [triples[i] for i in order.tolist()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_LABELS, _LABELS, _LABELS), min_size=1, max_size=25))
-def test_label_order_key_matches_label_tuples(rows):
+def test_label_sort_keys_match_label_tuples(rows):
     store = TripleStore()
     for row in rows:
         store.add(*row)
-    by_key = sorted(store.triples, key=store.label_order_key())
+    by_keys = _label_order(store, store.triples)
     by_labels = sorted(store.triples, key=store.triple_labels)
-    assert by_key == by_labels
-    keys = [store.label_order_key()(t) for t in store.triples]
+    assert by_keys == by_labels
+    keys = list(zip(*store.label_sort_keys(*zip(*store.triples))))
     assert len(set(keys)) == len(keys)
 
 
-def test_label_order_key_case_and_prefix_labels():
+def test_label_sort_keys_case_and_prefix_labels():
     store = TripleStore()
     for row in [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]:
         store.add(*row)
-    ordered = sorted(store.triples, key=store.label_order_key())
+    ordered = _label_order(store, store.triples)
     assert [store.triple_labels(t) for t in ordered] == [
         ("A", "R", "AB"),
         ("A", "r", "b"),
@@ -208,18 +215,17 @@ def test_label_order_key_case_and_prefix_labels():
     ]
 
 
-def test_label_order_key_recomputed_after_add():
+def test_label_sort_keys_recomputed_after_add():
     store = TripleStore()
     store.add("M", "r", "N")
     store.add("Z", "r", "N")
-    first = store.label_order_key()
-    assert first(store.triples[0]) < first(store.triples[1])
+    assert _label_order(store, store.triples) == store.triples
     # new labels sorting before, between and after the existing ones
     store.add("B", "q", "Z")
     store.add("N", "s", "A")
-    key = store.label_order_key()
-    assert sorted(store.triples, key=key) == sorted(store.triples, key=store.triple_labels)
-    assert key(store.triples[2]) < key(store.triples[0])
+    ordered = _label_order(store, store.triples)
+    assert ordered == sorted(store.triples, key=store.triple_labels)
+    assert ordered.index(store.triples[2]) < ordered.index(store.triples[0])
 
 
 def _queries(*ids):
@@ -252,3 +258,24 @@ def test_load_queries_accepts_dotted_and_default_ids():
         '{"question": "Q?"}\n'
     )
     assert [r.id for r in load_queries(raw)] == ["a.b", "..x", "3"]
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "kind"),
+    [
+        ("query_entities", "5", "int"),
+        ("answers", "7", "int"),
+        ("query_entities", '"Mira Voss"', "str"),
+        ("answers", '"Kestrel River"', "str"),
+        ("query_entities", "null", "NoneType"),
+    ],
+)
+def test_load_queries_rejects_a_field_that_is_not_a_list(key, value, kind):
+    raw = io.StringIO(
+        '{"id": "ok", "question": "Q?", "query_entities": ["A"], "answers": ["B"]}\n'
+        '{"id": "bad", "question": "Q?", "%s": %s}\n' % (key, value)
+    )
+    with pytest.raises(ParseError) as err:
+        load_queries(raw)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {key} must be a JSON list, got {kind}"
