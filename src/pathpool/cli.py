@@ -10,7 +10,7 @@ the current triple sequence, so intermediate results are inspectable files:
 that fails in any stage becomes an error row, ``{"id": ..., "error": ...}``
 (``run`` adds ``"status": "error"`` and counts it in ``n_errors``), and the
 command goes on with the next one; only configuration problems and
-unreadable input files abort.
+unreadable input files abort. ``run`` exits 1 when ``n_errors`` is above 0.
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ def _artifact_row(record: QueryRecord, sequence: TripleSequence) -> dict:
         "query_entities": list(record.query_entities),
         "answers": list(record.gold_answers),
         "provenance": sequence.provenance,
-        "triples": [
-            [*sequence.store.triple_labels(item.triple), item.score]
-            for item in sequence.items
-        ],
+        "triples": list(map(list, sequence.labeled_items())),
     }
 
 
@@ -188,6 +185,18 @@ def _retrieve(
     return score_triples(record, subgraph, scorer, coarse_k)
 
 
+def _smooth(
+    record: QueryRecord,
+    sequence: TripleSequence,
+    cfg: pooling.PoolingConfig,
+    backend: str,
+) -> TripleSequence:
+    """The smoothed sequence; an empty retrieval has nothing to smooth and passes."""
+    if len(sequence) == 0:
+        return sequence
+    return pooling.smooth(sequence, record.query_entities, cfg, backend=backend)
+
+
 def _select(sequence: TripleSequence, cfg: selection.SelectionConfig) -> TripleSequence:
     if cfg.mode == "rerank":
         return selection.rerank(sequence, cfg.order)
@@ -243,15 +252,11 @@ def _final_sequence(
     cfg: PipelineConfig, record: QueryRecord, retrieved: TripleSequence
 ) -> TripleSequence:
     sel = cfg.selection_cfg
-    if len(retrieved) == 0:
-        return retrieved
     if cfg.baseline:
         # unenhanced path: the retriever's descending order, budget-matched
         budget = sel.fine_k if sel.mode == "reselect" else sel.coarse_k
         return selection.top_k(retrieved, budget)
-    smoothed = pooling.smooth(
-        retrieved, record.query_entities, cfg.pooling_cfg, backend=cfg.backend
-    )
+    smoothed = _smooth(record, retrieved, cfg.pooling_cfg, cfg.backend)
     return _select(smoothed, sel)
 
 
@@ -358,12 +363,11 @@ def _transform_artifacts(in_path: str, out_path: str, transform) -> int:
 def cmd_pool(args) -> int:
     cfg = _pooling_config(args)
 
-    def transform(record, sequence):
-        return pooling.smooth(
-            sequence, record.query_entities, cfg, backend=args.backend
-        )
-
-    n = _transform_artifacts(args.infile, args.out, transform)
+    n = _transform_artifacts(
+        args.infile,
+        args.out,
+        lambda record, sequence: _smooth(record, sequence, cfg, args.backend),
+    )
     print(f"pool: wrote {n} records to {args.out}")
     return 0
 
@@ -427,7 +431,8 @@ def cmd_run(args) -> int:
     )
     metrics = run_pipeline(cfg)
     print(json.dumps(metrics, indent=2, sort_keys=True))
-    return 0
+    # every output is written; a failed query still fails the command
+    return 1 if metrics["n_errors"] else 0
 
 
 def cmd_bench(args) -> int:
@@ -477,7 +482,11 @@ def cmd_eval(args) -> int:
         if qid in seen_ids:
             raise ParseError(f"duplicate id {qid!r}")
         seen_ids.add(qid)
-        predictions = generation.parse_answers(str(row.get("completion", "")))
+        completion = row.get("completion")
+        # a lost completion is no empty answer: it must not count in ``n``
+        if not isinstance(completion, str):
+            raise ParseError("completion is missing or not a string")
+        predictions = generation.parse_answers(completion)
         return {"id": qid, **_evaluate(predictions, record.gold_answers)}
 
     rows = [

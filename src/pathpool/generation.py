@@ -108,7 +108,7 @@ def assemble_prompt(query: QueryRecord, triples: TripleSequence) -> PromptBundle
     """Prompt for one query; the triple order is taken as given, not re-sorted."""
     if len(triples) == 0:
         logger.warning("query %s: assembling prompt with empty triplet block", query.id)
-    rendered = [triples.store.triple_labels(item.triple) for item in triples.items]
+    rendered = triples.label_rows()
     return PromptBundle(
         system=SYSTEM_PROMPT,
         example_user=EXAMPLE_USER,

@@ -154,15 +154,27 @@ class TripleStore:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``np.lexsort`` keys ordering triples, given as id columns, by label.
 
-        The tail, relation and head ranks, in that order (``lexsort`` sorts
-        by the last key first), so the sort orders the triples exactly as
-        their (head, relation, tail) label tuples do.
+        The columns are int sequences or arrays, such as ``*ids.T`` of an
+        ``(n, 3)`` id array. The keys are the tail, relation and head ranks,
+        in that order (``lexsort`` sorts by the last key first), so the sort
+        orders the triples exactly as their (head, relation, tail) label
+        tuples do.
         """
         erank, rrank = self.label_ranks()
         return (
-            erank[np.fromiter(tails, np.intp, len(tails))],
-            rrank[np.fromiter(relations, np.intp, len(relations))],
-            erank[np.fromiter(heads, np.intp, len(heads))],
+            erank[np.asarray(tails, dtype=np.intp)],
+            rrank[np.asarray(relations, dtype=np.intp)],
+            erank[np.asarray(heads, dtype=np.intp)],
+        )
+
+    def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
+        """Head, relation and tail labels of the rows of an ``(n, 3)`` id array."""
+        heads, relations, tails = ids.T.tolist()
+        entity = self._entity_labels.__getitem__
+        return (
+            list(map(entity, heads)),
+            list(map(self._relation_labels.__getitem__, relations)),
+            list(map(entity, tails)),
         )
 
     def out_indices(self, eid: int) -> list[int]:

@@ -13,12 +13,12 @@ optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
 ``setup.py``. The compiled one is loaded with ctypes when its library sits next
 to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 
-The arrays both backends receive are built in bulk from the sequence's id
-columns: first-seen vertex ids with ``dict.fromkeys``, both CSR adjacencies
-(``_csr``) and the label-order ranks with numpy. The output is ordered by a
-stable sort with a C-level key and its rows are built by
-``scoring.scored_rows``. No step before or after the kernel calls Python
-code once per triple.
+The arrays both backends receive are built in bulk from the sequence's
+``(n, 3)`` id array: first-seen vertex ids with ``np.unique``, both CSR
+adjacencies (``_csr``) and the label-order ranks with numpy. The output is
+one stable ``np.argsort`` of the smoothed scores, applied to the input's id,
+score and rank columns, so no ``ScoredTriple`` row is built. No step before
+or after the kernel calls Python code once per triple.
 
 For BFS the compiled core pools every enumerated simple path, while the
 Python backend never enumerates them: it takes the per-edge max over a
@@ -33,14 +33,13 @@ import ctypes
 import importlib.machinery
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, EmptyInputError
-from ..scoring import TripleSequence, scored_rows
+from ..scoring import TripleSequence
 from . import _kernels_py
 
 SCORE_SHIFT_EPS = 1e-6
@@ -224,10 +223,10 @@ class ScoredSubgraph:
 
     Vertices are the entities appearing in the sequence, interned in
     first-seen order (head before tail, edge by edge). Adjacency is stored
-    CSR-style so both backends consume the same flat lists. Every array is
-    built from the sequence's id columns in bulk (``dict.fromkeys`` for the
-    vertex order, ``_csr`` and ``lex_rank`` with numpy), with no Python call
-    per triple.
+    CSR-style so both backends consume the same flat lists. Every list is
+    built from the sequence's id array in bulk with numpy (``np.unique`` for
+    the vertex order, ``_csr``, ``lex_rank``), with no Python call per
+    triple.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -235,33 +234,36 @@ class ScoredSubgraph:
             raise EmptyInputError("cannot build a subgraph from an empty sequence")
         self.sequence = sequence
         self.store = sequence.store
-        triples, scores, _ = zip(*sequence.items)
-        entity_heads, relations, entity_tails = zip(*triples)
-        self._columns = (entity_heads, relations, entity_tails)
-        vertex_entities = list(
-            dict.fromkeys(chain.from_iterable(zip(entity_heads, entity_tails)))
-        )
-        entity_vertex = dict(zip(vertex_entities, range(len(vertex_entities))))
-        self.entity_vertex = entity_vertex
+        ids = sequence.id_array
+        # heads and tails interleaved edge by edge, so first occurrence in
+        # this array is first-seen order
+        ends = ids[:, ::2].ravel()
+        entities, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+        seen_order = first.argsort()
+        vertex_of = np.empty_like(seen_order)
+        vertex_of[seen_order] = np.arange(len(seen_order))
+        heads, tails = vertex_of[inverse].reshape(-1, 2).T
+        vertex_entities = entities[seen_order].tolist()
+        self.entity_vertex = dict(zip(vertex_entities, range(len(vertex_entities))))
         self.vertex_entities = vertex_entities
         self.n_vertices = len(vertex_entities)
-        self.n_edges = len(triples)
-        self.heads = list(map(entity_vertex.__getitem__, entity_heads))
-        self.tails = list(map(entity_vertex.__getitem__, entity_tails))
-        self.scores = list(scores)
-        self.out_off, self.out_eid = _csr(self.n_vertices, self.heads)
-        self.in_off, self.in_eid = _csr(self.n_vertices, self.tails)
+        self.n_edges = len(ids)
+        self.heads = heads.tolist()
+        self.tails = tails.tolist()
+        self.scores = sequence.scores()
+        self.out_off, self.out_eid = _csr(self.n_vertices, heads)
+        self.in_off, self.in_eid = _csr(self.n_vertices, tails)
         self._lex_rank: list[int] | None = None
 
     @property
     def lex_rank(self) -> list[int]:
         """Per-edge rank under (head, relation, tail) label order; lazy.
 
-        One ``np.lexsort`` over the store's ``label_sort_keys`` of the edge
-        id columns; the ranks are dense ``0..n_edges-1``.
+        One ``np.lexsort`` over the store's ``label_sort_keys`` of the
+        sequence's id array; the ranks are dense ``0..n_edges-1``.
         """
         if self._lex_rank is None:
-            order = np.lexsort(self.store.label_sort_keys(*self._columns))
+            order = np.lexsort(self.store.label_sort_keys(*self.sequence.id_array.T))
             ranks = np.empty_like(order)
             ranks[order] = np.arange(self.n_edges)
             self._lex_rank = ranks.tolist()
@@ -278,12 +280,12 @@ class ScoredSubgraph:
         return sorted(found)
 
 
-def _csr(n_vertices: int, anchor: list[int]) -> tuple[list[int], list[int]]:
+def _csr(n_vertices: int, anchor: Sequence[int]) -> tuple[list[int], list[int]]:
     """Offsets and edge ids of each vertex's edges, grouped by ``anchor[e]``.
 
     Edges of one vertex keep ascending edge order (a stable argsort).
     """
-    vertex = np.array(anchor, dtype=np.intp)
+    vertex = np.asarray(anchor, dtype=np.intp)
     counts = np.bincount(vertex, minlength=n_vertices).cumsum()
     return [0, *counts.tolist()], vertex.argsort(kind="stable").tolist()
 
@@ -402,14 +404,9 @@ def smooth(
         s_min,
         cfg.positional_divisor,
     )
-    # descending, ties by input position: a stable sort with reverse=True
-    # keeps equal keys in input order
-    order = sorted(range(len(final)), key=final.__getitem__, reverse=True)
-    triples, _, ranks = zip(*sequence.items)
-    items = scored_rows(
-        map(triples.__getitem__, order),
-        map(final.__getitem__, order),
-        map(ranks.__getitem__, order),
-    )
+    # descending, ties by input position: a stable argsort of the negated
+    # scores equals a stable sort with reverse=True for finite scores
+    final_scores = np.asarray(final, dtype=np.float64)
+    order = np.argsort(-final_scores, kind="stable")
     provenance = f"smoothed:{cfg.search_algorithm}:{cfg.pooling}"
-    return TripleSequence._unchecked(sequence.store, items, provenance)
+    return sequence._take(order, provenance, final_scores[order])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import count, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -43,31 +43,68 @@ def scored_rows(
 
 _TRIPLE = attrgetter("triple")
 _SCORE = attrgetter("score")
+_RANK = attrgetter("rank")
 
 
 class TripleSequence:
-    """Ordered scored triples together with the store resolving their labels."""
+    """Ordered scored triples together with the store resolving their labels.
+
+    The rows are held as three read-only numpy columns: ``id_array``, the
+    ``(n, 3)`` int64 (head, relation, tail) ids, ``score_array`` (float64)
+    and ``rank_array`` (int64). Every stage from ``score_triples`` to the
+    prompt reads and writes these columns; ``items`` builds ``ScoredTriple``
+    rows from them only when a caller asks, anew on each access.
+
+    Scores are finite and no triple repeats: the constructor and
+    ``from_scores`` check both and name the first offending row. A stage
+    that keeps, reorders or rescores rows of a valid sequence (``_take``)
+    needs no second check.
+    """
 
     def __init__(self, store: TripleStore, items: list[ScoredTriple], provenance: str):
-        # both checks run in C; the per-item loop only names the first offender
-        if not (
-            all(map(math.isfinite, map(_SCORE, items)))
-            and len(set(map(_TRIPLE, items))) == len(items)
-        ):
+        n = len(items)
+        ids = np.fromiter(
+            chain.from_iterable(map(_TRIPLE, items)), np.int64, 3 * n
+        ).reshape(n, 3)
+        scores = np.fromiter(map(_SCORE, items), np.float64, n)
+        ranks = np.fromiter(map(_RANK, items), np.int64, n)
+        self._set(store, ids, scores, ranks, provenance)
+        if not self._valid():
             _raise_first_invalid(store, items)
+
+    def _set(self, store, ids, scores, ranks, provenance) -> None:
+        for column in (ids, scores, ranks):
+            column.flags.writeable = False
         self.store = store
-        self.items = items
+        self.id_array = ids
+        self.score_array = scores
+        self.rank_array = ranks
         self.provenance = provenance
 
+    def _valid(self) -> bool:
+        """Every score finite and no triple twice, checked on the columns.
+
+        Rows are compared through one uint64 key per triple, sorted. Equal
+        triples always get equal keys (the arithmetic wraps modulo 2**64 the
+        same way for both), so a repeat is never missed; a key shared by two
+        different triples (ids beyond the store's counts, or wrapping) only
+        sends the caller to the exact per-row check.
+        """
+        if not np.isfinite(self.score_array).all():
+            return False
+        n_entities = max(self.store.n_entities, 1)
+        n_relations = max(self.store.n_relations, 1)
+        weights = [n_relations * n_entities % (1 << 64), n_entities, 1]
+        keys = self.id_array.view(np.uint64) @ np.array(weights, dtype=np.uint64)
+        keys.sort()
+        return not (keys[1:] == keys[:-1]).any()
+
     @classmethod
-    def _unchecked(
-        cls, store: TripleStore, items: list[ScoredTriple], provenance: str
-    ) -> "TripleSequence":
-        """Skip validation for permutations/subsets of an already valid sequence."""
+    def _checked(cls, store, ids, scores, ranks, provenance) -> "TripleSequence":
         sequence = cls.__new__(cls)
-        sequence.store = store
-        sequence.items = items
-        sequence.provenance = provenance
+        sequence._set(store, ids, scores, ranks, provenance)
+        if not sequence._valid():
+            _raise_first_invalid(store, sequence.items)
         return sequence
 
     @classmethod
@@ -77,33 +114,56 @@ class TripleSequence:
         pairs: list[tuple[Triple, float]],
         provenance: str,
     ) -> "TripleSequence":
+        n = len(pairs)
         triples, scores = zip(*pairs) if pairs else ((), ())
-        return cls(store, scored_rows(triples, map(float, scores), count()), provenance)
+        ids = np.fromiter(chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
+        values = np.fromiter(map(float, scores), np.float64, n)
+        return cls._checked(store, ids, values, np.arange(n), provenance)
+
+    def _take(
+        self, index, provenance: str, scores: np.ndarray | None = None
+    ) -> "TripleSequence":
+        """The rows at ``index`` (a subset or permutation), optionally rescored."""
+        sequence = TripleSequence.__new__(TripleSequence)
+        sequence._set(
+            self.store,
+            self.id_array[index],
+            self.score_array[index] if scores is None else scores,
+            self.rank_array[index],
+            provenance,
+        )
+        return sequence
+
+    @property
+    def items(self) -> list[ScoredTriple]:
+        """The rows as ``ScoredTriple``s, built from the columns."""
+        triples = map(tuple.__new__, repeat(Triple), self.id_array.tolist())
+        return scored_rows(triples, self.score_array.tolist(), self.rank_array.tolist())
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.score_array)
 
     def __iter__(self):
         return iter(self.items)
 
     def scores(self) -> list[float]:
-        return [item.score for item in self.items]
+        return self.score_array.tolist()
 
     def labels(self, index: int) -> tuple[str, str, str]:
-        return self.store.triple_labels(self.items[index].triple)
+        return self.store.triple_labels(Triple(*self.id_array[index].tolist()))
+
+    def label_rows(self) -> list[tuple[str, str, str]]:
+        """The (head, relation, tail) labels of every row, in order."""
+        return list(zip(*self.store.label_columns(self.id_array)))
 
     def labeled_items(self) -> list[tuple[str, str, str, float]]:
-        return [
-            (*self.store.triple_labels(item.triple), item.score) for item in self.items
-        ]
+        return list(zip(*self.store.label_columns(self.id_array), self.scores()))
 
     def trimmed(self, k: int, provenance: str | None = None) -> "TripleSequence":
-        return TripleSequence._unchecked(
-            self.store, self.items[:k], provenance or self.provenance
-        )
+        return self._take(slice(None, k), provenance or self.provenance)
 
 
-def _raise_first_invalid(store: TripleStore, items: list[ScoredTriple]) -> None:
+def _raise_first_invalid(store: TripleStore, items: Iterable[ScoredTriple]) -> None:
     """Raise ConfigError naming the first non-finite score or repeated triple."""
     seen: set[Triple] = set()
     for item in items:
@@ -275,8 +335,9 @@ def score_triples(
     """Top-k candidates by score, descending; label order breaks ties.
 
     One stable ``np.lexsort`` sorts by -score, then by the store's
-    ``label_sort_keys``, which order triples exactly as their (head,
-    relation, tail) labels do. Returns all candidates when fewer than k
+    ``label_sort_keys`` of the candidates' id array, which order triples
+    exactly as their (head, relation, tail) labels do; the kept rows are
+    taken from the columns, and no ``ScoredTriple`` is built. Returns all candidates when fewer than k
     exist; a NaN score raises ConfigError. The sequence references the store
     behind ``candidates`` (the parent store for a subgraph view); the output
     rank of each triple is its position in this sequence.
@@ -293,9 +354,9 @@ def score_triples(
     if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
         raise ConfigError(f"non-finite score for triple {triples[int(nan.argmax())]}")
-    keys = store.label_sort_keys(*zip(*triples))
-    order = np.lexsort((*keys, -values))[:k]
-    items = scored_rows(
-        map(triples.__getitem__, order.tolist()), values[order].tolist(), count()
+    n = len(triples)
+    ids = np.fromiter(chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
+    order = np.lexsort((*store.label_sort_keys(*ids.T), -values))[:k]
+    return TripleSequence._checked(
+        store, ids[order], values[order], np.arange(len(order)), scorer.name
     )
-    return TripleSequence(store, items, scorer.name)

@@ -9,16 +9,14 @@ the weakest sit in the middle. All ties break by original retrieval rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+
+import numpy as np
 
 from .errors import ConfigError
-from .scoring import ScoredTriple, TripleSequence
+from .scoring import TripleSequence
 
 ORDERS = ("recency", "lost_in_middle")
 MODES = ("rerank", "reselect")
-
-_SCORE = attrgetter("score")
-_RANK = attrgetter("rank")
 
 
 @dataclass(frozen=True)
@@ -41,44 +39,35 @@ class SelectionConfig:
             )
 
 
-def _descending(items: list[ScoredTriple]) -> list[ScoredTriple]:
-    """Score descending, ties by rank: two stable sorts with C-level keys.
-
-    ``reverse=True`` keeps equal scores in their rank order.
-    """
-    return sorted(sorted(items, key=_RANK), key=_SCORE, reverse=True)
+def _descending(sequence: TripleSequence) -> np.ndarray:
+    """Row order by score descending, ties by rank: one stable ``np.lexsort``."""
+    return np.lexsort((sequence.rank_array, -sequence.score_array))
 
 
-def _ordered(items: list[ScoredTriple], order: str) -> list[ScoredTriple]:
-    ranked = _descending(items)
+def _ordered(ranked: np.ndarray, order: str) -> np.ndarray:
     if order == "recency":
         return ranked[::-1]
     if order == "lost_in_middle":
         # even positions lead, odd positions close the sequence reversed
-        return ranked[0::2] + ranked[1::2][::-1]
+        return np.concatenate((ranked[0::2], ranked[1::2][::-1]))
     raise ConfigError(f"unknown ordering: {order!r}")
 
 
 def rerank(sequence: TripleSequence, order: str) -> TripleSequence:
     """Permutation of the sequence per the requested positional-bias order."""
-    return TripleSequence._unchecked(
-        sequence.store, _ordered(sequence.items, order), f"rerank:{order}"
-    )
+    return sequence._take(_ordered(_descending(sequence), order), f"rerank:{order}")
 
 
 def top_k(sequence: TripleSequence, k: int) -> TripleSequence:
     """Highest-scoring min(k, len) triples, descending, ties by rank."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    kept = _descending(sequence.items)[:k]
-    return TripleSequence._unchecked(sequence.store, kept, f"top:{k}")
+    return sequence._take(_descending(sequence)[:k], f"top:{k}")
 
 
 def reselect(sequence: TripleSequence, fine_k: int, order: str) -> TripleSequence:
     """Keep the top fine_k by score, then apply the positional-bias order."""
     if fine_k < 1:
         raise ConfigError(f"fine_k must be >= 1, got {fine_k}")
-    kept = _descending(sequence.items)[:fine_k]
-    return TripleSequence._unchecked(
-        sequence.store, _ordered(kept, order), f"reselect:{order}"
-    )
+    kept = _descending(sequence)[:fine_k]
+    return sequence._take(_ordered(kept, order), f"reselect:{order}")

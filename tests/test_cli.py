@@ -251,7 +251,7 @@ def test_null_completion_costs_only_its_query(tmp_path, monkeypatch):
         "--queries", TOY_QUERIES,
         "--endpoint", "http://mock.invalid/v1/chat/completions",
         "--out", out,
-    ) == 0
+    ) == 1
     rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
     assert len(rows) == 5
     assert all(r["status"] == "error" for r in rows)
@@ -287,7 +287,7 @@ def test_per_query_errors_recorded_run_continues(tmp_path):
     out = tmp_path / "out"
     assert run_cli(
         "run", "--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out
-    ) == 0
+    ) == 1
     rows = {
         json.loads(line)["id"]: json.loads(line)
         for line in (out / "results.jsonl").read_text().splitlines()
@@ -510,7 +510,7 @@ def test_unwritable_prompt_costs_only_its_query(tmp_path):
     (out / "prompts" / "q1.json").mkdir(parents=True)
     assert run_cli(
         "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
-    ) == 0
+    ) == 1
     rows = {
         json.loads(line)["id"]: json.loads(line)
         for line in (out / "results.jsonl").read_text().splitlines()
@@ -630,14 +630,14 @@ def test_pool_names_the_repeated_artifact_triple(tmp_path):
 
 
 def test_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch, caplog):
-    def run(out):
+    def run(out, code):
         assert run_cli(
             "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
-        ) == 0
+        ) == code
         rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         return rows, json.loads((out / "metrics.json").read_text())
 
-    clean_rows, _ = run(tmp_path / "clean")
+    clean_rows, _ = run(tmp_path / "clean", 0)
     score_triples = cli.score_triples
 
     def failing_for_q3(record, *args, **kwargs):
@@ -646,7 +646,7 @@ def test_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch, 
         return score_triples(record, *args, **kwargs)
 
     monkeypatch.setattr(cli, "score_triples", failing_for_q3)
-    rows, metrics = run(tmp_path / "faulty")
+    rows, metrics = run(tmp_path / "faulty", 1)
     assert [row["id"] for row in rows] == [row["id"] for row in clean_rows]
     assert rows[2] == {"id": "q3", "status": "error", "error": "RuntimeError: stage fault"}
     assert rows[:2] + rows[3:] == clean_rows[:2] + clean_rows[3:]
@@ -811,3 +811,100 @@ def test_run_pipeline_calls_each_stage_through_its_module_attribute(
     assert metrics["n_queries"] == 5 and metrics["n_errors"] == 0
     query = ["extract_subgraph", "score_triples", *per_query, "assemble_prompt", "sha256"]
     assert calls == ["load_triples", "load_queries", "build_scorer", *query * 5]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--algo", "bfs", "--mode", "rerank", "--order", "lost-in-middle"],
+        ["--algo", "random-walk", "--fine-k", "4"],
+        ["--baseline"],
+    ],
+)
+def test_run_never_builds_scored_rows(tmp_path, monkeypatch, flags):
+    """Every stage from scoring to the prompt reads the sequence's columns."""
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a ScoredTriple row was built")
+
+    monkeypatch.setattr("pathpool.scoring.scored_rows", no_rows)
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,
+        "--scorer", f"precomputed:{TOY_SCORES}", "--no-llm", *flags, "--out", out,
+    ) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n_queries"] == 5 and metrics["n_errors"] == 0
+
+
+def test_empty_retrieval_gets_one_prompt_from_run_and_the_stages(tmp_path):
+    # the precomputed table has no row for "unscored", so its retrieval is empty
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        Path(TOY_QUERIES).read_text(encoding="utf-8")
+        + json.dumps(
+            {
+                "id": "unscored",
+                "question": "Where was Mira Voss born?",
+                "query_entities": ["Mira Voss"],
+                "answers": [],
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    scorer = f"precomputed:{TOY_SCORES}"
+    run_out = tmp_path / "run"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", queries, "--scorer", scorer,
+        "--no-llm", "--out", run_out,
+    ) == 0
+    retrieved, pooled, selected = (tmp_path / f"{n}.jsonl" for n in "rps")
+    assert run_cli(
+        "retrieve", "--kg", TOY_KG, "--queries", queries, "--scorer", scorer,
+        "--out", retrieved,
+    ) == 0
+    assert run_cli("pool", "--in", retrieved, "--out", pooled) == 0
+    assert run_cli("select", "--in", pooled, "--out", selected) == 0
+    assert run_cli("prompt", "--in", selected, "--out", tmp_path / "prompts") == 0
+
+    [empty] = [
+        json.loads(l) for l in pooled.read_text().splitlines() if "unscored" in l
+    ]
+    assert empty["triples"] == [] and "error" not in empty
+    run_rows = [json.loads(l) for l in (run_out / "results.jsonl").read_text().splitlines()]
+    manifest = [
+        json.loads(l) for l in (tmp_path / "prompts" / "manifest.jsonl").read_text().splitlines()
+    ]
+    assert [(r["id"], r["prompt_sha256"]) for r in manifest] == [
+        (r["id"], r["prompt_sha256"]) for r in run_rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"id": "q2"},
+        {"id": "q2", "completion": None},
+        {"id": "q2", "completion": ["ans: x"]},
+    ],
+)
+def test_eval_records_a_lost_completion_as_an_error_row(tmp_path, row):
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        json.dumps({"id": "q1", "completion": "ans: Kestrel River"})
+        + "\n"
+        + json.dumps(row)
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "eval"
+    assert run_cli(
+        "eval", "--queries", TOY_QUERIES, "--completions", completions, "--out", out
+    ) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n"] == 1
+    assert metrics["hit_at_1"] == 1.0
+    rows = [json.loads(l) for l in (out / "eval.jsonl").read_text().splitlines()]
+    assert rows[1] == {"id": "q2", "error": "completion is missing or not a string"}

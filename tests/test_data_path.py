@@ -243,7 +243,12 @@ def test_selection_orders_by_score_then_rank_not_list_position(seed):
         return head + tail[::-1]
 
     def same(got, want):
-        return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        # rows are rebuilt from columns; repr keeps the sign of zero, and the
+        # unique triples and ranks pin each row
+        def key(item):
+            return item.triple, repr(item.score), item.rank
+
+        return list(map(key, got)) == list(map(key, want))
 
     assert same(top_k(sequence, k).items, expected[:k])
     assert same(reselect(sequence, k, "recency").items, expected[:k][::-1])
@@ -286,6 +291,18 @@ def test_sequence_names_the_first_invalid_item(rows, message):
     items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence(store, items, "t")
+
+
+def test_sequence_keeps_distinct_triples_whose_column_keys_collide():
+    # ids beyond the store's counts: (0, 0, 2) and (1, 0, 0) share the key
+    # head * 2 + relation * 2 + tail of this two-entity, one-relation store
+    store = TripleStore()
+    store.add("a", "r", "b")
+    pairs = [(Triple(0, 0, 2), 0.5), (Triple(1, 0, 0), 0.25)]
+    sequence = TripleSequence.from_scores(store, pairs, "t")
+    assert [item.triple for item in sequence.items] == [t for t, _ in pairs]
+    items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
+    assert TripleSequence(store, items, "t").items == items
 
 
 def test_from_scores_builds_float_rows_in_order():
