@@ -208,10 +208,7 @@ def _write_prompt(
 ) -> tuple[generation.PromptBundle, dict]:
     """Write ``<id>.json`` atomically; the bundle and its ``prompt_sha256`` row."""
     bundle = generation.assemble_prompt(record, sequence)
-    _write_text_atomic(
-        out_dir / f"{record.id}.json",
-        json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n",
-    )
+    _write_text_atomic(out_dir / f"{record.id}.json", bundle.file_text())
     return bundle, {"id": record.id, "prompt_sha256": bundle.sha256()}
 
 

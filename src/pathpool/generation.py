@@ -9,13 +9,15 @@ the gold answer set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, NamedTuple, Sequence
 
 import requests
 
@@ -98,10 +100,52 @@ class PromptBundle:
         ]
 
     def sha256(self) -> str:
-        payload = json.dumps(
-            self.messages(), ensure_ascii=False, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """sha256 of the messages' compact JSON (``separators=(",", ":")``)."""
+        frames = _frames(self.system, self.example_user, self.example_assistant)
+        digest = frames.compact_prefix.copy()
+        tail = encode_basestring(self.user) + frames.compact_suffix
+        digest.update(tail.encode("utf-8"))
+        return digest.hexdigest()
+
+    def file_text(self) -> str:
+        """The messages' ``indent=2`` JSON plus a newline: a prompt file's text."""
+        frames = _frames(self.system, self.example_user, self.example_assistant)
+        return frames.file_prefix + encode_basestring(self.user) + frames.file_suffix
+
+
+class _Frames(NamedTuple):
+    compact_prefix: "hashlib._Hash"
+    compact_suffix: str
+    file_prefix: str
+    file_suffix: str
+
+
+@functools.lru_cache(maxsize=8)
+def _frames(system: str, example_user: str, example_assistant: str) -> _Frames:
+    """The JSON around the final user content, encoded once per set of fixed messages.
+
+    ``json.dumps(..., ensure_ascii=False)`` encodes every string with
+    ``encode_basestring``, in both the compact and the indented form, so a
+    frame's prefix, the encoded content and its suffix join into exactly
+    the dump of the whole list. The compact prefix is kept as a sha256
+    already fed with it.
+    """
+    messages = PromptBundle(system, example_user, example_assistant, "").messages()
+    empty = encode_basestring("")
+
+    def split(**layout) -> tuple[str, str]:
+        text = json.dumps(messages, ensure_ascii=False, **layout)
+        prefix, _, suffix = text.rpartition(empty)
+        return prefix, suffix
+
+    compact_prefix, compact_suffix = split(separators=(",", ":"))
+    file_prefix, file_suffix = split(indent=2)
+    return _Frames(
+        hashlib.sha256(compact_prefix.encode("utf-8")),
+        compact_suffix,
+        file_prefix,
+        file_suffix + "\n",
+    )
 
 
 def assemble_prompt(query: QueryRecord, triples: TripleSequence) -> PromptBundle:

@@ -244,7 +244,9 @@ class ScoredSubgraph:
         vertex_of[seen_order] = np.arange(len(seen_order))
         heads, tails = vertex_of[inverse].reshape(-1, 2).T
         vertex_entities = entities[seen_order].tolist()
-        self.entity_vertex = dict(zip(vertex_entities, range(len(vertex_entities))))
+        # sorted entity ids and their local vertices, for vertices_for_labels
+        self._entities = entities
+        self._vertex_of = vertex_of
         self.vertex_entities = vertex_entities
         self.n_vertices = len(vertex_entities)
         self.n_edges = len(ids)
@@ -270,13 +272,20 @@ class ScoredSubgraph:
         return self._lex_rank
 
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
-        """Ascending local vertex ids for the labels present in the subgraph."""
+        """Ascending local vertex ids for the labels present in the subgraph.
+
+        Only the given labels are looked up: a binary search of their entity
+        ids in the subgraph's sorted entity ids.
+        """
+        store = self.store
+        entities = self._entities
         found: set[int] = set()
         for label in labels:
-            if self.store.has_entity(label):
-                vertex = self.entity_vertex.get(self.store.entity_id(label))
-                if vertex is not None:
-                    found.add(vertex)
+            if store.has_entity(label):
+                eid = store.entity_id(label)
+                at = entities.searchsorted(eid)
+                if at < len(entities) and entities[at] == eid:
+                    found.add(int(self._vertex_of[at]))
         return sorted(found)
 
 

@@ -1,12 +1,15 @@
-"""Independent naive references for subgraph extraction and smoothing.
+"""Independent naive references for subgraph extraction, scoring and smoothing.
 
 Written directly from the algorithm definitions: extraction by full scans
-of the whole KG, smoothing by exhaustive path enumeration and a global
-best-path selection. Shares no code or data structures with the package
-implementation it checks. Operates on plain label tuples.
+of the whole KG, cosine scoring one candidate at a time, smoothing by
+exhaustive path enumeration and a global best-path selection. Shares no
+code or data structures with the package implementation it checks.
+Operates on plain label tuples.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 SHIFT_EPS = 1e-6
 
@@ -26,6 +29,29 @@ def naive_extract_subgraph(
             for end in (head, tail)
         }
     return [t for t in triples if t[0] in reached or t[2] in reached]
+
+
+def naive_cosine_scores(
+    table: dict[str, np.ndarray], question: str, triples: list[tuple[str, str, str]]
+) -> list[float]:
+    """Cosine of the question's vector with each triple sentence's, one by one.
+
+    A triple's sentence is ``"head relation tail"`` with the relation's dots
+    and underscores turned into spaces. Each score is one ``np.dot`` over
+    the two ``np.linalg.norm``s, 0.0 when either norm is zero, and is then
+    clipped into [-1, 1] with ``min``/``max``. A text missing from the table
+    raises KeyError naming it.
+    """
+    qvec = table[question]
+    qnorm = float(np.linalg.norm(qvec))
+    scores = []
+    for head, relation, tail in triples:
+        sentence = f"{head} {relation.replace('.', ' ').replace('_', ' ')} {tail}"
+        tvec = table[sentence]
+        denom = qnorm * float(np.linalg.norm(tvec))
+        score = float(np.dot(qvec, tvec) / denom) if denom > 0.0 else 0.0
+        scores.append(min(1.0, max(-1.0, score)))
+    return scores
 
 
 def _all_simple_paths(adjacency, endpoint_of, start, limit):

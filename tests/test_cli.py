@@ -299,6 +299,24 @@ def test_per_query_errors_recorded_run_continues(tmp_path):
     assert metrics["n_errors"] == 1
 
 
+def test_question_with_a_lone_surrogate_is_an_error_row(tmp_path):
+    queries = tmp_path / "queries.jsonl"
+    rows = [
+        {"id": "bad", "question": "Q \ud800?", "query_entities": ["Mira Voss"]},
+        {"id": "good", "question": "Q?", "query_entities": ["Mira Voss"]},
+    ]
+    queries.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out
+    ) == 1
+    results = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert results[0]["status"] == "error"
+    assert results[0]["error"].startswith("UnicodeEncodeError: ")
+    assert results[1]["status"] == "dry_run"
+    assert sorted(p.name for p in (out / "prompts").iterdir()) == ["good.json"]
+
+
 def test_cosine_scorer_through_pipeline(tmp_path):
     # build an embedding table covering every toy triple sentence and all
     # five questions, then drive the pipeline with bfs + max pooling

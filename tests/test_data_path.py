@@ -63,7 +63,9 @@ def _assert_subgraph_matches_naive(store, edges):
     g = build_scored_subgraph(TripleSequence.from_scores(store, pairs, "t"))
     naive = naive_scored_subgraph(edges)
     assert [store.entity_label(e) for e in g.vertex_entities] == naive["vertices"]
-    assert g.entity_vertex == {e: v for v, e in enumerate(g.vertex_entities)}
+    for v, label in enumerate(naive["vertices"]):
+        assert g.vertices_for_labels([label, label]) == [v]
+    assert g.vertices_for_labels(reversed(naive["vertices"])) == list(range(g.n_vertices))
     assert (g.n_vertices, g.n_edges) == (len(naive["vertices"]), len(edges))
     assert g.heads == naive["heads"]
     assert g.tails == naive["tails"]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sequence
 from pathpool.errors import ConfigError, EndpointError, TransportError
@@ -14,7 +17,10 @@ from pathpool.generation import (
     EXAMPLE_ASSISTANT,
     EXAMPLE_QUESTION,
     EXAMPLE_TRIPLES,
+    EXAMPLE_USER,
+    SYSTEM_PROMPT,
     GenerationConfig,
+    PromptBundle,
     aggregate,
     assemble_prompt,
     call_llm,
@@ -72,6 +78,67 @@ def test_prompt_bundle_is_deterministic():
     second = assemble_prompt(_query(), seq)
     assert first == second
     assert first.sha256() == second.sha256()
+
+
+# -- prompt encoding ----------------------------------------------------------
+
+_AWKWARD_USERS = [
+    "",
+    'Triplets:\n(A "quoted", r, B\\C)\nQuestion:\nWhat is "it"?',
+    '""',
+    "controls \x00\x01\x07\x08\t\x0b\x0c\r\x1b\x1f\x7f end",
+    "separators \u2028 and \u2029, escapes \\u2028 \\n",
+    "non-BMP \U0001F600 \U00010348 \U0010FFFF, CJK 中文, é, \ufeff",
+]
+
+
+def _compact_sha256(bundle: PromptBundle) -> str:
+    payload = json.dumps(bundle.messages(), ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _assert_encoded_as_json_dumps(bundle: PromptBundle) -> None:
+    expected = json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n"
+    assert bundle.file_text() == expected
+    assert bundle.sha256() == _compact_sha256(bundle)
+
+
+@pytest.mark.parametrize("user", _AWKWARD_USERS)
+def test_prompt_encoding_equals_json_dumps(user):
+    _assert_encoded_as_json_dumps(
+        PromptBundle(SYSTEM_PROMPT, EXAMPLE_USER, EXAMPLE_ASSISTANT, user)
+    )
+
+
+@pytest.mark.parametrize("user", _AWKWARD_USERS)
+def test_prompt_encoding_equals_json_dumps_with_other_exemplars(user):
+    exemplars = [
+        ("", "", ""),
+        ('""', 'a "b"\n\u2028', "\U0001F600\\"),
+        tuple(_AWKWARD_USERS[3:]),
+    ]
+    for system, example_user, example_assistant in exemplars:
+        _assert_encoded_as_json_dumps(
+            PromptBundle(system, example_user, example_assistant, user)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.text(), st.text(), st.text())
+def test_prompt_encoding_equals_json_dumps_for_any_text(
+    system, example_user, example_assistant, user
+):
+    _assert_encoded_as_json_dumps(
+        PromptBundle(system, example_user, example_assistant, user)
+    )
+
+
+def test_prompt_with_a_lone_surrogate_cannot_be_encoded():
+    bundle = PromptBundle(SYSTEM_PROMPT, EXAMPLE_USER, EXAMPLE_ASSISTANT, "Q \ud800?")
+    with pytest.raises(UnicodeEncodeError):
+        bundle.sha256()
+    with pytest.raises(UnicodeEncodeError):
+        bundle.file_text().encode("utf-8")
 
 
 def test_exemplar_user_matches_template():

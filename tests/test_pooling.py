@@ -134,8 +134,17 @@ def test_subgraph_fan_out_adjacency():
     g = build_scored_subgraph(
         make_sequence([("A", "r1", "B", 0.5), ("A", "r2", "C", 0.4)])
     )
-    a = g.entity_vertex[g.store.entity_id("A")]
+    (a,) = g.vertices_for_labels(["A"])
+    assert g.vertex_entities[a] == g.store.entity_id("A")
     assert g.out_eid[g.out_off[a] : g.out_off[a + 1]] == [0, 1]
+
+
+def test_vertices_for_labels_skips_labels_outside_the_subgraph():
+    seq = make_sequence([("A", "r", "B", 0.5), ("C", "r", "D", 0.4), ("E", "r", "F", 0.3)])
+    g = build_scored_subgraph(seq.trimmed(2))  # E and F are in the store only
+    assert g.vertices_for_labels(["D", "E", "no such entity", "A", "D"]) == [0, 3]
+    assert g.vertices_for_labels(["E", "F"]) == []
+    assert g.vertices_for_labels([]) == []
 
 
 def test_empty_sequence_rejected():

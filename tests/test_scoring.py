@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathpool.errors import ConfigError, ParseError, ScoringError
-from pathpool.kg_store import QueryRecord, extract_subgraph, load_triples
+from naive_ref import naive_cosine_scores
+from pathpool.kg_store import QueryRecord, Subgraph, extract_subgraph, load_triples
 from pathpool.scoring import (
     CosineScorer,
     PrecomputedScorer,
@@ -133,9 +136,12 @@ def test_cosine_query_scale_does_not_change_ranking():
     table = _cosine_table(store, QUERY.question)
     scorer = CosineScorer(table)
     base = [row[:3] for row in score_triples(QUERY, store, scorer, k=3).labeled_items()]
-    table[QUERY.question] = table[QUERY.question] * 37.5
+    # the scorer copies its table, so the scaled query needs a scorer of its own
+    scaled_table = {**table, QUERY.question: table[QUERY.question] * 37.5}
+    scaled_scorer = CosineScorer(scaled_table)
     scaled = [
-        row[:3] for row in score_triples(QUERY, store, scorer, k=3).labeled_items()
+        row[:3]
+        for row in score_triples(QUERY, store, scaled_scorer, k=3).labeled_items()
     ]
     assert base == scaled
 
@@ -154,6 +160,155 @@ def test_cosine_loader_validates_dimensions(tmp_path):
     with pytest.raises(ParseError) as err:
         CosineScorer.load(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_cosine_loader_rejects_non_finite_components(tmp_path, component):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"a\t1.0 2.0\n\nb\t1.0 {component}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        CosineScorer.load(path)
+    assert err.value.line == 3
+    assert "non-finite" in str(err.value)
+
+
+def test_cosine_loader_accepts_finite_components_whose_sum_overflows(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("a\t1e308 1e308\n", encoding="utf-8")
+    with np.errstate(over="ignore"):  # its norm overflows, as np.linalg.norm's does
+        scorer = CosineScorer.load(path)
+    assert scorer.matrix.tolist() == [[1e308, 1e308]]
+
+
+@pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf])
+def test_cosine_table_rejects_non_finite_components(component):
+    table = {"fine": np.ones(2), "bad text": np.array([1.0, component])}
+    with pytest.raises(ConfigError) as err:
+        CosineScorer(table)
+    assert "'bad text'" in str(err.value)
+
+
+def test_cosine_table_rejects_mixed_dimensions():
+    with pytest.raises(ConfigError) as err:
+        CosineScorer({"a": np.ones(2), "b": np.ones(3)})
+    assert "'b'" in str(err.value)
+
+
+def test_cosine_loader_keeps_the_last_vector_of_a_repeated_text(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text(
+        f"{QUERY.question}\t1 0\nA r1 B\t0 1\nA r1 B\t1 0\n", encoding="utf-8"
+    )
+    store = load_triples(io.StringIO("A\tr1\tB\n"))
+    scorer = CosineScorer.load(path)
+    assert scorer.matrix.shape == (2, 2)
+    assert scorer.score_candidates(QUERY, store) == [(store.triples[0], 1.0)]
+
+
+# -- cosine scorer against the per-candidate oracle ---------------------------
+
+# relation labels with the dots and underscores the sentence rewrites
+_RELATIONS = st.sampled_from(["r", "a.b", "x_y.z", "people.person_place"])
+_ENTITIES = st.sampled_from(["A", "B", "C d", "é", "中"])
+
+
+def _candidate_case(data):
+    """A store, its candidates (whole store or a view) and their label rows."""
+    rows = data.draw(
+        st.lists(st.tuples(_ENTITIES, _RELATIONS, _ENTITIES), min_size=1, max_size=25)
+    )
+    store = load_triples(io.StringIO("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows)))
+    if data.draw(st.booleans()):
+        candidates = store
+    else:
+        anchor = data.draw(st.sampled_from([h for h, _, _ in rows]))
+        candidates = extract_subgraph(store, [anchor], data.draw(st.integers(1, 2)))
+    labels = [store.triple_labels(t) for t in candidates.triples]
+    return store, candidates, labels
+
+
+def _vector(rng, kind, query, dim):
+    if kind == "zero":
+        return np.zeros(dim)
+    if kind in ("parallel", "antiparallel"):
+        sign = 1.0 if kind == "parallel" else -1.0
+        return query * (sign * rng.uniform(0.01, 100.0))
+    return rng.standard_normal(dim) * 10.0 ** rng.integers(-40, 41)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cosine_scores_equal_the_per_candidate_oracle(data):
+    store, candidates, labels = _candidate_case(data)
+    dim = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["random", "zero", "parallel", "antiparallel"])
+    query = rng.standard_normal(dim) if data.draw(st.booleans()) else np.zeros(dim)
+    table = {QUERY.question: query}
+    for triple in store.triples:
+        table[triple_sentence(*store.triple_labels(triple))] = _vector(
+            rng, data.draw(kinds), query, dim
+        )
+    scored = CosineScorer(table).score_candidates(QUERY, candidates)
+    assert [triple for triple, _ in scored] == candidates.triples
+    expected = naive_cosine_scores(table, QUERY.question, labels)
+    assert [score for _, score in scored] == expected
+    # == treats 0.0 and -0.0 alike; the hex form tells every bit
+    assert [score.hex() for _, score in scored] == [score.hex() for score in expected]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cosine_missing_sentence_is_named_as_the_oracle_names_it(data):
+    store, candidates, labels = _candidate_case(data)
+    sentences = sorted({triple_sentence(*store.triple_labels(t)) for t in store.triples})
+    kept = data.draw(st.lists(st.sampled_from(sentences), unique=True))
+    table = {text: np.ones(3) for text in [QUERY.question, *kept]}
+    scorer = CosineScorer(table)
+    try:
+        expected = naive_cosine_scores(table, QUERY.question, labels)
+    except KeyError as missing:
+        with pytest.raises(ScoringError) as err:
+            scorer.score_candidates(QUERY, candidates)
+        assert str(err.value) == f"no embedding for {missing.args[0]!r}"
+    else:
+        assert [s for _, s in scorer.score_candidates(QUERY, candidates)] == expected
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [[0.33, -1.303], [0.905, 0.446, -0.537], [0.547, -0.736, -0.163, -0.482]],
+)
+@pytest.mark.parametrize("factor", [3.0, -3.0])
+def test_cosine_clips_a_quotient_rounded_past_one(vector, factor):
+    store = _store()
+    query = np.array(vector)
+    parallel = query * factor
+    raw = np.dot(query, parallel) / (np.linalg.norm(query) * np.linalg.norm(parallel))
+    assert abs(raw) > 1.0  # the case the clip exists for
+    sentence = triple_sentence(*store.triple_labels(store.triples[0]))
+    scorer = CosineScorer({QUERY.question: query, sentence: parallel})
+    (triple, score), = scorer.score_candidates(QUERY, Subgraph(store, store.triples[:1]))
+    assert score == math.copysign(1.0, factor)
+    assert [score] == naive_cosine_scores(
+        {QUERY.question: query, sentence: parallel},
+        QUERY.question,
+        [store.triple_labels(triple)],
+    )
+
+
+def test_cosine_zero_vectors_score_zero():
+    store = _store()
+    labels = [store.triple_labels(t) for t in store.triples]
+    sentences = [triple_sentence(*row) for row in labels]
+    table = {QUERY.question: np.array([1.0, 2.0]), sentences[0]: np.zeros(2)}
+    table.update({text: np.array([2.0, 4.5]) for text in sentences[1:]})
+    scores = [s for _, s in CosineScorer(table).score_candidates(QUERY, store)]
+    assert scores[0] == 0.0 and scores[1] > 0.99
+    assert scores == naive_cosine_scores(table, QUERY.question, labels)
+    table[QUERY.question] = np.zeros(2)
+    scores = [s for _, s in CosineScorer(table).score_candidates(QUERY, store)]
+    assert scores == [0.0, 0.0, 0.0]
 
 
 def test_precomputed_loader_rejects_bad_arity(tmp_path):
