@@ -147,6 +147,8 @@ def sample_workloads(
             f"store has {store.n_triples} triples, workload needs {size}"
         )
     rnd = random.Random(seed)
+    ids = store.id_array
+    offsets, other, triple = store.incidence()
     workloads: list[tuple[TripleSequence, list[str]]] = []
     for _ in range(count):
         reseed_order = list(range(store.n_entities))
@@ -170,24 +172,25 @@ def sample_workloads(
                 visited.add(nxt)
                 frontier.append(nxt)
             vertex = frontier.pop(0)
-            for idx in store.out_indices(vertex) + store.in_indices(vertex):
+            # the vertex's headed triples, then its tailed ones
+            span = slice(offsets[vertex], offsets[vertex + 1])
+            for idx, end in zip(triple[span].tolist(), other[span].tolist()):
                 if idx in picked_set:
                     continue
                 picked.append(idx)
                 picked_set.add(idx)
-                triple = store.triples[idx]
-                for other in (triple.head, triple.tail):
-                    if other not in visited:
-                        visited.add(other)
-                        frontier.append(other)
+                if end not in visited:
+                    visited.add(end)
+                    frontier.append(end)
                 if len(picked) >= size:
                     break
-        triples = [store.triples[idx] for idx in picked]
+        rows = ids[picked]
         scores = np.array([rnd.uniform(0.05, 1.0) for _ in picked])
         # descending score, ties in label order
-        order = np.lexsort((*store.label_sort_keys(*zip(*triples)), -scores))
-        pairs = [(triples[i], scores[i].item()) for i in order.tolist()]
-        sequence = TripleSequence.from_scores(store, pairs, "synthetic")
+        order = np.lexsort((*store.label_sort_keys(*rows.T), -scores))
+        sequence = TripleSequence.from_scores(
+            store, rows[order], scores[order], "synthetic"
+        )
         anchors = [store.entity_label(start)]
         if len(visited) > 1 and rnd.random() < 0.5:
             extra = rnd.choice(sorted(visited))

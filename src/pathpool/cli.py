@@ -106,7 +106,7 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
         gold_answers=tuple(_list_field(row, "answers")),
     )
     store = TripleStore()
-    pairs = []
+    triples, scores = [], []
     for entry in _list_field(row, "triples"):
         try:
             head, relation, tail, score = entry
@@ -116,9 +116,10 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
         head, relation, tail = str(head), str(relation), str(tail)
         store.add(head, relation, tail)
         # a repeated row adds nothing, so resolve the triple just read
-        pairs.append((store.find(head, relation, tail), score))
+        triples.append(store.find(head, relation, tail))
+        scores.append(score)
     sequence = TripleSequence.from_scores(
-        store, pairs, str(row.get("provenance", "artifact"))
+        store, triples, scores, str(row.get("provenance", "artifact"))
     )
     return record, sequence
 

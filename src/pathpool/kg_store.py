@@ -3,18 +3,22 @@
 Entities and relations are interned to integer ids in first-seen order, so
 loading the same bytes always produces the same id assignment. Public
 functions take entity *labels*; ids are an internal detail of the store.
+The triples are numpy columns (an id array and an incidence CSR), and
+retrieval runs on them; a ``Triple`` is built only when a caller asks.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import deque
+import threading
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError, EntityLookupError, ParseError
 from .textnorm import normalize_answer
@@ -31,9 +35,22 @@ class Triple(NamedTuple):
 
 
 class TripleStore:
-    """Deduplicated triple list with interning tables and adjacency indexes.
+    """Deduplicated triples held as id columns, with interning tables.
 
-    Immutable by convention once loaded; safe for concurrent readers.
+    ``id_array`` is one ``(n, 3)`` int64 array of (head, relation, tail)
+    ids, a row per triple in first-seen order. ``incidence()`` is a CSR
+    over it that lists, entity by entity, every triple touching the entity:
+    ``offsets`` (entity ``e`` owns entries ``offsets[e]:offsets[e + 1]``),
+    ``other`` (the endpoint across the triple) and ``triple`` (its row).
+    Per entity, the triples it heads come first and then those it tails,
+    each in store order, so a self-loop is listed twice.
+
+    ``load_triples`` builds both in bulk. ``add`` appends to an
+    insertion-ordered buffer that also dedups the rows added since the
+    columns were last built; the next read of the columns rebuilds them,
+    under a lock. Only that buffer holds a ``Triple`` per row: ``triples``
+    builds the list on request. Immutable by convention once loaded; safe
+    for concurrent readers.
     """
 
     def __init__(self) -> None:
@@ -41,10 +58,10 @@ class TripleStore:
         self._entity_ids: dict[str, int] = {}
         self._relation_labels: list[str] = []
         self._relation_ids: dict[str, int] = {}
-        self.triples: list[Triple] = []
-        self._triple_set: set[Triple] = set()
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
+        # (id array, offsets, other, triple), replaced as one tuple
+        self._columns = _build_columns(np.empty((0, 3), dtype=np.int64), 0)
+        self._pending: dict[Triple, None] = {}
+        self._build_lock = threading.Lock()
         # entity and relation ranks in label order, built on first use
         self._ranks: tuple[np.ndarray, np.ndarray] = (_label_ranks([]), _label_ranks([]))
 
@@ -73,14 +90,30 @@ class TripleStore:
             self._intern_relation(relation),
             self._intern_entity(tail),
         )
-        if triple in self._triple_set:
+        if triple in self._pending or self._in_columns(triple):
             return False
-        idx = len(self.triples)
-        self.triples.append(triple)
-        self._triple_set.add(triple)
-        self._out.setdefault(triple.head, []).append(idx)
-        self._in.setdefault(triple.tail, []).append(idx)
+        self._pending[triple] = None
         return True
+
+    def _in_columns(self, triple: Triple) -> bool:
+        """Whether ``triple`` is a row of the built columns, found via its head's incidence."""
+        ids, offsets, _, rows = self._columns
+        head = triple.head
+        if not 0 <= head < len(offsets) - 1:
+            return False
+        touching = rows[offsets[head] : offsets[head + 1]]
+        return bool((ids[touching] == triple).all(axis=1).any())
+
+    def _fresh_columns(self) -> tuple[np.ndarray, ...]:
+        """The columns, first rebuilt with the rows ``add`` left pending."""
+        if self._pending:
+            with self._build_lock:
+                if self._pending:
+                    rows = np.array(list(self._pending), dtype=np.int64).reshape(-1, 3)
+                    ids = np.concatenate((self._columns[0], rows))
+                    self._columns = _build_columns(ids, self.n_entities)
+                    self._pending.clear()
+        return self._columns
 
     # -- lookups ------------------------------------------------------
 
@@ -99,7 +132,21 @@ class TripleStore:
 
     @property
     def n_triples(self) -> int:
-        return len(self.triples)
+        return len(self._columns[0]) + len(self._pending)
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """The read-only ``(n, 3)`` int64 ids of every triple, in store order."""
+        return self._fresh_columns()[0]
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only incidence CSR: ``offsets``, ``other`` and ``triple``."""
+        return self._fresh_columns()[1:]
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every triple as a ``Triple``, built from ``id_array`` on each access."""
+        return _triples(self.id_array)
 
     def has_entity(self, label: str) -> bool:
         return label in self._entity_ids
@@ -123,7 +170,7 @@ class TripleStore:
             self._relation_ids.get(relation, -1),
             self._entity_ids.get(tail, -1),
         )
-        return triple if triple in self._triple_set else None
+        return triple if triple in self._pending or self._in_columns(triple) else None
 
     def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
         return (
@@ -177,20 +224,12 @@ class TripleStore:
             list(map(entity, tails)),
         )
 
-    def out_indices(self, eid: int) -> list[int]:
-        return self._out.get(eid, [])
-
-    def in_indices(self, eid: int) -> list[int]:
-        return self._in.get(eid, [])
-
     def entity_labels(self) -> list[str]:
         return list(self._entity_labels)
 
     def lines(self) -> Iterator[str]:
         """Emit the store back as tab-separated lines (round-trip view)."""
-        for triple in self.triples:
-            h, r, t = self.triple_labels(triple)
-            yield f"{h}\t{r}\t{t}"
+        return _lines(self, self.id_array)
 
 
 def _label_ranks(labels: list[str]) -> np.ndarray:
@@ -199,30 +238,75 @@ def _label_ranks(labels: list[str]) -> np.ndarray:
     return ranks
 
 
+def _build_columns(ids: np.ndarray, n_entities: int) -> tuple[np.ndarray, ...]:
+    """``ids`` and the incidence CSR over it (see ``TripleStore``), all read-only.
+
+    One stable argsort of the head column followed by the tail column puts
+    each entity's headed triples before its tailed ones, each in row order.
+    """
+    n = len(ids)
+    ends = np.concatenate((ids[:, 0], ids[:, 2]))
+    order = np.argsort(ends, kind="stable")
+    offsets = np.zeros(n_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n_entities), out=offsets[1:])
+    other = np.concatenate((ids[:, 2], ids[:, 0]))[order]
+    columns = (ids, offsets, other, order % max(n, 1))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _first_seen(ids: np.ndarray, n_entities: int) -> np.ndarray:
+    """The distinct rows of ``ids``, each where it first occurs, in order."""
+    # below n_entities ** 2, so no store that fits in memory wraps it
+    pair = ids[:, 0] * n_entities + ids[:, 2]
+    # stable, so a repeat sorts after the row it repeats
+    order = np.lexsort((ids[:, 1], pair))
+    pair, relation = pair[order], ids[order, 1]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (pair[1:] != pair[:-1]) | (relation[1:] != relation[:-1])
+    return ids[np.sort(order[first])]
+
+
+def _triples(ids: np.ndarray) -> list[Triple]:
+    return list(map(tuple.__new__, repeat(Triple), ids.tolist()))
+
+
+def _lines(store: TripleStore, ids: np.ndarray) -> Iterator[str]:
+    return map("\t".join, zip(*store.label_columns(ids)))
+
+
 class Subgraph:
     """Candidate view: some triples of a parent store, in parent order.
 
-    Labels resolve through the parent, so nothing is re-interned; the view
-    offers the same read surface scorers use on a whole ``TripleStore``.
+    ``rows`` holds the store rows of the triples (sorted, as
+    ``extract_subgraph`` gives them) and ``id_array`` their ``(n, 3)`` ids,
+    gathered from the parent's columns. Labels resolve through the parent,
+    so nothing is re-interned; the view offers the same read surface
+    scorers use on a whole ``TripleStore``.
     """
 
-    __slots__ = ("store", "triples")
+    __slots__ = ("store", "rows", "id_array")
 
-    def __init__(self, store: TripleStore, triples: list[Triple]):
+    def __init__(self, store: TripleStore, rows: ArrayLike):
         self.store = store
-        self.triples = triples
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.id_array = store.id_array.take(self.rows, axis=0)
 
     @property
     def n_triples(self) -> int:
-        return len(self.triples)
+        return len(self.rows)
+
+    @property
+    def triples(self) -> list[Triple]:
+        """The triples as ``Triple``s, built from ``id_array`` on each access."""
+        return _triples(self.id_array)
 
     def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
         return self.store.triple_labels(triple)
 
     def lines(self) -> Iterator[str]:
-        for triple in self.triples:
-            h, r, t = self.store.triple_labels(triple)
-            yield f"{h}\t{r}\t{t}"
+        return _lines(self.store, self.id_array)
 
 
 @dataclass(frozen=True)
@@ -252,21 +336,36 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
 
     Blank lines and ``#`` comments are skipped; duplicate triples collapse to
     one. Raises ParseError (with line number) on wrong arity or empty fields.
+    The lines are interned into three id lists, and the id array and
+    incidence CSR are then built from them in bulk.
     """
     store = TripleStore()
+    entity_ids = store._entity_ids
+    relation_ids = store._relation_ids
+    heads: list[int] = []
+    relations: list[int] = []
+    tails: list[int] = []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(
                 f"expected 3 tab-separated fields, got {len(parts)}", line=lineno
             )
-        head, relation, tail = (part.strip() for part in parts)
+        head, relation, tail = parts[0].strip(), parts[1].strip(), parts[2].strip()
         if not head or not relation or not tail:
             raise ParseError("empty field in triple", line=lineno)
-        store.add(head, relation, tail)
+        # ids in first-seen order, as ``add`` interns them
+        heads.append(entity_ids.setdefault(head, len(entity_ids)))
+        relations.append(relation_ids.setdefault(relation, len(relation_ids)))
+        tails.append(entity_ids.setdefault(tail, len(entity_ids)))
+    store._entity_labels.extend(entity_ids)
+    store._relation_labels.extend(relation_ids)
+    ids = np.array([heads, relations, tails], dtype=np.int64).T
+    store._columns = _build_columns(_first_seen(ids, store.n_entities), store.n_entities)
     return store
 
 
@@ -337,6 +436,26 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
     return records
 
 
+def _incident(
+    offsets: np.ndarray, column: np.ndarray, entities: np.ndarray
+) -> np.ndarray:
+    """``column[offsets[e]:offsets[e + 1]]`` for each of ``entities``, concatenated."""
+    starts = offsets[entities]
+    counts = offsets[entities + 1] - starts
+    ends = np.cumsum(counts)
+    # an entry's index: its entity's start plus its place in the output run
+    shift = np.repeat(starts - ends + counts, counts)
+    return column[shift + np.arange(len(shift))]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` from one sort, which is faster on arrays this small."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def extract_subgraph(
     store: TripleStore, query_entities: Iterable[str], hops: int
 ) -> Subgraph:
@@ -345,41 +464,25 @@ def extract_subgraph(
     An edge is kept when its nearer endpoint lies at undirected distance
     <= hops - 1 from some query entity, i.e. the edge itself is crossed by
     step ``hops`` at the latest. Unknown query entities raise
-    EntityLookupError. Only the adjacency lists of the visited entities are
-    read, so the cost follows the neighbourhood, not the KG. The result is a
-    view over ``store`` holding the kept triples in store order; labels are
-    not re-interned.
+    EntityLookupError. The walk runs on the store's incidence CSR: each
+    step gathers the ``other`` entries of the frontier and keeps the
+    entities not reached before, found by ``np.searchsorted`` in the sorted
+    reached set; the result gathers the ``triple`` entries of every reached
+    entity, sorted and deduplicated. Every array is sized by the
+    neighbourhood, never by the KG. The result is a ``Subgraph`` holding
+    the kept rows in store order and their ids; labels are not re-interned.
     """
     if hops < 1:
         raise ConfigError(f"hops must be >= 1, got {hops}")
-    sources = [store.entity_id(label) for label in query_entities]
-
-    max_dist = hops - 1
-    dist: dict[int, int] = {}
-    frontier: deque[int] = deque()
-    for eid in sources:
-        if eid not in dist:
-            dist[eid] = 0
-            frontier.append(eid)
-    while frontier:
-        eid = frontier.popleft()
-        d = dist[eid]
-        if d >= max_dist:
-            continue
-        for idx in store.out_indices(eid):
-            other = store.triples[idx].tail
-            if other not in dist:
-                dist[other] = d + 1
-                frontier.append(other)
-        for idx in store.in_indices(eid):
-            other = store.triples[idx].head
-            if other not in dist:
-                dist[other] = d + 1
-                frontier.append(other)
-
-    kept: set[int] = set()
-    for eid in dist:
-        kept.update(store.out_indices(eid))
-        kept.update(store.in_indices(eid))
-    triples = store.triples
-    return Subgraph(store, [triples[idx] for idx in sorted(kept)])
+    sources = {store.entity_id(label) for label in query_entities}
+    offsets, other, triple = store.incidence()
+    reached = frontier = np.array(sorted(sources), dtype=np.int64)
+    for _ in range(hops - 1):
+        step = _sorted_unique(_incident(offsets, other, frontier))
+        # the entities of ``step`` that the sorted ``reached`` does not hold
+        found = reached.take(np.searchsorted(reached, step), mode="clip")
+        frontier = step[found != step]
+        if not frontier.size:
+            break
+        reached = np.sort(np.concatenate((reached, frontier)))
+    return Subgraph(store, _sorted_unique(_incident(offsets, triple, reached)))

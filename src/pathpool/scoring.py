@@ -6,14 +6,19 @@ by an external retriever). All of them feed the same top-k selection with a
 deterministic label tie-break.
 
 Candidates are a ``kg_store.Subgraph`` view or a whole ``TripleStore``: both
-expose ``triples`` and the ``store`` that resolves their labels.
+expose ``id_array``, the ``(n, 3)`` int64 ids of their triples, and the
+``store`` that resolves their labels. Every scorer returns columns, never a
+tuple per candidate: ``score_candidates(query, candidates)`` gives
+``(kept, scores)``, where ``kept`` indexes the rows of
+``candidates.id_array`` that were scored (``slice(None)`` for all of them)
+and ``scores`` is a float64 array aligned with ``id_array[kept]``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -101,25 +106,24 @@ class TripleSequence:
         return not (keys[1:] == keys[:-1]).any()
 
     @classmethod
-    def _checked(cls, store, ids, scores, ranks, provenance) -> "TripleSequence":
+    def from_scores(
+        cls, store: TripleStore, ids: ArrayLike, scores: ArrayLike, provenance: str
+    ) -> "TripleSequence":
+        """The rows ``ids`` (an ``(n, 3)`` id array, or ``Triple``s) scored ``scores``.
+
+        Each row's rank is its position. An array of the right dtype is kept
+        without a copy and made read-only. A length mismatch, a non-finite
+        score or a repeated triple raises ConfigError.
+        """
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+        values = np.asarray(scores, dtype=np.float64)
+        if values.shape != (len(ids),):
+            raise ConfigError(f"{len(ids)} triples but {values.size} scores")
         sequence = cls.__new__(cls)
-        sequence._set(store, ids, scores, ranks, provenance)
+        sequence._set(store, ids, values, np.arange(len(ids)), provenance)
         if not sequence._valid():
             _raise_first_invalid(store, sequence.items)
         return sequence
-
-    @classmethod
-    def from_scores(
-        cls,
-        store: TripleStore,
-        pairs: list[tuple[Triple, float]],
-        provenance: str,
-    ) -> "TripleSequence":
-        n = len(pairs)
-        triples, scores = zip(*pairs) if pairs else ((), ())
-        ids = np.fromiter(chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
-        values = np.fromiter(map(float, scores), np.float64, n)
-        return cls._checked(store, ids, values, np.arange(n), provenance)
 
     def _take(
         self, index, provenance: str, scores: np.ndarray | None = None
@@ -206,8 +210,8 @@ class UniformScorer:
 
     def score_candidates(
         self, query: QueryRecord, candidates: Subgraph | TripleStore
-    ) -> list[tuple[Triple, float]]:
-        return list(zip(candidates.triples, repeat(1.0)))
+    ) -> tuple[slice, np.ndarray]:
+        return slice(None), np.ones(candidates.n_triples)
 
 
 class CosineScorer:
@@ -217,8 +221,9 @@ class CosineScorer:
     vectors; a missing entry is an error naming the text. The vectors are
     held as one ``(n_texts, dim)`` float64 matrix with a ``text -> row``
     dict and a column of row norms, so a query is scored in one batch.
-    Every component is finite: a NaN or infinity would otherwise score its
-    triple a silent -1.0.
+    Every component is finite, and a dot product or norm product that
+    overflows raises ScoringError: either would otherwise make a NaN
+    quotient, which the clip turns into a silent -1.0.
     """
 
     name = "cosine"
@@ -247,8 +252,10 @@ class CosineScorer:
     def _set(self, matrix: np.ndarray, rows: dict[str, int]) -> None:
         self.matrix = matrix
         self.rows = rows
-        # per row, the float ``np.linalg.norm`` gives for that vector
-        self.norms = np.sqrt(np.vecdot(matrix, matrix))
+        # per row, the float ``np.linalg.norm`` gives for that vector; an
+        # overflow to inf is reported when a query meets it
+        with np.errstate(over="ignore"):
+            self.norms = np.sqrt(np.vecdot(matrix, matrix))
 
     @classmethod
     def load(cls, path: str | Path) -> "CosineScorer":
@@ -295,32 +302,40 @@ class CosineScorer:
 
     def score_candidates(
         self, query: QueryRecord, candidates: Subgraph | TripleStore
-    ) -> list[tuple[Triple, float]]:
+    ) -> tuple[slice, np.ndarray]:
         """Every candidate's cosine with the query, batched over the matrix.
 
+        The sentences come from the label columns of ``candidates.id_array``.
         Bit for bit what one ``np.dot`` and ``np.linalg.norm`` per candidate
         give: ``np.vecdot`` takes the same dot product per row, and the
-        clip keeps the ``min(1.0, max(-1.0, s))`` order, which also sends a
-        NaN quotient to -1.0.
+        clip keeps the ``min(1.0, max(-1.0, s))`` order. A non-finite dot
+        product or norm product raises ScoringError naming the triple.
         """
         qrow = self.rows.get(query.question)
         if qrow is None:
             raise ScoringError(f"no embedding for {query.question!r}")
-        triples = candidates.triples
-        n = len(triples)
-        ids = np.fromiter(chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
+        ids = candidates.id_array
+        n = len(ids)
         sentences = triple_sentences(*candidates.store.label_columns(ids))
         try:
             rows = np.fromiter(map(self.rows.__getitem__, sentences), np.intp, n)
         except KeyError as missing:
             raise ScoringError(f"no embedding for {missing.args[0]!r}") from None
-        dots = np.vecdot(self.matrix[rows], self.matrix[qrow])
-        denom = self.norms[rows] * self.norms[qrow]
+        with np.errstate(over="ignore"):
+            dots = np.vecdot(self.matrix[rows], self.matrix[qrow])
+            denom = self.norms[rows] * self.norms[qrow]
+        finite = np.isfinite(dots) & np.isfinite(denom)
+        if not finite.all():
+            triple = Triple(*ids[int(finite.argmin())].tolist())
+            raise ScoringError(
+                f"cosine of {query.question!r} and triple "
+                f"{candidates.store.triple_labels(triple)} overflows float64"
+            )
         scores = np.divide(dots, denom, out=np.zeros(n), where=denom > 0.0)
         # rounding can push |score| an ulp past 1
         scores = np.where(scores > -1.0, scores, -1.0)
         scores = np.where(scores < 1.0, scores, 1.0)
-        return list(zip(triples, scores.tolist()))
+        return slice(None), scores
 
 
 class PrecomputedScorer:
@@ -355,25 +370,22 @@ class PrecomputedScorer:
 
     def score_candidates(
         self, query: QueryRecord, candidates: Subgraph | TripleStore
-    ) -> list[tuple[Triple, float]]:
-        store = candidates.store
-        out: list[tuple[Triple, float]] = []
-        missing = 0
-        for triple in candidates.triples:
-            head, relation, tail = store.triple_labels(triple)
-            score = self._table.get((query.id, head, relation, tail))
-            if score is None:
-                missing += 1
-                continue
-            out.append((triple, score))
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates the table scores for this query, in candidate order."""
+        labels = candidates.store.label_columns(candidates.id_array)
+        found = list(map(self._table.get, zip(repeat(query.id), *labels)))
+        has_score = [score is not None for score in found]
+        kept = np.flatnonzero(has_score)
+        scores = np.fromiter(compress(found, has_score), np.float64, len(kept))
+        missing = len(found) - len(kept)
         if missing:
             logger.info(
                 "precomputed scorer: %d/%d candidates had no score for query %s",
                 missing,
-                candidates.n_triples,
+                len(found),
                 query.id,
             )
-        return out
+        return kept, scores
 
 
 def build_scorer(spec: str):
@@ -397,29 +409,27 @@ def score_triples(
 ) -> TripleSequence:
     """Top-k candidates by score, descending; label order breaks ties.
 
-    One stable ``np.lexsort`` sorts by -score, then by the store's
-    ``label_sort_keys`` of the candidates' id array, which order triples
-    exactly as their (head, relation, tail) labels do; the kept rows are
-    taken from the columns, and no ``ScoredTriple`` is built. Returns all candidates when fewer than k
-    exist; a NaN score raises ConfigError. The sequence references the store
-    behind ``candidates`` (the parent store for a subgraph view); the output
-    rank of each triple is its position in this sequence.
+    The scorer returns ``(kept, scores)`` aligned with
+    ``candidates.id_array`` (see the module docstring). One stable
+    ``np.lexsort`` sorts the kept rows by -score, then by the store's
+    ``label_sort_keys`` of their id columns, which order triples exactly as
+    their (head, relation, tail) labels do; the first k rows are taken from
+    the columns, and no ``Triple`` or ``ScoredTriple`` is built. Returns all
+    candidates when fewer than k exist; a NaN score raises ConfigError. The
+    sequence references the store behind ``candidates`` (the parent store
+    for a subgraph view); the output rank of each triple is its position in
+    this sequence.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    scored = scorer.score_candidates(query, candidates)
+    kept, scores = scorer.score_candidates(query, candidates)
     store = candidates.store
-    if not scored:
-        return TripleSequence(store, [], scorer.name)
-    triples, scores = zip(*scored)
+    ids = candidates.id_array[kept]
     values = np.asarray(scores, dtype=np.float64)
     nan = np.isnan(values)
     if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
-        raise ConfigError(f"non-finite score for triple {triples[int(nan.argmax())]}")
-    n = len(triples)
-    ids = np.fromiter(chain.from_iterable(triples), np.int64, 3 * n).reshape(n, 3)
+        triple = Triple(*ids[int(nan.argmax())].tolist())
+        raise ConfigError(f"non-finite score for triple {triple}")
     order = np.lexsort((*store.label_sort_keys(*ids.T), -values))[:k]
-    return TripleSequence._checked(
-        store, ids[order], values[order], np.arange(len(order)), scorer.name
-    )
+    return TripleSequence.from_scores(store, ids[order], values[order], scorer.name)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
-from pathpool.kg_store import QueryRecord, TripleStore
+from pathpool.kg_store import QueryRecord, TripleStore, load_triples
 from pathpool.scoring import TripleSequence
 
 
@@ -18,11 +20,10 @@ def make_sequence(
 ) -> TripleSequence:
     """Sequence over a fresh store from (head, relation, tail, score) rows."""
     store = TripleStore()
-    pairs = []
-    for head, relation, tail, score in rows:
+    for head, relation, tail, _ in rows:
         store.add(head, relation, tail)
-        pairs.append((store.triples[-1], score))
-    return TripleSequence.from_scores(store, pairs, provenance)
+    triples = [store.find(head, relation, tail) for head, relation, tail, _ in rows]
+    return TripleSequence.from_scores(store, triples, [row[3] for row in rows], provenance)
 
 
 def random_case(
@@ -38,7 +39,7 @@ def random_case(
     nv = rnd.randint(2, max_vertices)
     labels = [f"E{i}" for i in range(nv)]
     store = TripleStore()
-    pairs = []
+    triples, scores = [], []
     for _ in range(rnd.randint(1, max_edges)):
         head = rnd.choice(labels)
         tail = rnd.choice(labels)
@@ -50,13 +51,37 @@ def random_case(
         else:
             score = rnd.uniform(-1.0, 1.0)
         if store.add(head, relation, tail):
-            pairs.append((store.triples[-1], score))
-    sequence = TripleSequence.from_scores(store, pairs, "random")
+            triples.append(store.find(head, relation, tail))
+            scores.append(score)
+    sequence = TripleSequence.from_scores(store, triples, scores, "random")
     n_queries = rnd.randint(0, min(max_queries, nv))
     queries = rnd.sample(labels, n_queries)
     if rnd.random() < 0.15:
         queries.append("ABSENT_ENTITY")
     return sequence, queries
+
+
+def grown_store(data) -> tuple[TripleStore, list[tuple[str, str, str]]]:
+    """A store loaded in bulk and then grown by ``add``, and its distinct rows.
+
+    The columns are built after the load and possibly once more among the
+    adds, so later rows are added past built columns. Few entities and
+    relations make self-loops, parallel edges and repeats common. Returns
+    the store and the label rows it must hold, in first-seen order.
+    """
+    n = data.draw(st.integers(1, 7))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, n - 1))
+    loaded = data.draw(st.lists(edge, max_size=20))
+    added = data.draw(st.lists(edge, min_size=1, max_size=20))
+    rows = [(f"E{h}", f"r{r}", f"E{t}") for h, r, t in loaded + added]
+    text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows[: len(loaded)])
+    store = load_triples(io.StringIO(text))
+    rebuild_at = data.draw(st.integers(0, len(added)))
+    for i in range(len(loaded), len(rows)):
+        if i - len(loaded) == rebuild_at:
+            store.id_array  # reading the columns builds them
+        assert store.add(*rows[i]) == (rows[i] not in rows[:i])
+    return store, list(dict.fromkeys(rows))
 
 
 @pytest.fixture

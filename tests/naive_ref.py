@@ -1,10 +1,10 @@
 """Independent naive references for subgraph extraction, scoring and smoothing.
 
 Written directly from the algorithm definitions: extraction by full scans
-of the whole KG, cosine scoring one candidate at a time, smoothing by
-exhaustive path enumeration and a global best-path selection. Shares no
-code or data structures with the package implementation it checks.
-Operates on plain label tuples.
+of the whole KG, top-k by one sort of label tuples, cosine scoring one
+candidate at a time, smoothing by exhaustive path enumeration and a
+global best-path selection. Shares no code or data structures with the
+package implementation it checks. Operates on plain label tuples.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ def naive_extract_subgraph(
             for end in (head, tail)
         }
     return [t for t in triples if t[0] in reached or t[2] in reached]
+
+
+def naive_top_k(
+    rows: list[tuple[str, str, str, float]], k: int
+) -> list[tuple[str, str, str, float]]:
+    """The first k (head, relation, tail, score) rows: score descending, then labels."""
+    return sorted(rows, key=lambda row: (-row[3], row[:3]))[:k]
 
 
 def naive_cosine_scores(

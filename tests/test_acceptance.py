@@ -34,14 +34,15 @@ def _random_graph(seed: int, dyadic: bool, max_vertices=12, max_edges=20):
     nv = rnd.randint(2, max_vertices)
     labels = [f"N{i}" for i in range(nv)]
     store = TripleStore()
-    pairs = []
+    triples, scores = [], []
     for _ in range(rnd.randint(1, max_edges)):
         head, tail = rnd.choice(labels), rnd.choice(labels)
         relation = f"rel{rnd.randint(0, 6)}"
         score = rnd.randrange(1, 1025) / 1024.0 if dyadic else rnd.uniform(1e-3, 1.0)
         if store.add(head, relation, tail):
-            pairs.append((store.triples[-1], score))
-    sequence = TripleSequence.from_scores(store, pairs, "acceptance")
+            triples.append(store.find(head, relation, tail))
+            scores.append(score)
+    sequence = TripleSequence.from_scores(store, triples, scores, "acceptance")
     queries = rnd.sample(labels, rnd.randint(0, min(3, nv)))
     return sequence, queries
 
@@ -250,12 +251,28 @@ def test_timing_shape():
     bfs_500 = bfs_report.cell("bfs", 500).mean_ms
     assert dijkstra_500 <= 50.0
     assert bfs_500 / dijkstra_500 >= 3.0
-    assert means == sorted(means), f"dijkstra means not monotone: {means}"
+    # cost rises with size: strictly on the kernel edges searched, a count
+    # machine noise cannot move, and in wall-clock time across the range
+    # (adjacent sizes can sit within that noise)
+    cfg = PoolingConfig(search_algorithm="dijkstra")
+    kernel_edges = [
+        sum(
+            len(kernel)
+            for sequence, anchors in workloads
+            for kernel in pooling.search_path_kernels(
+                build_scored_subgraph(sequence.trimmed(size)), anchors, cfg
+            )
+        )
+        for size in sizes
+    ]
+    assert all(a < b for a, b in zip(kernel_edges, kernel_edges[1:])), kernel_edges
+    assert means[0] < means[-1], f"dijkstra means: {means}"
     assert elapsed < 300.0
     _report(
         "timing-shape",
         f"dijkstra@500 {dijkstra_500:.2f} ms, bfs/dijkstra {bfs_500 / dijkstra_500:.1f}x, "
-        f"means {['%.2f' % m for m in means]}, bench {elapsed:.1f}s",
+        f"means {['%.2f' % m for m in means]}, kernel edges {kernel_edges}, "
+        f"bench {elapsed:.1f}s",
     )
 
 

@@ -358,6 +358,29 @@ def test_cosine_scorer_through_pipeline(tmp_path):
     assert len(list((out / "prompts").glob("*.json"))) == 5
 
 
+def test_cosine_overflow_costs_only_its_query(tmp_path):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("A\tr\tB\nC\tr\tD\n", encoding="utf-8")
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        '{"id": "big", "question": "big?", "query_entities": ["A"]}\n'
+        '{"id": "ok", "question": "ok?", "query_entities": ["C"]}\n',
+        encoding="utf-8",
+    )
+    table = tmp_path / "emb.tsv"
+    table.write_text(
+        "big?\t1e200 1e200\nA r B\t1e200 1e200\nok?\t1 0\nC r D\t0 1\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", kg, "--queries", queries, "--scorer", f"cosine:{table}",
+        "--no-llm", "--out", out,
+    ) == 1
+    big, ok = map(json.loads, (out / "results.jsonl").read_text().splitlines())
+    assert big["status"] == "error" and "('A', 'r', 'B')" in big["error"]
+    assert ok["status"] == "dry_run"
+
+
 def test_eval_subcommand(tmp_path, capsys):
     completions = tmp_path / "completions.jsonl"
     completions.write_text(
@@ -841,12 +864,16 @@ def test_run_pipeline_calls_each_stage_through_its_module_attribute(
     ],
 )
 def test_run_never_builds_scored_rows(tmp_path, monkeypatch, flags):
-    """Every stage from scoring to the prompt reads the sequence's columns."""
+    """Every stage from loading to the prompt reads the store's and sequence's columns."""
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a ScoredTriple row was built")
 
+    def no_triples(*args, **kwargs):
+        raise AssertionError("a Triple list was built")
+
     monkeypatch.setattr("pathpool.scoring.scored_rows", no_rows)
+    monkeypatch.setattr("pathpool.kg_store._triples", no_triples)
     out = tmp_path / "out"
     assert run_cli(
         "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,
@@ -926,3 +953,66 @@ def test_eval_records_a_lost_completion_as_an_error_row(tmp_path, row):
     assert metrics["hit_at_1"] == 1.0
     rows = [json.loads(l) for l in (out / "eval.jsonl").read_text().splitlines()]
     assert rows[1] == {"id": "q2", "error": "completion is missing or not a string"}
+
+
+def test_perfbench_trace_records_every_wrapped_layer_of_a_toy_run(tmp_path, monkeypatch):
+    """``perfbench/run.py --trace 1`` wraps these names and reads these fields.
+
+    The toy run goes through perfbench's own ``_instrumented`` wrapper and
+    ``Tracer`` (imported read-only from ``perfbench/``) with diagnostics on,
+    so a change to what the wrappers read fails here, not first in a
+    benchmark run.
+    """
+    from pathpool import generation, pooling, selection
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import pipeline
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.diagnose = True
+    cfg = cli.PipelineConfig(
+        kg_path=TOY_KG,
+        queries_path=TOY_QUERIES,
+        scorer_spec="uniform",
+        hops=4,
+        pooling_cfg=pooling.PoolingConfig(),
+        selection_cfg=selection.SelectionConfig(),
+        generation_cfg=None,
+        out_dir=str(tmp_path / "out"),
+        no_llm=True,
+        workers=1,
+    )
+    with pipeline._instrumented(tracer, cli, generation, pooling, selection):
+        metrics = tracer.root(cli.run_pipeline, cfg)
+    assert metrics["n_errors"] == 0
+    spans = {}
+    for span in tracer.spans:
+        assert span.ok, span.name
+        spans.setdefault(span.name, []).append(span)
+    n = metrics["n_queries"]
+    assert {name: len(found) for name, found in spans.items()} == {
+        "cli.run_pipeline": 1,
+        "kg_store.load": 1,
+        "kg_store.load_queries": 1,
+        "scoring.build": 1,
+        "cli.query": n,
+        "kg_store.extract": n,
+        "scoring.score": n,
+        "pooling.smooth": n,
+        "selection.reselect": n,
+        "generation.assemble": n,
+        "generation.sha256": n,
+    }
+    diagnostics = {
+        "kg_store.extract": {"triples"},
+        "scoring.score": {"candidates", "kept"},
+        "pooling.smooth": {"triples", "kernels", "singletons", "anchored", "multiset_ok"},
+        "generation.assemble": {"prompt_bytes"},
+    }
+    for name, keys in diagnostics.items():
+        for span in spans[name]:
+            assert set(span.attrs) == keys, name
+    for extract, score in zip(spans["kg_store.extract"], spans["scoring.score"]):
+        assert extract.attrs["triples"] == score.attrs["candidates"] > 0
+    assert all(span.attrs["multiset_ok"] for span in spans["pooling.smooth"])

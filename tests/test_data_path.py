@@ -56,11 +56,12 @@ def _rows(data, min_size=1, max_size=20):
 
 
 def _assert_subgraph_matches_naive(store, edges):
-    pairs = []
-    for head, relation, tail, score in edges:
+    triples = []
+    for head, relation, tail, _ in edges:
         store.add(head, relation, tail)
-        pairs.append((store.find(head, relation, tail), score))
-    g = build_scored_subgraph(TripleSequence.from_scores(store, pairs, "t"))
+        triples.append(store.find(head, relation, tail))
+    scores = [edge[3] for edge in edges]
+    g = build_scored_subgraph(TripleSequence.from_scores(store, triples, scores, "t"))
     naive = naive_scored_subgraph(edges)
     assert [store.entity_label(e) for e in g.vertex_entities] == naive["vertices"]
     for v, label in enumerate(naive["vertices"]):
@@ -209,11 +210,9 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
 
 def test_smooth_keeps_input_order_when_every_final_score_ties():
     store = TripleStore()
-    pairs = []
     for i in range(12):
         store.add(f"h{i}", "r", f"t{i}")
-        pairs.append((store.triples[-1], 0.5))
-    sequence = TripleSequence.from_scores(store, pairs[::-1], "t")
+    sequence = TripleSequence.from_scores(store, store.triples[::-1], [0.5] * 12, "t")
     out = smooth(sequence, [], PoolingConfig())
     assert [item.triple for item in out.items] == [item.triple for item in sequence.items]
 
@@ -289,7 +288,7 @@ def test_sequence_names_the_first_invalid_item(rows, message):
     message = message.format(t1=t1)
     pairs = [(triples[i], score) for i, score in rows]
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-        TripleSequence.from_scores(store, pairs, "t")
+        TripleSequence.from_scores(store, *zip(*pairs), "t")
     items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence(store, items, "t")
@@ -301,7 +300,7 @@ def test_sequence_keeps_distinct_triples_whose_column_keys_collide():
     store = TripleStore()
     store.add("a", "r", "b")
     pairs = [(Triple(0, 0, 2), 0.5), (Triple(1, 0, 0), 0.25)]
-    sequence = TripleSequence.from_scores(store, pairs, "t")
+    sequence = TripleSequence.from_scores(store, *zip(*pairs), "t")
     assert [item.triple for item in sequence.items] == [t for t, _ in pairs]
     items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
     assert TripleSequence(store, items, "t").items == items
@@ -309,7 +308,7 @@ def test_sequence_keeps_distinct_triples_whose_column_keys_collide():
 
 def test_from_scores_builds_float_rows_in_order():
     store, t0, t1 = _two_triple_store()
-    sequence = TripleSequence.from_scores(store, [(t1, 1), (t0, 0.25)], "t")
+    sequence = TripleSequence.from_scores(store, [t1, t0], [1, 0.25], "t")
     assert sequence.items == [ScoredTriple(t1, 1.0, 0), ScoredTriple(t0, 0.25, 1)]
     assert all(type(item) is ScoredTriple for item in sequence.items)
     assert type(sequence.items[0].score) is float

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import grown_store
 from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
@@ -171,6 +172,32 @@ def test_subgraph_matches_full_scan_oracle(data):
     assert list(sub.lines()) == ["\t".join(t) for t in expected]
     assert sub.n_triples == len(expected)
     assert sub.store is store
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_store_grown_past_its_built_columns_matches_its_rows(data):
+    store, rows = grown_store(data)
+    assert list(store.lines()) == ["\t".join(row) for row in rows]
+    assert store.n_triples == len(store.id_array) == len(rows)
+    for row in rows:
+        assert store.triple_labels(store.find(*row)) == row
+    assert store.find("E0", "r9", "E0") is None
+    # the incidence CSR: per entity, the rows it heads, then the rows it tails
+    offsets, other, triple = store.incidence()
+    ids = store.id_array.tolist()
+    for e in range(store.n_entities):
+        span = slice(offsets[e], offsets[e + 1])
+        expected = [(i, t) for i, (h, _, t) in enumerate(ids) if h == e]
+        expected += [(i, h) for i, (h, _, t) in enumerate(ids) if t == e]
+        assert list(zip(triple[span].tolist(), other[span].tolist())) == expected
+    anchors = data.draw(
+        st.lists(st.sampled_from(sorted(store.entity_labels())), min_size=1, max_size=3)
+    )
+    hops = data.draw(st.integers(1, 4))
+    sub = extract_subgraph(store, anchors, hops)
+    assert list(sub.lines()) == ["\t".join(t) for t in naive_extract_subgraph(rows, anchors, hops)]
+    assert sub.id_array.tolist() == [ids[i] for i in sub.rows.tolist()]
 
 
 def test_subgraph_shares_parent_triples():

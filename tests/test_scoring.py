@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grown_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
-from naive_ref import naive_cosine_scores
+from naive_ref import naive_cosine_scores, naive_extract_subgraph, naive_top_k
 from pathpool.kg_store import QueryRecord, Subgraph, extract_subgraph, load_triples
 from pathpool.scoring import (
     CosineScorer,
@@ -202,7 +204,9 @@ def test_cosine_loader_keeps_the_last_vector_of_a_repeated_text(tmp_path):
     store = load_triples(io.StringIO("A\tr1\tB\n"))
     scorer = CosineScorer.load(path)
     assert scorer.matrix.shape == (2, 2)
-    assert scorer.score_candidates(QUERY, store) == [(store.triples[0], 1.0)]
+    kept, scores = scorer.score_candidates(QUERY, store)
+    assert kept == slice(None)
+    assert scores.tolist() == [1.0]
 
 
 # -- cosine scorer against the per-candidate oracle ---------------------------
@@ -249,12 +253,12 @@ def test_cosine_scores_equal_the_per_candidate_oracle(data):
         table[triple_sentence(*store.triple_labels(triple))] = _vector(
             rng, data.draw(kinds), query, dim
         )
-    scored = CosineScorer(table).score_candidates(QUERY, candidates)
-    assert [triple for triple, _ in scored] == candidates.triples
+    kept, scores = CosineScorer(table).score_candidates(QUERY, candidates)
+    assert kept == slice(None)
     expected = naive_cosine_scores(table, QUERY.question, labels)
-    assert [score for _, score in scored] == expected
+    assert scores.tolist() == expected
     # == treats 0.0 and -0.0 alike; the hex form tells every bit
-    assert [score.hex() for _, score in scored] == [score.hex() for score in expected]
+    assert [score.hex() for score in scores.tolist()] == [score.hex() for score in expected]
 
 
 @settings(max_examples=80, deadline=None)
@@ -272,7 +276,7 @@ def test_cosine_missing_sentence_is_named_as_the_oracle_names_it(data):
             scorer.score_candidates(QUERY, candidates)
         assert str(err.value) == f"no embedding for {missing.args[0]!r}"
     else:
-        assert [s for _, s in scorer.score_candidates(QUERY, candidates)] == expected
+        assert scorer.score_candidates(QUERY, candidates)[1].tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -288,12 +292,12 @@ def test_cosine_clips_a_quotient_rounded_past_one(vector, factor):
     assert abs(raw) > 1.0  # the case the clip exists for
     sentence = triple_sentence(*store.triple_labels(store.triples[0]))
     scorer = CosineScorer({QUERY.question: query, sentence: parallel})
-    (triple, score), = scorer.score_candidates(QUERY, Subgraph(store, store.triples[:1]))
+    _, (score,) = scorer.score_candidates(QUERY, Subgraph(store, [0]))
     assert score == math.copysign(1.0, factor)
     assert [score] == naive_cosine_scores(
         {QUERY.question: query, sentence: parallel},
         QUERY.question,
-        [store.triple_labels(triple)],
+        [store.triple_labels(store.triples[0])],
     )
 
 
@@ -303,12 +307,34 @@ def test_cosine_zero_vectors_score_zero():
     sentences = [triple_sentence(*row) for row in labels]
     table = {QUERY.question: np.array([1.0, 2.0]), sentences[0]: np.zeros(2)}
     table.update({text: np.array([2.0, 4.5]) for text in sentences[1:]})
-    scores = [s for _, s in CosineScorer(table).score_candidates(QUERY, store)]
+    scores = CosineScorer(table).score_candidates(QUERY, store)[1].tolist()
     assert scores[0] == 0.0 and scores[1] > 0.99
     assert scores == naive_cosine_scores(table, QUERY.question, labels)
     table[QUERY.question] = np.zeros(2)
-    scores = [s for _, s in CosineScorer(table).score_candidates(QUERY, store)]
+    scores = CosineScorer(table).score_candidates(QUERY, store)[1].tolist()
     assert scores == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "query, big, named",
+    [
+        # the dot product and the norm product both overflow: inf / inf
+        ([1e200, 1e200], 0, ("A", "r1", "B")),
+        # only the norm product overflows
+        ([1.0, 2.0], 1, ("B", "r2", "C")),
+    ],
+)
+def test_cosine_overflow_is_an_error_naming_the_triple(query, big, named):
+    # such a quotient was NaN, which the clip turned into a silent -1.0
+    store = _store()
+    sentences = [triple_sentence(*store.triple_labels(t)) for t in store.triples]
+    table = {QUERY.question: np.array(query), **{text: np.ones(2) for text in sentences}}
+    table[sentences[big]] = np.array([1e200, 1e200])
+    scorer = CosineScorer(table)
+    with pytest.raises(ScoringError, match=re.escape(str(named))):
+        scorer.score_candidates(QUERY, store)
+    with pytest.raises(ScoringError, match=re.escape(str(named))):
+        score_triples(QUERY, store, scorer, k=3)
 
 
 def test_precomputed_loader_rejects_bad_arity(tmp_path):
@@ -338,9 +364,9 @@ def test_sequence_rejects_duplicates_and_nan():
     store = _store()
     triple = store.triples[0]
     with pytest.raises(ConfigError):
-        TripleSequence.from_scores(store, [(triple, 0.1), (triple, 0.2)], "t")
+        TripleSequence.from_scores(store, [triple, triple], [0.1, 0.2], "t")
     with pytest.raises(ConfigError):
-        TripleSequence.from_scores(store, [(triple, float("nan"))], "t")
+        TripleSequence.from_scores(store, [triple], [float("nan")], "t")
 
 
 @settings(max_examples=50, deadline=None)
@@ -391,3 +417,39 @@ def test_view_and_standalone_store_score_identically(data):
         from_store = score_triples(QUERY, standalone, scorer, k)
         assert from_view.labeled_items() == from_store.labeled_items()
         assert from_view.store is store
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extract_and_score_triples_equal_the_naive_oracles(data):
+    store, rows = grown_store(data)
+    if data.draw(st.booleans()):
+        candidates, candidate_rows = store, rows
+    else:
+        anchors = data.draw(
+            st.lists(st.sampled_from(sorted(store.entity_labels())), min_size=1, max_size=3)
+        )
+        hops = data.draw(st.integers(1, 4))
+        candidates = extract_subgraph(store, anchors, hops)
+        candidate_rows = naive_extract_subgraph(rows, anchors, hops)
+    # few distinct scores, so ties fall to the label order; None leaves a row unscored
+    values = data.draw(
+        st.lists(
+            st.sampled_from([None, -0.5, 0.0, 0.5, 1.0]), min_size=len(rows), max_size=len(rows)
+        )
+    )
+    table = {(QUERY.id, *row): v for row, v in zip(rows, values) if v is not None}
+    scored = [
+        (*row, table[(QUERY.id, *row)]) for row in candidate_rows if (QUERY.id, *row) in table
+    ]
+    k = data.draw(st.integers(1, 30))
+
+    uniform = score_triples(QUERY, candidates, UniformScorer(), k)
+    assert uniform.labeled_items() == naive_top_k([(*row, 1.0) for row in candidate_rows], k)
+    precomputed = score_triples(QUERY, candidates, PrecomputedScorer(table), k)
+    assert precomputed.labeled_items() == naive_top_k(scored, k)
+    assert precomputed.store is store
+    # the precomputed scorer keeps exactly the scored candidates, in order
+    kept, scores = PrecomputedScorer(table).score_candidates(QUERY, candidates)
+    assert [candidate_rows[i] for i in kept.tolist()] == [row[:3] for row in scored]
+    assert scores.tolist() == [row[3] for row in scored]
