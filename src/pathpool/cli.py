@@ -433,17 +433,31 @@ def cmd_run(args) -> int:
     return 1 if metrics["n_errors"] else 0
 
 
+def _bench_sizes(text: str) -> list[int]:
+    """The triple counts ``--sizes`` lists, comma-separated; each must be >= 1."""
+    sizes = []
+    for item in text.split(","):
+        try:
+            size = int(item)
+        except ValueError:
+            size = 0
+        if size < 1:
+            raise ConfigError(f"--sizes takes positive triple counts, got {item!r}")
+        sizes.append(size)
+    return sizes
+
+
 def cmd_bench(args) -> int:
     if args.queries_per_cell < bench_mod.MIN_QUERIES_PER_CELL:
         raise ConfigError(
             f"--queries-per-cell must be at least {bench_mod.MIN_QUERIES_PER_CELL}, "
             f"got {args.queries_per_cell}"
         )
+    sizes = _bench_sizes(args.sizes)
     if args.kg:
         store = load_triples(args.kg)
     else:
         store = bench_mod.synthesize_store(seed=args.seed)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     algorithms = [_ALGO_FLAGS[a] for a in args.algos.split(",") if a]
     count = args.queries_per_cell + bench_mod.WARMUP_RUNS
     workloads = bench_mod.sample_workloads(store, count, max(sizes), seed=args.seed)

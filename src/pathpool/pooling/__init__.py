@@ -18,20 +18,23 @@ The arrays both backends receive are built in bulk from the sequence's
 adjacencies (``_csr``) and the label-order ranks with numpy. The output is
 one stable ``np.argsort`` of the smoothed scores, applied to the input's id,
 score and rank columns, so no ``ScoredTriple`` row is built. No step before
-or after the kernel calls Python code once per triple.
+or after the kernel calls Python code once per triple; the Python dijkstra
+and random-walk loops take lists of the columns, the compiled core int32
+and float64 copies.
 
 For BFS the compiled core pools every enumerated simple path, while the
-Python backend never enumerates them: it takes the per-edge max over a
-prefix DFS and solves the last edge of the longest paths once per end
-vertex. Both give the same bits because rounding is monotone, so the max of
-fl(pooled + c) over paths is fl(max pooled + c) (see ``_kernels_py``).
+Python backend never enumerates them: it folds numpy arrays of path
+prefixes, one depth and one block of ``BFS_BLOCK_PATHS`` prefixes at a
+time, into the per-edge max, and solves the last edge of the longest paths
+per prefix and per end vertex. Both give the same bits because rounding is
+monotone, so the max of fl(pooled + c) over paths is fl(max pooled + c)
+(see ``_kernels_py``).
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.machinery
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,7 +55,8 @@ _ALGORITHM_CODES = {name: code for code, name in enumerate(ALGORITHMS)}
 _POOLING_CODES = {name: code for code, name in enumerate(POOLING_STRATEGIES)}
 
 _MASK64 = (1 << 64) - 1
-_PTR = ctypes.c_void_p  # address of an array("i") (int32) or array("d") buffer
+_INT32_MAX = (1 << 31) - 1
+_PTR = ctypes.c_void_p  # address of a C-contiguous int32 or float64 numpy buffer
 _SMOOTH_ARGTYPES = [
     ctypes.c_int32,  # n_vertices
     ctypes.c_int32,  # n_edges
@@ -76,7 +80,7 @@ _SMOOTH_ARGTYPES = [
 class _CompiledCore:
     """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
 
-    The library rebuilds the CSR lists from ``heads`` and ``tails``, which
+    The library rebuilds the CSR arrays from ``heads`` and ``tails``, which
     costs less than copying them into C buffers, so those four are unused.
     """
 
@@ -106,21 +110,25 @@ class _CompiledCore:
         divisor,
     ):
         n_edges = len(heads)
+        if n_vertices > _INT32_MAX or n_edges > _INT32_MAX:
+            raise ValueError("the compiled core indexes vertices and edges with int32")
         # every buffer stays referenced by a local until the call returns
-        head_buf = array("i", heads)
-        tail_buf = array("i", tails)
-        score_buf = array("d", scores)
-        lex_buf = array("i", lex_rank if algorithm == _ALGORITHM_CODES["dijkstra"] else ())
-        source_buf = array("i", sources)
-        final = array("d", bytes(8 * n_edges))
+        head_buf = _int32_buffer(heads)
+        tail_buf = _int32_buffer(tails)
+        score_buf = np.ascontiguousarray(scores, dtype=np.float64)
+        lex_buf = _int32_buffer(
+            lex_rank if algorithm == _ALGORITHM_CODES["dijkstra"] else ()
+        )
+        source_buf = _int32_buffer(sources)
+        final = np.zeros(n_edges)
         status = self._fn(
             n_vertices,
             n_edges,
-            head_buf.buffer_info()[0],
-            tail_buf.buffer_info()[0],
-            score_buf.buffer_info()[0],
-            lex_buf.buffer_info()[0],
-            source_buf.buffer_info()[0],
+            head_buf.ctypes.data,
+            tail_buf.ctypes.data,
+            score_buf.ctypes.data,
+            lex_buf.ctypes.data,
+            source_buf.ctypes.data,
             len(source_buf),
             algorithm,
             min(max_path_len, n_edges),
@@ -129,13 +137,18 @@ class _CompiledCore:
             pooling,
             s_min,
             divisor,
-            final.buffer_info()[0],
+            final.ctypes.data,
         )
         if status == -1:
             raise MemoryError("compiled smooth_scores could not allocate its buffers")
         if status != 0:
             raise ValueError(f"unknown algorithm code {algorithm}")
-        return final.tolist()
+        return final
+
+
+def _int32_buffer(values) -> np.ndarray:
+    """A C-contiguous int32 copy of ``values``, which the library reads."""
+    return np.ascontiguousarray(values, dtype=np.int32)
 
 
 def _load_core(directory: Path) -> _CompiledCore | None:
@@ -145,8 +158,6 @@ def _load_core(directory: Path) -> _CompiledCore | None:
     but the library has no Python entry point: it is opened with ctypes, never
     imported. Loading compiles nothing and starts no process.
     """
-    if array("i").itemsize != 4:  # the library reads int32_t buffers
-        return None
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = directory / f"_kernels_c{suffix}"
         if path.is_file():
@@ -223,10 +234,10 @@ class ScoredSubgraph:
 
     Vertices are the entities appearing in the sequence, interned in
     first-seen order (head before tail, edge by edge). Adjacency is stored
-    CSR-style so both backends consume the same flat lists. Every list is
-    built from the sequence's id array in bulk with numpy (``np.unique`` for
-    the vertex order, ``_csr``, ``lex_rank``), with no Python call per
-    triple.
+    CSR-style so both backends consume the same flat integer arrays. Every
+    array is built from the sequence's id array in bulk with numpy
+    (``np.unique`` for the vertex order, ``_csr``, ``lex_rank``), with no
+    Python call per triple; ``scores`` is the sequence's score column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -250,15 +261,15 @@ class ScoredSubgraph:
         self.vertex_entities = vertex_entities
         self.n_vertices = len(vertex_entities)
         self.n_edges = len(ids)
-        self.heads = heads.tolist()
-        self.tails = tails.tolist()
-        self.scores = sequence.scores()
+        self.heads = heads
+        self.tails = tails
+        self.scores = sequence.score_array
         self.out_off, self.out_eid = _csr(self.n_vertices, heads)
         self.in_off, self.in_eid = _csr(self.n_vertices, tails)
-        self._lex_rank: list[int] | None = None
+        self._lex_rank: np.ndarray | None = None
 
     @property
-    def lex_rank(self) -> list[int]:
+    def lex_rank(self) -> np.ndarray:
         """Per-edge rank under (head, relation, tail) label order; lazy.
 
         One ``np.lexsort`` over the store's ``label_sort_keys`` of the
@@ -268,7 +279,7 @@ class ScoredSubgraph:
             order = np.lexsort(self.store.label_sort_keys(*self.sequence.id_array.T))
             ranks = np.empty_like(order)
             ranks[order] = np.arange(self.n_edges)
-            self._lex_rank = ranks.tolist()
+            self._lex_rank = ranks
         return self._lex_rank
 
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
@@ -289,14 +300,15 @@ class ScoredSubgraph:
         return sorted(found)
 
 
-def _csr(n_vertices: int, anchor: Sequence[int]) -> tuple[list[int], list[int]]:
+def _csr(n_vertices: int, anchor: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and edge ids of each vertex's edges, grouped by ``anchor[e]``.
 
     Edges of one vertex keep ascending edge order (a stable argsort).
     """
     vertex = np.asarray(anchor, dtype=np.intp)
-    counts = np.bincount(vertex, minlength=n_vertices).cumsum()
-    return [0, *counts.tolist()], vertex.argsort(kind="stable").tolist()
+    offsets = np.zeros(n_vertices + 1, dtype=np.intp)
+    np.cumsum(np.bincount(vertex, minlength=n_vertices), out=offsets[1:])
+    return offsets, vertex.argsort(kind="stable")
 
 
 def build_scored_subgraph(sequence: TripleSequence) -> ScoredSubgraph:
@@ -319,10 +331,10 @@ def pool_path(
     raise ConfigError(f"unknown pooling strategy: {strategy!r}")
 
 
-def _backend_args(g: ScoredSubgraph, scores: list[float], cfg: PoolingConfig):
+def _backend_args(g: ScoredSubgraph, scores: np.ndarray, cfg: PoolingConfig):
     # lex ranks are only consulted by dijkstra tie-breaks; skip the label
     # sort for the other algorithms
-    lex = g.lex_rank if cfg.search_algorithm == "dijkstra" else [0] * g.n_edges
+    lex = g.lex_rank if cfg.search_algorithm == "dijkstra" else None
     return (
         g.n_vertices,
         g.heads,
@@ -361,13 +373,14 @@ def search_path_kernels(
         cfg.walk_count,
         cfg.rng_seed,
     )
+    scores = g.scores.tolist()
     return [
-        PathKernel(tuple(edges), DIRECTIONS[code], pool_path(edges, g.scores, cfg.pooling))
+        PathKernel(tuple(edges), DIRECTIONS[code], pool_path(edges, scores, cfg.pooling))
         for edges, code in raw
     ]
 
 
-def _shifted(scores: list[float]) -> list[float]:
+def _shifted(scores: np.ndarray) -> np.ndarray:
     """Shift all scores positive when the minimum is <= 0.
 
     The positional term divides the sequence minimum by the path position;
@@ -375,12 +388,10 @@ def _shifted(scores: list[float]) -> list[float]:
     vector is translated by (eps - min) first. Only the ordering of the
     output is meaningful downstream, which a common shift preserves.
     """
-    low = min(scores)
+    low = scores.min()
     if low > 0.0:
         return scores
-    shift = SCORE_SHIFT_EPS - low
-    # shift + s is s + shift: IEEE addition commutes
-    return list(map(shift.__add__, scores))
+    return scores + (SCORE_SHIFT_EPS - low)
 
 
 def smooth(
@@ -400,7 +411,7 @@ def smooth(
     module = backend_module(backend)
     g = build_scored_subgraph(sequence)
     scores = _shifted(g.scores)
-    s_min = min(scores)
+    s_min = float(scores.min())
     sources = g.vertices_for_labels(query_entities)
     final = module.smooth_scores(
         *_backend_args(g, scores, cfg),
@@ -415,7 +426,6 @@ def smooth(
     )
     # descending, ties by input position: a stable argsort of the negated
     # scores equals a stable sort with reverse=True for finite scores
-    final_scores = np.asarray(final, dtype=np.float64)
-    order = np.argsort(-final_scores, kind="stable")
+    order = np.argsort(-final, kind="stable")
     provenance = f"smoothed:{cfg.search_algorithm}:{cfg.pooling}"
-    return sequence._take(order, provenance, final_scores[order])
+    return sequence._take(order, provenance, final[order])

@@ -3,7 +3,7 @@
 This is the reference implementation: ``search_kernels`` lives only here,
 and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
 alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
-``heads``/``tails``/``scores``/``lex_rank`` lists plus CSR adjacency
+``heads``/``tails``/``scores``/``lex_rank`` numpy columns plus CSR adjacency
 (``out_off``/``out_eid`` over head vertices, ``in_off``/``in_eid`` over tail
 vertices; each vertex's edges in edge order).
 
@@ -18,23 +18,25 @@ Conventions the compiled ``smooth_scores`` shares:
   across backends for a given seed.
 
 ``search_kernels`` and the dijkstra and random-walk branches of
-``smooth_scores`` feed each kernel through ``_dispatch``, as the compiled
-core does for all three. BFS smoothing here (``_bfs_smooth``) does not visit
-each simple path: one DFS over the prefixes of up to ``max_path_len - 1``
-edges carries each prefix's running sum (or max) and the best pooled value
-below it, and the last edge of the longest paths is solved once per end
-vertex from the prefixes that end there. It still equals the exhaustive
-enumeration bit for bit, because IEEE rounding is monotone: ``x + c``,
-``x / n`` and the running max never fall when ``x`` rises, so the max over
-paths of fl(pooled + c) is fl(max pooled + c), and a path's pooled value is
-largest where its prefix's and its last edge's are. (The one exception is
-the sign of a zero result when the smallest score is ``-0.0``; ``smooth``
-shifts every score positive first.)
+``smooth_scores`` feed each kernel through ``_dispatch`` on Python lists of
+the columns, as the compiled core does for all three. BFS smoothing here
+(``_bfs_smooth``) visits no single path: numpy arrays hold the prefixes of
+up to ``max_path_len - 1`` edges, one depth and one block at a time, each
+with its running sum (or max) and the best pooled value below it, and the
+last edge of the longest paths is solved per prefix and per end vertex
+from the prefixes that end there. It still equals the exhaustive
+enumeration bit for bit: each float operation is the one a per-path loop
+does, and IEEE rounding is monotone, since ``x + c``, ``x / n`` and the
+running max never fall when ``x`` rises. So the max over paths of
+fl(pooled + c) is fl(max pooled + c), and a path's pooled value is largest
+where its prefix's and its last edge's are. (The one exception is the sign
+of a zero result when the smallest score is ``-0.0``; ``smooth`` shifts
+every score positive first.)
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+import numpy as np
 
 ALG_DIJKSTRA = 0
 ALG_BFS = 1
@@ -176,128 +178,256 @@ def _enumerate_simple_paths(n_vertices, endpoint, off, eid, source, max_len, emi
             path.pop()
 
 
-def _bfs_smooth(
-    n_vertices, endpoint, off, eid, scores, sources, max_len, average, pos, final, covered
-):
-    """Fold every simple path of 1..max_len edges into ``final``, one direction.
+# Longer prefixes one block of BFS smoothing may create at once, counted
+# before the simple-path test; a prefix with more out-edges than this is a
+# block alone. The arrays held per prefix depth grow with this, not with the
+# number of paths.
+BFS_BLOCK_PATHS = 4096
+
+
+class _Level:
+    """Simple paths of ``depth`` edges from a source, path i in column i.
+
+    Path i has the vertices ``verts[:, i]`` (source first), the running sum
+    or max ``acc[i]`` of its edge scores, the last edge ``edges[i]`` and the
+    path ``parents[i]`` of the level above that it extends. ``best`` starts
+    as each path's pooled value and takes the best pooled value of every
+    longer path through it as the blocks below are folded in. With the
+    paths along the last axis, a test against one vertex position is one
+    contiguous numpy operation.
+    """
+
+    __slots__ = (
+        "verts", "acc", "edges", "parents", "depth", "best",
+        "first", "count", "bounds", "next",
+    )
+
+    def __init__(self, verts, acc, edges, parents, depth, best):
+        self.verts = verts
+        self.acc = acc
+        self.edges = edges
+        self.parents = parents
+        self.depth = depth
+        self.best = best
+
+    def open(self, off) -> None:
+        """Lay the paths' out-edges end to end, to be expanded a block at a time."""
+        self.first = off[self.verts[-1]]
+        self.count = off[self.verts[-1] + 1] - self.first
+        self.bounds = np.cumsum(self.count)  # where each path's out-edges end
+        self.next = 0
+
+    def block(self):
+        """The next block: each of its out-edges' path and CSR slot."""
+        lo = self.next
+        start = self.bounds[lo] - self.count[lo]
+        limit = start + BFS_BLOCK_PATHS
+        hi = max(lo + 1, int(self.bounds.searchsorted(limit, side="right")))
+        self.next = hi
+        paths, slots = _spans(self.first[lo:hi], self.count[lo:hi])
+        return paths + lo, slots
+
+
+def _spans(first, count):
+    """Owner and CSR slot of every entry of the spans [first, first + count)."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (first - np.cumsum(count) + count)[owner]
+
+
+class _PrefixFold:
+    """BFS smoothing of both search directions; see ``_bfs_smooth``.
+
+    The two searches run as one on a doubled graph: vertex u of the
+    to-query search is ``u + n_vertices``, its out-edges are u's in-edges,
+    and no edge joins the halves. Per CSR slot, ``src`` is the vertex the
+    edge leaves, ``dst`` the one it reaches and ``eid`` the edge.
+    """
+
+    def __init__(self, heads, tails, out_off, out_eid, in_off, in_eid, scores,
+                 max_len, average, pos, final):
+        n_vertices = len(out_off) - 1
+        self.off = np.concatenate((out_off, in_off[1:] + len(out_eid)))
+        self.eid = np.concatenate((out_eid, in_eid))
+        self.src = np.repeat(np.arange(2 * n_vertices), np.diff(self.off))
+        self.dst = np.concatenate((tails[out_eid], heads[in_eid] + n_vertices))
+        self.n_vertices = n_vertices
+        self.scores = scores
+        self.max_len = max_len
+        self.average = average
+        self.pos = pos
+        self.final = final
+
+    def run(self, sources) -> None:
+        sources = np.asarray(sources, dtype=np.intp)
+        roots = np.concatenate((sources, sources + self.n_vertices))[None, :]
+        start = np.full(roots.shape[1], 0.0 if self.average else -np.inf)
+        root = _Level(roots, start, None, None, 0, start.copy())
+        root.open(self.off)
+        stack = [root]
+        top = None  # the out-neighbour table, built at the first longest paths
+        while stack:
+            level = stack[-1]
+            if level.next == len(level.acc):  # every block expanded
+                stack.pop()
+                if stack:
+                    self._fold(level, stack[-1].best)
+                continue
+            child = self._expand(level)
+            if child is None:
+                continue
+            if child.depth < self.max_len - 1:
+                child.open(self.off)
+                stack.append(child)
+                continue
+            if top is None:
+                top = self._top_neighbours()
+            self._close(child, top)
+            self._fold(child, level.best)
+
+    def _expand(self, level):
+        """The next block of ``level``'s paths, each extended by every edge to
+        a vertex off it; None when there is no such edge."""
+        paths, slots = level.block()
+        ends = self.dst[slots]
+        verts = level.verts.take(paths, axis=1)
+        free = (verts != ends).all(axis=0)
+        if not free.any():
+            return None
+        paths, slots = paths[free], slots[free]
+        edges = self.eid[slots]
+        below = level.acc[paths]
+        score = self.scores[edges]
+        depth = level.depth + 1
+        if self.average:
+            acc = below + score
+            best = acc / depth
+        else:
+            acc = np.where(score > below, score, below)
+            best = acc.copy()
+        # compress keeps the C order the row-wise tests rely on
+        verts = np.concatenate((verts.compress(free, axis=1), ends[None, free]))
+        return _Level(verts, acc, edges, paths, depth, best)
+
+    def _fold(self, level, parent_best) -> None:
+        """Push a finished level's best values onto its edges and its parents."""
+        np.maximum.at(self.final, level.edges, level.best + self.pos[level.depth])
+        np.maximum.at(parent_best, level.parents, level.best)
+
+    def _close(self, level, top) -> None:
+        """Fold in the paths one edge longer than ``level``'s, the longest ones.
+
+        Such a path is a prefix ending at u plus one edge u->v with v off the
+        prefix. Its pooled value never falls when the prefix's running value
+        or the edge's score rises, so each prefix takes its best-scored free
+        out-edge, and each edge u->v the best prefix at u that avoids v.
+        """
+        max_len = self.max_len
+        verts, acc = level.verts, level.acc
+        u = verts[-1]
+        # each prefix's best extension: the best of u's top out-neighbours
+        # that is off the prefix (slot -1 is the table's pad)
+        top_off, top_dst, top_score, width = top
+        slots = top_off[u] + np.arange(width)[:, None]
+        slots = np.where(slots < top_off[u + 1], slots, -1)
+        free = (verts[:, None, :] != top_dst[slots]).all(axis=0)
+        score = np.where(free, top_score[slots], -np.inf).max(axis=0)
+        if self.average:
+            np.maximum(level.best, (acc + score) / max_len, out=level.best)
+        else:
+            level.best = np.where(score > acc, score, acc)
+        # per end vertex (group g): its best prefix, and for each vertex j of
+        # that one (u itself included) the best prefix at u that avoids it
+        best_acc = np.full(len(self.off) - 1, -np.inf)
+        np.maximum.at(best_acc, u, acc)
+        ends = np.flatnonzero(best_acc > -np.inf)
+        group = np.full(len(best_acc), -1)
+        group[ends] = np.arange(len(ends))
+        g = group[u]
+        best_acc = best_acc[ends]
+        paths = np.flatnonzero(acc == best_acc[g])
+        best_path = np.empty(len(ends), dtype=np.intp)
+        best_path[g[paths]] = paths
+        best_verts = verts.take(best_path, axis=1)
+        avoid = np.full(best_verts.shape, -np.inf)
+        for j, vertex in enumerate(best_verts.take(g, axis=1)):
+            held = (verts == vertex).any(axis=0)
+            np.maximum.at(avoid[j], g, np.where(held, -np.inf, acc))
+        # each edge u->v out of an end vertex: avoid[j] when v is vertex j
+        # of u's best prefix, else the best (avoid <= best, so take the min)
+        g = group[self.src]
+        slots = np.flatnonzero(g >= 0)
+        g = g[slots]
+        below = np.where(
+            best_verts.take(g, axis=1) == self.dst[slots],
+            avoid.take(g, axis=1),
+            best_acc[g],
+        ).min(axis=0)
+        reached = below > -np.inf
+        edges, below = self.eid[slots[reached]], below[reached]
+        score = self.scores[edges]
+        if self.average:
+            pooled = (below + score) / max_len
+        else:
+            pooled = np.where(score > below, score, below)
+        np.maximum.at(self.final, edges, pooled + self.pos[max_len])
+
+    def _top_neighbours(self):
+        """Each vertex's best-scored distinct out-neighbours, best first.
+
+        A CSR of at most ``max_len + 1`` per vertex: offsets, neighbours and
+        the score of each one's best edge, both ending in a pad entry (-1,
+        -inf), and the largest count. A prefix ending at u holds ``max_len``
+        vertices, so when any neighbour of u is off the prefix, one of these
+        is.
+        """
+        n = len(self.off) - 1
+        # the best edge of each (src, dst) pair; pairs grouped by src
+        pair = self.src * n + self.dst
+        order = pair.argsort(kind="stable")  # a radix sort for integers
+        pair = pair[order]
+        first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+        score = np.maximum.reduceat(self.scores[self.eid[order]], first)
+        pair = pair[first]
+        # each src's pairs, best first: its pairs in score order, kept in
+        # that order by a stable sort on src
+        order = (-score).argsort()
+        order = order[(pair[order] // n).argsort(kind="stable")]
+        pair, score = pair[order], score[order]
+        src = pair // n
+        keep = np.arange(len(src)) - src.searchsorted(src) <= self.max_len
+        count = np.bincount(src[keep], minlength=n)
+        off = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(count, out=off[1:])
+        dst = np.append(pair[keep] % n, -1)
+        return off, dst, np.append(score[keep], -np.inf), int(count.max())
+
+
+def _bfs_smooth(heads, tails, out_off, out_eid, in_off, in_eid, scores, sources,
+                max_len, average, pos, final):
+    """Fold every simple path of 1..max_len edges into ``final``.
 
     Per edge, the max over the paths ``_enumerate_simple_paths`` would emit
-    of pooled + ``pos[position]``, without visiting each path:
+    in both directions of pooled + ``pos[position]``, without listing them:
 
-    * a DFS walks the prefixes of up to ``max_len - 1`` edges once each; a
-      frame carries the running sum (or max) of its prefix, which is the
-      float sequence a per-path loop computes, and the best pooled value of
-      any path through it, which it folds into its parent on pop;
-    * a path of ``max_len`` edges is a prefix Q ending at u plus one edge
-      u->v with v not on Q. Its pooled value never falls when Q's running
-      value or the edge's score rises, so Q only needs its best-scored
-      out-edge of u whose endpoint is free, and each edge u->v only needs
-      the best Q ending at u that avoids v.
+    * the prefixes of up to ``max_len - 1`` edges are built as numpy
+      columns (``_Level``), one depth at a time and at most
+      ``BFS_BLOCK_PATHS`` new ones at a time; each carries its prefix's
+      running sum (or max), the float sequence a per-path loop computes;
+    * the paths of ``max_len`` edges are solved per prefix and per edge
+      (``_PrefixFold._close``), so they are never listed either;
+    * once every block below a prefix is done, its best pooled value goes
+      to its parent and to ``final`` at its last edge, by ``np.maximum.at``.
+
+    ``final`` holds -inf for an edge no path has reached yet; scores are
+    finite.
     """
     if max_len < 2:
         return  # a one-edge path scores as the singleton the caller gives it
-    last = max_len - 1  # prefix depth the DFS stops at
-    neg_inf = float("-inf")
-    start = 0.0 if average else neg_inf
-    ends: dict[int, list] = {}  # u -> (running value, vertices) of prefixes at u
-    by_score: dict[int, list[int]] = {}  # u -> out-edges, highest score first
-    visited = bytearray(n_vertices)
-    for s in sources:
-        visited[s] = 1
-        path = [s]
-        # frame: [vertex, next slot in eid, edge in, running value, best pooled]
-        stack = [[s, off[s], -1, start, neg_inf]]
-        while stack:
-            frame = stack[-1]
-            u = frame[0]
-            k = frame[1]
-            if k >= off[u + 1]:
-                stack.pop()
-                if not stack:
-                    break
-                best = frame[4]
-                e = frame[2]
-                value = best + pos[len(stack)]
-                if not covered[e]:
-                    covered[e] = 1
-                    final[e] = value
-                elif value > final[e]:
-                    final[e] = value
-                if best > stack[-1][4]:
-                    stack[-1][4] = best
-                visited[u] = 0
-                path.pop()
-                continue
-            frame[1] = k + 1
-            e = eid[k]
-            v = endpoint[e]
-            if visited[v]:
-                continue
-            depth = len(stack)
-            score = scores[e]
-            acc = frame[3]
-            if average:
-                acc = acc + score
-                pooled = acc / depth
-            elif score > acc:
-                acc = pooled = score
-            else:
-                pooled = acc
-            if depth < last:
-                visited[v] = 1
-                path.append(v)
-                stack.append([v, off[v], e, acc, pooled])
-                continue
-            # a prefix of `last` edges ending at v: record it for the last
-            # level, and extend it by v's best free out-edge
-            record = (acc, (*path, v))
-            if v in ends:
-                ends[v].append(record)
-            else:
-                ends[v] = [record]
-            order = by_score.get(v)
-            if order is None:
-                order = sorted(
-                    eid[off[v] : off[v + 1]], key=scores.__getitem__, reverse=True
-                )
-                by_score[v] = order
-            for e2 in order:
-                w = endpoint[e2]
-                if w != v and not visited[w]:
-                    # under max pooling, pooled == acc here: only the score counts
-                    ext = (acc + scores[e2]) / max_len if average else scores[e2]
-                    if ext > pooled:
-                        pooled = ext
-                    break
-            value = pooled + pos[depth]
-            if not covered[e]:
-                covered[e] = 1
-                final[e] = value
-            elif value > final[e]:
-                final[e] = value
-            if pooled > frame[4]:
-                frame[4] = pooled
-        visited[s] = 0
-    top = pos[max_len]
-    for u, records in ends.items():
-        records.sort(key=itemgetter(0), reverse=True)
-        for k in range(off[u], off[u + 1]):
-            e = eid[k]
-            v = endpoint[e]
-            for acc, vertices in records:
-                if v not in vertices:
-                    score = scores[e]
-                    if average:
-                        pooled = (acc + score) / max_len
-                    else:
-                        pooled = score if score > acc else acc
-                    value = pooled + top
-                    if not covered[e]:
-                        covered[e] = 1
-                        final[e] = value
-                    elif value > final[e]:
-                        final[e] = value
-                    break
+    fold = _PrefixFold(
+        heads, tails, out_off, out_eid, in_off, in_eid, scores,
+        max_len, average, pos, final,
+    )
+    fold.run(sources)
 
 
 def _random_walks(tails, off, eid, sources, max_len, walk_count, rng, emit):
@@ -382,6 +512,11 @@ def _dispatch(
         raise ValueError(f"unknown algorithm code {algorithm}")
 
 
+def _as_lists(*columns):
+    """Lists of numpy columns, for the loops that read them an item at a time."""
+    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+
+
 def search_kernels(
     n_vertices,
     heads,
@@ -411,14 +546,7 @@ def search_kernels(
 
     _dispatch(
         n_vertices,
-        heads,
-        tails,
-        out_off,
-        out_eid,
-        in_off,
-        in_eid,
-        scores,
-        lex_rank,
+        *_as_lists(heads, tails, out_off, out_eid, in_off, in_eid, scores, lex_rank),
         sources,
         algorithm,
         max_path_len,
@@ -455,62 +583,52 @@ def smooth_scores(
     s_min,
     divisor,
 ):
-    """Per-edge smoothed score: max over kernels of pooled + positional term."""
+    """Per-edge smoothed score: max over kernels of pooled + positional term.
+
+    The columns are numpy arrays (``lex_rank`` may be None unless the
+    algorithm is dijkstra) and ``scores`` are finite; the result is a
+    float64 array.
+    """
     ne = len(heads)
-    final = [0.0] * ne
-    covered = bytearray(ne)
+    final = np.full(ne, -np.inf)  # -inf: on no kernel yet
 
     if algorithm == ALG_BFS:
         max_len = min(max_path_len, ne)
         pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
-        for endpoint, off, eid in ((tails, out_off, out_eid), (heads, in_off, in_eid)):
-            _bfs_smooth(
-                n_vertices,
-                endpoint,
-                off,
-                eid,
-                scores,
-                sources,
-                max_len,
-                pooling == 0,
-                pos,
-                final,
-                covered,
-            )
-        return _fill_singletons(final, covered, scores, s_min, divisor)
+        _bfs_smooth(
+            heads, tails, out_off, out_eid, in_off, in_eid, scores, sources,
+            max_len, pooling == 0, pos, final,
+        )
+        return _fill_singletons(final, scores, s_min, divisor)
+
+    columns = _as_lists(
+        heads, tails, out_off, out_eid, in_off, in_eid, scores, lex_rank
+    )
+    score_list = columns[6]
+    values = final.tolist()
 
     def process(path, _dircode):
         length = len(path)
         if pooling == 0:
             total = 0.0
             for e in path:
-                total += scores[e]
+                total += score_list[e]
             pooled = total / length
         else:
-            pooled = scores[path[0]]
+            pooled = score_list[path[0]]
             for e in path:
-                if scores[e] > pooled:
-                    pooled = scores[e]
+                if score_list[e] > pooled:
+                    pooled = score_list[e]
         i = 1
         for e in path:
             value = pooled + s_min / (i * divisor)
-            if not covered[e]:
-                covered[e] = 1
-                final[e] = value
-            elif value > final[e]:
-                final[e] = value
+            if value > values[e]:
+                values[e] = value
             i += 1
 
     _dispatch(
         n_vertices,
-        heads,
-        tails,
-        out_off,
-        out_eid,
-        in_off,
-        in_eid,
-        scores,
-        lex_rank,
+        *columns,
         sources,
         algorithm,
         max_path_len,
@@ -518,11 +636,9 @@ def smooth_scores(
         seed,
         process,
     )
-    return _fill_singletons(final, covered, scores, s_min, divisor)
+    return _fill_singletons(np.array(values), scores, s_min, divisor)
 
 
-def _fill_singletons(final, covered, scores, s_min, divisor):
-    for e in range(len(final)):
-        if not covered[e]:
-            final[e] = scores[e] + s_min / divisor
-    return final
+def _fill_singletons(final, scores, s_min, divisor):
+    """Edges on no kernel score as a one-edge kernel: score + s_min/divisor."""
+    return np.where(final == -np.inf, scores + s_min / divisor, final)

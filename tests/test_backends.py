@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_sequence, random_case
-from pathpool import pooling
+from pathpool import bench, pooling
 from pathpool.errors import ConfigError
 from pathpool.pooling import PoolingConfig, build_scored_subgraph
 
@@ -110,6 +110,26 @@ def test_smooth_identical_on_whole_graph_paths(compiled):
                         search_algorithm=algorithm, max_path_len=max_path_len
                     )
                     assert_backends_agree(seq, [anchor], cfg, (n, anchor, algorithm))
+
+
+def test_bfs_identical_across_backends_on_dense_bench_graphs(compiled):
+    # bench sequences are dense community multigraphs with many parallel
+    # edges: per anchor, about 20,000 simple paths of four triples and over
+    # 120,000 of five
+    store = bench.synthesize_store(seed=0)
+    for sequence, anchors in bench.sample_workloads(store, 2, 200, seed=1):
+        first = anchors[0]
+        other = next(h for h, _, _ in sequence.label_rows()[::-1] if h != first)
+        for anchor_set in ([first], [first, other]):
+            for max_path_len in (4, 5):
+                for strategy in ("average", "max"):
+                    cfg = PoolingConfig(
+                        search_algorithm="bfs",
+                        pooling=strategy,
+                        max_path_len=max_path_len,
+                    )
+                    context = (anchor_set, max_path_len, strategy)
+                    assert_backends_agree(sequence, anchor_set, cfg, context)
 
 
 def test_dijkstra_tie_breaks_identical_across_backends(compiled):

@@ -589,6 +589,18 @@ def test_bench_rejects_too_few_queries_per_cell(tmp_path, capsys):
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("sizes", ["", "abc", "0", "-5", "25,,50"])
+def test_bench_rejects_sizes_that_are_not_positive_counts(tmp_path, capsys, sizes):
+    bad = "" if sizes == "25,,50" else sizes
+    code = run_cli(
+        "bench", "--sizes", sizes, "--algos", "dijkstra", "--out", tmp_path / "bench"
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --sizes takes positive triple counts, got {bad!r}\n"
+    assert not (tmp_path / "bench").exists()
+
+
 @pytest.mark.parametrize(
     ("command", "lines", "message"),
     [

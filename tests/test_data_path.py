@@ -68,12 +68,12 @@ def _assert_subgraph_matches_naive(store, edges):
         assert g.vertices_for_labels([label, label]) == [v]
     assert g.vertices_for_labels(reversed(naive["vertices"])) == list(range(g.n_vertices))
     assert (g.n_vertices, g.n_edges) == (len(naive["vertices"]), len(edges))
-    assert g.heads == naive["heads"]
-    assert g.tails == naive["tails"]
-    assert g.scores == naive["scores"]
-    assert (g.out_off, g.out_eid) == naive["out"]
-    assert (g.in_off, g.in_eid) == naive["in"]
-    assert g.lex_rank == naive["lex_rank"]
+    assert g.heads.tolist() == naive["heads"]
+    assert g.tails.tolist() == naive["tails"]
+    assert g.scores.tolist() == naive["scores"]
+    assert (g.out_off.tolist(), g.out_eid.tolist()) == naive["out"]
+    assert (g.in_off.tolist(), g.in_eid.tolist()) == naive["in"]
+    assert g.lex_rank.tolist() == naive["lex_rank"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import make_sequence, random_case
 from naive_ref import naive_smooth
+from pathpool import bench
 from pathpool.errors import ConfigError, EmptyInputError
 from pathpool.pooling import (
     SCORE_SHIFT_EPS,
@@ -136,7 +139,7 @@ def test_subgraph_fan_out_adjacency():
     )
     (a,) = g.vertices_for_labels(["A"])
     assert g.vertex_entities[a] == g.store.entity_id("A")
-    assert g.out_eid[g.out_off[a] : g.out_off[a + 1]] == [0, 1]
+    assert g.out_eid[g.out_off[a] : g.out_off[a + 1]].tolist() == [0, 1]
 
 
 def test_vertices_for_labels_skips_labels_outside_the_subgraph():
@@ -271,17 +274,17 @@ def test_rng_below_is_roughly_uniform():
 
 
 def _flat_args(n_vertices, edges, scores):
-    heads = [h for h, _ in edges]
-    tails = [t for _, t in edges]
+    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     out_off, out_eid = _csr(n_vertices, heads)
     in_off, in_eid = _csr(n_vertices, tails)
-    lex = list(range(len(edges)))
+    lex = np.arange(len(edges))
+    scores = np.array(scores)
     return (n_vertices, heads, tails, out_off, out_eid, in_off, in_eid, scores, lex)
 
 
 def _enumerated_bfs_scores(args, sources, max_path_len, pooling, divisor):
     """Max over every kernel ``search_kernels`` lists of pooled + s_min/(i*divisor)."""
-    scores = args[7]
+    scores = args[7].tolist()
     s_min = min(scores)
     kernels = _kernels_py.search_kernels(*args, sources, ALG_BFS, max_path_len, 1, 0)
     final = {}
@@ -312,46 +315,99 @@ def _assert_bfs_matches_enumeration(n_vertices, edges, scores, sources, context)
                 expected = _enumerated_bfs_scores(
                     args, sources, max_path_len, pooling, divisor
                 )
-                assert got == expected, (context, max_path_len, pooling, divisor)
+                case = (context, max_path_len, pooling, divisor)
+                assert got.tolist() == expected, case
+
+
+def _random_multigraph(seed):
+    # self-loops and parallel edges arise freely; half the scores come from a
+    # pool of at most three values, so pooled values tie often
+    rnd = random.Random(seed)
+    n_vertices = rnd.randint(1, 8)
+    edges = [
+        (rnd.randrange(n_vertices), rnd.randrange(n_vertices))
+        for _ in range(rnd.randint(1, 16))
+    ]
+    pool = [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 3))]
+    scores = [
+        rnd.choice(pool) if rnd.random() < 0.5 else rnd.uniform(-1.0, 1.0)
+        for _ in edges
+    ]
+    sources = sorted(rnd.sample(range(n_vertices), rnd.randint(0, min(3, n_vertices))))
+    return n_vertices, edges, scores, sources
+
+
+# 0->1->2->0: every prefix from 0 holds vertex 0, so no prefix may be
+# extended by 2->0 although it is the best-scored out-edge of 2
+BACK_EDGE = (
+    4,
+    [(0, 1), (1, 2), (2, 0), (2, 3), (0, 0)],
+    [0.125, 0.25, 0.875, 0.0625, 0.5],
+)
+
+# prefixes into 3: 0->1->3 (high) holds 1, 0->2->3 (low) does not, so 3->1
+# must end the low one; 3->4 may end the high one
+BLOCKED_PREFIX = (
+    5,
+    [(0, 1), (1, 3), (0, 2), (2, 3), (3, 1), (3, 4)],
+    [0.875, 0.75, 0.125, 0.0625, 0.5, 0.25],
+)
+
+
+def _oracle_cases():
+    """Every (n_vertices, edges, scores, sources, context) the oracle tests check."""
+    for seed in range(300):
+        yield (*_random_multigraph(seed), seed)
+    yield (*BACK_EDGE, [0], "back edge")
+    yield (*BACK_EDGE, [0, 2], "back edge, two sources")
+    yield (*BLOCKED_PREFIX, [0], "blocked prefix")
 
 
 def test_bfs_smoothing_equals_enumeration_on_random_multigraphs():
-    # self-loops and parallel edges arise freely; half the scores come from a
-    # pool of at most three values, so pooled values tie often
     for seed in range(300):
-        rnd = random.Random(seed)
-        n_vertices = rnd.randint(1, 8)
-        edges = [
-            (rnd.randrange(n_vertices), rnd.randrange(n_vertices))
-            for _ in range(rnd.randint(1, 16))
-        ]
-        pool = [rnd.uniform(-1.0, 1.0) for _ in range(rnd.randint(1, 3))]
-        scores = [
-            rnd.choice(pool) if rnd.random() < 0.5 else rnd.uniform(-1.0, 1.0)
-            for _ in edges
-        ]
-        sources = sorted(rnd.sample(range(n_vertices), rnd.randint(0, min(3, n_vertices))))
-        _assert_bfs_matches_enumeration(n_vertices, edges, scores, sources, seed)
+        _assert_bfs_matches_enumeration(*_random_multigraph(seed), seed)
 
 
 def test_bfs_smoothing_edge_back_into_the_source():
-    # 0->1->2->0: every prefix from 0 holds vertex 0, so no prefix may be
-    # extended by 2->0 although it is the best-scored out-edge of 2
-    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (0, 0)]
-    scores = [0.125, 0.25, 0.875, 0.0625, 0.5]
-    _assert_bfs_matches_enumeration(4, edges, scores, [0], "back edge")
-    _assert_bfs_matches_enumeration(4, edges, scores, [0, 2], "back edge, two sources")
+    _assert_bfs_matches_enumeration(*BACK_EDGE, [0], "back edge")
+    _assert_bfs_matches_enumeration(*BACK_EDGE, [0, 2], "back edge, two sources")
 
 
 def test_bfs_smoothing_best_prefix_blocked_by_the_last_edge():
-    # prefixes into 3: 0->1->3 (high) holds 1, 0->2->3 (low) does not, so
-    # 3->1 must end the low one; 3->4 may end the high one
-    edges = [(0, 1), (1, 3), (0, 2), (2, 3), (3, 1), (3, 4)]
-    scores = [0.875, 0.75, 0.125, 0.0625, 0.5, 0.25]
-    _assert_bfs_matches_enumeration(5, edges, scores, [0], "blocked prefix")
-    args = _flat_args(5, edges, scores)
+    _assert_bfs_matches_enumeration(*BLOCKED_PREFIX, [0], "blocked prefix")
+    args = _flat_args(*BLOCKED_PREFIX)
     got = _kernels_py.smooth_scores(*args, [0], ALG_BFS, 3, 1, 0, 0, 0.0625, 10.0)
     assert got[4] == (0.125 + 0.0625 + 0.5) / 3 + 0.0625 / 30.0
+
+
+@pytest.mark.parametrize("block_paths", [1, 3])
+def test_bfs_smoothing_equals_enumeration_across_block_boundaries(
+    monkeypatch, block_paths
+):
+    # blocks of one or three out-edges split almost every level, so prefixes
+    # of one parent land in different blocks and their best values merge
+    monkeypatch.setattr(_kernels_py, "BFS_BLOCK_PATHS", block_paths)
+    for case in _oracle_cases():
+        _assert_bfs_matches_enumeration(*case)
+
+
+def test_bfs_smoothing_memory_is_bounded_by_the_block_size():
+    # a 500-triple bench sequence holds about 3.4 million simple paths of
+    # five triples from its anchor (both directions); listed at once their
+    # vertices alone would take about 160 MB. Expanded a block at a time,
+    # each depth holds a few arrays of at most max_path_len rows per path
+    # of a block.
+    store = bench.synthesize_store(seed=0)
+    ((sequence, anchors),) = bench.sample_workloads(store, 1, 500, seed=0)
+    max_path_len = 6
+    cfg = PoolingConfig(search_algorithm="bfs", max_path_len=max_path_len)
+    tracemalloc.start()
+    try:
+        smooth(sequence, anchors, cfg, backend="py")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * _kernels_py.BFS_BLOCK_PATHS * max_path_len**2
 
 
 # -- smoothing properties ------------------------------------------------------
