@@ -147,7 +147,6 @@ def sample_workloads(
             f"store has {store.n_triples} triples, workload needs {size}"
         )
     rnd = random.Random(seed)
-    ids = store.id_array
     offsets, other, triple = store.incidence()
     workloads: list[tuple[TripleSequence, list[str]]] = []
     for _ in range(count):
@@ -184,10 +183,10 @@ def sample_workloads(
                     frontier.append(end)
                 if len(picked) >= size:
                     break
-        rows = ids[picked]
+        rows = np.array(picked)
         scores = np.array([rnd.uniform(0.05, 1.0) for _ in picked])
         # descending score, ties in label order
-        order = np.lexsort((*store.label_sort_keys(*rows.T), -scores))
+        order = np.lexsort((store.row_rank[rows], -scores))
         sequence = TripleSequence.from_scores(
             store, rows[order], scores[order], "synthetic"
         )

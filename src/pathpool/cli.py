@@ -102,11 +102,11 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
     record = QueryRecord(
         id=check_query_id(str(row.get("id", ""))),
         question=str(row.get("question", "")),
-        query_entities=tuple(_list_field(row, "query_entities")),
-        gold_answers=tuple(_list_field(row, "answers")),
+        query_entities=tuple(map(str, _list_field(row, "query_entities"))),
+        gold_answers=tuple(map(str, _list_field(row, "answers"))),
     )
     store = TripleStore()
-    triples, scores = [], []
+    rows, scores = [], []
     for entry in _list_field(row, "triples"):
         try:
             head, relation, tail, score = entry
@@ -116,10 +116,10 @@ def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
         head, relation, tail = str(head), str(relation), str(tail)
         store.add(head, relation, tail)
         # a repeated row adds nothing, so resolve the triple just read
-        triples.append(store.find(head, relation, tail))
+        rows.append(store.find(head, relation, tail))
         scores.append(score)
     sequence = TripleSequence.from_scores(
-        store, triples, scores, str(row.get("provenance", "artifact"))
+        store, rows, scores, str(row.get("provenance", "artifact"))
     )
     return record, sequence
 
@@ -169,6 +169,13 @@ def _selection_config(args) -> selection.SelectionConfig:
     )
     cfg.validate()
     return cfg
+
+
+def _check_retrieval(hops: int, coarse_k: int) -> None:
+    """Reject retrieval settings that would fail every query, before any output."""
+    for name, value in (("hops", hops), ("coarse_k", coarse_k)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 # -- stages ----------------------------------------------------------------
@@ -266,6 +273,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     the run continues; only configuration problems and unreadable inputs
     abort.
     """
+    _check_retrieval(cfg.hops, cfg.selection_cfg.coarse_k)
     store = load_triples(cfg.kg_path)
     queries = load_queries(cfg.queries_path)
     scorer = build_scorer(cfg.scorer_spec)
@@ -331,6 +339,7 @@ def cmd_load_check(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    _check_retrieval(args.hops, args.coarse_k)
     store = load_triples(args.kg)
     queries = load_queries(args.queries)
     scorer = build_scorer(args.scorer)
@@ -454,11 +463,15 @@ def cmd_bench(args) -> int:
             f"got {args.queries_per_cell}"
         )
     sizes = _bench_sizes(args.sizes)
+    names = [name for name in args.algos.split(",") if name]
+    for name in names:
+        if name not in _ALGO_FLAGS:
+            raise ConfigError(f"--algos takes {', '.join(_ALGO_FLAGS)}, got {name!r}")
+    algorithms = [_ALGO_FLAGS[name] for name in names]
     if args.kg:
         store = load_triples(args.kg)
     else:
         store = bench_mod.synthesize_store(seed=args.seed)
-    algorithms = [_ALGO_FLAGS[a] for a in args.algos.split(",") if a]
     count = args.queries_per_cell + bench_mod.WARMUP_RUNS
     workloads = bench_mod.sample_workloads(store, count, max(sizes), seed=args.seed)
     if args.backend == "both":

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -45,7 +45,10 @@ class TripleStore:
     Per entity, the triples it heads come first and then those it tails,
     each in store order, so a self-loop is listed twice.
 
-    ``load_triples`` builds both in bulk. ``add`` appends to an
+    ``row_rank`` ranks the rows in (head, relation, tail) label order; no
+    other code computes label order.
+
+    ``load_triples`` builds the columns in bulk. ``add`` appends to an
     insertion-ordered buffer that also dedups the rows added since the
     columns were last built; the next read of the columns rebuilds them,
     under a lock. Only that buffer holds a ``Triple`` per row: ``triples``
@@ -60,10 +63,11 @@ class TripleStore:
         self._relation_ids: dict[str, int] = {}
         # (id array, offsets, other, triple), replaced as one tuple
         self._columns = _build_columns(np.empty((0, 3), dtype=np.int64), 0)
-        self._pending: dict[Triple, None] = {}
+        # rows added since the last build, each with the row it will get
+        self._pending: dict[Triple, int] = {}
         self._build_lock = threading.Lock()
-        # entity and relation ranks in label order, built on first use
-        self._ranks: tuple[np.ndarray, np.ndarray] = (_label_ranks([]), _label_ranks([]))
+        # (the columns it ranks, row_rank), built on first use
+        self._rank: tuple = (None, None)
 
     # -- construction -------------------------------------------------
 
@@ -90,19 +94,10 @@ class TripleStore:
             self._intern_relation(relation),
             self._intern_entity(tail),
         )
-        if triple in self._pending or self._in_columns(triple):
+        if self.row_of(triple) is not None:
             return False
-        self._pending[triple] = None
+        self._pending[triple] = self.n_triples
         return True
-
-    def _in_columns(self, triple: Triple) -> bool:
-        """Whether ``triple`` is a row of the built columns, found via its head's incidence."""
-        ids, offsets, _, rows = self._columns
-        head = triple.head
-        if not 0 <= head < len(offsets) - 1:
-            return False
-        touching = rows[offsets[head] : offsets[head + 1]]
-        return bool((ids[touching] == triple).all(axis=1).any())
 
     def _fresh_columns(self) -> tuple[np.ndarray, ...]:
         """The columns, first rebuilt with the rows ``add`` left pending."""
@@ -135,6 +130,11 @@ class TripleStore:
         return len(self._columns[0]) + len(self._pending)
 
     @property
+    def rows(self) -> np.ndarray:
+        """Every row number; a whole store is its own candidate set."""
+        return np.arange(self.n_triples)
+
+    @property
     def id_array(self) -> np.ndarray:
         """The read-only ``(n, 3)`` int64 ids of every triple, in store order."""
         return self._fresh_columns()[0]
@@ -160,17 +160,26 @@ class TripleStore:
     def entity_label(self, eid: int) -> str:
         return self._entity_labels[eid]
 
-    def relation_label(self, rid: int) -> str:
-        return self._relation_labels[rid]
+    def row_of(self, triple: Triple) -> int | None:
+        """The row holding ``triple``, or None; a built one is found via its head's incidence."""
+        # pending first: a build publishes its columns before it clears them
+        row = self._pending.get(triple)
+        if row is not None:
+            return row
+        ids, offsets, _, rows = self._columns
+        head = triple.head
+        if not 0 <= head < len(offsets) - 1:
+            return None
+        touching = rows[offsets[head] : offsets[head + 1]]
+        found = touching[(ids[touching] == triple).all(axis=1)]
+        return int(found[0]) if len(found) else None
 
-    def find(self, head: str, relation: str, tail: str) -> Triple | None:
-        """The stored triple with these labels, or None."""
-        triple = Triple(
-            self._entity_ids.get(head, -1),
-            self._relation_ids.get(relation, -1),
-            self._entity_ids.get(tail, -1),
+    def find(self, head: str, relation: str, tail: str) -> int | None:
+        """The row of the triple with these labels, or None."""
+        entity = self._entity_ids.get
+        return self.row_of(
+            Triple(entity(head, -1), self._relation_ids.get(relation, -1), entity(tail, -1))
         )
-        return triple if triple in self._pending or self._in_columns(triple) else None
 
     def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
         return (
@@ -179,40 +188,27 @@ class TripleStore:
             self._entity_labels[triple.tail],
         )
 
-    def label_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entity and relation ranks in label order, as arrays indexed by id.
+    @property
+    def row_rank(self) -> np.ndarray:
+        """Each row's position in (head, relation, tail) label order, read-only.
 
-        ``erank[e]`` is the position of entity ``e``'s label among all entity
-        labels sorted, likewise ``rrank`` for relations. Both are ranked once
-        and cached; labels are only ever appended, so the cache is stale
-        exactly when ``add`` has interned a new label since, and is then
-        rebuilt. Arrays taken before a later ``add`` are stale.
+        Built on first use after each column build and cached; an array
+        taken before a later ``add`` is stale.
         """
-        ranks = self._ranks
-        if len(ranks[0]) != len(self._entity_labels) or len(ranks[1]) != len(
-            self._relation_labels
-        ):
-            ranks = (_label_ranks(self._entity_labels), _label_ranks(self._relation_labels))
-            self._ranks = ranks
-        return ranks
-
-    def label_sort_keys(
-        self, heads: Sequence[int], relations: Sequence[int], tails: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``np.lexsort`` keys ordering triples, given as id columns, by label.
-
-        The columns are int sequences or arrays, such as ``*ids.T`` of an
-        ``(n, 3)`` id array. The keys are the tail, relation and head ranks,
-        in that order (``lexsort`` sorts by the last key first), so the sort
-        orders the triples exactly as their (head, relation, tail) label
-        tuples do.
-        """
-        erank, rrank = self.label_ranks()
-        return (
-            erank[np.asarray(tails, dtype=np.intp)],
-            rrank[np.asarray(relations, dtype=np.intp)],
-            erank[np.asarray(heads, dtype=np.intp)],
-        )
+        columns = self._fresh_columns()
+        if self._rank[0] is not columns:
+            ids, n = columns[0], len(columns[0])
+            erank = _label_ranks(self._entity_labels)
+            rrank = _label_ranks(self._relation_labels)
+            # by relation and tail, then by head keeping that order; each key
+            # is below n_entities * max(n_relations, n), so none wraps
+            order = np.argsort(rrank[ids[:, 1]] * len(erank) + erank[ids[:, 2]])
+            order = order[np.argsort(erank[ids[order, 0]] * n + np.arange(n))]
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            rank.flags.writeable = False
+            self._rank = (columns, rank)
+        return self._rank[1]
 
     def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
         """Head, relation and tail labels of the rows of an ``(n, 3)`` id array."""

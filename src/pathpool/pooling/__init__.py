@@ -15,12 +15,12 @@ to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 
 The arrays both backends receive are built in bulk from the sequence's
 ``(n, 3)`` id array: first-seen vertex ids with ``np.unique``, both CSR
-adjacencies (``_csr``) and the label-order ranks with numpy. The output is
-one stable ``np.argsort`` of the smoothed scores, applied to the input's id,
-score and rank columns, so no ``ScoredTriple`` row is built. No step before
-or after the kernel calls Python code once per triple; the Python dijkstra
-and random-walk loops take lists of the columns, the compiled core int32
-and float64 copies.
+adjacencies (``_csr``), and label-order ranks from the store's ``row_rank``.
+The output is one stable ``np.argsort`` of the smoothed scores, applied to
+the input's row, score and rank columns, so no ``ScoredTriple`` row is
+built. No step before or after the kernel calls Python code once per
+triple; the Python dijkstra and random-walk loops take lists of the
+columns, the compiled core int32 and float64 copies.
 
 For BFS the compiled core pools every enumerated simple path, while the
 Python backend never enumerates them: it folds numpy arrays of path
@@ -235,9 +235,9 @@ class ScoredSubgraph:
     Vertices are the entities appearing in the sequence, interned in
     first-seen order (head before tail, edge by edge). Adjacency is stored
     CSR-style so both backends consume the same flat integer arrays. Every
-    array is built from the sequence's id array in bulk with numpy
-    (``np.unique`` for the vertex order, ``_csr``, ``lex_rank``), with no
-    Python call per triple; ``scores`` is the sequence's score column.
+    array is built in bulk with numpy (``np.unique`` for the vertex order,
+    ``_csr``, ``lex_rank`` from the store's ``row_rank``), with no Python
+    call per triple; ``scores`` is the sequence's score column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -266,21 +266,17 @@ class ScoredSubgraph:
         self.scores = sequence.score_array
         self.out_off, self.out_eid = _csr(self.n_vertices, heads)
         self.in_off, self.in_eid = _csr(self.n_vertices, tails)
-        self._lex_rank: np.ndarray | None = None
 
     @property
     def lex_rank(self) -> np.ndarray:
-        """Per-edge rank under (head, relation, tail) label order; lazy.
+        """Per-edge rank under (head, relation, tail) label order, dense ``0..n_edges-1``.
 
-        One ``np.lexsort`` over the store's ``label_sort_keys`` of the
-        sequence's id array; the ranks are dense ``0..n_edges-1``.
+        One argsort of the store's ``row_rank`` at the sequence's rows.
         """
-        if self._lex_rank is None:
-            order = np.lexsort(self.store.label_sort_keys(*self.sequence.id_array.T))
-            ranks = np.empty_like(order)
-            ranks[order] = np.arange(self.n_edges)
-            self._lex_rank = ranks
-        return self._lex_rank
+        order = self.store.row_rank[self.sequence.row_array].argsort()
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(self.n_edges)
+        return ranks
 
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
         """Ascending local vertex ids for the labels present in the subgraph.

@@ -2,12 +2,12 @@
 
 Backends are interchangeable: ``uniform`` (constant score), ``cosine``
 (embedding-table similarity), and ``precomputed`` (replay of scores produced
-by an external retriever). All of them feed the same top-k selection with a
-deterministic label tie-break.
+by an external retriever). All of them feed the same top-k selection, whose
+ties fall to the store's ``row_rank``: (head, relation, tail) label order.
 
 Candidates are a ``kg_store.Subgraph`` view or a whole ``TripleStore``: both
-expose ``id_array``, the ``(n, 3)`` int64 ids of their triples, and the
-``store`` that resolves their labels. Every scorer returns columns, never a
+expose their store ``rows``, the ``(n, 3)`` int64 ``id_array`` of those
+rows, and the ``store`` that resolves and ranks them. Every scorer returns columns, never a
 tuple per candidate: ``score_candidates(query, candidates)`` gives
 ``(kept, scores)``, where ``kept`` indexes the rows of
 ``candidates.id_array`` that were scored (``slice(None)`` for all of them)
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -53,76 +53,78 @@ _RANK = attrgetter("rank")
 
 
 class TripleSequence:
-    """Ordered scored triples together with the store resolving their labels.
+    """Ordered scored triples, each named by its row in the store resolving its labels.
 
-    The rows are held as three read-only numpy columns: ``id_array``, the
-    ``(n, 3)`` int64 (head, relation, tail) ids, ``score_array`` (float64)
-    and ``rank_array`` (int64). Every stage from ``score_triples`` to the
-    prompt reads and writes these columns; ``items`` builds ``ScoredTriple``
-    rows from them only when a caller asks, anew on each access.
+    The rows are three read-only numpy columns: ``row_array`` (int64 store
+    rows), ``score_array`` (float64) and ``rank_array`` (int64). Every stage
+    from ``score_triples`` to the prompt reads and writes these columns;
+    ``id_array`` gathers the rows' ids from the store, and ``items`` builds
+    ``ScoredTriple`` rows only when a caller asks, anew on each access.
 
-    Scores are finite and no triple repeats: the constructor and
-    ``from_scores`` check both and name the first offending row. A stage
-    that keeps, reorders or rescores rows of a valid sequence (``_take``)
-    needs no second check.
+    Every triple is a row of the store (the constructor resolves each
+    ``Triple`` to its row), scores are finite and no row repeats; the first
+    offender is named. A stage that keeps, reorders or rescores rows of a
+    valid sequence (``_take``) needs no second check.
     """
 
     def __init__(self, store: TripleStore, items: list[ScoredTriple], provenance: str):
         n = len(items)
-        ids = np.fromiter(
-            chain.from_iterable(map(_TRIPLE, items)), np.int64, 3 * n
-        ).reshape(n, 3)
+        rows = list(map(store.row_of, map(_TRIPLE, items)))
+        if None in rows:
+            raise ConfigError(f"triple not in store: {items[rows.index(None)].triple}")
         scores = np.fromiter(map(_SCORE, items), np.float64, n)
         ranks = np.fromiter(map(_RANK, items), np.int64, n)
-        self._set(store, ids, scores, ranks, provenance)
-        if not self._valid():
-            _raise_first_invalid(store, items)
+        self._set(store, np.array(rows, dtype=np.int64), scores, ranks, provenance)
+        self._check()
 
-    def _set(self, store, ids, scores, ranks, provenance) -> None:
-        for column in (ids, scores, ranks):
+    def _set(self, store, rows, scores, ranks, provenance) -> None:
+        for column in (rows, scores, ranks):
             column.flags.writeable = False
         self.store = store
-        self.id_array = ids
+        self.row_array = rows
         self.score_array = scores
         self.rank_array = ranks
         self.provenance = provenance
 
-    def _valid(self) -> bool:
-        """Every score finite and no triple twice, checked on the columns.
-
-        Rows are compared through one uint64 key per triple, sorted. Equal
-        triples always get equal keys (the arithmetic wraps modulo 2**64 the
-        same way for both), so a repeat is never missed; a key shared by two
-        different triples (ids beyond the store's counts, or wrapping) only
-        sends the caller to the exact per-row check.
+    def _check(self) -> None:
+        """Raise ConfigError for a number that is no store row, else naming the
+        first non-finite score or repeated row, found by a walk only on failure.
         """
-        if not np.isfinite(self.score_array).all():
-            return False
-        n_entities = max(self.store.n_entities, 1)
-        n_relations = max(self.store.n_relations, 1)
-        weights = [n_relations * n_entities % (1 << 64), n_entities, 1]
-        keys = self.id_array.view(np.uint64) @ np.array(weights, dtype=np.uint64)
-        keys.sort()
-        return not (keys[1:] == keys[:-1]).any()
+        rows = np.sort(self.row_array)
+        n = self.store.n_triples
+        if len(rows) and not 0 <= rows[0] <= rows[-1] < n:
+            raise ConfigError(f"store rows lie in 0..{n - 1}, got {rows[0]}..{rows[-1]}")
+        if np.isfinite(self.score_array).all() and not (rows[1:] == rows[:-1]).any():
+            return
+        seen: set[int] = set()
+        for row, score in zip(self.row_array.tolist(), self.score_array.tolist()):
+            triple = Triple(*self.store.id_array[row].tolist())
+            if not math.isfinite(score):
+                raise ConfigError(f"non-finite score for triple {triple}")
+            if row in seen:
+                raise ConfigError(
+                    f"duplicate triple in sequence: {self.store.triple_labels(triple)}"
+                )
+            seen.add(row)
 
     @classmethod
     def from_scores(
-        cls, store: TripleStore, ids: ArrayLike, scores: ArrayLike, provenance: str
+        cls, store: TripleStore, rows: ArrayLike, scores: ArrayLike, provenance: str
     ) -> "TripleSequence":
-        """The rows ``ids`` (an ``(n, 3)`` id array, or ``Triple``s) scored ``scores``.
+        """The store rows ``rows`` scored ``scores``, in that order.
 
-        Each row's rank is its position. An array of the right dtype is kept
-        without a copy and made read-only. A length mismatch, a non-finite
-        score or a repeated triple raises ConfigError.
+        Each row's rank is its position. Arrays of the right dtype are kept
+        without a copy and made read-only. A length mismatch, a number that
+        is no store row, a non-finite score or a repeated row raises
+        ConfigError.
         """
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+        rows = np.asarray(rows, dtype=np.int64)
         values = np.asarray(scores, dtype=np.float64)
-        if values.shape != (len(ids),):
-            raise ConfigError(f"{len(ids)} triples but {values.size} scores")
+        if rows.ndim != 1 or values.shape != rows.shape:
+            raise ConfigError(f"{rows.size} store rows but {values.size} scores")
         sequence = cls.__new__(cls)
-        sequence._set(store, ids, values, np.arange(len(ids)), provenance)
-        if not sequence._valid():
-            _raise_first_invalid(store, sequence.items)
+        sequence._set(store, rows, values, np.arange(len(rows)), provenance)
+        sequence._check()
         return sequence
 
     def _take(
@@ -132,12 +134,17 @@ class TripleSequence:
         sequence = TripleSequence.__new__(TripleSequence)
         sequence._set(
             self.store,
-            self.id_array[index],
+            self.row_array[index],
             self.score_array[index] if scores is None else scores,
             self.rank_array[index],
             provenance,
         )
         return sequence
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """The ``(n, 3)`` int64 ids of the rows, gathered from the store."""
+        return self.store.id_array[self.row_array]
 
     @property
     def items(self) -> list[ScoredTriple]:
@@ -166,19 +173,6 @@ class TripleSequence:
 
     def trimmed(self, k: int, provenance: str | None = None) -> "TripleSequence":
         return self._take(slice(None, k), provenance or self.provenance)
-
-
-def _raise_first_invalid(store: TripleStore, items: Iterable[ScoredTriple]) -> None:
-    """Raise ConfigError naming the first non-finite score or repeated triple."""
-    seen: set[Triple] = set()
-    for item in items:
-        if not math.isfinite(item.score):
-            raise ConfigError(f"non-finite score for triple {item.triple}")
-        if item.triple in seen:
-            raise ConfigError(
-                f"duplicate triple in sequence: {store.triple_labels(item.triple)}"
-            )
-        seen.add(item.triple)
 
 
 def relation_sentence(relation: str) -> str:
@@ -410,26 +404,25 @@ def score_triples(
     """Top-k candidates by score, descending; label order breaks ties.
 
     The scorer returns ``(kept, scores)`` aligned with
-    ``candidates.id_array`` (see the module docstring). One stable
-    ``np.lexsort`` sorts the kept rows by -score, then by the store's
-    ``label_sort_keys`` of their id columns, which order triples exactly as
-    their (head, relation, tail) labels do; the first k rows are taken from
-    the columns, and no ``Triple`` or ``ScoredTriple`` is built. Returns all
-    candidates when fewer than k exist; a NaN score raises ConfigError. The
-    sequence references the store behind ``candidates`` (the parent store
-    for a subgraph view); the output rank of each triple is its position in
-    this sequence.
+    ``candidates.id_array`` (see the module docstring). One ``np.lexsort``
+    sorts the kept store rows by -score, then by the store's ``row_rank``,
+    which orders triples exactly as their (head, relation, tail) labels do;
+    the first k rows are taken, and no ``Triple`` or ``ScoredTriple`` is
+    built. Returns all candidates when fewer than k exist; a NaN score
+    raises ConfigError. The sequence references the store behind
+    ``candidates`` (the parent store for a subgraph view); the output rank
+    of each triple is its position in this sequence.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     kept, scores = scorer.score_candidates(query, candidates)
     store = candidates.store
-    ids = candidates.id_array[kept]
+    rows = candidates.rows[kept]
     values = np.asarray(scores, dtype=np.float64)
     nan = np.isnan(values)
     if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
-        triple = Triple(*ids[int(nan.argmax())].tolist())
+        triple = Triple(*store.id_array[rows[nan.argmax()]].tolist())
         raise ConfigError(f"non-finite score for triple {triple}")
-    order = np.lexsort((*store.label_sort_keys(*ids.T), -values))[:k]
-    return TripleSequence.from_scores(store, ids[order], values[order], scorer.name)
+    order = np.lexsort((store.row_rank[rows], -values))[:k]
+    return TripleSequence.from_scores(store, rows[order], values[order], scorer.name)

@@ -601,6 +601,35 @@ def test_bench_rejects_sizes_that_are_not_positive_counts(tmp_path, capsys, size
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("algos", ["abc", "dijkstra,abc", "random_walk"])
+def test_bench_rejects_unknown_algorithm_names(tmp_path, capsys, algos):
+    code = run_cli("bench", "--sizes", "25", "--algos", algos, "--out", tmp_path / "bench")
+    assert code == 2
+    bad = algos.split(",")[-1]
+    err = capsys.readouterr().err
+    assert err == f"error: --algos takes dijkstra, bfs, random-walk, got {bad!r}\n"
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "flags", "message"),
+    [
+        ("run", ["--hops", "0"], "hops must be >= 1, got 0"),
+        ("retrieve", ["--hops", "-1"], "hops must be >= 1, got -1"),
+        ("retrieve", ["--coarse-k", "0"], "coarse_k must be >= 1, got 0"),
+    ],
+)
+def test_retrieval_settings_that_fail_every_query_abort_before_output(
+    tmp_path, capsys, command, flags, message
+):
+    out = tmp_path / "out"
+    extra = ["--no-llm"] if command == "run" else []
+    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, *extra, "--out", out]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("command", "lines", "message"),
     [
@@ -787,6 +816,24 @@ def test_stage_records_a_non_list_field_and_goes_on(tmp_path, command):
     if command == "prompt":
         assert outputs["files"]["good.json"] == clean["files"]["good.json"]
         assert sorted(outputs["files"]) == ["good.json", "manifest.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["pool", "select", "prompt"])
+def test_artifact_query_fields_are_read_as_strings(tmp_path, command):
+    # entity "5" heads the best path: a numeric query entity must find it
+    triples = [["5", "r", "6", 0.25], ["6", "r", "7", 0.25], ["8", "r", "9", 0.9]]
+    fields = dict(triples=triples, query_entities=["5"], answers=["7"])
+    as_text = _artifact("x", **fields)
+    as_numbers = _artifact("x", **{**fields, "query_entities": [5], "answers": [7]})
+    unanchored = _artifact("x", **{**fields, "query_entities": []})
+    text = _stage_outputs(command, [as_text], tmp_path / "text")
+    numbers = _stage_outputs(command, [as_numbers], tmp_path / "numbers")
+    assert numbers == text
+    if command == "pool":
+        assert text["x"]["query_entities"] == ["5"]
+        assert text["x"]["answers"] == ["7"]
+        none = _stage_outputs(command, [unanchored], tmp_path / "none")
+        assert none["x"]["triples"] != text["x"]["triples"]
 
 
 def test_retrieve_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch):

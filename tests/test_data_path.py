@@ -110,30 +110,29 @@ def test_scored_subgraph_hand_cases(edges):
     _assert_subgraph_matches_naive(_store_with_decoys(["zz", "a", "b"]), edges)
 
 
-# -- label keys ---------------------------------------------------------------
+# -- label order --------------------------------------------------------------
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_label_sort_keys_order_like_label_tuples(data):
+def test_row_rank_orders_like_label_tuples(data):
     _, rows = _rows(data)
     store = TripleStore()
     for row in rows[: len(rows) // 2]:
         store.add(*row)
-    store.label_ranks()  # cache the ranks, then intern more labels
+    store.row_rank  # rank the rows, then intern more labels
     for row in rows[len(rows) // 2 :]:
         store.add(*row)
     triples = store.triples
     by_labels = sorted(range(len(triples)), key=lambda i: store.triple_labels(triples[i]))
-    keys = store.label_sort_keys(*zip(*triples))
-    assert np.lexsort(keys).tolist() == by_labels
+    assert np.argsort(store.row_rank).tolist() == by_labels
 
 
 def test_find_resolves_stored_triples_only():
     store = TripleStore()
     store.add("a", "r", "b")
     store.add("c", "s", "d")
-    assert store.find("c", "s", "d") == store.triples[1]
+    assert store.find("c", "s", "d") == 1
     assert store.find("a", "s", "d") is None
     assert store.find("a", "r", "x") is None
     assert store.find("a", "q", "b") is None
@@ -212,7 +211,7 @@ def test_smooth_keeps_input_order_when_every_final_score_ties():
     store = TripleStore()
     for i in range(12):
         store.add(f"h{i}", "r", f"t{i}")
-    sequence = TripleSequence.from_scores(store, store.triples[::-1], [0.5] * 12, "t")
+    sequence = TripleSequence.from_scores(store, np.arange(12)[::-1], [0.5] * 12, "t")
     out = smooth(sequence, [], PoolingConfig())
     assert [item.triple for item in out.items] == [item.triple for item in sequence.items]
 
@@ -286,29 +285,51 @@ def test_sequence_names_the_first_invalid_item(rows, message):
     store, t0, t1 = _two_triple_store()
     triples = (t0, t1)
     message = message.format(t1=t1)
-    pairs = [(triples[i], score) for i, score in rows]
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-        TripleSequence.from_scores(store, *zip(*pairs), "t")
-    items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
+        TripleSequence.from_scores(store, *zip(*rows), "t")
+    items = [ScoredTriple(triples[i], s, r) for r, (i, s) in enumerate(rows)]
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence(store, items, "t")
 
 
-def test_sequence_keeps_distinct_triples_whose_column_keys_collide():
-    # ids beyond the store's counts: (0, 0, 2) and (1, 0, 0) share the key
-    # head * 2 + relation * 2 + tail of this two-entity, one-relation store
+@pytest.mark.parametrize(
+    "triple",
+    [
+        Triple(0, 0, 0),  # every id interned, the combination never added
+        Triple(1, 0, 0),
+        Triple(0, 0, 2),  # an entity id beyond the store's
+        Triple(-1, 0, 1),
+    ],
+)
+def test_sequence_rejects_a_triple_absent_from_the_store(triple):
     store = TripleStore()
     store.add("a", "r", "b")
-    pairs = [(Triple(0, 0, 2), 0.5), (Triple(1, 0, 0), 0.25)]
-    sequence = TripleSequence.from_scores(store, *zip(*pairs), "t")
-    assert [item.triple for item in sequence.items] == [t for t, _ in pairs]
-    items = [ScoredTriple(t, s, r) for r, (t, s) in enumerate(pairs)]
-    assert TripleSequence(store, items, "t").items == items
+    items = [ScoredTriple(Triple(0, 0, 1), 0.5, 0), ScoredTriple(triple, 0.25, 1)]
+    message = f"triple not in store: {triple}"
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        TripleSequence(store, items, "t")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([0, 1], "store rows lie in 0..0, got 0..1"),
+        ([-1], "store rows lie in 0..0, got -1..-1"),
+        ([Triple(0, 0, 1)], "3 store rows but 1 scores"),
+    ],
+)
+def test_from_scores_rejects_numbers_that_are_no_store_row(rows, message):
+    store = TripleStore()
+    store.add("a", "r", "b")
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        TripleSequence.from_scores(store, rows, [0.5] * len(rows), "t")
+    items = [ScoredTriple(Triple(0, 0, 1), 0.5, 0)]
+    assert TripleSequence.from_scores(store, [0], [0.5], "t").items == items
 
 
 def test_from_scores_builds_float_rows_in_order():
     store, t0, t1 = _two_triple_store()
-    sequence = TripleSequence.from_scores(store, [t1, t0], [1, 0.25], "t")
+    sequence = TripleSequence.from_scores(store, [1, 0], [1, 0.25], "t")
     assert sequence.items == [ScoredTriple(t1, 1.0, 0), ScoredTriple(t0, 0.25, 1)]
     assert all(type(item) is ScoredTriple for item in sequence.items)
     assert type(sequence.items[0].score) is float

@@ -181,7 +181,7 @@ def test_store_grown_past_its_built_columns_matches_its_rows(data):
     assert list(store.lines()) == ["\t".join(row) for row in rows]
     assert store.n_triples == len(store.id_array) == len(rows)
     for row in rows:
-        assert store.triple_labels(store.find(*row)) == row
+        assert store.triple_labels(store.triples[store.find(*row)]) == row
     assert store.find("E0", "r9", "E0") is None
     # the incidence CSR: per entity, the rows it heads, then the rows it tails
     offsets, other, triple = store.incidence()
@@ -210,30 +210,28 @@ def test_subgraph_shares_parent_triples():
 _LABELS = st.text(alphabet="aAbBé\u00c9\u03a9\u4e2d_1 ", min_size=1, max_size=3)
 
 
-def _label_order(store, triples):
-    """``triples`` sorted by one ``np.lexsort`` over ``label_sort_keys``."""
-    order = np.lexsort(store.label_sort_keys(*zip(*triples)))
-    return [triples[i] for i in order.tolist()]
+def _label_order(store):
+    """The store's triples sorted by ``row_rank``."""
+    triples = store.triples
+    return [triples[i] for i in np.argsort(store.row_rank).tolist()]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_LABELS, _LABELS, _LABELS), min_size=1, max_size=25))
-def test_label_sort_keys_match_label_tuples(rows):
+def test_row_rank_matches_label_tuples(rows):
     store = TripleStore()
     for row in rows:
         store.add(*row)
-    by_keys = _label_order(store, store.triples)
     by_labels = sorted(store.triples, key=store.triple_labels)
-    assert by_keys == by_labels
-    keys = list(zip(*store.label_sort_keys(*zip(*store.triples))))
-    assert len(set(keys)) == len(keys)
+    assert _label_order(store) == by_labels
+    assert sorted(store.row_rank.tolist()) == list(range(store.n_triples))
 
 
-def test_label_sort_keys_case_and_prefix_labels():
+def test_row_rank_case_and_prefix_labels():
     store = TripleStore()
     for row in [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]:
         store.add(*row)
-    ordered = _label_order(store, store.triples)
+    ordered = _label_order(store)
     assert [store.triple_labels(t) for t in ordered] == [
         ("A", "R", "AB"),
         ("A", "r", "b"),
@@ -242,17 +240,20 @@ def test_label_sort_keys_case_and_prefix_labels():
     ]
 
 
-def test_label_sort_keys_recomputed_after_add():
+def test_row_rank_rebuilt_after_add():
     store = TripleStore()
     store.add("M", "r", "N")
     store.add("Z", "r", "N")
-    assert _label_order(store, store.triples) == store.triples
+    stale = store.row_rank
+    assert _label_order(store) == store.triples
     # new labels sorting before, between and after the existing ones
     store.add("B", "q", "Z")
     store.add("N", "s", "A")
-    ordered = _label_order(store, store.triples)
+    ordered = _label_order(store)
     assert ordered == sorted(store.triples, key=store.triple_labels)
     assert ordered.index(store.triples[2]) < ordered.index(store.triples[0])
+    assert stale.tolist() == [0, 1]
+    assert store.row_rank.tolist() == [1, 3, 0, 2]
 
 
 def _queries(*ids):

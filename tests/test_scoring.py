@@ -362,11 +362,10 @@ def test_k_must_be_positive():
 
 def test_sequence_rejects_duplicates_and_nan():
     store = _store()
-    triple = store.triples[0]
-    with pytest.raises(ConfigError):
-        TripleSequence.from_scores(store, [triple, triple], [0.1, 0.2], "t")
-    with pytest.raises(ConfigError):
-        TripleSequence.from_scores(store, [triple], [float("nan")], "t")
+    with pytest.raises(ConfigError, match="duplicate triple"):
+        TripleSequence.from_scores(store, [0, 0], [0.1, 0.2], "t")
+    with pytest.raises(ConfigError, match="non-finite score"):
+        TripleSequence.from_scores(store, [0], [float("nan")], "t")
 
 
 @settings(max_examples=50, deadline=None)
