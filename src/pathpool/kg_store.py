@@ -192,23 +192,24 @@ class TripleStore:
     def row_rank(self) -> np.ndarray:
         """Each row's position in (head, relation, tail) label order, read-only.
 
-        Built on first use after each column build and cached; an array
-        taken before a later ``add`` is stale.
+        Built once after each column build, on first use under the build
+        lock, and cached; an array taken before a later ``add`` is stale.
         """
         columns = self._fresh_columns()
-        if self._rank[0] is not columns:
-            ids, n = columns[0], len(columns[0])
-            erank = _label_ranks(self._entity_labels)
-            rrank = _label_ranks(self._relation_labels)
-            # by relation and tail, then by head keeping that order; each key
-            # is below n_entities * max(n_relations, n), so none wraps
-            order = np.argsort(rrank[ids[:, 1]] * len(erank) + erank[ids[:, 2]])
-            order = order[np.argsort(erank[ids[order, 0]] * n + np.arange(n))]
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
-            rank.flags.writeable = False
-            self._rank = (columns, rank)
-        return self._rank[1]
+        with self._build_lock:
+            if self._rank[0] is not columns:
+                ids, n = columns[0], len(columns[0])
+                erank = _label_ranks(self._entity_labels)
+                rrank = _label_ranks(self._relation_labels)
+                # by relation and tail, then by head keeping that order; each
+                # key is below n_entities * max(n_relations, n), so none wraps
+                order = np.argsort(rrank[ids[:, 1]] * len(erank) + erank[ids[:, 2]])
+                order = order[np.argsort(erank[ids[order, 0]] * n + np.arange(n))]
+                rank = np.empty(n, dtype=np.int64)
+                rank[order] = np.arange(n)
+                rank.flags.writeable = False
+                self._rank = (columns, rank)
+            return self._rank[1]
 
     def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
         """Head, relation and tail labels of the rows of an ``(n, 3)`` id array."""
