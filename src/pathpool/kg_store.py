@@ -45,8 +45,8 @@ class TripleStore:
     Per entity, the triples it heads come first and then those it tails,
     each in store order, so a self-loop is listed twice.
 
-    ``row_rank`` ranks the rows in (head, relation, tail) label order; no
-    other code computes label order.
+    ``row_rank`` ranks the rows in (head, relation, tail) label order. It is
+    built with the columns, and no other code computes label order.
 
     ``load_triples`` builds the columns in bulk. ``add`` appends to an
     insertion-ordered buffer that also dedups the rows added since the
@@ -61,13 +61,11 @@ class TripleStore:
         self._entity_ids: dict[str, int] = {}
         self._relation_labels: list[str] = []
         self._relation_ids: dict[str, int] = {}
-        # (id array, offsets, other, triple), replaced as one tuple
-        self._columns = _build_columns(np.empty((0, 3), dtype=np.int64), 0)
+        # (id array, offsets, other, triple, row rank), replaced as one tuple
+        self._columns = _build_columns(np.empty((0, 3), dtype=np.int64), [], [])
         # rows added since the last build, each with the row it will get
         self._pending: dict[Triple, int] = {}
         self._build_lock = threading.Lock()
-        # (the columns it ranks, row_rank), built on first use
-        self._rank: tuple = (None, None)
 
     # -- construction -------------------------------------------------
 
@@ -106,7 +104,9 @@ class TripleStore:
                 if self._pending:
                     rows = np.array(list(self._pending), dtype=np.int64).reshape(-1, 3)
                     ids = np.concatenate((self._columns[0], rows))
-                    self._columns = _build_columns(ids, self.n_entities)
+                    self._columns = _build_columns(
+                        ids, self._entity_labels, self._relation_labels
+                    )
                     self._pending.clear()
         return self._columns
 
@@ -141,7 +141,7 @@ class TripleStore:
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only incidence CSR: ``offsets``, ``other`` and ``triple``."""
-        return self._fresh_columns()[1:]
+        return self._fresh_columns()[1:4]
 
     @property
     def triples(self) -> list[Triple]:
@@ -166,7 +166,7 @@ class TripleStore:
         row = self._pending.get(triple)
         if row is not None:
             return row
-        ids, offsets, _, rows = self._columns
+        ids, offsets, _, rows, _ = self._columns
         head = triple.head
         if not 0 <= head < len(offsets) - 1:
             return None
@@ -192,24 +192,9 @@ class TripleStore:
     def row_rank(self) -> np.ndarray:
         """Each row's position in (head, relation, tail) label order, read-only.
 
-        Built once after each column build, on first use under the build
-        lock, and cached; an array taken before a later ``add`` is stale.
+        Built with the columns; an array taken before a later ``add`` is stale.
         """
-        columns = self._fresh_columns()
-        with self._build_lock:
-            if self._rank[0] is not columns:
-                ids, n = columns[0], len(columns[0])
-                erank = _label_ranks(self._entity_labels)
-                rrank = _label_ranks(self._relation_labels)
-                # by relation and tail, then by head keeping that order; each
-                # key is below n_entities * max(n_relations, n), so none wraps
-                order = np.argsort(rrank[ids[:, 1]] * len(erank) + erank[ids[:, 2]])
-                order = order[np.argsort(erank[ids[order, 0]] * n + np.arange(n))]
-                rank = np.empty(n, dtype=np.int64)
-                rank[order] = np.arange(n)
-                rank.flags.writeable = False
-                self._rank = (columns, rank)
-            return self._rank[1]
+        return self._fresh_columns()[4]
 
     def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
         """Head, relation and tail labels of the rows of an ``(n, 3)`` id array."""
@@ -235,19 +220,29 @@ def _label_ranks(labels: list[str]) -> np.ndarray:
     return ranks
 
 
-def _build_columns(ids: np.ndarray, n_entities: int) -> tuple[np.ndarray, ...]:
-    """``ids`` and the incidence CSR over it (see ``TripleStore``), all read-only.
+def _build_columns(
+    ids: np.ndarray, entity_labels: list[str], relation_labels: list[str]
+) -> tuple[np.ndarray, ...]:
+    """``ids``, the incidence CSR over it and the row rank (see ``TripleStore``).
 
-    One stable argsort of the head column followed by the tail column puts
-    each entity's headed triples before its tailed ones, each in row order.
+    The rank sorts the rows by relation and tail label rank, then by head
+    rank keeping that order; each key is below ``n_entities * max(n_relations,
+    n)``, so none wraps. One stable argsort of the head column followed by
+    the tail column puts each entity's headed triples before its tailed
+    ones, each in row order. Every array is read-only.
     """
-    n = len(ids)
+    n, n_entities = len(ids), len(entity_labels)
+    erank, rrank = _label_ranks(entity_labels), _label_ranks(relation_labels)
+    by_label = np.argsort(rrank[ids[:, 1]] * n_entities + erank[ids[:, 2]])
+    by_label = by_label[np.argsort(erank[ids[by_label, 0]] * n + np.arange(n))]
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_label] = np.arange(n)
     ends = np.concatenate((ids[:, 0], ids[:, 2]))
     order = np.argsort(ends, kind="stable")
     offsets = np.zeros(n_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=n_entities), out=offsets[1:])
     other = np.concatenate((ids[:, 2], ids[:, 0]))[order]
-    columns = (ids, offsets, other, order % max(n, 1))
+    columns = (ids, offsets, other, order % max(n, 1), rank)
     for column in columns:
         column.flags.writeable = False
     return columns
@@ -333,8 +328,8 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
 
     Blank lines and ``#`` comments are skipped; duplicate triples collapse to
     one. Raises ParseError (with line number) on wrong arity or empty fields.
-    The lines are interned into three id lists, and the id array and
-    incidence CSR are then built from them in bulk.
+    The lines are interned into three id lists, and the id array, the
+    incidence CSR and the row rank are then built from them in bulk.
     """
     store = TripleStore()
     entity_ids = store._entity_ids
@@ -362,7 +357,11 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
     store._entity_labels.extend(entity_ids)
     store._relation_labels.extend(relation_ids)
     ids = np.array([heads, relations, tails], dtype=np.int64).T
-    store._columns = _build_columns(_first_seen(ids, store.n_entities), store.n_entities)
+    # drop the parse lists, so the column build reuses their memory
+    del heads, relations, tails
+    store._columns = _build_columns(
+        _first_seen(ids, store.n_entities), store._entity_labels, store._relation_labels
+    )
     return store
 
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import io
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import grown_store
 from naive_ref import naive_extract_subgraph
 
-from pathpool import kg_store
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
 from pathpool.kg_store import TripleStore, extract_subgraph, load_queries, load_triples
 
@@ -257,36 +254,6 @@ def test_row_rank_rebuilt_after_add():
     assert ordered.index(store.triples[2]) < ordered.index(store.triples[0])
     assert stale.tolist() == [0, 1]
     assert store.row_rank.tolist() == [1, 3, 0, 2]
-
-
-def test_row_rank_is_built_once_for_concurrent_readers(monkeypatch):
-    lines = "".join(f"E{i}\tr{i % 3}\tE{i * 7 % 50}\n" for i in range(200))
-    store = load_triples(io.StringIO(lines))
-    ranked = []
-    label_ranks = kg_store._label_ranks
-    monkeypatch.setattr(
-        kg_store, "_label_ranks", lambda labels: ranked.append(labels) or label_ranks(labels)
-    )
-    barrier = threading.Barrier(8)
-    results = []
-
-    def read():
-        barrier.wait(timeout=10)
-        results.append(store.row_rank)
-
-    threads = [threading.Thread(target=read) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(results) == 8 and all(rank is results[0] for rank in results)
-    assert len(ranked) == 2  # entity and relation labels, ranked once
 
 
 def _queries(*ids):
