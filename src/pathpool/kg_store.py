@@ -226,10 +226,10 @@ def _build_columns(
     """``ids``, the incidence CSR over it and the row rank (see ``TripleStore``).
 
     The rank sorts the rows by relation and tail label rank, then by head
-    rank keeping that order; each key is below ``n_entities * max(n_relations,
-    n)``, so none wraps. One stable argsort of the head column followed by
-    the tail column puts each entity's headed triples before its tailed
-    ones, each in row order. Every array is read-only.
+    rank keeping that order; no key wraps, as each is below
+    ``n_entities * max(n_relations, n)``. One stable argsort of the head
+    column followed by the tail column puts each entity's headed triples
+    before its tailed ones, each in row order. Every array is read-only.
     """
     n, n_entities = len(ids), len(entity_labels)
     erank, rrank = _label_ranks(entity_labels), _label_ranks(relation_labels)

@@ -162,7 +162,8 @@ class TripleSequence:
         return self.score_array.tolist()
 
     def labels(self, index: int) -> tuple[str, str, str]:
-        return self.store.triple_labels(Triple(*self.id_array[index].tolist()))
+        ids = self.store.id_array[self.row_array[index]]
+        return self.store.triple_labels(Triple(*ids.tolist()))
 
     def label_rows(self) -> list[tuple[str, str, str]]:
         """The (head, relation, tail) labels of every row, in order."""
