@@ -7,9 +7,9 @@ ties fall to the store's ``row_rank``: (head, relation, tail) label order.
 
 Candidates are a ``kg_store.Subgraph`` view or a whole ``TripleStore``: both
 expose their store ``rows``, the ``(n, 3)`` int64 ``id_array`` of those
-rows, and the ``store`` that resolves and ranks them. Every scorer returns columns, never a
-tuple per candidate: ``score_candidates(query, candidates)`` gives
-``(kept, scores)``, where ``kept`` indexes the rows of
+rows, and the ``store`` that resolves and ranks them. Every scorer returns
+columns, never a tuple per candidate: ``score_candidates(query, candidates)``
+gives ``(kept, scores)``, where ``kept`` indexes the rows of
 ``candidates.id_array`` that were scored (``slice(None)`` for all of them)
 and ``scores`` is a float64 array aligned with ``id_array[kept]``.
 """
@@ -87,8 +87,8 @@ class TripleSequence:
         self.provenance = provenance
 
     def _check(self) -> None:
-        """Raise ConfigError for a number that is no store row, else naming the
-        first non-finite score or repeated row, found by a walk only on failure.
+        """Raise ConfigError on a number that is no store row, or naming the
+        first non-finite score or repeated row; only a failing sequence is walked.
         """
         rows = np.sort(self.row_array)
         n = self.store.n_triples
