@@ -10,18 +10,27 @@ the current triple sequence, so intermediate results are inspectable files:
 that fails in any stage becomes an error row, ``{"id": ..., "error": ...}``
 (``run`` adds ``"status": "error"`` and counts it in ``n_errors``), and the
 command goes on with the next one; only configuration problems and
-unreadable input files abort. ``run`` exits 1 when ``n_errors`` is above 0.
+unreadable input files abort, and ``run`` checks its settings before it
+loads anything. ``run`` exits 1 when ``n_errors`` is above 0.
+
+Threads serve only waits on I/O. ``run`` computes every query's stages, up
+to its prompt text and digest, on the calling thread in query order; a pool
+writes the prompt files (one thread under ``--no-llm``) and, with an
+endpoint, makes the ``--workers`` concurrent calls, writes the completions
+and evaluates them. The stage subcommands run on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import functools
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -44,6 +53,10 @@ logger = logging.getLogger(__name__)
 _ALGO_FLAGS = {"dijkstra": "dijkstra", "bfs": "bfs", "random-walk": "random_walk"}
 _POOLING_FLAGS = {"avg": "average", "max": "max"}
 _ORDER_FLAGS = {"recency": "recency", "lost-in-middle": "lost_in_middle"}
+
+# queries whose I/O tail may be queued or running at once, per pool thread of
+# ``run_pipeline``; it bounds the prompt texts held for any query file length
+IN_FLIGHT_PER_IO_THREAD = 8
 
 
 # -- artifact helpers ----------------------------------------------------
@@ -211,13 +224,13 @@ def _select(sequence: TripleSequence, cfg: selection.SelectionConfig) -> TripleS
     return selection.reselect(sequence, cfg.fine_k, cfg.order)
 
 
-def _write_prompt(
-    out_dir: Path, record: QueryRecord, sequence: TripleSequence
-) -> tuple[generation.PromptBundle, dict]:
-    """Write ``<id>.json`` atomically; the bundle and its ``prompt_sha256`` row."""
+def _prompt(
+    record: QueryRecord, sequence: TripleSequence
+) -> tuple[generation.PromptBundle, str, dict]:
+    """The bundle, the text of its ``<id>.json`` and its ``prompt_sha256`` row."""
     bundle = generation.assemble_prompt(record, sequence)
-    _write_text_atomic(out_dir / f"{record.id}.json", bundle.file_text())
-    return bundle, {"id": record.id, "prompt_sha256": bundle.sha256()}
+    text = bundle.file_text()
+    return bundle, text, {"id": record.id, "prompt_sha256": bundle.sha256()}
 
 
 def _evaluate(predictions: list[str], gold: tuple[str, ...]) -> dict:
@@ -265,32 +278,52 @@ def _final_sequence(
     return _select(smoothed, sel)
 
 
+def _check_run(cfg: PipelineConfig) -> None:
+    """Reject a run config that would fail every query, before anything is loaded."""
+    _check_retrieval(cfg.hops, cfg.selection_cfg.coarse_k)
+    if not cfg.no_llm:
+        if cfg.generation_cfg is None:
+            raise ConfigError("an endpoint is required unless --no-llm is given")
+        cfg.generation_cfg.validate()
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+
+
+def _settled(outcome: Future | dict) -> dict:
+    """The row of a query whose I/O tail was submitted, or its error row."""
+    return outcome.result() if isinstance(outcome, Future) else outcome
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Retrieve, smooth, select, prompt, and (unless dry) generate + evaluate.
 
-    A query that fails in any stage, including a prompt or completion file
-    that cannot be written, becomes an error row counted in ``n_errors``, and
-    the run continues; only configuration problems and unreadable inputs
-    abort.
+    The calling thread runs each query's stages, up to its prompt text and
+    digest, in query order. The I/O tail of each query (the prompt write
+    and, unless dry, the endpoint call, the completion write and the
+    evaluation) runs on a pool: one thread under ``no_llm``, else
+    ``workers`` threads. At most ``IN_FLIGHT_PER_IO_THREAD`` queries per
+    pool thread are in flight; past that, the calling thread waits for the
+    oldest. A query that fails in either half, including a prompt or
+    completion file that cannot be written, becomes an error row counted in
+    ``n_errors``, and the run continues; only configuration problems and
+    unreadable inputs abort. Rows keep query order.
     """
-    _check_retrieval(cfg.hops, cfg.selection_cfg.coarse_k)
+    _check_run(cfg)
     store = load_triples(cfg.kg_path)
     queries = load_queries(cfg.queries_path)
     scorer = build_scorer(cfg.scorer_spec)
-    if cfg.generation_cfg is None and not cfg.no_llm:
-        raise ConfigError("an endpoint is required unless --no-llm is given")
     out_dir = Path(cfg.out_dir)
     prompts_dir = out_dir / "prompts"
     prompts_dir.mkdir(parents=True, exist_ok=True)
     completions_dir = out_dir / "completions"
     if not cfg.no_llm:
         completions_dir.mkdir(parents=True, exist_ok=True)
+    io_threads = 1 if cfg.no_llm else cfg.workers
 
-    def process(record: QueryRecord) -> dict:
-        coarse_k = cfg.selection_cfg.coarse_k
-        retrieved = _retrieve(store, record, scorer, cfg.hops, coarse_k)
-        final = _final_sequence(cfg, record, retrieved)
-        bundle, row = _write_prompt(prompts_dir, record, final)
+    def io_tail(
+        record: QueryRecord, bundle: generation.PromptBundle, text: str, row: dict
+    ) -> dict:
+        _write_text_atomic(prompts_dir / f"{record.id}.json", text)
         if cfg.no_llm:
             row["status"] = "dry_run"
             return row
@@ -300,11 +333,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         row.update(status="ok", **_evaluate(predictions, record.gold_answers))
         return row
 
-    def guarded(record: QueryRecord) -> dict:
-        return _isolated(record.id, process, record, status="error")
+    def start(record: QueryRecord) -> Future:
+        """Run the CPU stages here, then hand the query's I/O tail to the pool."""
+        coarse_k = cfg.selection_cfg.coarse_k
+        retrieved = _retrieve(store, record, scorer, cfg.hops, coarse_k)
+        final = _final_sequence(cfg, record, retrieved)
+        bundle, text, row = _prompt(record, final)
+        tail = functools.partial(io_tail, record, bundle, text)
+        return pool.submit(_isolated, record.id, tail, row, status="error")
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        rows = list(pool.map(guarded, queries))
+    rows = []
+    in_flight: collections.deque[Future | dict] = collections.deque()
+    with ThreadPoolExecutor(max_workers=io_threads) as pool:
+        for record in queries:
+            if len(in_flight) >= IN_FLIGHT_PER_IO_THREAD * io_threads:
+                rows.append(_settled(in_flight.popleft()))
+            in_flight.append(_isolated(record.id, start, record, status="error"))
+        rows.extend(map(_settled, in_flight))
 
     _write_jsonl_atomic(out_dir / "results.jsonl", rows)
     metrics = _eval_metrics(rows)
@@ -403,7 +448,9 @@ def cmd_prompt(args) -> int:
             raise ParseError(f"duplicate id {qid!r}")
         seen_ids.add(qid)
         record, sequence = _artifact_sequence(row)
-        return _write_prompt(out_dir, record, sequence)[1]
+        _, text, manifest_row = _prompt(record, sequence)
+        _write_text_atomic(out_dir / f"{record.id}.json", text)
+        return manifest_row
 
     manifest = [_isolated(row.get("id"), prompt, row) for row in rows]
     _write_jsonl_atomic(out_dir / "manifest.jsonl", manifest)

@@ -181,6 +181,8 @@ class GenerationConfig:
             raise ConfigError("max_tokens must be > 0")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
+        if not self.timeout > 0:  # NaN too
+            raise ConfigError("timeout must be > 0")
 
 
 def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:

@@ -53,7 +53,9 @@ class TripleStore:
     columns were last built; the next read of the columns rebuilds them,
     under a lock. Only that buffer holds a ``Triple`` per row: ``triples``
     builds the list on request. Immutable by convention once loaded; safe
-    for concurrent readers.
+    for concurrent readers. ``cli`` reads a store from one thread only, so
+    the lock guards library callers that share a store across their own
+    threads.
     """
 
     def __init__(self) -> None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +17,7 @@ DATA = resources.files("pathpool") / "data"
 TOY_KG = str(DATA / "toy_kg.tsv")
 TOY_QUERIES = str(DATA / "toy_queries.jsonl")
 TOY_SCORES = str(DATA / "toy_scores.tsv")
+MOCK_URL = "http://mock.invalid/v1/chat/completions"
 
 
 def run_cli(*argv) -> int:
@@ -564,6 +568,140 @@ def test_unwritable_prompt_costs_only_its_query(tmp_path):
     assert not list((out / "prompts").glob("*.tmp"))
 
 
+def test_endpoint_calls_overlap_across_workers(tmp_path, monkeypatch):
+    records = [json.loads(line) for line in Path(TOY_QUERIES).read_text().splitlines()]
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        "".join(
+            json.dumps(dict(record, id=f"{record['id']}-{copy}")) + "\n"
+            for copy in range(2)
+            for record in records
+        ),
+        encoding="utf-8",
+    )
+    answers = {record["question"]: record["answers"][0] for record in records}
+    delay = 0.15
+    lock = threading.Lock()
+    calls = {"now": 0, "peak": 0}
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, completion):
+            self.text = json.dumps({"choices": [{"message": {"content": completion}}]})
+
+        def json(self):
+            return json.loads(self.text)
+
+    def slow_post(url, **kwargs):
+        with lock:
+            calls["now"] += 1
+            calls["peak"] = max(calls["peak"], calls["now"])
+        time.sleep(delay)
+        with lock:
+            calls["now"] -= 1
+        question = kwargs["json"]["messages"][-1]["content"].rsplit("Question:\n", 1)[1]
+        return Reply(f"ans: {answers[question]}")
+
+    monkeypatch.setattr("pathpool.generation.requests.post", slow_post)
+
+    def run(workers, out):
+        argv = ["--kg", TOY_KG, "--queries", queries, "--endpoint", MOCK_URL]
+        start = time.perf_counter()
+        assert run_cli("run", *argv, "--workers", workers, "--out", out) == 0
+        return time.perf_counter() - start
+
+    n = 2 * len(records)
+    assert run(4, tmp_path / "four") < n * delay / 2
+    assert 1 < calls["peak"] <= 4
+    run(1, tmp_path / "one")
+    assert calls["peak"] <= 4
+    assert read_tree(tmp_path / "four") == read_tree(tmp_path / "one")
+    metrics = json.loads((tmp_path / "one" / "metrics.json").read_text())
+    assert metrics["n"] == n and metrics["hit_at_1"] == 1.0
+
+
+def test_dry_run_writes_every_prompt_on_one_io_thread(tmp_path, monkeypatch):
+    writes = []
+    write_text_atomic = cli._write_text_atomic
+
+    def recorded(path, text):
+        writes.append((path.parent.name, threading.get_ident()))
+        write_text_atomic(path, text)
+
+    monkeypatch.setattr(cli, "_write_text_atomic", recorded)
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm",
+        "--workers", "4", "--out", out,
+    ) == 0
+    prompt_threads = [ident for parent, ident in writes if parent == "prompts"]
+    assert len(prompt_threads) == 5
+    assert len(set(prompt_threads)) == 1
+    assert prompt_threads[0] != threading.get_ident()
+    # results.jsonl and metrics.json are written by the calling thread
+    assert [ident for parent, ident in writes if parent == "out"] == [threading.get_ident()] * 2
+
+
+def test_in_flight_bound_of_one_keeps_every_output(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    trees = {}
+    for bound in (cli.IN_FLIGHT_PER_IO_THREAD, 1):
+        monkeypatch.setattr(cli, "IN_FLIGHT_PER_IO_THREAD", bound)
+        for broken in (False, True):
+            if broken:
+                (out / "prompts" / "q3.json").mkdir(parents=True)
+            assert run_cli(
+                "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
+            ) == int(broken)
+            trees[bound, broken] = read_tree(out)
+            shutil.rmtree(out)
+    assert trees[1, False] == trees[cli.IN_FLIGHT_PER_IO_THREAD, False]
+    assert trees[1, True] == trees[cli.IN_FLIGHT_PER_IO_THREAD, True]
+    assert not [name for name in trees[1, True] if name.endswith(".tmp")]
+    clean, broken = (
+        [json.loads(line) for line in trees[1, b]["results.jsonl"].splitlines()]
+        for b in (False, True)
+    )
+    assert broken[2]["id"] == "q3" and broken[2]["status"] == "error"
+    assert "Is a directory" in broken[2]["error"]
+    assert broken[:2] + broken[3:] == clean[:2] + clean[3:]
+
+
+def test_calling_thread_waits_once_the_in_flight_bound_is_reached(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "IN_FLIGHT_PER_IO_THREAD", 2)
+    from pathpool import generation
+
+    assembled = []
+    assemble_prompt = generation.assemble_prompt
+
+    def counted(record, sequence):
+        assembled.append(record.id)
+        return assemble_prompt(record, sequence)
+
+    seen = []
+    write_text_atomic = cli._write_text_atomic
+
+    def held_first_write(path, text):
+        if not seen:
+            # the calling thread runs ahead until two queries are in flight
+            deadline = time.monotonic() + 5.0
+            while len(assembled) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)
+            seen.append(list(assembled))
+        write_text_atomic(path, text)
+
+    monkeypatch.setattr(generation, "assemble_prompt", counted)
+    monkeypatch.setattr(cli, "_write_text_atomic", held_first_write)
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm", "--out", out
+    ) == 0
+    assert seen == [["q1", "q2"]]
+    assert len(assembled) == 5
+
+
 def test_write_text_atomic_removes_tmp_when_replace_fails(tmp_path):
     target = tmp_path / "target"
     target.mkdir()
@@ -626,6 +764,32 @@ def test_retrieval_settings_that_fail_every_query_abort_before_output(
     extra = ["--no-llm"] if command == "run" else []
     argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, *extra, "--out", out]
     assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--endpoint", MOCK_URL, "--max-tokens", "0"], "max_tokens must be > 0"),
+        (["--endpoint", MOCK_URL, "--retries", "-1"], "retries must be >= 0"),
+        (["--endpoint", MOCK_URL, "--timeout", "-1"], "timeout must be > 0"),
+        (["--no-llm", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["--no-llm", "--workers", "-5"], "workers must be >= 1, got -5"),
+        ([], "an endpoint is required unless --no-llm is given"),
+    ],
+)
+def test_run_settings_that_fail_every_query_abort_before_loading(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def untouched(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr(cli, "load_triples", untouched)
+    monkeypatch.setattr("pathpool.generation.requests.post", untouched)
+    out = tmp_path / "out"
+    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, "--out", out]
+    assert run_cli("run", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

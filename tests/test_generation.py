@@ -336,3 +336,6 @@ def test_generation_config_validation():
         GenerationConfig(endpoint="x", model="m", temperature=-1).validate()
     with pytest.raises(ConfigError):
         GenerationConfig(endpoint="x", model="m", max_tokens=0).validate()
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="timeout must be > 0"):
+            GenerationConfig(endpoint="x", model="m", timeout=timeout).validate()
