@@ -13,11 +13,9 @@ command goes on with the next one; only configuration problems and
 unreadable input files abort, and ``run`` checks its settings before it
 loads anything. ``run`` exits 1 when ``n_errors`` is above 0.
 
-Threads serve only waits on I/O. ``run`` computes every query's stages, up
-to its prompt text and digest, on the calling thread in query order; a pool
-writes the prompt files (one thread under ``--no-llm``) and, with an
-endpoint, makes the ``--workers`` concurrent calls, writes the completions
-and evaluates them. The stage subcommands run on the calling thread alone.
+Every stage runs on the calling thread; threads only wait on I/O. ``run``
+writes the prompt files on one pool thread under ``--no-llm``; with an
+endpoint, ``--workers`` pool threads write, call the endpoint and evaluate.
 """
 
 from __future__ import annotations
