@@ -2,7 +2,8 @@
 
 Every prompt's sha256 is pinned, per query, for each ``--algo`` x ``--mode``
 and for ``--baseline``, under the ``uniform`` scorer (every order is decided
-by label ties) and the ``precomputed`` toy scores. ``--coarse-k 20`` and
+by label ties), the ``precomputed`` toy scores and the ``cosine`` scorer
+over a seeded toy embedding table (``toy_embeddings``). ``--coarse-k 20`` and
 ``--fine-k 8`` cut the toy neighbourhoods, so the retrieval cut and the
 selection cut both show in the digests. The sha256 of each run's
 ``results.jsonl`` and ``metrics.json`` is pinned too, so their bytes, row
@@ -22,6 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathpool import cli
@@ -31,7 +33,7 @@ GOLDEN = Path(__file__).with_name("golden_prompts.json")
 GOLDEN_OUTPUTS = Path(__file__).with_name("golden_outputs.json")
 OUTPUT_FILES = ("results.jsonl", "metrics.json")
 
-SCORERS = {"uniform": "uniform", "precomputed": f"precomputed:{DATA / 'toy_scores.tsv'}"}
+SCORERS = ("uniform", "precomputed", "cosine")
 RUNS = {
     **{
         f"{algo}-{mode}": ["--algo", algo, "--mode", mode]
@@ -43,6 +45,39 @@ RUNS = {
 CASES = [f"{scorer}-{run}" for scorer in SCORERS for run in RUNS]
 
 
+def toy_embeddings() -> str:
+    """A seeded 8-dim ``label<TAB>components`` table for the toy data.
+
+    One line per distinct toy triple sentence (``head relation tail``, the
+    relation's dots and underscores turned into spaces) and toy question,
+    in first-seen order, with standard normal components formatted ``%.6f``.
+    """
+    texts: dict[str, None] = {}
+    for line in (DATA / "toy_kg.tsv").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            head, relation, tail = line.split("\t")
+            texts[f"{head} {relation.replace('.', ' ').replace('_', ' ')} {tail}"] = None
+    for line in (DATA / "toy_queries.jsonl").read_text(encoding="utf-8").splitlines():
+        texts[json.loads(line)["question"]] = None
+    values = np.random.default_rng(0).standard_normal((len(texts), 8))
+    return "".join(
+        f"{text}\t{' '.join('%.6f' % v for v in row)}\n"
+        for text, row in zip(texts, values.tolist())
+    )
+
+
+def _scorer_spec(scorer: str, out: Path) -> str:
+    """The ``--scorer`` of ``scorer``; a cosine table is written into ``out``."""
+    if scorer == "precomputed":
+        return f"precomputed:{DATA / 'toy_scores.tsv'}"
+    if scorer == "cosine":
+        table = out / "toy_embeddings.tsv"
+        out.mkdir(parents=True, exist_ok=True)
+        table.write_text(toy_embeddings(), encoding="utf-8")
+        return f"cosine:{table}"
+    return scorer
+
+
 def _run(case: str, out: Path) -> Path:
     """One dry run of ``case`` into ``out``."""
     scorer, run = case.split("-", 1)
@@ -50,7 +85,7 @@ def _run(case: str, out: Path) -> Path:
         "run",
         "--kg", str(DATA / "toy_kg.tsv"),
         "--queries", str(DATA / "toy_queries.jsonl"),
-        "--scorer", SCORERS[scorer],
+        "--scorer", _scorer_spec(scorer, out),
         "--coarse-k", "20",
         "--fine-k", "8",
         "--seed", "0",
