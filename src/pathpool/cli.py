@@ -61,10 +61,22 @@ IN_FLIGHT_PER_IO_THREAD = 8
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
-    """Write via ``<name>.tmp`` and a rename; a failed write leaves no ``.tmp``."""
+    """Write via ``<name>.tmp`` and a rename; a failed write leaves no ``.tmp``.
+
+    The UTF-8 bytes are written with ``os.open``, ``os.write`` and
+    ``os.close``: four system calls with the rename, where a file object
+    makes about eight, each of which the I/O thread must retake the GIL
+    after. ``os.write`` may write only part of the bytes, so it loops.
+    """
+    data = memoryview(text.encode("utf-8"))
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import compress, repeat
-from operator import attrgetter
+from itertools import compress, filterfalse, islice, repeat
+from operator import attrgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -257,38 +257,31 @@ class CosineScorer:
         """Parse ``label<TAB>components`` lines straight into the matrix rows.
 
         A first pass counts the lines, so the matrix is allocated once; a
-        repeated label keeps its first row and its last vector.
+        repeated label keeps its first row and its last vector. The lines
+        are read ``_LOAD_BLOCK`` at a time, and ``_parse_block`` parses a
+        block's components with one ``np.loadtxt`` call. A block it does
+        not accept is read again by ``_load_lines``, one line at a time;
+        that loop alone raises, so every ParseError names its line as a
+        whole-file line loop would.
         """
         with open(path, "r", encoding="utf-8") as handle:
             n_lines = sum(1 for _ in handle)
         rows: dict[str, int] = {}
         matrix: np.ndarray | None = None
+        lineno = 1
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                label, tab, rest = line.partition("\t")
-                if not tab or not label:
-                    raise ParseError("expected 'label<TAB>components'", line=lineno)
-                try:
-                    values = list(map(float, rest.split()))
-                except ValueError:
-                    raise ParseError("non-numeric embedding component", line=lineno)
-                if not values:
-                    raise ParseError("empty embedding vector", line=lineno)
-                if matrix is None:
-                    matrix = np.empty((n_lines, len(values)))
-                elif len(values) != matrix.shape[1]:
-                    raise ParseError(
-                        f"dimension mismatch: {len(values)} != {matrix.shape[1]}",
-                        line=lineno,
-                    )
-                # a finite sum proves every component finite; only a NaN, an
-                # infinity or an overflowing sum needs the exact check
-                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                    raise ParseError("non-finite embedding component", line=lineno)
-                matrix[rows.setdefault(label, len(rows))] = values
+            while block := list(islice(handle, _LOAD_BLOCK)):
+                parsed = _parse_block(block, None if matrix is None else matrix.shape[1])
+                if parsed is None:
+                    matrix = _load_lines(block, lineno, rows, matrix, n_lines)
+                else:
+                    labels, values = parsed
+                    if matrix is None:
+                        matrix = np.empty((n_lines, values.shape[1]))
+                    fresh = list(filterfalse(rows.__contains__, labels))
+                    rows.update(zip(fresh, range(len(rows), len(rows) + len(fresh))))
+                    matrix[list(map(rows.__getitem__, labels))] = values
+                lineno += len(block)
         if matrix is None:
             matrix = np.empty((0, 0))
         scorer = cls.__new__(cls)
@@ -331,6 +324,86 @@ class CosineScorer:
         scores = np.where(scores > -1.0, scores, -1.0)
         scores = np.where(scores < 1.0, scores, 1.0)
         return slice(None), scores
+
+
+# lines of an embedding table parsed per ``np.loadtxt`` call; at 64
+# dimensions a block holds about 2 MB of text and floats
+_LOAD_BLOCK = 1024
+
+_SPLIT_LABEL = methodcaller("partition", "\t")
+
+
+def _parse_block(
+    lines: list[str], width: int | None
+) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The labels and ``(len(lines), width)`` components of a clean block, else None.
+
+    A block is clean when every line is ``label<TAB>components`` with a
+    label and a non-blank component string (``np.loadtxt`` would skip a
+    blank one, and warn on a block of them), no label repeats (numpy does
+    not define which of two writes to one row wins), ``np.loadtxt`` parses
+    the components into one row per line of ``width`` columns (any width
+    for the first block) and every component is finite. The checks run on
+    the whole block; there is no Python step per line. ``comments=None``
+    keeps a ``#`` a component. ``np.loadtxt`` converts a token as
+    ``float`` does, but rejects some that ``float`` accepts (``1_0``,
+    non-ASCII digits); such a block is not clean.
+    """
+    labels, tabs, rests = zip(*map(_SPLIT_LABEL, lines))
+    if not (all(tabs) and all(labels) and all(map(str.strip, rests))):
+        return None
+    if len(set(labels)) < len(labels):
+        return None
+    try:
+        values = np.loadtxt(rests, dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width or values.shape[1]):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return labels, values
+
+
+def _load_lines(
+    lines: list[str],
+    first: int,
+    rows: dict[str, int],
+    matrix: np.ndarray | None,
+    n_lines: int,
+) -> np.ndarray | None:
+    """Parse ``lines``, numbered from ``first``, one at a time into ``matrix``.
+
+    Blank lines are skipped. When ``matrix`` is None, one of ``n_lines``
+    rows is allocated at the first vector. Returns the matrix, None while
+    no vector has been read. A malformed line raises ParseError naming it.
+    """
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        label, tab, rest = line.partition("\t")
+        if not tab or not label:
+            raise ParseError("expected 'label<TAB>components'", line=lineno)
+        try:
+            values = list(map(float, rest.split()))
+        except ValueError:
+            raise ParseError("non-numeric embedding component", line=lineno)
+        if not values:
+            raise ParseError("empty embedding vector", line=lineno)
+        if matrix is None:
+            matrix = np.empty((n_lines, len(values)))
+        elif len(values) != matrix.shape[1]:
+            raise ParseError(
+                f"dimension mismatch: {len(values)} != {matrix.shape[1]}",
+                line=lineno,
+            )
+        # a finite sum proves every component finite; only a NaN, an
+        # infinity or an overflowing sum needs the exact check
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise ParseError("non-finite embedding component", line=lineno)
+        matrix[rows.setdefault(label, len(rows))] = values
+    return matrix
 
 
 class PrecomputedScorer:

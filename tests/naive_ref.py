@@ -2,12 +2,14 @@
 
 Written directly from the algorithm definitions: extraction by full scans
 of the whole KG, top-k by one sort of label tuples, cosine scoring one
-candidate at a time, smoothing by exhaustive path enumeration and a
-global best-path selection. Shares no code or data structures with the
+candidate at a time, the embedding table parsed one line at a time,
+smoothing by exhaustive path enumeration and a global best-path selection. Shares no code or data structures with the
 package implementation it checks. Operates on plain label tuples.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,6 +61,60 @@ def naive_cosine_scores(
         score = float(np.dot(qvec, tvec) / denom) if denom > 0.0 else 0.0
         scores.append(min(1.0, max(-1.0, score)))
     return scores
+
+
+class NaiveTableError(ValueError):
+    """A malformed embedding table line; ``str()`` reads ``line N: message``."""
+
+    def __init__(self, message: str, line: int):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+def naive_load_table(path) -> tuple[np.ndarray, dict[str, int], np.ndarray]:
+    """A ``label<TAB>components`` table parsed one line at a time.
+
+    Returns the ``(texts, dim)`` float64 matrix, the ``text -> row`` dict
+    and each row's ``np.linalg.norm``. Blank lines are skipped; a repeated
+    label keeps its first row and its last vector. A line without a tab or
+    a label, a component ``float`` rejects, no component, a dimension other
+    than the first vector's or a non-finite component raises
+    NaiveTableError naming the line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        n_lines = sum(1 for _ in handle)
+    rows: dict[str, int] = {}
+    matrix: np.ndarray | None = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            label, tab, rest = line.partition("\t")
+            if not tab or not label:
+                raise NaiveTableError("expected 'label<TAB>components'", line=lineno)
+            try:
+                values = list(map(float, rest.split()))
+            except ValueError:
+                raise NaiveTableError("non-numeric embedding component", line=lineno)
+            if not values:
+                raise NaiveTableError("empty embedding vector", line=lineno)
+            if matrix is None:
+                matrix = np.empty((n_lines, len(values)))
+            elif len(values) != matrix.shape[1]:
+                raise NaiveTableError(
+                    f"dimension mismatch: {len(values)} != {matrix.shape[1]}",
+                    line=lineno,
+                )
+            if not all(map(math.isfinite, values)):
+                raise NaiveTableError("non-finite embedding component", line=lineno)
+            matrix[rows.setdefault(label, len(rows))] = values
+    if matrix is None:
+        matrix = np.empty((0, 0))
+    matrix = matrix[: len(rows)]
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+    return matrix, rows, norms
 
 
 def _all_simple_paths(adjacency, endpoint_of, start, limit):

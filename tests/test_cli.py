@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import shutil
 import threading
 import time
@@ -709,6 +711,35 @@ def test_write_text_atomic_removes_tmp_when_replace_fails(tmp_path):
         cli._write_text_atomic(target, "text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
+
+def test_write_text_atomic_finishes_partial_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:3])
+
+    text = "\u00e9t\u00e9 \u4e2d\n" * 3
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        cli._write_text_atomic(tmp_path / "q.json", text)
+    assert (tmp_path / "q.json").read_text(encoding="utf-8") == text
+    size = len(text.encode("utf-8"))
+    assert sizes == list(range(size, 0, -3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+def test_write_text_atomic_removes_tmp_when_a_write_fails(tmp_path, monkeypatch):
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError) as err:
+            cli._write_text_atomic(tmp_path / "q.json", "text")
+    assert err.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
 
 def test_bench_rejects_too_few_queries_per_cell(tmp_path, capsys):
     from pathpool.bench import MIN_QUERIES_PER_CELL

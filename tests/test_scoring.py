@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import math
 import re
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,14 @@ from hypothesis import strategies as st
 
 from conftest import grown_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
-from naive_ref import naive_cosine_scores, naive_extract_subgraph, naive_top_k
+from naive_ref import (
+    NaiveTableError,
+    naive_cosine_scores,
+    naive_extract_subgraph,
+    naive_load_table,
+    naive_top_k,
+)
+from pathpool import scoring
 from pathpool.kg_store import QueryRecord, Subgraph, extract_subgraph, load_triples
 from pathpool.scoring import (
     CosineScorer,
@@ -207,6 +217,188 @@ def test_cosine_loader_keeps_the_last_vector_of_a_repeated_text(tmp_path):
     kept, scores = scorer.score_candidates(QUERY, store)
     assert kept == slice(None)
     assert scores.tolist() == [1.0]
+
+
+# -- cosine table loader against the line-loop oracle ------------------------
+
+
+def _load_outcomes(path) -> tuple[tuple, tuple]:
+    """``CosineScorer.load``'s and ``naive_load_table``'s outcome for one file.
+
+    A table gives its matrix shape and bytes, its rows and its norm bytes;
+    a rejected table gives the error's line and message.
+    """
+    try:
+        scorer = CosineScorer.load(path)
+        got = (scorer.matrix.shape, scorer.matrix.tobytes(), scorer.rows, scorer.norms.tobytes())
+    except ParseError as err:
+        got = (err.line, str(err))
+    try:
+        matrix, rows, norms = naive_load_table(path)
+        want = (matrix.shape, matrix.tobytes(), rows, norms.tobytes())
+    except NaiveTableError as err:
+        want = (err.line, str(err))
+    return got, want
+
+
+# plain components, more often than those float() and np.loadtxt both
+# accept, float() alone, or neither
+_PLAIN_TOKENS = ["0.25", "-1.5", "3", "0.000001", "-2.25e-3"]
+_TABLE_TOKENS = st.sampled_from(
+    _PLAIN_TOKENS * 4
+    + ["0", "-0", "+1", ".5", "1.", "1e-400", "4.9e-324", "1e308"]
+    + ["1_0", "\u0661\u0662", "1_0.5"]
+)
+_BAD_TOKENS = st.sampled_from(
+    ["#", "nan", "-inf", "Infinity", "1e999", "x", "1,5", "0x10", "1e", "\u22121"]
+)
+# labels that repeat now and then
+_TABLE_LABELS = st.sampled_from(
+    ["a", "b", "c d", "\u00e9", "\u4e2d", "#x", " e", "f "] + [f"t{i}" for i in range(40)]
+)
+_SEPARATORS = st.sampled_from([" "] * 8 + ["  ", "\t", " \t", "\u2003", "\xa0", "\x0c"])
+
+
+@st.composite
+def _tables(draw) -> str:
+    """Table text: vector lines over a few labels, blank and whitespace-only
+    lines, CRLF or LF endings, and at most one faulty line anywhere."""
+
+    def vector(dim, bad=False):
+        tokens = draw(st.lists(_TABLE_TOKENS, min_size=dim, max_size=dim))
+        if bad:
+            tokens[draw(st.integers(0, dim - 1))] = draw(_BAD_TOKENS)
+        text = "".join(token + draw(_SEPARATORS) for token in tokens)
+        return draw(st.sampled_from(["", " ", "\t"])) + text
+
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["vector"] * 14 + ["blank", "space"]))
+        if kind == "vector":
+            lines.append(f"{draw(_TABLE_LABELS)}\t{vector(dim)}")
+        else:
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", " \t "])))
+    faults = {
+        "token": lambda: f"z\t{vector(dim, bad=True)}",
+        "no tab": lambda: f"z {vector(dim)}",
+        "no label": lambda: f"\t{vector(dim)}",
+        "no components": lambda: draw(st.sampled_from(["z\t", "z\t  ", "z\t\u2003"])),
+        "dimension": lambda: f"z\t{vector(dim + draw(st.sampled_from([-1, 1])) or 2)}",
+    }
+    fault = draw(st.sampled_from([None, *faults]))
+    if fault is not None:
+        lines.insert(draw(st.integers(0, len(lines))), faults[fault]())
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + ending for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_tables(), block=st.integers(1, 8))
+def test_cosine_loader_equals_the_line_loop_oracle(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("table") / "emb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(scoring, "_LOAD_BLOCK", block), np.errstate(over="ignore"):
+        got, want = _load_outcomes(path)
+    assert got == want
+
+
+# (table text, the line and message it fails with, or None), read in blocks of 2
+_LOADER_CASES = {
+    "bad line in the second block": (
+        "a\t1 2\nb\t3 4\nc\t5 x\nd\t7 8\n", "line 3: non-numeric embedding component"
+    ),
+    "label repeated within a block": ("a\t1 2\na\t3 4\nb\t5 6\n", None),
+    "label repeated across blocks": ("a\t1 2\nb\t3 4\na\t5 6\nc\t7 8\nb\t9 0\n", None),
+    "crlf endings": ("a\t1 2\r\nb\t3 4\r\nc\t5 6\r\n", None),
+    "blank and whitespace-only lines": ("a\t1 2\n\n \t \nb\t3 4\n\n", None),
+    "tabs and unicode spaces": ("a\t1\t2\nb\t3\u20034\nc\t\xa05 6\u3000\n", None),
+    "empty component string": ("a\t1 2\nb\t3 4\nc\t\n", "line 3: empty embedding vector"),
+    "blank component string": ("a\t1 2\nb\t3 4\nc\t \t\n", "line 3: empty embedding vector"),
+    "no label": ("a\t1 2\nb\t3 4\n\t5 6\n", "line 3: expected 'label<TAB>components'"),
+    "no tab": ("a\t1 2\nb\t3 4\nc 5 6\n", "line 3: expected 'label<TAB>components'"),
+    "dimension change at a block start": (
+        "a\t1 2\nb\t3 4\nc\t5 6 7\n", "line 3: dimension mismatch: 3 != 2"
+    ),
+    **{
+        f"component {token}": ("a\t1 2\nb\t3 4\nc\t5 " + token + "\n", failure)
+        for token, failure in [
+            ("#", "line 3: non-numeric embedding component"),
+            ("6 #", "line 3: non-numeric embedding component"),
+            ("1_0", None),
+            ("\u0661\u0662", None),
+            ("+1", None),
+            (".5", None),
+            ("1e-400", None),
+            ("4.9e-324", None),
+            ("1e999", "line 3: non-finite embedding component"),
+            ("nan", "line 3: non-finite embedding component"),
+            ("NaN", "line 3: non-finite embedding component"),
+            ("inf", "line 3: non-finite embedding component"),
+            ("-Infinity", "line 3: non-finite embedding component"),
+        ]
+    },
+}
+
+
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns on a block of blank lines
+@pytest.mark.parametrize("case", _LOADER_CASES)
+def test_cosine_loader_equals_the_oracle_on_edge_cases(tmp_path, monkeypatch, case):
+    text, failure = _LOADER_CASES[case]
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(scoring, "_LOAD_BLOCK", 2)
+    got, want = _load_outcomes(path)
+    assert got == want
+    if failure is None:
+        assert len(got) == 4
+    else:
+        assert got[1] == failure
+
+
+def test_cosine_loader_reads_only_a_failing_block_line_by_line(tmp_path, monkeypatch):
+    calls = []
+    load_lines = scoring._load_lines
+
+    def spy(lines, first, *args):
+        calls.append((first, len(lines)))
+        return load_lines(lines, first, *args)
+
+    monkeypatch.setattr(scoring, "_LOAD_BLOCK", 2)
+    monkeypatch.setattr(scoring, "_load_lines", spy)
+    path = tmp_path / "emb.tsv"
+    clean = "a\t1 2\nb\t3 4\nc\t5 6\nd\t7 8\ne\t9 0\n"
+    path.write_text(clean, encoding="utf-8")
+    assert CosineScorer.load(path).matrix.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 0]]
+    assert calls == []
+    path.write_text(clean.replace("d\t7", "d\t1_0"), encoding="utf-8")
+    got, want = _load_outcomes(path)
+    assert got == want
+    assert calls == [(3, 2)]
+
+
+def test_cosine_loader_peak_memory_is_one_block_past_its_result(tmp_path):
+    """A 20,000 x 64 table loads within the matrix, the rows dict and 4 MiB.
+
+    The text alone is about 12 MB, so a parse of the whole file at once
+    would exceed the bound; the ``peak_rss_mb`` of a cosine run rests on it.
+    """
+    rng = np.random.default_rng(0)
+    vectors = [" ".join("%.6f" % v for v in row) for row in rng.standard_normal((64, 64))]
+    path = tmp_path / "emb.tsv"
+    path.write_text(
+        "".join(f"text {i}\t{vectors[i % 64]}\n" for i in range(20_000)), encoding="utf-8"
+    )
+    tracemalloc.start()
+    try:
+        scorer = CosineScorer.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scorer.matrix.shape == (20_000, 64)
+    rows = sys.getsizeof(scorer.rows) + sum(map(sys.getsizeof, scorer.rows))
+    assert peak < scorer.matrix.nbytes + rows + 4 * 2**20
 
 
 # -- cosine scorer against the per-candidate oracle ---------------------------
