@@ -241,8 +241,8 @@ def _load_outcomes(path) -> tuple[tuple, tuple]:
     return got, want
 
 
-# plain components, more often than those float() and np.loadtxt both
-# accept, float() alone, or neither
+# components: plain ones most often, then ones float() and np.loadtxt both
+# accept, then ones float() alone accepts
 _PLAIN_TOKENS = ["0.25", "-1.5", "3", "0.000001", "-2.25e-3"]
 _TABLE_TOKENS = st.sampled_from(
     _PLAIN_TOKENS * 4
