@@ -100,7 +100,9 @@ class TripleSequence:
         for row, score in zip(self.row_array.tolist(), self.score_array.tolist()):
             triple = Triple(*self.store.id_array[row].tolist())
             if not math.isfinite(score):
-                raise ConfigError(f"non-finite score for triple {triple}")
+                raise ConfigError(
+                    f"non-finite score for triple {self.store.triple_labels(triple)}"
+                )
             if row in seen:
                 raise ConfigError(
                     f"duplicate triple in sequence: {self.store.triple_labels(triple)}"
@@ -407,12 +409,18 @@ def _load_lines(
 
 
 class PrecomputedScorer:
-    """Replays per-(query, triple) scores written by an external retriever."""
+    """Replays per-(query, triple) scores written by an external retriever.
+
+    A query the table never names cannot be replayed: its id can only be a
+    mismatch, so scoring it raises ScoringError rather than keeping no
+    candidate.
+    """
 
     name = "precomputed"
 
     def __init__(self, table: dict[tuple[str, str, str, str], float]):
         self._table = table
+        self._query_ids = {key[0] for key in table}
 
     @classmethod
     def load(cls, path: str | Path) -> "PrecomputedScorer":
@@ -440,6 +448,8 @@ class PrecomputedScorer:
         self, query: QueryRecord, candidates: Subgraph | TripleStore
     ) -> tuple[np.ndarray, np.ndarray]:
         """The candidates the table scores for this query, in candidate order."""
+        if query.id not in self._query_ids:
+            raise ScoringError(f"no precomputed scores for query {query.id}")
         labels = candidates.store.label_columns(candidates.id_array)
         found = list(map(self._table.get, zip(repeat(query.id), *labels)))
         has_score = [score is not None for score in found]
@@ -497,6 +507,6 @@ def score_triples(
     if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
         triple = Triple(*store.id_array[rows[nan.argmax()]].tolist())
-        raise ConfigError(f"non-finite score for triple {triple}")
+        raise ConfigError(f"non-finite score for triple {store.triple_labels(triple)}")
     order = np.lexsort((store.row_rank[rows], -values))[:k]
     return TripleSequence.from_scores(store, rows[order], values[order], scorer.name)

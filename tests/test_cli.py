@@ -305,6 +305,29 @@ def test_per_query_errors_recorded_run_continues(tmp_path):
     assert metrics["n_errors"] == 1
 
 
+def test_query_the_precomputed_table_never_names_is_an_error_row(tmp_path):
+    # the table's q1 lines say qX: q1 can only be a mismatch, not a query
+    # whose candidates all lack a score
+    scores = tmp_path / "scores.tsv"
+    lines = Path(TOY_SCORES).read_text(encoding="utf-8").splitlines(keepends=True)
+    scores.write_text(
+        "".join("qX" + line[2:] if line.startswith("q1\t") else line for line in lines),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,
+        "--scorer", f"precomputed:{scores}", "--no-llm", "--out", out,
+    ) == 1
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == ["q1", "q2", "q3", "q4", "q5"]
+    assert rows[0]["status"] == "error"
+    assert rows[0]["error"] == "no precomputed scores for query q1"
+    assert all(row["status"] == "dry_run" for row in rows[1:])
+    assert json.loads((out / "metrics.json").read_text())["n_errors"] == 1
+    assert not (out / "prompts" / "q1.json").exists()
+
+
 def test_question_with_a_lone_surrogate_is_an_error_row(tmp_path):
     queries = tmp_path / "queries.jsonl"
     rows = [
@@ -1138,7 +1161,13 @@ def test_run_never_builds_scored_rows(tmp_path, monkeypatch, flags):
 
 
 def test_empty_retrieval_gets_one_prompt_from_run_and_the_stages(tmp_path):
-    # the precomputed table has no row for "unscored", so its retrieval is empty
+    # the precomputed table names "unscored" only for a triple outside the
+    # KG, so none of its candidates has a score and its retrieval is empty
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(
+        Path(TOY_SCORES).read_text(encoding="utf-8") + "unscored\tX\tr\tY\t0.5\n",
+        encoding="utf-8",
+    )
     queries = tmp_path / "queries.jsonl"
     queries.write_text(
         Path(TOY_QUERIES).read_text(encoding="utf-8")
@@ -1153,7 +1182,7 @@ def test_empty_retrieval_gets_one_prompt_from_run_and_the_stages(tmp_path):
         + "\n",
         encoding="utf-8",
     )
-    scorer = f"precomputed:{TOY_SCORES}"
+    scorer = f"precomputed:{scores}"
     run_out = tmp_path / "run"
     assert run_cli(
         "run", "--kg", TOY_KG, "--queries", queries, "--scorer", scorer,

@@ -170,7 +170,9 @@ def test_score_triples_matches_sort_by_score_then_labels(data):
 def test_score_triples_with_no_candidates_is_empty():
     store = TripleStore()
     store.add("a", "r", "b")
-    assert len(score_triples(QUERY, store, PrecomputedScorer({}), 5)) == 0
+    # the table names the query, but scores no candidate of it
+    scorer = PrecomputedScorer({("q1", "x", "r", "y"): 0.5})
+    assert len(score_triples(QUERY, store, scorer, 5)) == 0
 
 
 # -- smooth output order ------------------------------------------------------
@@ -284,7 +286,7 @@ def _two_triple_store():
 def test_sequence_names_the_first_invalid_item(rows, message):
     store, t0, t1 = _two_triple_store()
     triples = (t0, t1)
-    message = message.format(t1=t1)
+    message = message.format(t1=store.triple_labels(t1))
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence.from_scores(store, *zip(*rows), "t")
     items = [ScoredTriple(triples[i], s, r) for r, (i, s) in enumerate(rows)]
@@ -347,6 +349,6 @@ def test_score_triples_rejects_a_nan_score_wherever_it_would_sort(k, first):
         ("q1", "c", "r", "d"): float("nan"),
         ("q1", "e", "r", "f"): 0.7,
     }
-    message = f"non-finite score for triple {t1}"
+    message = "non-finite score for triple ('c', 'r', 'd')"
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         score_triples(QUERY, store, PrecomputedScorer(table), k)

@@ -96,6 +96,13 @@ def test_precomputed_missing_entries_are_excluded():
     assert len(seq) == 1
 
 
+@pytest.mark.parametrize("table", [{}, {("other", "A", "r1", "B"): 0.9}])
+def test_precomputed_scorer_rejects_a_query_the_table_never_names(table):
+    # an id the table never mentions is a mismatch, not an empty retrieval
+    with pytest.raises(ScoringError, match=f"^no precomputed scores for query {QUERY.id}$"):
+        score_triples(QUERY, _store(), PrecomputedScorer(table), k=5)
+
+
 def test_triple_sentence_rewrites_relation():
     assert (
         triple_sentence("A", "sports.sports_team.championships", "B")
@@ -630,6 +637,8 @@ def test_extract_and_score_triples_equal_the_naive_oracles(data):
         )
     )
     table = {(QUERY.id, *row): v for row, v in zip(rows, values) if v is not None}
+    # a row outside the store names the query, so an all-None draw keeps nothing
+    table[(QUERY.id, "absent", "r", "absent")] = 0.0
     scored = [
         (*row, table[(QUERY.id, *row)]) for row in candidate_rows if (QUERY.id, *row) in table
     ]
