@@ -14,21 +14,25 @@ optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
 to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 
 The arrays both backends receive are built in bulk from the sequence's
-``(n, 3)`` id array: first-seen vertex ids with ``np.unique``, both CSR
-adjacencies (``_csr``), and label-order ranks from the store's ``row_rank``.
-The output is one stable ``np.argsort`` of the smoothed scores, applied to
-the input's row, score and rank columns, so no ``ScoredTriple`` row is
-built. No step before or after the kernel calls Python code once per
-triple; the Python dijkstra and random-walk loops take lists of the
-columns, the compiled core int32 and float64 copies.
+``(n, 3)`` id array: first-seen vertex ids with ``np.unique``, one CSR
+adjacency over the doubled graph that holds both search directions
+(``_doubled_csr``, one stable argsort), and each edge's label-order rank,
+the store's ``row_rank`` at the sequence's rows. The output is one stable
+``np.argsort`` of the smoothed scores, applied to the input's row, score
+and rank columns, so no ``ScoredTriple`` row is built. No step before or
+after the kernel calls Python code once per triple; the Python random-walk
+loop takes lists of the columns, the compiled core int32 and float64
+copies.
 
-For BFS the compiled core pools every enumerated simple path, while the
-Python backend never enumerates them: it folds numpy arrays of path
-prefixes, one depth and one block of ``BFS_BLOCK_PATHS`` prefixes at a
-time, into the per-edge max, and solves the last edge of the longest paths
-per prefix and per end vertex. Both give the same bits because rounding is
-monotone, so the max of fl(pooled + c) over paths is fl(max pooled + c)
-(see ``_kernels_py``).
+The compiled core walks every tree path (dijkstra) and pools every
+enumerated simple path (BFS). The Python backend lists no path for either:
+it grows both shortest-path trees a level at a time in numpy and pushes the
+pooled values up each tree as a subtree max, and for BFS it folds numpy
+arrays of path prefixes, one depth and one block of ``BFS_BLOCK_PATHS``
+prefixes at a time, into the per-edge max and solves the last edge of the
+longest paths per prefix and per end vertex. Both give the same bits
+because rounding is monotone, so the max of fl(pooled + c) over paths is
+fl(max pooled + c) (see ``_kernels_py``).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ _SMOOTH_ARGTYPES = [
     _PTR,  # heads
     _PTR,  # tails
     _PTR,  # scores
-    _PTR,  # lex_rank, or NULL when the algorithm is not dijkstra
+    _PTR,  # label-order rank per edge, or NULL when the algorithm is not dijkstra
     _PTR,  # sources
     ctypes.c_int32,  # n_sources
     ctypes.c_int32,  # algorithm
@@ -81,7 +85,8 @@ class _CompiledCore:
     """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
 
     The library rebuilds the CSR arrays from ``heads`` and ``tails``, which
-    costs less than copying them into C buffers, so those four are unused.
+    costs less than copying them into C buffers, so ``off`` and ``eid`` are
+    unused.
     """
 
     def __init__(self, fn):
@@ -94,12 +99,10 @@ class _CompiledCore:
         n_vertices,
         heads,
         tails,
-        out_off,
-        out_eid,
-        in_off,
-        in_eid,
+        off,
+        eid,
         scores,
-        lex_rank,
+        rank,
         sources,
         algorithm,
         max_path_len,
@@ -112,13 +115,14 @@ class _CompiledCore:
         n_edges = len(heads)
         if n_vertices > _INT32_MAX or n_edges > _INT32_MAX:
             raise ValueError("the compiled core indexes vertices and edges with int32")
+        dijkstra = algorithm == _ALGORITHM_CODES["dijkstra"]
+        if dijkstra and n_edges and rank.max() > _INT32_MAX:
+            raise ValueError("the compiled core compares edge ranks as int32")
         # every buffer stays referenced by a local until the call returns
         head_buf = _int32_buffer(heads)
         tail_buf = _int32_buffer(tails)
         score_buf = np.ascontiguousarray(scores, dtype=np.float64)
-        lex_buf = _int32_buffer(
-            lex_rank if algorithm == _ALGORITHM_CODES["dijkstra"] else ()
-        )
+        rank_buf = _int32_buffer(rank if dijkstra else ())
         source_buf = _int32_buffer(sources)
         final = np.zeros(n_edges)
         status = self._fn(
@@ -127,7 +131,7 @@ class _CompiledCore:
             head_buf.ctypes.data,
             tail_buf.ctypes.data,
             score_buf.ctypes.data,
-            lex_buf.ctypes.data,
+            rank_buf.ctypes.data,
             source_buf.ctypes.data,
             len(source_buf),
             algorithm,
@@ -233,11 +237,13 @@ class ScoredSubgraph:
     """Adjacency view over the triples of one retrieved sequence.
 
     Vertices are the entities appearing in the sequence, interned in
-    first-seen order (head before tail, edge by edge). Adjacency is stored
-    CSR-style so both backends consume the same flat integer arrays. Every
-    array is built in bulk with numpy (``np.unique`` for the vertex order,
-    ``_csr``, ``lex_rank`` from the store's ``row_rank``), with no Python
-    call per triple; ``scores`` is the sequence's score column.
+    first-seen order (head before tail, edge by edge). Adjacency is one CSR
+    over the doubled graph, ``off`` and ``eid`` (see ``_doubled_csr``), so
+    both backends consume the same flat integer arrays; ``out_off``,
+    ``out_eid``, ``in_off`` and ``in_eid`` are its two halves. Every array
+    is built in bulk with numpy (``np.unique`` for the vertex order, one
+    stable argsort for the CSR), with no Python call per triple;
+    ``scores`` is the sequence's score column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -264,19 +270,19 @@ class ScoredSubgraph:
         self.heads = heads
         self.tails = tails
         self.scores = sequence.score_array
-        self.out_off, self.out_eid = _csr(self.n_vertices, heads)
-        self.in_off, self.in_eid = _csr(self.n_vertices, tails)
+        self.off, self.eid = _doubled_csr(self.n_vertices, heads, tails)
+        self.out_off, self.out_eid, self.in_off, self.in_eid = _kernels_py._halves(
+            self.n_vertices, self.off, self.eid
+        )
 
     @property
-    def lex_rank(self) -> np.ndarray:
-        """Per-edge rank under (head, relation, tail) label order, dense ``0..n_edges-1``.
+    def edge_rank(self) -> np.ndarray:
+        """Per-edge rank under (head, relation, tail) label order.
 
-        One argsort of the store's ``row_rank`` at the sequence's rows.
+        The store's ``row_rank`` at the sequence's rows: distinct, but not
+        ``0..n_edges-1``; only the order is meaningful.
         """
-        order = self.store.row_rank[self.sequence.row_array].argsort()
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(self.n_edges)
-        return ranks
+        return self.store.row_rank[self.sequence.row_array]
 
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
         """Ascending local vertex ids for the labels present in the subgraph.
@@ -296,15 +302,22 @@ class ScoredSubgraph:
         return sorted(found)
 
 
-def _csr(n_vertices: int, anchor: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and edge ids of each vertex's edges, grouped by ``anchor[e]``.
+def _doubled_csr(
+    n_vertices: int, heads: Sequence[int], tails: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and edge ids of the CSR over the doubled graph.
 
-    Edges of one vertex keep ascending edge order (a stable argsort).
+    Vertex u of the from-query search is u and owns the edges u heads;
+    vertex u of the to-query search is ``u + n_vertices`` and owns the edges
+    u tails. One stable argsort keeps each vertex's edges in ascending edge
+    order and puts the from-query slots first.
     """
-    vertex = np.asarray(anchor, dtype=np.intp)
-    offsets = np.zeros(n_vertices + 1, dtype=np.intp)
-    np.cumsum(np.bincount(vertex, minlength=n_vertices), out=offsets[1:])
-    return offsets, vertex.argsort(kind="stable")
+    anchor = np.concatenate((heads, np.add(tails, n_vertices)))
+    offsets = np.zeros(2 * n_vertices + 1, dtype=np.intp)
+    np.cumsum(np.bincount(anchor, minlength=2 * n_vertices), out=offsets[1:])
+    eid = anchor.argsort(kind="stable")
+    eid[len(heads) :] -= len(heads)  # to-query slots point into anchor's tails half
+    return offsets, eid
 
 
 def build_scored_subgraph(sequence: TripleSequence) -> ScoredSubgraph:
@@ -328,20 +341,9 @@ def pool_path(
 
 
 def _backend_args(g: ScoredSubgraph, scores: np.ndarray, cfg: PoolingConfig):
-    # lex ranks are only consulted by dijkstra tie-breaks; skip the label
-    # sort for the other algorithms
-    lex = g.lex_rank if cfg.search_algorithm == "dijkstra" else None
-    return (
-        g.n_vertices,
-        g.heads,
-        g.tails,
-        g.out_off,
-        g.out_eid,
-        g.in_off,
-        g.in_eid,
-        scores,
-        lex,
-    )
+    # edge ranks are only consulted by dijkstra tie-breaks
+    rank = g.edge_rank if cfg.search_algorithm == "dijkstra" else None
+    return (g.n_vertices, g.heads, g.tails, g.off, g.eid, scores, rank)
 
 
 def search_path_kernels(

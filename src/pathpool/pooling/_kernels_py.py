@@ -3,9 +3,14 @@
 This is the reference implementation: ``search_kernels`` lives only here,
 and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
 alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
-``heads``/``tails``/``scores``/``lex_rank`` numpy columns plus CSR adjacency
-(``out_off``/``out_eid`` over head vertices, ``in_off``/``in_eid`` over tail
-vertices; each vertex's edges in edge order).
+``heads``/``tails``/``scores``/``rank`` numpy columns plus one CSR adjacency
+over the doubled graph (``off``/``eid``). Vertex u of the from-query search
+is u, with the edges u heads; vertex u of the to-query search is
+``u + n_vertices``, with the edges u tails; no edge joins the halves. The
+from-query slots come first, so the out-CSR is ``off[:n_vertices + 1]``,
+``eid[:n_edges]`` and the in-CSR the rest (``_halves``); each vertex's
+edges are in edge order. ``rank`` orders the edges by their (head,
+relation, tail) labels; only its order is read.
 
 Conventions the compiled ``smooth_scores`` shares:
 
@@ -17,21 +22,27 @@ Conventions the compiled ``smooth_scores`` shares:
   seeded with the seed modulo 2**64, so the walk sequence is identical
   across backends for a given seed.
 
-``search_kernels`` and the dijkstra and random-walk branches of
-``smooth_scores`` feed each kernel through ``_dispatch`` on Python lists of
-the columns, as the compiled core does for all three. BFS smoothing here
-(``_bfs_smooth``) visits no single path: numpy arrays hold the prefixes of
-up to ``max_path_len - 1`` edges, one depth and one block at a time, each
-with its running sum (or max) and the best pooled value below it, and the
-last edge of the longest paths is solved per prefix and per end vertex
-from the prefixes that end there. It still equals the exhaustive
-enumeration bit for bit: each float operation is the one a per-path loop
-does, and IEEE rounding is monotone, since ``x + c``, ``x / n`` and the
-running max never fall when ``x`` rises. So the max over paths of
-fl(pooled + c) is fl(max pooled + c), and a path's pooled value is largest
-where its prefix's and its last edge's are. (The one exception is the sign
-of a zero result when the smallest score is ``-0.0``; ``smooth`` shifts
-every score positive first.)
+``search_kernels`` and the random-walk branch of ``smooth_scores`` feed
+each kernel through ``_dispatch`` on Python lists of the columns, as the
+compiled core does for all three algorithms. Dijkstra and BFS smoothing
+here visit no single path; both fold numpy arrays over the doubled graph,
+so the two search directions run as one:
+
+* Dijkstra (``_tree_smooth``) grows both min-hop trees a level at a time
+  and then pushes each vertex's pooled value up its tree as a subtree max;
+* BFS (``_bfs_smooth``) holds the prefixes of up to ``max_path_len - 1``
+  edges, one depth and one block at a time, each with its running sum (or
+  max) and the best pooled value below it, and solves the last edge of the
+  longest paths per prefix and per end vertex from the prefixes that end
+  there.
+
+Both still equal the per-path loop bit for bit: each float operation is the
+one that loop does, and IEEE rounding is monotone, since ``x + c``,
+``x / n`` and the running max never fall when ``x`` rises. So the max over
+paths of fl(pooled + c) is fl(max pooled + c), and a path's pooled value is
+largest where its prefix's and its last edge's are. (The one exception is
+the sign of a zero result when the smallest score is ``-0.0``; ``smooth``
+shifts every score positive first.)
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ class _SplitMix:
                 return value
 
 
-def _shortest_path_tree(n_vertices, endpoint, off, eid, scores, lex_rank, sources):
+def _shortest_path_tree(n_vertices, endpoint, off, eid, scores, rank, sources):
     """Multi-source min-hop tree; one path per reachable vertex.
 
     Ties at equal hop count prefer higher cumulative edge score, then the
@@ -104,12 +115,12 @@ def _shortest_path_tree(n_vertices, endpoint, off, eid, scores, lex_rank, source
                         replace = True
                     elif candidate == cum[v]:
                         cand_ranks = _tail_ranks(
-                            parent_edge, parent_vertex, lex_rank, e, u, depth + 1
+                            parent_edge, parent_vertex, rank, e, u, depth + 1
                         )
                         best_ranks = _tail_ranks(
                             parent_edge,
                             parent_vertex,
-                            lex_rank,
+                            rank,
                             parent_edge[v],
                             parent_vertex[v],
                             depth + 1,
@@ -126,14 +137,14 @@ def _shortest_path_tree(n_vertices, endpoint, off, eid, scores, lex_rank, source
     return dist, parent_edge, parent_vertex
 
 
-def _tail_ranks(parent_edge, parent_vertex, lex_rank, last_edge, last_vertex, length):
-    """Front-to-back lex ranks of path(last_vertex) extended by last_edge."""
+def _tail_ranks(parent_edge, parent_vertex, rank, last_edge, last_vertex, length):
+    """Front-to-back edge ranks of path(last_vertex) extended by last_edge."""
     buf = [0] * length
-    buf[length - 1] = lex_rank[last_edge]
+    buf[length - 1] = rank[last_edge]
     x = last_vertex
     i = length - 2
     while i >= 0:
-        buf[i] = lex_rank[parent_edge[x]]
+        buf[i] = rank[parent_edge[x]]
         x = parent_vertex[x]
         i -= 1
     return buf
@@ -237,20 +248,17 @@ def _spans(first, count):
 class _PrefixFold:
     """BFS smoothing of both search directions; see ``_bfs_smooth``.
 
-    The two searches run as one on a doubled graph: vertex u of the
-    to-query search is ``u + n_vertices``, its out-edges are u's in-edges,
-    and no edge joins the halves. Per CSR slot, ``src`` is the vertex the
-    edge leaves, ``dst`` the one it reaches and ``eid`` the edge.
+    The two searches run as one on the doubled graph. Per CSR slot, ``src``
+    is the vertex the edge leaves, ``dst`` the one it reaches and ``eid``
+    the edge.
     """
 
-    def __init__(self, heads, tails, out_off, out_eid, in_off, in_eid, scores,
-                 max_len, average, pos, final):
-        n_vertices = len(out_off) - 1
-        self.off = np.concatenate((out_off, in_off[1:] + len(out_eid)))
-        self.eid = np.concatenate((out_eid, in_eid))
-        self.src = np.repeat(np.arange(2 * n_vertices), np.diff(self.off))
-        self.dst = np.concatenate((tails[out_eid], heads[in_eid] + n_vertices))
-        self.n_vertices = n_vertices
+    def __init__(self, off, eid, src, dst, scores, max_len, average, pos, final):
+        self.off = off
+        self.eid = eid
+        self.src = src
+        self.dst = dst
+        self.n_vertices = (len(off) - 1) // 2
         self.scores = scores
         self.max_len = max_len
         self.average = average
@@ -402,8 +410,7 @@ class _PrefixFold:
         return off, dst, np.append(score[keep], -np.inf), int(count.max())
 
 
-def _bfs_smooth(heads, tails, out_off, out_eid, in_off, in_eid, scores, sources,
-                max_len, average, pos, final):
+def _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final):
     """Fold every simple path of 1..max_len edges into ``final``.
 
     Per edge, the max over the paths ``_enumerate_simple_paths`` would emit
@@ -423,11 +430,69 @@ def _bfs_smooth(heads, tails, out_off, out_eid, in_off, in_eid, scores, sources,
     """
     if max_len < 2:
         return  # a one-edge path scores as the singleton the caller gives it
-    fold = _PrefixFold(
-        heads, tails, out_off, out_eid, in_off, in_eid, scores,
-        max_len, average, pos, final,
-    )
-    fold.run(sources)
+    _PrefixFold(off, eid, src, dst, scores, max_len, average, pos, final).run(sources)
+
+
+def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divisor,
+                 final):
+    """Fold the min-hop trees of both directions into ``final``.
+
+    Per edge, the max over the tree paths ``_shortest_path_tree`` gives of
+    pooled + s_min / (position * divisor), without walking a path:
+
+    * both trees grow as one, a level at a time over the doubled graph. A
+      vertex first reached at depth d + 1 takes, of the edges into it from
+      depth d, the one with the largest running sum ``acc[u] + score``; a
+      tie goes to the smallest pair (u's place in its level, the edge's
+      ``rank``). A level's vertices are placed in the order of the pairs
+      that reached them, so the pair orders two tied paths as comparing
+      their edge ranks front to back does (every source has place 0, as
+      its path has no edge);
+    * a vertex's pooled value is its running sum over its depth, or its
+      running max;
+    * from the deepest level up, each vertex's best value, the max over its
+      subtree, goes to its parent, and best + positional term to its parent
+      edge, which is at position ``depth`` on every path through it.
+
+    ``final`` holds -inf for an edge on no tree path; scores are finite.
+    """
+    n = len(off) - 1
+    depth_of = np.full(n, -1)
+    depth_of[sources] = depth_of[sources + n // 2] = 0
+    place = np.zeros(n, dtype=np.int64)
+    acc = np.zeros(n)  # running sum of each tree path's scores
+    peak = np.full(n, -np.inf)  # running max, for max pooling
+    best = np.empty(n)  # pooled value, then the max over the subtree
+    width = int(rank.max()) + 1
+    levels = []
+    while True:
+        depth = len(levels)
+        slots = np.flatnonzero((depth_of[src] == depth) & (depth_of[dst] < 0))
+        if not len(slots):
+            break
+        ends, edges, parents = dst[slots], eid[slots], src[slots]
+        total = acc[parents] + scores[edges]
+        pair = place[parents] * width + rank[edges]
+        # per end vertex, the largest sum and then the smallest pair first
+        order = np.lexsort((pair, -total, ends))
+        ends_sorted = ends[order]
+        won = order[np.concatenate(([True], ends_sorted[1:] != ends_sorted[:-1]))]
+        won = won[pair[won].argsort()]
+        vertices, parents, edges = ends[won], parents[won], edges[won]
+        depth_of[vertices] = depth + 1
+        place[vertices] = np.arange(len(vertices))
+        acc[vertices] = total[won]
+        if average:
+            best[vertices] = acc[vertices] / (depth + 1)
+        else:
+            peak[vertices] = np.maximum(peak[parents], scores[edges])
+            best[vertices] = peak[vertices]
+        levels.append((vertices, parents, edges))
+    for depth in range(len(levels), 0, -1):
+        vertices, parents, edges = levels[depth - 1]
+        if depth > 1:
+            np.maximum.at(best, parents, best[vertices])
+        np.maximum.at(final, edges, best[vertices] + s_min / (depth * divisor))
 
 
 def _random_walks(tails, off, eid, sources, max_len, walk_count, rng, emit):
@@ -461,7 +526,7 @@ def _dispatch(
     in_off,
     in_eid,
     scores,
-    lex_rank,
+    rank,
     sources,
     algorithm,
     max_path_len,
@@ -479,7 +544,7 @@ def _dispatch(
     if algorithm == ALG_DIJKSTRA:
         for dircode, endpoint, off, eid in directions:
             dist, parent_edge, parent_vertex = _shortest_path_tree(
-                n_vertices, endpoint, off, eid, scores, lex_rank, sources
+                n_vertices, endpoint, off, eid, scores, rank, sources
             )
             for v in range(n_vertices):
                 if dist[v] >= 1:
@@ -512,6 +577,23 @@ def _dispatch(
         raise ValueError(f"unknown algorithm code {algorithm}")
 
 
+def _halves(n_vertices, off, eid):
+    """The out- and in-CSR that make up the doubled one.
+
+    ``out_off, out_eid, in_off, in_eid``: views of ``off`` and ``eid``,
+    except ``in_off``, which is shifted to start at 0.
+    """
+    n_out = off[n_vertices]
+    return off[: n_vertices + 1], eid[:n_out], off[n_vertices:] - n_out, eid[n_out:]
+
+
+def _slot_ends(n_vertices, heads, tails, off, eid):
+    """The vertices of the doubled graph each CSR slot's edge leaves and reaches."""
+    n_out = len(heads)
+    src = np.repeat(np.arange(2 * n_vertices), np.diff(off))
+    return src, np.concatenate((tails[eid[:n_out]], heads[eid[n_out:]] + n_vertices))
+
+
 def _as_lists(*columns):
     """Lists of numpy columns, for the loops that read them an item at a time."""
     return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
@@ -521,12 +603,10 @@ def search_kernels(
     n_vertices,
     heads,
     tails,
-    out_off,
-    out_eid,
-    in_off,
-    in_eid,
+    off,
+    eid,
     scores,
-    lex_rank,
+    rank,
     sources,
     algorithm,
     max_path_len,
@@ -546,7 +626,7 @@ def search_kernels(
 
     _dispatch(
         n_vertices,
-        *_as_lists(heads, tails, out_off, out_eid, in_off, in_eid, scores, lex_rank),
+        *_as_lists(heads, tails, *_halves(n_vertices, off, eid), scores, rank),
         sources,
         algorithm,
         max_path_len,
@@ -568,12 +648,10 @@ def smooth_scores(
     n_vertices,
     heads,
     tails,
-    out_off,
-    out_eid,
-    in_off,
-    in_eid,
+    off,
+    eid,
     scores,
-    lex_rank,
+    rank,
     sources,
     algorithm,
     max_path_len,
@@ -585,25 +663,31 @@ def smooth_scores(
 ):
     """Per-edge smoothed score: max over kernels of pooled + positional term.
 
-    The columns are numpy arrays (``lex_rank`` may be None unless the
-    algorithm is dijkstra) and ``scores`` are finite; the result is a
-    float64 array.
+    The columns are numpy arrays (``rank`` may be None unless the algorithm
+    is dijkstra) and ``scores`` are finite; the result is a float64 array.
     """
     ne = len(heads)
     final = np.full(ne, -np.inf)  # -inf: on no kernel yet
 
-    if algorithm == ALG_BFS:
-        max_len = min(max_path_len, ne)
-        pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
-        _bfs_smooth(
-            heads, tails, out_off, out_eid, in_off, in_eid, scores, sources,
-            max_len, pooling == 0, pos, final,
-        )
+    if algorithm in (ALG_DIJKSTRA, ALG_BFS):
+        if len(sources):
+            sources = np.asarray(sources, dtype=np.intp)
+            src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
+            average = pooling == 0
+            if algorithm == ALG_DIJKSTRA:
+                _tree_smooth(
+                    off, eid, src, dst, scores, rank, sources, average, s_min, divisor,
+                    final,
+                )
+            else:
+                max_len = min(max_path_len, ne)
+                pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
+                _bfs_smooth(
+                    off, eid, src, dst, scores, sources, max_len, average, pos, final
+                )
         return _fill_singletons(final, scores, s_min, divisor)
 
-    columns = _as_lists(
-        heads, tails, out_off, out_eid, in_off, in_eid, scores, lex_rank
-    )
+    columns = _as_lists(heads, tails, *_halves(n_vertices, off, eid), scores, rank)
     score_list = columns[6]
     values = final.tolist()
 

@@ -8,10 +8,12 @@ import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from pathpool.kg_store import QueryRecord, TripleStore, load_triples
+from pathpool.pooling import _doubled_csr
 from pathpool.scoring import TripleSequence
 
 
@@ -82,6 +84,65 @@ def grown_store(data) -> tuple[TripleStore, list[tuple[str, str, str]]]:
             store.id_array  # reading the columns builds them
         assert store.add(*rows[i]) == (rows[i] not in rows[:i])
     return store, list(dict.fromkeys(rows))
+
+
+def flat_args(n_vertices, edges, scores, rank=None):
+    """The leading ``smooth_scores``/``search_kernels`` arguments of a flat graph.
+
+    ``edges`` are (head, tail) vertex pairs; ``rank`` defaults to edge order.
+    """
+    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    off, eid = _doubled_csr(n_vertices, heads, tails)
+    rank = np.arange(len(edges)) if rank is None else np.asarray(rank, dtype=np.int64)
+    return (n_vertices, heads, tails, off, eid, np.array(scores), rank)
+
+
+# a score in [-1, 1], never -0.0 (whose sign the max of a zero may lose)
+_SCORE = st.floats(-1, 1).map(lambda x: x + 0.0)
+
+
+@st.composite
+def tree_graphs(draw):
+    """A flat multigraph for the dijkstra kernels: (n_vertices, edges, scores, rank, sources).
+
+    Parallel edges and self-loops arise freely, and most vertices are
+    reachable in one search direction only. A chain 0 -> 1 -> ... -> k of up
+    to 11 edges, placed anywhere in edge order, grows trees deeper than any
+    workload's. The scores are one value for every edge (each equal-hop path
+    ties, so edge ranks decide), a pool of at most three values, or free;
+    ``rank`` is a random permutation, so it differs from edge order; there
+    are up to three sources.
+    """
+    n_vertices = draw(st.integers(1, 12))
+    vertex = st.integers(0, n_vertices - 1)
+    chain = draw(st.integers(0, n_vertices - 1))
+    edges = [(i, i + 1) for i in range(chain)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=int(not chain), max_size=16))
+    edges = draw(st.permutations(edges))
+    n = len(edges)
+    kind = draw(st.sampled_from(["equal", "pool", "free"]))
+    if kind == "equal":
+        scores = [draw(_SCORE)] * n
+    elif kind == "pool":
+        pool = draw(st.lists(_SCORE, min_size=1, max_size=3))
+        scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(_SCORE, min_size=n, max_size=n))
+    rank = draw(st.permutations(range(n)))
+    sources = sorted(draw(st.sets(vertex, max_size=3)))
+    return n_vertices, edges, scores, rank, sources
+
+
+def deep_tied_chain(length=12):
+    """Two parallel edges per step of a chain, every score equal, ranks reversed.
+
+    (n_vertices, edges, scores, rank). From either end the tree is
+    ``length`` levels deep, and every vertex past a source has two tied
+    edges into it, so the edge ranks pick each tree edge.
+    """
+    edges = [(i, i + 1) for i in range(length) for _ in range(2)]
+    rank = list(range(len(edges)))[::-1]
+    return length + 1, edges, [0.5] * len(edges), rank
 
 
 @pytest.fixture

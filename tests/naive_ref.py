@@ -217,6 +217,23 @@ def naive_smooth(
     return [(heads[i], edges[i][1], tails[i], final[i]) for i in order]
 
 
+def naive_kernel_smoothing(kernels, n_edges, pool, s_min, divisor) -> list[float]:
+    """Per edge, the max over ``kernels`` of ``pool(kernel) + s_min / (position * divisor)``.
+
+    ``kernels`` are edge-id sequences, position 1 first, that cover every
+    edge (singletons included), as an enumerating search lists them; ``pool``
+    gives a kernel's pooled score. One step per kernel and position.
+    """
+    final: dict[int, float] = {}
+    for kernel in kernels:
+        pooled = pool(kernel)
+        for position, e in enumerate(kernel, start=1):
+            value = pooled + s_min / (position * divisor)
+            if e not in final or value > final[e]:
+                final[e] = value
+    return [final[e] for e in range(n_edges)]
+
+
 def naive_scored_subgraph(edges: list[tuple[str, str, str, float]]) -> dict:
     """The arrays a scored subgraph holds, derived from label tuples.
 

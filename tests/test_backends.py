@@ -17,11 +17,12 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_sequence, random_case
+from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError
-from pathpool.pooling import PoolingConfig, build_scored_subgraph
+from pathpool.pooling import PoolingConfig, _kernels_py, build_scored_subgraph
 
 ROOT = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("dijkstra", "bfs", "random_walk")
@@ -56,11 +57,17 @@ def built_core(tmp_path_factory) -> Path:
     return out / "pathpool" / "pooling"
 
 
+@pytest.fixture(scope="session")
+def core(built_core):
+    """The freshly built library's ``smooth_scores``."""
+    loaded = pooling._load_core(built_core)
+    assert loaded is not None, f"setup.py built no loadable core in {built_core}"
+    return loaded
+
+
 @pytest.fixture
-def compiled(built_core, monkeypatch):
+def compiled(core, monkeypatch):
     """Make ``backend="c"`` run the freshly built library."""
-    core = pooling._load_core(built_core)
-    assert core is not None, f"setup.py built no loadable core in {built_core}"
     monkeypatch.setattr(pooling, "_core", core)
     assert pooling.available_backends() == ("py", "c")
 
@@ -140,6 +147,30 @@ def test_dijkstra_tie_breaks_identical_across_backends(compiled):
         flat = make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()])
         cfg = PoolingConfig(search_algorithm="dijkstra")
         assert_backends_agree(flat, queries, cfg, seed)
+
+
+def _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources):
+    args = flat_args(n_vertices, edges, scores, rank)
+    s_min = min(scores)
+    for pooling_code in (0, 1):
+        for divisor in (10.0, 0.75):
+            tail = (sources, 0, 1, 1, 0, pooling_code, s_min, divisor)
+            py = _kernels_py.smooth_scores(*args, *tail)
+            assert py.tobytes() == core.smooth_scores(*args, *tail).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=tree_graphs())
+def test_dijkstra_fold_identical_to_the_compiled_core(core, graph):
+    # parallel edges, self-loops, all-equal scores, several sources and
+    # chains up to 11 levels deep, on flat graphs with shuffled edge ranks
+    _assert_tree_folds_agree(core, *graph)
+
+
+def test_dijkstra_fold_identical_to_the_compiled_core_on_a_deep_tied_chain(core):
+    n_vertices, edges, scores, rank = deep_tied_chain()
+    for sources in ([0], [n_vertices - 1], [0, 5], [4]):
+        _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources)
 
 
 def _branching_star(branches: int):

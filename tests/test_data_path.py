@@ -73,7 +73,7 @@ def _assert_subgraph_matches_naive(store, edges):
     assert g.scores.tolist() == naive["scores"]
     assert (g.out_off.tolist(), g.out_eid.tolist()) == naive["out"]
     assert (g.in_off.tolist(), g.in_eid.tolist()) == naive["in"]
-    assert g.lex_rank.tolist() == naive["lex_rank"]
+    assert g.edge_rank.argsort().argsort().tolist() == naive["lex_rank"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from conftest import make_sequence, random_case
-from naive_ref import naive_smooth
+from hypothesis import given, settings
+
+from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
+from naive_ref import naive_kernel_smoothing, naive_smooth
 from pathpool import bench
 from pathpool.errors import ConfigError, EmptyInputError
 from pathpool.pooling import (
@@ -21,8 +22,8 @@ from pathpool.pooling import (
     search_path_kernels,
     smooth,
 )
-from pathpool.pooling import _csr, _kernels_py
-from pathpool.pooling._kernels_py import ALG_BFS, _SplitMix
+from pathpool.pooling import _kernels_py
+from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA, _SplitMix
 
 CFG = PoolingConfig()
 
@@ -273,18 +274,9 @@ def test_rng_below_is_roughly_uniform():
 # -- bfs smoothing vs exhaustive enumeration --------------------------------
 
 
-def _flat_args(n_vertices, edges, scores):
-    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    out_off, out_eid = _csr(n_vertices, heads)
-    in_off, in_eid = _csr(n_vertices, tails)
-    lex = np.arange(len(edges))
-    scores = np.array(scores)
-    return (n_vertices, heads, tails, out_off, out_eid, in_off, in_eid, scores, lex)
-
-
 def _enumerated_bfs_scores(args, sources, max_path_len, pooling, divisor):
     """Max over every kernel ``search_kernels`` lists of pooled + s_min/(i*divisor)."""
-    scores = args[7].tolist()
+    scores = args[5].tolist()
     s_min = min(scores)
     kernels = _kernels_py.search_kernels(*args, sources, ALG_BFS, max_path_len, 1, 0)
     final = {}
@@ -304,7 +296,7 @@ def _enumerated_bfs_scores(args, sources, max_path_len, pooling, divisor):
 
 
 def _assert_bfs_matches_enumeration(n_vertices, edges, scores, sources, context):
-    args = _flat_args(n_vertices, edges, scores)
+    args = flat_args(n_vertices, edges, scores)
     s_min = min(scores)
     for max_path_len in (1, 2, 3, 4, 5, len(edges), 2**40):
         for pooling in (0, 1):
@@ -375,7 +367,7 @@ def test_bfs_smoothing_edge_back_into_the_source():
 
 def test_bfs_smoothing_best_prefix_blocked_by_the_last_edge():
     _assert_bfs_matches_enumeration(*BLOCKED_PREFIX, [0], "blocked prefix")
-    args = _flat_args(*BLOCKED_PREFIX)
+    args = flat_args(*BLOCKED_PREFIX)
     got = _kernels_py.smooth_scores(*args, [0], ALG_BFS, 3, 1, 0, 0, 0.0625, 10.0)
     assert got[4] == (0.125 + 0.0625 + 0.5) / 3 + 0.0625 / 30.0
 
@@ -408,6 +400,66 @@ def test_bfs_smoothing_memory_is_bounded_by_the_block_size():
     finally:
         tracemalloc.stop()
     assert peak < 64 * _kernels_py.BFS_BLOCK_PATHS * max_path_len**2
+
+
+# -- dijkstra smoothing vs the shortest-path-tree oracle --------------------
+
+
+def _assert_tree_fold_matches_oracle(n_vertices, edges, scores, rank, sources):
+    """The dijkstra fold equals pooling each path ``search_kernels`` lists."""
+    args = flat_args(n_vertices, edges, scores, rank)
+    s_min = min(scores)
+    kernels = [
+        path
+        for path, _ in _kernels_py.search_kernels(*args, sources, ALG_DIJKSTRA, 1, 1, 0)
+    ]
+    for code, strategy in enumerate(("average", "max")):
+        for divisor in (10.0, 0.75):
+            got = _kernels_py.smooth_scores(
+                *args, sources, ALG_DIJKSTRA, 1, 1, 0, code, s_min, divisor
+            )
+            expected = naive_kernel_smoothing(
+                kernels,
+                len(edges),
+                lambda kernel: pool_path(kernel, scores, strategy),
+                s_min,
+                divisor,
+            )
+            assert got.tolist() == expected, (strategy, divisor)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_graphs())
+def test_dijkstra_smoothing_equals_the_tree_oracle(graph):
+    _assert_tree_fold_matches_oracle(*graph)
+
+
+def test_dijkstra_smoothing_on_a_deep_tied_chain():
+    n_vertices, edges, scores, rank = deep_tied_chain()
+    for sources in ([0], [n_vertices - 1], [0, 5], [4]):
+        _assert_tree_fold_matches_oracle(n_vertices, edges, scores, rank, sources)
+    args = flat_args(n_vertices, edges, scores, rank)
+    kernels = _kernels_py.search_kernels(*args, [0], ALG_DIJKSTRA, 1, 1, 0)
+    longest = max(kernels, key=lambda kernel: len(kernel[0]))[0]
+    # the later, lower-ranked edge of each parallel pair wins every step
+    assert longest == tuple(range(1, len(edges), 2))
+
+
+def test_dijkstra_smoothing_walks_no_path(monkeypatch):
+    cases = [random_case(seed, max_edges=24) for seed in range(40)]
+    cases = [
+        (make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()]), queries)
+        for seq, queries in cases
+    ]
+    expected = [smooth(seq, queries, CFG, backend="py").labeled_items() for seq, queries in cases]
+
+    def walk(*args):
+        raise AssertionError("dijkstra smoothing walked a path in Python")
+
+    for name in ("_dispatch", "_shortest_path_tree", "_tail_ranks", "_path_edges"):
+        monkeypatch.setattr(_kernels_py, name, walk)
+    got = [smooth(seq, queries, CFG, backend="py").labeled_items() for seq, queries in cases]
+    assert got == expected
 
 
 # -- smoothing properties ------------------------------------------------------
