@@ -103,7 +103,9 @@ _SCORE = st.floats(-1, 1).map(lambda x: x + 0.0)
 
 @st.composite
 def tree_graphs(draw):
-    """A flat multigraph for the dijkstra kernels: (n_vertices, edges, scores, rank, sources).
+    """A flat multigraph for the dijkstra kernels.
+
+    Returns (n_vertices, edges, scores, rank, sources).
 
     Parallel edges and self-loops arise freely, and most vertices are
     reachable in one search direction only. A chain 0 -> 1 -> ... -> k of up
@@ -117,7 +119,8 @@ def tree_graphs(draw):
     vertex = st.integers(0, n_vertices - 1)
     chain = draw(st.integers(0, n_vertices - 1))
     edges = [(i, i + 1) for i in range(chain)]
-    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=int(not chain), max_size=16))
+    extra = st.lists(st.tuples(vertex, vertex), min_size=int(not chain), max_size=16)
+    edges += draw(extra)
     edges = draw(st.permutations(edges))
     n = len(edges)
     kind = draw(st.sampled_from(["equal", "pool", "free"]))

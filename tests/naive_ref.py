@@ -218,11 +218,12 @@ def naive_smooth(
 
 
 def naive_kernel_smoothing(kernels, n_edges, pool, s_min, divisor) -> list[float]:
-    """Per edge, the max over ``kernels`` of ``pool(kernel) + s_min / (position * divisor)``.
+    """Per edge, the max over kernels of pooled + s_min / (position * divisor).
 
     ``kernels`` are edge-id sequences, position 1 first, that cover every
     edge (singletons included), as an enumerating search lists them; ``pool``
-    gives a kernel's pooled score. One step per kernel and position.
+    gives a kernel's pooled score, ``pool(kernel)``. One step per kernel and
+    position.
     """
     final: dict[int, float] = {}
     for kernel in kernels:

@@ -319,7 +319,8 @@ def test_query_the_precomputed_table_never_names_is_an_error_row(tmp_path):
         "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,
         "--scorer", f"precomputed:{scores}", "--no-llm", "--out", out,
     ) == 1
-    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    results = (out / "results.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in results]
     assert [row["id"] for row in rows] == ["q1", "q2", "q3", "q4", "q5"]
     assert rows[0]["status"] == "error"
     assert rows[0]["error"] == "no precomputed scores for query q1"

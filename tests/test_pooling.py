@@ -6,7 +6,6 @@ import random
 import tracemalloc
 
 import pytest
-
 from hypothesis import given, settings
 
 from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
@@ -451,15 +450,18 @@ def test_dijkstra_smoothing_walks_no_path(monkeypatch):
         (make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()]), queries)
         for seq, queries in cases
     ]
-    expected = [smooth(seq, queries, CFG, backend="py").labeled_items() for seq, queries in cases]
+
+    def smoothed():
+        return [smooth(*case, CFG, backend="py").labeled_items() for case in cases]
+
+    expected = smoothed()
 
     def walk(*args):
         raise AssertionError("dijkstra smoothing walked a path in Python")
 
     for name in ("_dispatch", "_shortest_path_tree", "_tail_ranks", "_path_edges"):
         monkeypatch.setattr(_kernels_py, name, walk)
-    got = [smooth(seq, queries, CFG, backend="py").labeled_items() for seq, queries in cases]
-    assert got == expected
+    assert smoothed() == expected
 
 
 # -- smoothing properties ------------------------------------------------------

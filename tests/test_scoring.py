@@ -99,7 +99,8 @@ def test_precomputed_missing_entries_are_excluded():
 @pytest.mark.parametrize("table", [{}, {("other", "A", "r1", "B"): 0.9}])
 def test_precomputed_scorer_rejects_a_query_the_table_never_names(table):
     # an id the table never mentions is a mismatch, not an empty retrieval
-    with pytest.raises(ScoringError, match=f"^no precomputed scores for query {QUERY.id}$"):
+    message = f"^no precomputed scores for query {QUERY.id}$"
+    with pytest.raises(ScoringError, match=message):
         score_triples(QUERY, _store(), PrecomputedScorer(table), k=5)
 
 
