@@ -209,8 +209,10 @@ def measure_overhead(
     """Wall-clock of smooth() per query over the algorithm x size grid.
 
     The first WARMUP_RUNS timings of every cell are discarded; each cell must
-    keep at least MIN_QUERIES_PER_CELL measurements. Cells run sequentially
-    on one thread to keep the numbers contention-free.
+    keep at least MIN_QUERIES_PER_CELL measurements. Everything runs on one
+    thread to keep the numbers contention-free, and each query runs on every
+    backend back to back, so drift in the machine's speed hits them alike.
+    Cells are reported backend by backend.
     """
     if not algorithms or not triple_counts:
         raise ConfigError("benchmark grid is empty")
@@ -222,40 +224,51 @@ def measure_overhead(
         )
     if backends is None:
         backends = [pooling.DEFAULT_BACKEND]
-    base = base_cfg or pooling.PoolingConfig()
-    cells: list[CellStats] = []
     for backend in backends:
         pooling.backend_module(backend)  # fail fast if unavailable
-        for algorithm in algorithms:
-            cfg = replace(base, search_algorithm=algorithm)
-            cfg.validate()
-            for count in triple_counts:
-                trimmed = [
-                    (sequence.trimmed(count), anchors)
-                    for sequence, anchors in workloads
-                ]
-                for sequence, _ in trimmed:
-                    if len(sequence) < count:
-                        raise ConfigError(
-                            f"workload has {len(sequence)} triples, cell needs {count}"
-                        )
-                times_ms: list[float] = []
-                for sequence, anchors in trimmed:
+    base = base_cfg or pooling.PoolingConfig()
+    # per (backend, algorithm, size) index, so a repeated grid entry keeps
+    # its own cell
+    times_ms: dict[tuple[int, int, int], list[float]] = {}
+    for a, algorithm in enumerate(algorithms):
+        cfg = replace(base, search_algorithm=algorithm)
+        cfg.validate()
+        for c, count in enumerate(triple_counts):
+            trimmed = [
+                (sequence.trimmed(count), anchors) for sequence, anchors in workloads
+            ]
+            for sequence, _ in trimmed:
+                if len(sequence) < count:
+                    raise ConfigError(
+                        f"workload has {len(sequence)} triples, cell needs {count}"
+                    )
+            for sequence, anchors in trimmed:
+                for b, backend in enumerate(backends):
                     start = time.perf_counter()
                     pooling.smooth(sequence, anchors, cfg, backend=backend)
-                    times_ms.append((time.perf_counter() - start) * 1e3)
-                kept = times_ms[WARMUP_RUNS:]
-                kept_sorted = sorted(kept)
-                p95_index = min(len(kept_sorted) - 1, math.ceil(0.95 * len(kept_sorted)) - 1)
-                cells.append(
-                    CellStats(
-                        algorithm=algorithm,
-                        backend=backend,
-                        triple_count=count,
-                        queries=len(kept),
-                        mean_ms=statistics.fmean(kept),
-                        median_ms=statistics.median(kept),
-                        p95_ms=kept_sorted[p95_index],
-                    )
-                )
+                    elapsed = (time.perf_counter() - start) * 1e3
+                    times_ms.setdefault((b, a, c), []).append(elapsed)
+    cells = [
+        _cell_stats(algorithm, backend, count, times_ms[b, a, c])
+        for b, backend in enumerate(backends)
+        for a, algorithm in enumerate(algorithms)
+        for c, count in enumerate(triple_counts)
+    ]
     return TimingReport(cells=cells, environment=_environment_note())
+
+
+def _cell_stats(
+    algorithm: str, backend: str, count: int, times_ms: list[float]
+) -> CellStats:
+    kept = times_ms[WARMUP_RUNS:]
+    kept_sorted = sorted(kept)
+    p95_index = min(len(kept_sorted) - 1, math.ceil(0.95 * len(kept_sorted)) - 1)
+    return CellStats(
+        algorithm=algorithm,
+        backend=backend,
+        triple_count=count,
+        queries=len(kept),
+        mean_ms=statistics.fmean(kept),
+        median_ms=statistics.median(kept),
+        p95_ms=kept_sorted[p95_index],
+    )

@@ -520,6 +520,7 @@ def cmd_bench(args) -> int:
             f"got {args.queries_per_cell}"
         )
     sizes = _bench_sizes(args.sizes)
+    base = _pooling_config(args, "dijkstra")  # each cell sets its algorithm
     names = [name for name in args.algos.split(",") if name]
     for name in names:
         if name not in _ALGO_FLAGS:
@@ -537,7 +538,6 @@ def cmd_bench(args) -> int:
         backends = [pooling.DEFAULT_BACKEND]
     else:
         backends = [args.backend]
-    base = _pooling_config(args, "dijkstra")  # each cell sets its algorithm
     report = bench_mod.measure_overhead(
         workloads, algorithms, sizes, backends=backends, base_cfg=base
     )

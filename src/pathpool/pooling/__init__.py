@@ -24,15 +24,20 @@ after the kernel calls Python code once per triple; the Python random-walk
 loop takes lists of the columns, the compiled core int32 and float64
 copies.
 
-The compiled core walks every tree path (dijkstra) and pools every
-enumerated simple path (BFS). The Python backend lists no path for either:
-it grows both shortest-path trees a level at a time in numpy and pushes the
-pooled values up each tree as a subtree max, and for BFS it folds numpy
-arrays of path prefixes, one depth and one block of ``BFS_BLOCK_PATHS``
-prefixes at a time, into the per-edge max and solves the last edge of the
-longest paths per prefix and per end vertex. Both give the same bits
-because rounding is monotone, so the max of fl(pooled + c) over paths is
-fl(max pooled + c) (see ``_kernels_py``).
+Neither backend pools a kernel on its own: both fold. Each path's best
+pooled value, over the path and every kernel that extends it, goes to the
+path or tree vertex it extends and, plus its positional term, onto its last
+edge. The compiled core folds as it searches: per tree vertex, per DFS
+prefix of a simple path and per walk. The Python backend folds numpy
+arrays: it grows both shortest-path trees a level at a time and pushes the
+pooled values up each tree as a subtree max, and for BFS it folds path
+prefixes, one depth and one block of ``BFS_BLOCK_PATHS`` prefixes at a
+time, and solves the last edge of the longest paths per prefix and per end
+vertex; a random walk it folds once the walk ends. Both give the same bits
+as pooling each kernel, because rounding is monotone, so the max of
+fl(pooled + c) over paths is fl(max pooled + c) (see ``_kernels_py``).
+Only ``search_path_kernels`` and the tests' oracles list and pool kernels
+one by one.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ _POOLING_CODES = {name: code for code, name in enumerate(POOLING_STRATEGIES)}
 
 _MASK64 = (1 << 64) - 1
 _INT32_MAX = (1 << 31) - 1
+_INT64_MAX = (1 << 63) - 1
 _PTR = ctypes.c_void_p  # address of a C-contiguous int32 or float64 numpy buffer
 _SMOOTH_ARGTYPES = [
     ctypes.c_int32,  # n_vertices
@@ -215,6 +221,9 @@ class PoolingConfig:
             raise ConfigError("max_path_len must be >= 1")
         if self.walk_count < 1:
             raise ConfigError("walk_count must be >= 1")
+        # the compiled core counts walks in an int64, which ctypes would wrap
+        if self.walk_count > _INT64_MAX:
+            raise ConfigError(f"walk_count must be <= {_INT64_MAX}")
 
 
 @dataclass(frozen=True)

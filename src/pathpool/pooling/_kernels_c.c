@@ -1,14 +1,15 @@
 /* Compiled smooth_scores for pathpool.pooling, loaded through ctypes.
  *
  * Computes the same per-edge smoothed scores as _kernels_py.smooth_scores,
- * to the last bit: kernels are visited in the same order, the RNG stream is
- * the same splitmix64, and floating-point expressions follow Python's
- * evaluation order. Build with -ffp-contract=off so the compiler fuses no
- * multiply-add. The conventions (CSR arrays, kernel order, direction) are
- * described in _kernels_py. Plain C: no Python headers, fixed-width
- * int32/float64 buffers owned by the caller, no global state.
+ * to the last bit and by the same fold, which pools no kernel on its own
+ * (_kernels_py describes the fold, the CSR arrays, kernel order and
+ * direction). The RNG stream is the same splitmix64, and floating-point
+ * expressions follow Python's evaluation order. Build with -ffp-contract=off
+ * so the compiler fuses no multiply-add. Plain C: no Python headers,
+ * fixed-width int32/float64 buffers owned by the caller, no global state.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -16,41 +17,32 @@ enum { ALG_DIJKSTRA = 0, ALG_BFS = 1, ALG_RANDOM_WALK = 2 };
 
 enum { PP_OK = 0, PP_NO_MEMORY = -1, PP_BAD_ALGORITHM = -2 };
 
-/* Scores in, smoothed scores out: one kernel at a time. */
+/* Scores in, smoothed scores out; -INFINITY marks an edge on no kernel yet. */
 typedef struct {
     const double *scores;
     double *final;
-    char *covered;
-    int32_t pooling; /* 0 = average, 1 = max */
-    double s_min;
-    double divisor;
-} Sink;
+    int average;  /* 1 = average pooling, 0 = max */
+    double empty; /* the running value of a path with no edge */
+    double s_min, divisor;
+} Fold;
 
-static void add_kernel(Sink *sink, const int32_t *path, int32_t length)
+/* A path's running sum (average pooling) or max, one edge longer. */
+static double extend(const Fold *f, double acc, int32_t e)
 {
-    const double *scores = sink->scores;
-    double pooled;
-    if (sink->pooling == 0) {
-        double total = 0.0;
-        for (int32_t i = 0; i < length; i++)
-            total += scores[path[i]];
-        pooled = total / length;
-    } else {
-        pooled = scores[path[0]];
-        for (int32_t i = 0; i < length; i++)
-            if (scores[path[i]] > pooled)
-                pooled = scores[path[i]];
-    }
-    for (int32_t i = 0; i < length; i++) {
-        int32_t e = path[i];
-        double value = pooled + sink->s_min / ((double)(i + 1) * sink->divisor);
-        if (!sink->covered[e]) {
-            sink->covered[e] = 1;
-            sink->final[e] = value;
-        } else if (value > sink->final[e]) {
-            sink->final[e] = value;
-        }
-    }
+    double score = f->scores[e];
+    return f->average ? acc + score : score > acc ? score : acc;
+}
+
+static void raise_to(double *x, double value)
+{
+    if (value > *x)
+        *x = value;
+}
+
+/* Edge e at position on kernels whose best pooled value is best. */
+static void lift(const Fold *f, int32_t e, double best, int32_t position)
+{
+    raise_to(&f->final[e], best + f->s_min / ((double)position * f->divisor));
 }
 
 /* -- splitmix64 with mask-rejection sampling ------------------------------ */
@@ -97,121 +89,127 @@ static int ranks_less(const int32_t *a, const int32_t *b, int32_t length)
     return 0;
 }
 
-/* Per-vertex tree arrays, plus path buffers (path is shared by every search). */
+/* Work arrays of nv + 1 entries, named by each search as it uses them. A
+ * simple path has at most nv - 1 edges, so one entry per depth fits too. */
 typedef struct {
-    int32_t *dist, *parent_edge, *parent_vertex, *frontier, *next;
-    int32_t *ranks_a, *ranks_b, *path;
-    double *cum;
-} Buffers;
+    int32_t *ints[6];
+    double *reals[2];
+} Work;
 
-static void shortest_path_tree(Buffers *t, int32_t nv, const int32_t *endpoint,
-                               const int32_t *off, const int32_t *eid,
-                               const double *scores, const int32_t *lex,
-                               const int32_t *sources, int32_t nsrc, Sink *sink)
+/* Grows the tree in BFS order, then folds it from the deepest vertex up. */
+static void shortest_path_tree(const Work *w, const Fold *f, int32_t nv,
+                               const int32_t *endpoint, const int32_t *off,
+                               const int32_t *eid, const int32_t *lex,
+                               const int32_t *sources, int32_t nsrc)
 {
-    int32_t *dist = t->dist, *pe = t->parent_edge, *pv = t->parent_vertex;
-    double *cum = t->cum;
-    for (int32_t v = 0; v < nv; v++) {
+    int32_t *dist = w->ints[0], *pe = w->ints[1], *pv = w->ints[2];
+    int32_t *queue = w->ints[3], *ranks_a = w->ints[4], *ranks_b = w->ints[5], nq = 0;
+    double *cum = w->reals[0], *best = w->reals[1];
+    for (int32_t v = 0; v < nv; v++)
         dist[v] = pe[v] = pv[v] = -1;
-        cum[v] = 0.0;
-    }
-    int32_t nf = 0;
     for (int32_t i = 0; i < nsrc; i++) {
         dist[sources[i]] = 0;
-        t->frontier[nf++] = sources[i];
+        cum[sources[i]] = 0.0; /* every other vertex's is set when it is reached */
+        best[sources[i]] = f->empty;
+        queue[nq++] = sources[i];
     }
-    for (int32_t depth = 0; nf > 0; depth++) {
-        int32_t nn = 0;
-        for (int32_t i = 0; i < nf; i++) {
-            int32_t u = t->frontier[i];
-            for (int32_t k = off[u]; k < off[u + 1]; k++) {
-                int32_t e = eid[k], v = endpoint[e];
-                double candidate = cum[u] + scores[e];
-                int replace = 0;
-                if (dist[v] == -1) {
-                    dist[v] = depth + 1;
-                    t->next[nn++] = v;
+    for (int32_t head = 0; head < nq; head++) {
+        int32_t u = queue[head], depth = dist[u];
+        if (depth > 0) /* its whole level is reached, so its path is final */
+            best[u] = f->average ? cum[u] / depth : extend(f, best[pv[u]], pe[u]);
+        for (int32_t k = off[u]; k < off[u + 1]; k++) {
+            int32_t e = eid[k], v = endpoint[e];
+            double candidate = cum[u] + f->scores[e];
+            int replace = 0;
+            if (dist[v] == -1) {
+                dist[v] = depth + 1;
+                queue[nq++] = v;
+                replace = 1;
+            } else if (dist[v] == depth + 1) {
+                if (candidate > cum[v]) {
                     replace = 1;
-                } else if (dist[v] == depth + 1) {
-                    if (candidate > cum[v]) {
-                        replace = 1;
-                    } else if (candidate == cum[v]) {
-                        tail_ranks(pe, pv, lex, e, u, depth + 1, t->ranks_a);
-                        tail_ranks(pe, pv, lex, pe[v], pv[v], depth + 1, t->ranks_b);
-                        replace = ranks_less(t->ranks_a, t->ranks_b, depth + 1);
-                    }
-                }
-                if (replace) {
-                    pe[v] = e;
-                    pv[v] = u;
-                    cum[v] = candidate;
+                } else if (candidate == cum[v]) {
+                    tail_ranks(pe, pv, lex, e, u, depth + 1, ranks_a);
+                    tail_ranks(pe, pv, lex, pe[v], pv[v], depth + 1, ranks_b);
+                    replace = ranks_less(ranks_a, ranks_b, depth + 1);
                 }
             }
+            if (replace) {
+                pe[v] = e;
+                pv[v] = u;
+                cum[v] = candidate;
+            }
         }
-        int32_t *swap = t->frontier;
-        t->frontier = t->next;
-        t->next = swap;
-        nf = nn;
     }
-    for (int32_t v = 0; v < nv; v++) {
-        if (dist[v] < 1)
-            continue;
-        for (int32_t i = dist[v] - 1, x = v; i >= 0; i--) {
-            t->path[i] = pe[x];
-            x = pv[x];
-        }
-        add_kernel(sink, t->path, dist[v]);
+    /* each vertex's subtree best goes to its tree edge and to its parent */
+    for (int32_t i = nq - 1; i >= nsrc; i--) {
+        int32_t v = queue[i];
+        lift(f, pe[v], best[v], dist[v]);
+        raise_to(&best[pv[v]], best[v]);
     }
 }
 
-/* -- every simple path of 1..max_len edges, in preorder ------------------- */
+/* -- every simple path of 1..max_len edges, depth first ------------------- */
 
-static void simple_paths(const int32_t *endpoint, const int32_t *off,
-                         const int32_t *eid, int32_t source, int32_t max_len,
-                         char *visited, int32_t *path, int32_t *stack_v,
-                         int32_t *stack_k, Sink *sink)
+/* A path of max_len edges is folded at once, a shorter one after its subtree. */
+static void simple_paths(const Work *w, const Fold *f, const int32_t *endpoint,
+                         const int32_t *off, const int32_t *eid, int32_t source,
+                         int32_t max_len, char *visited)
 {
-    int32_t top = 0, plen = 0;
+    int32_t *stack_v = w->ints[0], *stack_k = w->ints[1], *path = w->ints[2], top = 0;
+    double *acc = w->reals[0], *best = w->reals[1];
     visited[source] = 1;
     stack_v[0] = source;
     stack_k[0] = off[source];
+    acc[0] = f->empty;
+    best[0] = -INFINITY;
     while (top >= 0) {
         int32_t u = stack_v[top], k = stack_k[top];
         if (k >= off[u + 1]) {
+            visited[u] = 0;
+            if (top > 0) {
+                lift(f, path[top], best[top], top);
+                raise_to(&best[top - 1], best[top]);
+            }
             top--;
-            if (plen > 0)
-                visited[endpoint[path[--plen]]] = 0;
             continue;
         }
         stack_k[top] = k + 1;
         int32_t e = eid[k], v = endpoint[e];
         if (visited[v])
             continue;
-        path[plen++] = e;
-        add_kernel(sink, path, plen);
-        if (plen < max_len) {
-            visited[v] = 1;
-            top++;
-            stack_v[top] = v;
-            stack_k[top] = off[v];
-        } else {
-            plen--;
+        double running = extend(f, acc[top], e);
+        double value = f->average ? running / (top + 1) : running;
+        if (top + 1 == max_len) {
+            lift(f, e, value, max_len);
+            raise_to(&best[top], value);
+            continue;
         }
+        top++;
+        visited[v] = 1;
+        stack_v[top] = v;
+        stack_k[top] = off[v];
+        path[top] = e;
+        acc[top] = running;
+        best[top] = value;
     }
-    visited[source] = 0;
 }
 
 /* -- uniform out-edge walks; a walk ends at a dead end, max_len or a revisit */
 
-static void random_walks(const int32_t *tails, const int32_t *off,
-                         const int32_t *eid, const int32_t *sources,
-                         int32_t nsrc, int32_t max_len, int64_t walk_count,
-                         uint64_t seed, char *visited, int32_t *path, Sink *sink)
+/* A walk's kernels are its prefixes: edge i takes the best of those of >= i edges. */
+static void random_walks(const Work *w, const Fold *f, const int32_t *tails,
+                         const int32_t *off, const int32_t *eid,
+                         const int32_t *sources, int32_t nsrc, int32_t max_len,
+                         int64_t walk_count, uint64_t seed, char *visited)
 {
+    int32_t *path = w->ints[0];
+    double *prefix = w->reals[0];
     uint64_t state = seed;
     for (int32_t si = 0; si < nsrc; si++) {
-        for (int64_t w = 0; w < walk_count; w++) {
+        for (int64_t walk = 0; walk < walk_count; walk++) {
             int32_t u = sources[si], plen = 0;
+            double running = f->empty, best = -INFINITY;
             visited[u] = 1;
             while (plen < max_len) {
                 int32_t lo = off[u], degree = off[u + 1] - lo;
@@ -220,14 +218,18 @@ static void random_walks(const int32_t *tails, const int32_t *off,
                 int32_t e = eid[lo + below(&state, degree)], v = tails[e];
                 if (visited[v])
                     break;
+                running = extend(f, running, e);
                 path[plen++] = e;
-                add_kernel(sink, path, plen);
+                prefix[plen] = f->average ? running / plen : running;
                 visited[v] = 1;
                 u = v;
             }
+            for (int32_t i = plen; i > 0; i--) {
+                raise_to(&best, prefix[i]);
+                lift(f, path[i - 1], best, i);
+                visited[tails[path[i - 1]]] = 0;
+            }
             visited[sources[si]] = 0;
-            for (int32_t i = 0; i < plen; i++)
-                visited[tails[path[i]]] = 0;
         }
     }
 }
@@ -253,10 +255,7 @@ static void build_csr(int32_t nv, int32_t ne, const int32_t *anchor,
 /* Per-edge smoothed score into final[0..ne): max over kernels of the pooled
  * kernel score plus s_min / (position * divisor); edges on no kernel score
  * as singletons. lex is read by dijkstra only and may be NULL otherwise.
- * Work buffers hold nv + 1 vertices, ne edges or cap + 1 path entries,
- * where cap is the longest kernel: a dijkstra path has at most ne edges, the
- * others at most min(max_path_len, ne). A simple path has at most ne edges,
- * so that clamp loses no kernel and no RNG draw.
+ * max_path_len bounds bfs and random-walk kernels, and may exceed any path.
  * Returns PP_OK, PP_NO_MEMORY or PP_BAD_ALGORITHM. */
 int pathpool_smooth_scores(int32_t nv, int32_t ne, const int32_t *heads,
                            const int32_t *tails, const double *scores,
@@ -267,44 +266,43 @@ int pathpool_smooth_scores(int32_t nv, int32_t ne, const int32_t *heads,
 {
     if (algorithm < ALG_DIJKSTRA || algorithm > ALG_RANDOM_WALK)
         return PP_BAD_ALGORITHM;
-    int32_t cap = algorithm == ALG_DIJKSTRA || max_path_len > ne ? ne : max_path_len;
-    size_t nv1 = (size_t)nv + 1, nes = (size_t)ne, caps = (size_t)cap + 1;
-    Sink sink = {scores, final, calloc(nes + 1, 1), pooling, s_min, divisor};
+    size_t nv1 = (size_t)nv + 1, nes = (size_t)ne;
+    Fold f = {scores, final, pooling == 0, pooling ? -INFINITY : 0.0, s_min, divisor};
     char *visited = calloc(nv1, 1);
-    int32_t *ints = malloc((7 * nv1 + 2 * nes + 5 * caps) * sizeof(int32_t));
-    double *cum = malloc(nv1 * sizeof(double));
+    int32_t *ints = malloc((8 * nv1 + 2 * nes) * sizeof(int32_t));
+    double *reals = malloc(2 * nv1 * sizeof(double));
     int status = PP_NO_MEMORY;
-    if (sink.covered && visited && ints && cum) {
-        /* ints holds 2 CSR lists, 5 vertex arrays, then 5 path arrays */
-        int32_t *csr = ints, *vtx = ints + 2 * (nv1 + nes), *pth = vtx + 5 * nv1;
+    if (visited && ints && reals) {
+        /* ints holds 2 CSR lists, then the 6 int work arrays */
+        int32_t *csr = ints, *vtx = ints + 2 * (nv1 + nes);
         int32_t *off[2] = {csr, csr + nv1 + nes}, *eid[2] = {csr + nv1, csr + 2 * nv1 + nes};
         const int32_t *endpoint[2] = {tails, heads};
+        Work w = {{vtx, vtx + nv1, vtx + 2 * nv1, vtx + 3 * nv1, vtx + 4 * nv1, vtx + 5 * nv1},
+                  {reals, reals + nv1}};
         build_csr(nv, ne, heads, off[0], eid[0]); /* from the query: out-edges */
         build_csr(nv, ne, tails, off[1], eid[1]); /* to the query: in-edges */
-        Buffers t = {vtx, vtx + nv1, vtx + 2 * nv1, vtx + 3 * nv1, vtx + 4 * nv1,
-                  pth, pth + caps, pth + 2 * caps, cum};
-        int32_t *stack_v = pth + 3 * caps, *stack_k = pth + 4 * caps;
+        for (int32_t e = 0; e < ne; e++)
+            final[e] = -INFINITY;
         for (int32_t d = 0; d < 2 && nsrc > 0; d++) {
             if (algorithm == ALG_DIJKSTRA) {
-                shortest_path_tree(&t, nv, endpoint[d], off[d], eid[d], scores, lex,
-                                   sources, nsrc, &sink);
+                shortest_path_tree(&w, &f, nv, endpoint[d], off[d], eid[d], lex,
+                                   sources, nsrc);
             } else if (algorithm == ALG_BFS) {
                 for (int32_t i = 0; i < nsrc; i++)
-                    simple_paths(endpoint[d], off[d], eid[d], sources[i], cap,
-                                 visited, t.path, stack_v, stack_k, &sink);
+                    simple_paths(&w, &f, endpoint[d], off[d], eid[d], sources[i],
+                                 max_path_len, visited);
             } else if (d == 0) {
-                random_walks(tails, off[0], eid[0], sources, nsrc, cap, walk_count,
-                             seed, visited, t.path, &sink);
+                random_walks(&w, &f, tails, off[0], eid[0], sources, nsrc, max_path_len,
+                             walk_count, seed, visited);
             }
         }
         for (int32_t e = 0; e < ne; e++)
-            if (!sink.covered[e])
+            if (final[e] == -INFINITY)
                 final[e] = scores[e] + s_min / divisor;
         status = PP_OK;
     }
-    free(sink.covered);
     free(visited);
     free(ints);
-    free(cum);
+    free(reals);
     return status;
 }

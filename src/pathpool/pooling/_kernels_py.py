@@ -22,11 +22,13 @@ Conventions the compiled ``smooth_scores`` shares:
   seeded with the seed modulo 2**64, so the walk sequence is identical
   across backends for a given seed.
 
-``search_kernels`` and the random-walk branch of ``smooth_scores`` feed
-each kernel through ``_dispatch`` on Python lists of the columns, as the
-compiled core does for all three algorithms. Dijkstra and BFS smoothing
-here visit no single path; both fold numpy arrays over the doubled graph,
-so the two search directions run as one:
+Only ``search_kernels``, the test oracle, lists kernels: ``_dispatch``
+feeds each one to a callback, on Python lists of the columns. Smoothing
+pools no kernel on its own, in either backend. It folds: a path's best
+pooled value, over the path and every kernel that extends it, goes to the
+path or tree vertex it extends and, plus the positional term, onto its last
+edge. Dijkstra and BFS fold numpy arrays over the doubled graph, so the two
+search directions run as one:
 
 * Dijkstra (``_tree_smooth``) grows both min-hop trees a level at a time
   and then pushes each vertex's pooled value up its tree as a subtree max;
@@ -34,15 +36,19 @@ so the two search directions run as one:
   edges, one depth and one block at a time, each with its running sum (or
   max) and the best pooled value below it, and solves the last edge of the
   longest paths per prefix and per end vertex from the prefixes that end
-  there.
+  there;
+* a random walk (``_walk_smooth``) is folded once it ends: its prefixes are
+  its kernels, so each edge takes a suffix max of their pooled values.
 
-Both still equal the per-path loop bit for bit: each float operation is the
-one that loop does, and IEEE rounding is monotone, since ``x + c``,
-``x / n`` and the running max never fall when ``x`` rises. So the max over
-paths of fl(pooled + c) is fl(max pooled + c), and a path's pooled value is
-largest where its prefix's and its last edge's are. (The one exception is
-the sign of a zero result when the smallest score is ``-0.0``; ``smooth``
-shifts every score positive first.)
+The compiled core folds the same way as it searches: per tree vertex, per
+depth-first prefix and per walk. The fold equals the per-kernel max bit for
+bit: each float operation is the one a per-kernel loop does, and IEEE
+rounding is monotone, since ``x + c``, ``x / n`` and the running max never
+fall when ``x`` rises. So the max over paths of fl(pooled + c) is
+fl(max pooled + c), and a path's pooled value is largest where its prefix's
+and its last edge's are. (The one exception is the sign of a zero result
+when the smallest score is ``-0.0``; ``smooth`` shifts every score positive
+first.)
 """
 
 from __future__ import annotations
@@ -495,8 +501,11 @@ def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divi
         np.maximum.at(final, edges, best[vertices] + s_min / (depth * divisor))
 
 
-def _random_walks(tails, off, eid, sources, max_len, walk_count, rng, emit):
-    """Uniform out-edge walks; a walk ends at a dead end, max_len, or a revisit."""
+def _random_walks(tails, off, eid, sources, max_len, walk_count, rng):
+    """Uniform out-edge walks; a walk ends at a dead end, max_len, or a revisit.
+
+    Yields each walk's edge list once it ends; its kernels are its prefixes.
+    """
     for s in sources:
         for _ in range(walk_count):
             u = s
@@ -512,9 +521,43 @@ def _random_walks(tails, off, eid, sources, max_len, walk_count, rng, emit):
                 if v in visited:
                     break
                 path.append(e)
-                emit(path)
                 visited.add(v)
                 u = v
+            yield path
+
+
+def _walk_smooth(walks, scores, average, pos, final):
+    """Fold the prefixes of every walk into ``final``, a list.
+
+    Edge i of a walk is edge i of each prefix of i or more edges, so it
+    takes the best of their pooled values: a suffix max from the walk's end.
+    Each prefix's running sum (or max) is the float sequence a per-prefix
+    loop computes. ``pos`` has an entry for every walk length.
+    """
+    start = 0.0 if average else -np.inf
+    lowest = -np.inf
+    prefix = [0.0] * len(pos)  # the pooled value of each prefix, by length
+    for walk in walks:
+        acc = start
+        length = 0
+        for e in walk:
+            score = scores[e]
+            length += 1
+            if average:
+                acc += score
+                prefix[length] = acc / length
+            else:
+                acc = score if score > acc else acc
+                prefix[length] = acc
+        best = lowest
+        while length:
+            if prefix[length] > best:
+                best = prefix[length]
+            value = best + pos[length]
+            e = walk[length - 1]
+            if value > final[e]:
+                final[e] = value
+            length -= 1
 
 
 def _dispatch(
@@ -562,17 +605,12 @@ def _dispatch(
                     lambda path, d=dircode: emit(path, d),
                 )
     elif algorithm == ALG_RANDOM_WALK:
-        rng = _SplitMix(seed)
-        _random_walks(
-            tails,
-            out_off,
-            out_eid,
-            sources,
-            max_path_len,
-            walk_count,
-            rng,
-            lambda path: emit(path, DIR_FROM_QUERY),
+        walks = _random_walks(
+            tails, out_off, out_eid, sources, max_path_len, walk_count, _SplitMix(seed)
         )
+        for walk in walks:
+            for length in range(1, len(walk) + 1):
+                emit(walk[:length], DIR_FROM_QUERY)
     else:
         raise ValueError(f"unknown algorithm code {algorithm}")
 
@@ -666,60 +704,34 @@ def smooth_scores(
     The columns are numpy arrays (``rank`` may be None unless the algorithm
     is dijkstra) and ``scores`` are finite; the result is a float64 array.
     """
+    if algorithm not in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
+        raise ValueError(f"unknown algorithm code {algorithm}")
     ne = len(heads)
     final = np.full(ne, -np.inf)  # -inf: on no kernel yet
-
-    if algorithm in (ALG_DIJKSTRA, ALG_BFS):
-        if len(sources):
-            sources = np.asarray(sources, dtype=np.intp)
-            src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
-            average = pooling == 0
-            if algorithm == ALG_DIJKSTRA:
-                _tree_smooth(
-                    off, eid, src, dst, scores, rank, sources, average, s_min, divisor,
-                    final,
-                )
-            else:
-                max_len = min(max_path_len, ne)
-                pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
-                _bfs_smooth(
-                    off, eid, src, dst, scores, sources, max_len, average, pos, final
-                )
+    if not len(sources):
         return _fill_singletons(final, scores, s_min, divisor)
-
-    columns = _as_lists(heads, tails, *_halves(n_vertices, off, eid), scores, rank)
-    score_list = columns[6]
-    values = final.tolist()
-
-    def process(path, _dircode):
-        length = len(path)
-        if pooling == 0:
-            total = 0.0
-            for e in path:
-                total += score_list[e]
-            pooled = total / length
-        else:
-            pooled = score_list[path[0]]
-            for e in path:
-                if score_list[e] > pooled:
-                    pooled = score_list[e]
-        i = 1
-        for e in path:
-            value = pooled + s_min / (i * divisor)
-            if value > values[e]:
-                values[e] = value
-            i += 1
-
-    _dispatch(
-        n_vertices,
-        *columns,
-        sources,
-        algorithm,
-        max_path_len,
-        walk_count,
-        seed,
-        process,
+    average = pooling == 0
+    if algorithm == ALG_DIJKSTRA:
+        src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
+        sources = np.asarray(sources, dtype=np.intp)
+        _tree_smooth(
+            off, eid, src, dst, scores, rank, sources, average, s_min, divisor, final
+        )
+        return _fill_singletons(final, scores, s_min, divisor)
+    max_len = min(max_path_len, ne)
+    pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
+    if algorithm == ALG_BFS:
+        src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
+        sources = np.asarray(sources, dtype=np.intp)
+        _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final)
+        return _fill_singletons(final, scores, s_min, divisor)
+    out_off, out_eid = _halves(n_vertices, off, eid)[:2]
+    tails, out_off, out_eid, score_list = _as_lists(tails, out_off, out_eid, scores)
+    walks = _random_walks(
+        tails, out_off, out_eid, sources, max_len, walk_count, _SplitMix(seed)
     )
+    values = final.tolist()
+    _walk_smooth(walks, score_list, average, pos, values)
     return _fill_singletons(np.array(values), scores, s_min, divisor)
 
 

@@ -29,9 +29,13 @@ ALGORITHMS = ("dijkstra", "bfs", "random_walk")
 WALK_SEEDS = (0, 1, 7, 123456789, -3, 2**63)
 
 
+def _compiler() -> list[str]:
+    """The C compiler command ``setup.py build_ext`` would run."""
+    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+
+
 def _compiler_found() -> bool:
-    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(compiler)[0]) is not None
+    return shutil.which(_compiler()[0]) is not None
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +59,20 @@ def built_core(tmp_path_factory) -> Path:
         capture_output=True,
     )
     return out / "pathpool" / "pooling"
+
+
+def test_compiled_core_compiles_clean_under_strict_warnings():
+    # every warning is an error, so a slip in the work-buffer layout that a
+    # compiler only warns about (a sign change, an unused or shadowed name)
+    # fails here rather than in a bit-identity test
+    if not _compiler_found():
+        pytest.skip("no C compiler found")
+    source = ROOT / "src" / "pathpool" / "pooling" / "_kernels_c.c"
+    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
+    result = subprocess.run(
+        [*_compiler(), *flags, str(source)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.fixture(scope="session")

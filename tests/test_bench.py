@@ -90,3 +90,31 @@ def test_backend_comparison_rows(small_setup):
         workloads, ["dijkstra"], [25], backends=backends
     )
     assert {cell.backend for cell in report.cells} == set(backends)
+
+
+def test_each_query_runs_on_every_backend_back_to_back(small_setup, monkeypatch):
+    _, workloads = small_setup
+    calls = []
+
+    def smooth(sequence, anchors, cfg, backend):
+        calls.append((cfg.search_algorithm, len(sequence), anchors, backend))
+
+    monkeypatch.setattr(pooling, "smooth", smooth)
+    backends = ["py", "py"]
+    report = bench.measure_overhead(workloads, ["dijkstra", "bfs"], [25, 60], backends)
+    expected = [
+        (algorithm, count, anchors, backend)
+        for algorithm in ("dijkstra", "bfs")
+        for count in (25, 60)
+        for _, anchors in workloads
+        for backend in backends
+    ]
+    assert calls == expected
+    cells = [(c.backend, c.algorithm, c.triple_count) for c in report.cells]
+    assert cells == [
+        (backend, algorithm, count)
+        for backend in backends
+        for algorithm in ("dijkstra", "bfs")
+        for count in (25, 60)
+    ]
+    assert {c.queries for c in report.cells} == {len(workloads) - bench.WARMUP_RUNS}

@@ -823,6 +823,28 @@ def test_retrieval_settings_that_fail_every_query_abort_before_output(
     assert not out.exists()
 
 
+WALK_COUNT_LIMIT = f"walk_count must be <= {2**63 - 1}"
+
+
+@pytest.mark.parametrize("command", ["pool", "bench"])
+@pytest.mark.parametrize("walk_count", [2**63, 2**64 + 1])
+def test_walk_count_past_int64_aborts_before_output(
+    tmp_path, capsys, command, walk_count
+):
+    # the compiled core takes walk_count as an int64: a larger count would
+    # wrap there (2**64 + 1 runs one walk) while the Python backend runs it all
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(_artifact_line("q", [["A", "r", "B", 0.5]]), encoding="utf-8")
+    argv = {
+        "pool": ["--in", artifact, "--algo", "random-walk"],
+        "bench": ["--sizes", "25", "--algos", "random-walk"],
+    }[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *argv, "--walk-count", walk_count, "--out", out) == 2
+    assert capsys.readouterr() == ("", f"error: {WALK_COUNT_LIMIT}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("flags", "message"),
     [
@@ -832,6 +854,10 @@ def test_retrieval_settings_that_fail_every_query_abort_before_output(
         (["--no-llm", "--workers", "0"], "workers must be >= 1, got 0"),
         (["--no-llm", "--workers", "-5"], "workers must be >= 1, got -5"),
         ([], "an endpoint is required unless --no-llm is given"),
+        (
+            ["--no-llm", "--algo", "random-walk", "--walk-count", 2**63],
+            WALK_COUNT_LIMIT,
+        ),
     ],
 )
 def test_run_settings_that_fail_every_query_abort_before_loading(

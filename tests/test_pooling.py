@@ -198,6 +198,7 @@ def test_pool_path_rejects_empty_and_unknown():
         {"positional_divisor": -3.0},
         {"max_path_len": 0},
         {"walk_count": 0},
+        {"walk_count": 2**63},
     ],
 )
 def test_config_validation(kwargs):
@@ -444,7 +445,10 @@ def test_dijkstra_smoothing_on_a_deep_tied_chain():
     assert longest == tuple(range(1, len(edges), 2))
 
 
-def test_dijkstra_smoothing_walks_no_path(monkeypatch):
+@pytest.mark.parametrize("strategy", ["average", "max"])
+@pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
+def test_smoothing_walks_no_path(monkeypatch, algorithm, strategy):
+    cfg = PoolingConfig(search_algorithm=algorithm, pooling=strategy)
     cases = [random_case(seed, max_edges=24) for seed in range(40)]
     cases = [
         (make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()]), queries)
@@ -452,14 +456,20 @@ def test_dijkstra_smoothing_walks_no_path(monkeypatch):
     ]
 
     def smoothed():
-        return [smooth(*case, CFG, backend="py").labeled_items() for case in cases]
+        return [smooth(*case, cfg, backend="py").labeled_items() for case in cases]
 
     expected = smoothed()
 
     def walk(*args):
-        raise AssertionError("dijkstra smoothing walked a path in Python")
+        raise AssertionError(f"{algorithm} smoothing walked a path in Python")
 
-    for name in ("_dispatch", "_shortest_path_tree", "_tail_ranks", "_path_edges"):
+    for name in (
+        "_dispatch",
+        "_enumerate_simple_paths",
+        "_shortest_path_tree",
+        "_tail_ranks",
+        "_path_edges",
+    ):
         monkeypatch.setattr(_kernels_py, name, walk)
     assert smoothed() == expected
 
