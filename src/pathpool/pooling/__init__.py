@@ -14,10 +14,12 @@ optional compiled ``smooth_scores`` built from ``_kernels_c.c`` by
 to this file and is then the ``auto`` choice; ``backend="py"`` forces Python.
 
 The arrays both backends receive are built in bulk from the sequence's
-``(n, 3)`` id array: first-seen vertex ids with ``np.unique``, one CSR
-adjacency over the doubled graph that holds both search directions
-(``_doubled_csr``, one stable argsort), and each edge's label-order rank,
-the store's ``row_rank`` at the sequence's rows. The output is one stable
+``(n, 3)`` id array, in passes over its own triples: first-seen vertex ids,
+numbered in a per-thread entity-indexed buffer with no sort of entity ids,
+one CSR adjacency over the doubled graph that holds both search directions
+(``_doubled_csr``, one stable argsort of small vertex ids, which also gives
+each slot's two ends), and each edge's label-order rank, the store's
+``row_rank`` at the sequence's rows. The output is one stable
 ``np.argsort`` of the smoothed scores, applied to the input's row, score
 and rank columns, so no ``ScoredTriple`` row is built. No step before or
 after the kernel calls Python code once per triple; the Python random-walk
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import ctypes
 import importlib.machinery
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -91,8 +94,8 @@ class _CompiledCore:
     """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
 
     The library rebuilds the CSR arrays from ``heads`` and ``tails``, which
-    costs less than copying them into C buffers, so ``off`` and ``eid`` are
-    unused.
+    costs less than copying them into C buffers, so ``off``, ``eid``, ``src``
+    and ``dst`` are unused.
     """
 
     def __init__(self, fn):
@@ -109,6 +112,8 @@ class _CompiledCore:
         eid,
         scores,
         rank,
+        src,
+        dst,
         sources,
         algorithm,
         max_path_len,
@@ -247,12 +252,14 @@ class ScoredSubgraph:
 
     Vertices are the entities appearing in the sequence, interned in
     first-seen order (head before tail, edge by edge). Adjacency is one CSR
-    over the doubled graph, ``off`` and ``eid`` (see ``_doubled_csr``), so
-    both backends consume the same flat integer arrays; ``out_off``,
-    ``out_eid``, ``in_off`` and ``in_eid`` are its two halves. Every array
-    is built in bulk with numpy (``np.unique`` for the vertex order, one
-    stable argsort for the CSR), with no Python call per triple;
-    ``scores`` is the sequence's score column.
+    over the doubled graph, ``off`` and ``eid``, with each slot's ends
+    ``src`` and ``dst`` (see ``_doubled_csr``), so both backends consume the
+    same flat integer arrays; ``out_off``, ``out_eid``, ``in_off`` and
+    ``in_eid`` are its two halves. Every array is built in bulk with numpy
+    in passes over the sequence's own triples: vertices are numbered in an
+    entity-indexed buffer (``_vertex_buffer``), so no entity id is sorted,
+    and the CSR is one stable argsort of small vertex ids. ``scores`` is the
+    sequence's score column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -264,25 +271,29 @@ class ScoredSubgraph:
         # heads and tails interleaved edge by edge, so first occurrence in
         # this array is first-seen order
         ends = ids[:, ::2].ravel()
-        entities, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
-        seen_order = first.argsort()
-        vertex_of = np.empty_like(seen_order)
-        vertex_of[seen_order] = np.arange(len(seen_order))
-        heads, tails = vertex_of[inverse].reshape(-1, 2).T
-        vertex_entities = entities[seen_order].tolist()
-        # sorted entity ids and their local vertices, for vertices_for_labels
-        self._entities = entities
-        self._vertex_of = vertex_of
-        self.vertex_entities = vertex_entities
-        self.n_vertices = len(vertex_entities)
+        seen = np.arange(len(ends))
+        # each entity's first position in ends, then its vertex
+        vertex_of = _vertex_buffer(self.store.n_entities)
+        vertex_of[ends] = len(ends)
+        np.minimum.at(vertex_of, ends, seen)
+        entities = ends[vertex_of[ends] == seen]
+        vertex_of[entities] = np.arange(len(entities))
+        heads, tails = vertex_of[ends].reshape(-1, 2).T
+        self._entities = entities  # the entity id of each vertex
+        self.n_vertices = len(entities)
         self.n_edges = len(ids)
         self.heads = heads
         self.tails = tails
         self.scores = sequence.score_array
-        self.off, self.eid = _doubled_csr(self.n_vertices, heads, tails)
+        self.off, self.eid, self.src, self.dst = _doubled_csr(self.n_vertices, heads, tails)
         self.out_off, self.out_eid, self.in_off, self.in_eid = _kernels_py._halves(
             self.n_vertices, self.off, self.eid
         )
+
+    @property
+    def vertex_entities(self) -> list[int]:
+        """The store entity id of each vertex, as a list built on each access."""
+        return self._entities.tolist()
 
     @property
     def edge_rank(self) -> np.ndarray:
@@ -296,37 +307,55 @@ class ScoredSubgraph:
     def vertices_for_labels(self, labels: Iterable[str]) -> list[int]:
         """Ascending local vertex ids for the labels present in the subgraph.
 
-        Only the given labels are looked up: a binary search of their entity
-        ids in the subgraph's sorted entity ids.
+        Only the given labels are looked up: each one's entity id is compared
+        with the entity of every vertex.
         """
         store = self.store
-        entities = self._entities
-        found: set[int] = set()
-        for label in labels:
-            if store.has_entity(label):
-                eid = store.entity_id(label)
-                at = entities.searchsorted(eid)
-                if at < len(entities) and entities[at] == eid:
-                    found.add(int(self._vertex_of[at]))
-        return sorted(found)
+        held = np.zeros(self.n_vertices, dtype=bool)
+        for eid in {store.entity_id(label) for label in labels if store.has_entity(label)}:
+            held |= self._entities == eid
+        return np.flatnonzero(held).tolist()
+
+
+_thread_scratch = threading.local()
+
+
+def _vertex_buffer(n_entities: int) -> np.ndarray:
+    """This thread's entity-indexed buffer, of at least ``n_entities`` ints.
+
+    ``ScoredSubgraph`` numbers its vertices in it, reading only the entries
+    of its own entities after writing them, so nothing in it outlives one
+    build. It is allocated once per thread and replaced only when a store
+    has gained entities. Each thread has its own, because library callers
+    may share a store across threads.
+    """
+    buf = getattr(_thread_scratch, "vertex_of", None)
+    if buf is None or len(buf) < n_entities:
+        buf = _thread_scratch.vertex_of = np.empty(n_entities, dtype=np.intp)
+    return buf
 
 
 def _doubled_csr(
-    n_vertices: int, heads: Sequence[int], tails: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and edge ids of the CSR over the doubled graph.
+    n_vertices: int, heads: np.ndarray, tails: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets, edge ids and slot ends of the CSR over the doubled graph.
 
     Vertex u of the from-query search is u and owns the edges u heads;
     vertex u of the to-query search is ``u + n_vertices`` and owns the edges
     u tails. One stable argsort keeps each vertex's edges in ascending edge
-    order and puts the from-query slots first.
+    order and puts the from-query slots first. The same permutation gives
+    each slot's ``src``, the vertex that owns it, and ``dst``, the edge's
+    other end in the same half.
     """
+    n_edges = len(heads)
     anchor = np.concatenate((heads, np.add(tails, n_vertices)))
+    other = np.concatenate((tails, np.add(heads, n_vertices)))
     offsets = np.zeros(2 * n_vertices + 1, dtype=np.intp)
     np.cumsum(np.bincount(anchor, minlength=2 * n_vertices), out=offsets[1:])
-    eid = anchor.argsort(kind="stable")
-    eid[len(heads) :] -= len(heads)  # to-query slots point into anchor's tails half
-    return offsets, eid
+    eid = _kernels_py._stable_order(anchor, 2 * n_vertices)
+    src, dst = anchor[eid], other[eid]
+    eid[n_edges:] -= n_edges  # to-query slots point into anchor's tails half
+    return offsets, eid, src, dst
 
 
 def build_scored_subgraph(sequence: TripleSequence) -> ScoredSubgraph:
@@ -352,7 +381,7 @@ def pool_path(
 def _backend_args(g: ScoredSubgraph, scores: np.ndarray, cfg: PoolingConfig):
     # edge ranks are only consulted by dijkstra tie-breaks
     rank = g.edge_rank if cfg.search_algorithm == "dijkstra" else None
-    return (g.n_vertices, g.heads, g.tails, g.off, g.eid, scores, rank)
+    return (g.n_vertices, g.heads, g.tails, g.off, g.eid, scores, rank, g.src, g.dst)
 
 
 def search_path_kernels(

@@ -4,13 +4,14 @@ This is the reference implementation: ``search_kernels`` lives only here,
 and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
 alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
 ``heads``/``tails``/``scores``/``rank`` numpy columns plus one CSR adjacency
-over the doubled graph (``off``/``eid``). Vertex u of the from-query search
-is u, with the edges u heads; vertex u of the to-query search is
-``u + n_vertices``, with the edges u tails; no edge joins the halves. The
-from-query slots come first, so the out-CSR is ``off[:n_vertices + 1]``,
-``eid[:n_edges]`` and the in-CSR the rest (``_halves``); each vertex's
-edges are in edge order. ``rank`` orders the edges by their (head,
-relation, tail) labels; only its order is read.
+over the doubled graph (``off``/``eid``, with each slot's ends
+``src``/``dst``). Vertex u of the from-query search is u, with the edges u
+heads; vertex u of the to-query search is ``u + n_vertices``, with the
+edges u tails; no edge joins the halves. The from-query slots come first,
+so the out-CSR is ``off[:n_vertices + 1]``, ``eid[:n_edges]`` and the
+in-CSR the rest (``_halves``); each vertex's edges are in edge order.
+``rank`` orders the edges by their (head, relation, tail) labels; only its
+order is read.
 
 Conventions the compiled ``smooth_scores`` shares:
 
@@ -395,9 +396,11 @@ class _PrefixFold:
         is.
         """
         n = len(self.off) - 1
-        # the best edge of each (src, dst) pair; pairs grouped by src
+        # the best edge of each (src, dst) pair; pairs grouped by src. The
+        # int64 pairs are timsorted, which merges runs: the slots come in
+        # src order already, so only each vertex's own pairs are out of order
         pair = self.src * n + self.dst
-        order = pair.argsort(kind="stable")  # a radix sort for integers
+        order = pair.argsort(kind="stable")
         pair = pair[order]
         first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
         score = np.maximum.reduceat(self.scores[self.eid[order]], first)
@@ -405,7 +408,7 @@ class _PrefixFold:
         # each src's pairs, best first: its pairs in score order, kept in
         # that order by a stable sort on src
         order = (-score).argsort()
-        order = order[(pair[order] // n).argsort(kind="stable")]
+        order = order[_stable_order(pair[order] // n, n)]
         pair, score = pair[order], score[order]
         src = pair // n
         keep = np.arange(len(src)) - src.searchsorted(src) <= self.max_len
@@ -625,11 +628,14 @@ def _halves(n_vertices, off, eid):
     return off[: n_vertices + 1], eid[:n_out], off[n_vertices:] - n_out, eid[n_out:]
 
 
-def _slot_ends(n_vertices, heads, tails, off, eid):
-    """The vertices of the doubled graph each CSR slot's edge leaves and reaches."""
-    n_out = len(heads)
-    src = np.repeat(np.arange(2 * n_vertices), np.diff(off))
-    return src, np.concatenate((tails[eid[:n_out]], heads[eid[n_out:]] + n_vertices))
+def _stable_order(keys, bound):
+    """``keys.argsort(kind="stable")`` for integer keys in ``0..bound``.
+
+    The keys are sorted in the narrowest dtype that holds ``bound``: numpy's
+    stable sort is a radix sort for integers of 16 bits or fewer and a
+    timsort for wider ones, and both give this one permutation.
+    """
+    return keys.astype(np.min_scalar_type(bound)).argsort(kind="stable")
 
 
 def _as_lists(*columns):
@@ -645,6 +651,8 @@ def search_kernels(
     eid,
     scores,
     rank,
+    src,
+    dst,
     sources,
     algorithm,
     max_path_len,
@@ -690,6 +698,8 @@ def smooth_scores(
     eid,
     scores,
     rank,
+    src,
+    dst,
     sources,
     algorithm,
     max_path_len,
@@ -712,7 +722,6 @@ def smooth_scores(
         return _fill_singletons(final, scores, s_min, divisor)
     average = pooling == 0
     if algorithm == ALG_DIJKSTRA:
-        src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
         sources = np.asarray(sources, dtype=np.intp)
         _tree_smooth(
             off, eid, src, dst, scores, rank, sources, average, s_min, divisor, final
@@ -721,7 +730,6 @@ def smooth_scores(
     max_len = min(max_path_len, ne)
     pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
     if algorithm == ALG_BFS:
-        src, dst = _slot_ends(n_vertices, heads, tails, off, eid)
         sources = np.asarray(sources, dtype=np.intp)
         _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final)
         return _fill_singletons(final, scores, s_min, divisor)

@@ -92,9 +92,9 @@ def flat_args(n_vertices, edges, scores, rank=None):
     ``edges`` are (head, tail) vertex pairs; ``rank`` defaults to edge order.
     """
     heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    off, eid = _doubled_csr(n_vertices, heads, tails)
+    off, eid, src, dst = _doubled_csr(n_vertices, heads, tails)
     rank = np.arange(len(edges)) if rank is None else np.asarray(rank, dtype=np.int64)
-    return (n_vertices, heads, tails, off, eid, np.array(scores), rank)
+    return (n_vertices, heads, tails, off, eid, np.array(scores), rank, src, dst)
 
 
 # a score in [-1, 1], never -0.0 (whose sign the max of a zero may lose)

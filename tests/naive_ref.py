@@ -243,29 +243,35 @@ def naive_scored_subgraph(edges: list[tuple[str, str, str, float]]) -> dict:
     (by head for ``out``, by tail for ``in``) in edge order. ``lex_rank``
     is each edge's position when the edges are sorted by label tuple.
     """
-    vertices: list[str] = []
+    vertex_of: dict[str, int] = {}
     for head, _, tail, _ in edges:
         for label in (head, tail):
-            if label not in vertices:
-                vertices.append(label)
-    heads = [vertices.index(e[0]) for e in edges]
-    tails = [vertices.index(e[2]) for e in edges]
+            if label not in vertex_of:
+                vertex_of[label] = len(vertex_of)
+    heads = [vertex_of[e[0]] for e in edges]
+    tails = [vertex_of[e[2]] for e in edges]
 
     def csr(anchor):
+        owned: list[list[int]] = [[] for _ in vertex_of]
+        for e, v in enumerate(anchor):
+            owned[v].append(e)
         off = [0]
         eid: list[int] = []
-        for v in range(len(vertices)):
-            eid += [e for e in range(len(edges)) if anchor[e] == v]
+        for edges_of_v in owned:
+            eid += edges_of_v
             off.append(len(eid))
         return off, eid
 
     by_labels = sorted(range(len(edges)), key=lambda e: edges[e][:3])
+    lex_rank = [0] * len(edges)
+    for position, e in enumerate(by_labels):
+        lex_rank[e] = position
     return {
-        "vertices": vertices,
+        "vertices": list(vertex_of),
         "heads": heads,
         "tails": tails,
         "scores": [float(e[3]) for e in edges],
         "out": csr(heads),
         "in": csr(tails),
-        "lex_rank": [by_labels.index(e) for e in range(len(edges))],
+        "lex_rank": lex_rank,
     }

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,10 +18,16 @@ from hypothesis import strategies as st
 
 from conftest import random_case
 from naive_ref import naive_scored_subgraph
-from pathpool import pooling
+from pathpool import bench, pooling
 from pathpool.errors import ConfigError
 from pathpool.kg_store import QueryRecord, Triple, TripleStore
-from pathpool.pooling import PoolingConfig, _kernels_py, build_scored_subgraph, smooth
+from pathpool.pooling import (
+    PoolingConfig,
+    _kernels_py,
+    build_scored_subgraph,
+    search_path_kernels,
+    smooth,
+)
 from pathpool.scoring import PrecomputedScorer, ScoredTriple, TripleSequence, score_triples
 from pathpool.selection import rerank, reselect, top_k
 
@@ -108,6 +116,113 @@ def test_scored_subgraph_matches_naive_arrays(data):
 )
 def test_scored_subgraph_hand_cases(edges):
     _assert_subgraph_matches_naive(_store_with_decoys(["zz", "a", "b"]), edges)
+
+
+def test_scored_subgraph_matches_naive_past_16_bit_vertex_keys():
+    # 2 * n_vertices needs more than 16 bits, so the CSR sorts wider keys;
+    # the store interned every label in reverse first
+    rnd = random.Random(7)
+    labels = [f"v{i}" for i in range(32_800)]
+    edges = [(labels[i], "r", labels[i + 1], rnd.random()) for i in range(0, 32_800, 2)]
+    for _ in range(1500):  # parallel edges, self-loops and hubs among them
+        head = labels[rnd.randrange(400)]
+        tail = rnd.choice(labels)
+        edges.append((head, f"s{rnd.randrange(3)}", tail, rnd.random()))
+    edges = list({edge[:3]: edge for edge in edges}.values())
+    rnd.shuffle(edges)
+    _assert_subgraph_matches_naive(_store_with_decoys(labels), edges)
+
+
+def _on_fresh_thread(fn):
+    """``fn()`` on a new thread, which numbers vertices in a buffer of its own."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _smoothed_bytes(sequence, queries, cfg):
+    out = smooth(sequence, queries, cfg, backend="py")
+    return out.row_array.tobytes(), out.score_array.tobytes()
+
+
+def test_threads_smoothing_one_store_match_serial_runs():
+    # each thread smooths its own sequences of one shared store, switching
+    # threads every microsecond; every result equals the serial run's bytes
+    store = bench.synthesize_store(seed=4, n_triples=6000)
+    cases = bench.sample_workloads(store, 16, 120, seed=2)
+    cfg = PoolingConfig(search_algorithm="dijkstra")
+    expected = [_smoothed_bytes(sequence, anchors, cfg) for sequence, anchors in cases]
+    failures = []
+
+    def smooth_some(offset):
+        for _ in range(6):
+            for i in range(offset, len(cases), 4):
+                if _smoothed_bytes(*cases[i], cfg) != expected[i]:
+                    failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=smooth_some, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_subgraph_answers_after_a_later_build_on_its_thread():
+    store = bench.synthesize_store(seed=4, n_triples=6000)
+    (first, anchors), (second, _) = bench.sample_workloads(store, 2, 150, seed=5)
+    labels = [label for h, _, t in first.label_rows() for label in (h, t)]
+    cfg = PoolingConfig(search_algorithm="bfs", max_path_len=2)
+
+    def answers(g):
+        vertices = [g.vertices_for_labels([label]) for label in labels]
+        return vertices, search_path_kernels(g, anchors, cfg, backend="py")
+
+    g = build_scored_subgraph(first)
+    build_scored_subgraph(second)  # renumbers the shared entities in this thread
+    assert answers(g) == _on_fresh_thread(lambda: answers(build_scored_subgraph(first)))
+
+
+def test_smooth_after_the_store_gains_entities():
+    rows = [(f"E{i}", "r", f"E{i + 1}", 1.0 / (i + 1)) for i in range(40)]
+    more = [(f"E{i}", "s", f"N{i}", 0.5) for i in range(0, 40, 3)] + [
+        (f"N{i}", "s", f"N{i + 1}", 0.25) for i in range(100)
+    ]
+    cfg = PoolingConfig(search_algorithm="bfs", max_path_len=3)
+
+    def sequence(store, edges):
+        triples = [store.find(h, r, t) for h, r, t, _ in edges]
+        scores = [edge[3] for edge in edges]
+        return TripleSequence.from_scores(store, triples, scores, "t")
+
+    def grown():
+        store = TripleStore()
+        for h, r, t, _ in rows:
+            store.add(h, r, t)
+        before = _smoothed_bytes(sequence(store, rows), ["E0"], cfg)
+        # the buffer this thread sized for 41 entities must grow to 142
+        _assert_subgraph_matches_naive(store, more)
+        return before, _smoothed_bytes(sequence(store, rows + more), ["E0", "N7"], cfg)
+
+    def loaded():
+        store = TripleStore()
+        for h, r, t, _ in rows + more:
+            store.add(h, r, t)
+        return (
+            _smoothed_bytes(sequence(store, rows), ["E0"], cfg),
+            _smoothed_bytes(sequence(store, rows + more), ["E0", "N7"], cfg),
+        )
+
+    assert _on_fresh_thread(grown) == _on_fresh_thread(loaded)
 
 
 # -- label order --------------------------------------------------------------

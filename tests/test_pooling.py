@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -471,6 +472,23 @@ def test_smoothing_walks_no_path(monkeypatch, algorithm, strategy):
         "_path_edges",
     ):
         monkeypatch.setattr(_kernels_py, name, walk)
+    assert smoothed() == expected
+
+
+@pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
+def test_smoothing_sorts_no_entity_ids(monkeypatch, algorithm):
+    cfg = PoolingConfig(search_algorithm=algorithm, max_path_len=3)
+    cases = [random_case(seed, max_edges=24) for seed in range(40)]
+
+    def smoothed():
+        return [smooth(*case, cfg, backend="py").labeled_items() for case in cases]
+
+    expected = smoothed()
+
+    def unique(*args, **kwargs):
+        raise AssertionError("smooth sorted entity ids with np.unique")
+
+    monkeypatch.setattr(np, "unique", unique)
     assert smoothed() == expected
 
 
