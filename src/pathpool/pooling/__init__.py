@@ -272,7 +272,8 @@ class ScoredSubgraph:
         # this array is first-seen order
         ends = ids[:, ::2].ravel()
         seen = np.arange(len(ends))
-        # each entity's first position in ends, then its vertex
+        # the buffer holds each entity's first position in ends, then its
+        # vertex; only the entries of the subgraph's entities are touched
         vertex_of = _vertex_buffer(self.store.n_entities)
         vertex_of[ends] = len(ends)
         np.minimum.at(vertex_of, ends, seen)
@@ -285,7 +286,8 @@ class ScoredSubgraph:
         self.heads = heads
         self.tails = tails
         self.scores = sequence.score_array
-        self.off, self.eid, self.src, self.dst = _doubled_csr(self.n_vertices, heads, tails)
+        csr = _doubled_csr(self.n_vertices, heads, tails)
+        self.off, self.eid, self.src, self.dst = csr
         self.out_off, self.out_eid, self.in_off, self.in_eid = _kernels_py._halves(
             self.n_vertices, self.off, self.eid
         )
@@ -311,8 +313,9 @@ class ScoredSubgraph:
         with the entity of every vertex.
         """
         store = self.store
+        wanted = {store.entity_id(label) for label in labels if store.has_entity(label)}
         held = np.zeros(self.n_vertices, dtype=bool)
-        for eid in {store.entity_id(label) for label in labels if store.has_entity(label)}:
+        for eid in wanted:
             held |= self._entities == eid
         return np.flatnonzero(held).tolist()
 
@@ -325,9 +328,10 @@ def _vertex_buffer(n_entities: int) -> np.ndarray:
 
     ``ScoredSubgraph`` numbers its vertices in it, reading only the entries
     of its own entities after writing them, so nothing in it outlives one
-    build. It is allocated once per thread and replaced only when a store
-    has gained entities. Each thread has its own, because library callers
-    may share a store across threads.
+    build. It is allocated once per thread and replaced only by a larger
+    one, when a store (one that ``add`` grew, say) has more entities. Each
+    thread has its own, because library callers may share a store across
+    threads.
     """
     buf = getattr(_thread_scratch, "vertex_of", None)
     if buf is None or len(buf) < n_entities:

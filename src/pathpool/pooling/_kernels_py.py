@@ -4,14 +4,14 @@ This is the reference implementation: ``search_kernels`` lives only here,
 and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
 alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
 ``heads``/``tails``/``scores``/``rank`` numpy columns plus one CSR adjacency
-over the doubled graph (``off``/``eid``, with each slot's ends
-``src``/``dst``). Vertex u of the from-query search is u, with the edges u
-heads; vertex u of the to-query search is ``u + n_vertices``, with the
-edges u tails; no edge joins the halves. The from-query slots come first,
-so the out-CSR is ``off[:n_vertices + 1]``, ``eid[:n_edges]`` and the
-in-CSR the rest (``_halves``); each vertex's edges are in edge order.
-``rank`` orders the edges by their (head, relation, tail) labels; only its
-order is read.
+over the doubled graph (``off``/``eid``), with each slot's ends: ``src``,
+the vertex that owns the slot, and ``dst``, the one its edge reaches.
+Vertex u of the from-query search is u, with the edges u heads; vertex u
+of the to-query search is ``u + n_vertices``, with the edges u tails; no
+edge joins the halves. The from-query slots come first, so the out-CSR is
+``off[:n_vertices + 1]``, ``eid[:n_edges]`` and the in-CSR the rest
+(``_halves``); each vertex's edges are in edge order. ``rank`` orders the
+edges by their (head, relation, tail) labels; only its order is read.
 
 Conventions the compiled ``smooth_scores`` shares:
 
