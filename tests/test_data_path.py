@@ -155,13 +155,14 @@ def test_threads_smoothing_one_store_match_serial_runs():
     cases = bench.sample_workloads(store, 16, 120, seed=2)
     cfg = PoolingConfig(search_algorithm="dijkstra")
     expected = [_smoothed_bytes(sequence, anchors, cfg) for sequence, anchors in cases]
-    failures = []
+    failures, finished = [], []
 
     def smooth_some(offset):
         for _ in range(6):
             for i in range(offset, len(cases), 4):
                 if _smoothed_bytes(*cases[i], cfg) != expected[i]:
                     failures.append(i)
+        finished.append(offset)  # a thread that raised never gets here
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -174,7 +175,7 @@ def test_threads_smoothing_one_store_match_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
+    assert failures == [] and sorted(finished) == [0, 1, 2, 3]
 
 
 def test_subgraph_answers_after_a_later_build_on_its_thread():
