@@ -24,7 +24,8 @@ each slot's two ends), and each edge's label-order rank, the store's
 and rank columns, so no ``ScoredTriple`` row is built. No step before or
 after the kernel calls Python code once per triple; the Python random-walk
 loop takes lists of the columns, the compiled core int32 and float64
-copies.
+copies. That CSR is the only adjacency: both backends and the kernel search
+walk it, and each search runs once over both directions.
 
 Neither backend pools a kernel on its own: both fold. Each path's best
 pooled value, over the path and every kernel that extends it, goes to the
@@ -73,8 +74,9 @@ _PTR = ctypes.c_void_p  # address of a C-contiguous int32 or float64 numpy buffe
 _SMOOTH_ARGTYPES = [
     ctypes.c_int32,  # n_vertices
     ctypes.c_int32,  # n_edges
-    _PTR,  # heads
-    _PTR,  # tails
+    _PTR,  # off, 2 * n_vertices + 1 offsets of the doubled CSR
+    _PTR,  # eid, 2 * n_edges
+    _PTR,  # dst, 2 * n_edges
     _PTR,  # scores
     _PTR,  # label-order rank per edge, or NULL when the algorithm is not dijkstra
     _PTR,  # sources
@@ -93,9 +95,9 @@ _SMOOTH_ARGTYPES = [
 class _CompiledCore:
     """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
 
-    The library rebuilds the CSR arrays from ``heads`` and ``tails``, which
-    costs less than copying them into C buffers, so ``off``, ``eid``, ``src``
-    and ``dst`` are unused.
+    The library walks the same doubled CSR as the Python backend, from int32
+    copies of ``off``, ``eid`` and ``dst``; ``src`` is unused. Sizes the
+    library cannot index with int32 are a ``ValueError``.
     """
 
     def __init__(self, fn):
@@ -106,14 +108,12 @@ class _CompiledCore:
     def smooth_scores(
         self,
         n_vertices,
-        heads,
-        tails,
         off,
         eid,
-        scores,
-        rank,
         src,
         dst,
+        scores,
+        rank,
         sources,
         algorithm,
         max_path_len,
@@ -123,15 +123,16 @@ class _CompiledCore:
         s_min,
         divisor,
     ):
-        n_edges = len(heads)
-        if n_vertices > _INT32_MAX or n_edges > _INT32_MAX:
-            raise ValueError("the compiled core indexes vertices and edges with int32")
+        n_edges = len(scores)
+        if 2 * n_vertices + 1 > _INT32_MAX or 2 * n_edges > _INT32_MAX:
+            raise ValueError("the compiled core indexes the doubled graph with int32")
         dijkstra = algorithm == _ALGORITHM_CODES["dijkstra"]
         if dijkstra and n_edges and rank.max() > _INT32_MAX:
             raise ValueError("the compiled core compares edge ranks as int32")
         # every buffer stays referenced by a local until the call returns
-        head_buf = _int32_buffer(heads)
-        tail_buf = _int32_buffer(tails)
+        off_buf = _int32_buffer(off)
+        eid_buf = _int32_buffer(eid)
+        dst_buf = _int32_buffer(dst)
         score_buf = np.ascontiguousarray(scores, dtype=np.float64)
         rank_buf = _int32_buffer(rank if dijkstra else ())
         source_buf = _int32_buffer(sources)
@@ -139,8 +140,9 @@ class _CompiledCore:
         status = self._fn(
             n_vertices,
             n_edges,
-            head_buf.ctypes.data,
-            tail_buf.ctypes.data,
+            off_buf.ctypes.data,
+            eid_buf.ctypes.data,
+            dst_buf.ctypes.data,
             score_buf.ctypes.data,
             rank_buf.ctypes.data,
             source_buf.ctypes.data,
@@ -251,15 +253,15 @@ class ScoredSubgraph:
     """Adjacency view over the triples of one retrieved sequence.
 
     Vertices are the entities appearing in the sequence, interned in
-    first-seen order (head before tail, edge by edge). Adjacency is one CSR
-    over the doubled graph, ``off`` and ``eid``, with each slot's ends
-    ``src`` and ``dst`` (see ``_doubled_csr``), so both backends consume the
-    same flat integer arrays; ``out_off``, ``out_eid``, ``in_off`` and
-    ``in_eid`` are its two halves. Every array is built in bulk with numpy
-    in passes over the sequence's own triples: vertices are numbered in an
-    entity-indexed buffer (``_vertex_buffer``), so no entity id is sorted,
-    and the CSR is one stable argsort of small vertex ids. ``scores`` is the
-    sequence's score column.
+    first-seen order (head before tail, edge by edge); ``heads`` and
+    ``tails`` are each edge's ends. The one adjacency is the CSR over the
+    doubled graph, ``off`` and ``eid``, with each slot's ends ``src`` and
+    ``dst`` (see ``_doubled_csr``): both backends and the kernel search
+    walk it. Every array is built in bulk with numpy in passes over the
+    sequence's own triples: vertices are numbered in an entity-indexed
+    buffer (``_vertex_buffer``), so no entity id is sorted, and the CSR is
+    one stable argsort of small vertex ids. ``scores`` is the sequence's
+    score column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -288,9 +290,6 @@ class ScoredSubgraph:
         self.scores = sequence.score_array
         csr = _doubled_csr(self.n_vertices, heads, tails)
         self.off, self.eid, self.src, self.dst = csr
-        self.out_off, self.out_eid, self.in_off, self.in_eid = _kernels_py._halves(
-            self.n_vertices, self.off, self.eid
-        )
 
     @property
     def vertex_entities(self) -> list[int]:
@@ -385,7 +384,7 @@ def pool_path(
 def _backend_args(g: ScoredSubgraph, scores: np.ndarray, cfg: PoolingConfig):
     # edge ranks are only consulted by dijkstra tie-breaks
     rank = g.edge_rank if cfg.search_algorithm == "dijkstra" else None
-    return (g.n_vertices, g.heads, g.tails, g.off, g.eid, scores, rank, g.src, g.dst)
+    return (g.n_vertices, g.off, g.eid, g.src, g.dst, scores, rank)
 
 
 def search_path_kernels(

@@ -2,8 +2,10 @@
  *
  * Computes the same per-edge smoothed scores as _kernels_py.smooth_scores,
  * to the last bit and by the same fold, which pools no kernel on its own
- * (_kernels_py describes the fold, the CSR arrays, kernel order and
- * direction). The RNG stream is the same splitmix64, and floating-point
+ * (_kernels_py describes the fold, kernel order and direction). It reads
+ * the one adjacency both backends share, the CSR over the doubled graph:
+ * vertex u of the to-query search is u + nv, so each search runs once over
+ * both directions. The RNG stream is the same splitmix64, and floating-point
  * expressions follow Python's evaluation order. Build with -ffp-contract=off
  * so the compiler fuses no multiply-add. Plain C: no Python headers,
  * fixed-width int32/float64 buffers owned by the caller, no global state.
@@ -89,36 +91,47 @@ static int ranks_less(const int32_t *a, const int32_t *b, int32_t length)
     return 0;
 }
 
-/* Work arrays of nv + 1 entries, named by each search as it uses them. A
- * simple path has at most nv - 1 edges, so one entry per depth fits too. */
+/* Root i of a search over both halves: the sources, then each source + nv. */
+static int32_t root(const int32_t *sources, int32_t nsrc, int32_t nv, int32_t i)
+{
+    return i < nsrc ? sources[i] : sources[i - nsrc] + nv;
+}
+
+/* Work arrays of 2 * nv + 1 entries, one per doubled vertex and one more,
+ * named by each search as it uses them. A simple path has at most nv - 1
+ * edges, so one entry per depth fits too. */
 typedef struct {
     int32_t *ints[6];
     double *reals[2];
 } Work;
 
-/* Grows the tree in BFS order, then folds it from the deepest vertex up. */
+/* Grows both trees in one BFS-order queue, from every root of the doubled
+ * graph, then folds them from the deepest vertex up. Sharing the queue
+ * changes no parent: no edge joins the halves, and a vertex's parent is the
+ * best of its candidates under a strict order (hops, sum, edge ranks). */
 static void shortest_path_tree(const Work *w, const Fold *f, int32_t nv,
-                               const int32_t *endpoint, const int32_t *off,
-                               const int32_t *eid, const int32_t *lex,
+                               const int32_t *off, const int32_t *eid,
+                               const int32_t *dst, const int32_t *lex,
                                const int32_t *sources, int32_t nsrc)
 {
     int32_t *dist = w->ints[0], *pe = w->ints[1], *pv = w->ints[2];
     int32_t *queue = w->ints[3], *ranks_a = w->ints[4], *ranks_b = w->ints[5], nq = 0;
     double *cum = w->reals[0], *best = w->reals[1];
-    for (int32_t v = 0; v < nv; v++)
+    for (int32_t v = 0; v < 2 * nv; v++)
         dist[v] = pe[v] = pv[v] = -1;
-    for (int32_t i = 0; i < nsrc; i++) {
-        dist[sources[i]] = 0;
-        cum[sources[i]] = 0.0; /* every other vertex's is set when it is reached */
-        best[sources[i]] = f->empty;
-        queue[nq++] = sources[i];
+    for (int32_t i = 0; i < 2 * nsrc; i++) {
+        int32_t s = root(sources, nsrc, nv, i);
+        dist[s] = 0;
+        cum[s] = 0.0; /* every other vertex's is set when it is reached */
+        best[s] = f->empty;
+        queue[nq++] = s;
     }
     for (int32_t head = 0; head < nq; head++) {
         int32_t u = queue[head], depth = dist[u];
         if (depth > 0) /* its whole level is reached, so its path is final */
             best[u] = f->average ? cum[u] / depth : extend(f, best[pv[u]], pe[u]);
         for (int32_t k = off[u]; k < off[u + 1]; k++) {
-            int32_t e = eid[k], v = endpoint[e];
+            int32_t e = eid[k], v = dst[k];
             double candidate = cum[u] + f->scores[e];
             int replace = 0;
             if (dist[v] == -1) {
@@ -142,7 +155,7 @@ static void shortest_path_tree(const Work *w, const Fold *f, int32_t nv,
         }
     }
     /* each vertex's subtree best goes to its tree edge and to its parent */
-    for (int32_t i = nq - 1; i >= nsrc; i--) {
+    for (int32_t i = nq - 1; i >= 2 * nsrc; i--) {
         int32_t v = queue[i];
         lift(f, pe[v], best[v], dist[v]);
         raise_to(&best[pv[v]], best[v]);
@@ -152,8 +165,8 @@ static void shortest_path_tree(const Work *w, const Fold *f, int32_t nv,
 /* -- every simple path of 1..max_len edges, depth first ------------------- */
 
 /* A path of max_len edges is folded at once, a shorter one after its subtree. */
-static void simple_paths(const Work *w, const Fold *f, const int32_t *endpoint,
-                         const int32_t *off, const int32_t *eid, int32_t source,
+static void simple_paths(const Work *w, const Fold *f, const int32_t *off,
+                         const int32_t *eid, const int32_t *dst, int32_t source,
                          int32_t max_len, char *visited)
 {
     int32_t *stack_v = w->ints[0], *stack_k = w->ints[1], *path = w->ints[2], top = 0;
@@ -175,7 +188,7 @@ static void simple_paths(const Work *w, const Fold *f, const int32_t *endpoint,
             continue;
         }
         stack_k[top] = k + 1;
-        int32_t e = eid[k], v = endpoint[e];
+        int32_t e = eid[k], v = dst[k];
         if (visited[v])
             continue;
         double running = extend(f, acc[top], e);
@@ -197,13 +210,14 @@ static void simple_paths(const Work *w, const Fold *f, const int32_t *endpoint,
 
 /* -- uniform out-edge walks; a walk ends at a dead end, max_len or a revisit */
 
-/* A walk's kernels are its prefixes: edge i takes the best of those of >= i edges. */
-static void random_walks(const Work *w, const Fold *f, const int32_t *tails,
-                         const int32_t *off, const int32_t *eid,
+/* A walk's kernels are its prefixes: edge i takes the best of those of >= i
+ * edges. Walks stay in the from-query half; step i reaches vertex path_v[i]. */
+static void random_walks(const Work *w, const Fold *f, const int32_t *off,
+                         const int32_t *eid, const int32_t *dst,
                          const int32_t *sources, int32_t nsrc, int32_t max_len,
                          int64_t walk_count, uint64_t seed, char *visited)
 {
-    int32_t *path = w->ints[0];
+    int32_t *path = w->ints[0], *path_v = w->ints[1];
     double *prefix = w->reals[0];
     uint64_t state = seed;
     for (int32_t si = 0; si < nsrc; si++) {
@@ -215,10 +229,11 @@ static void random_walks(const Work *w, const Fold *f, const int32_t *tails,
                 int32_t lo = off[u], degree = off[u + 1] - lo;
                 if (degree == 0)
                     break;
-                int32_t e = eid[lo + below(&state, degree)], v = tails[e];
+                int32_t k = lo + below(&state, degree), e = eid[k], v = dst[k];
                 if (visited[v])
                     break;
                 running = extend(f, running, e);
+                path_v[plen] = v;
                 path[plen++] = e;
                 prefix[plen] = f->average ? running / plen : running;
                 visited[v] = 1;
@@ -227,74 +242,50 @@ static void random_walks(const Work *w, const Fold *f, const int32_t *tails,
             for (int32_t i = plen; i > 0; i--) {
                 raise_to(&best, prefix[i]);
                 lift(f, path[i - 1], best, i);
-                visited[tails[path[i - 1]]] = 0;
+                visited[path_v[i - 1]] = 0;
             }
             visited[sources[si]] = 0;
         }
     }
 }
 
-/* CSR adjacency of the edges by their anchor vertex, each list in edge order
- * (the order _kernels_py's lists have). */
-static void build_csr(int32_t nv, int32_t ne, const int32_t *anchor,
-                      int32_t *off, int32_t *eid)
-{
-    for (int32_t v = 0; v <= nv; v++)
-        off[v] = 0;
-    for (int32_t e = 0; e < ne; e++)
-        off[anchor[e] + 1]++;
-    for (int32_t v = 0; v < nv; v++)
-        off[v + 1] += off[v];
-    for (int32_t e = 0; e < ne; e++) /* advances off[v] to v's end... */
-        eid[off[anchor[e]]++] = e;
-    for (int32_t v = nv; v > 0; v--) /* ...so shift the starts back */
-        off[v] = off[v - 1];
-    off[0] = 0;
-}
-
 /* Per-edge smoothed score into final[0..ne): max over kernels of the pooled
  * kernel score plus s_min / (position * divisor); edges on no kernel score
- * as singletons. lex is read by dijkstra only and may be NULL otherwise.
- * max_path_len bounds bfs and random-walk kernels, and may exceed any path.
- * Returns PP_OK, PP_NO_MEMORY or PP_BAD_ALGORITHM. */
-int pathpool_smooth_scores(int32_t nv, int32_t ne, const int32_t *heads,
-                           const int32_t *tails, const double *scores,
-                           const int32_t *lex, const int32_t *sources,
-                           int32_t nsrc, int32_t algorithm, int32_t max_path_len,
-                           int64_t walk_count, uint64_t seed, int32_t pooling,
-                           double s_min, double divisor, double *final)
+ * as singletons. off (2 * nv + 1 entries), eid and dst (2 * ne each) are
+ * the CSR over the doubled graph and each slot's far end. lex is read by
+ * dijkstra only and may be NULL otherwise. max_path_len bounds bfs and
+ * random-walk kernels, and may exceed any path. Returns PP_OK, PP_NO_MEMORY
+ * or PP_BAD_ALGORITHM. */
+int pathpool_smooth_scores(int32_t nv, int32_t ne, const int32_t *off,
+                           const int32_t *eid, const int32_t *dst,
+                           const double *scores, const int32_t *lex,
+                           const int32_t *sources, int32_t nsrc, int32_t algorithm,
+                           int32_t max_path_len, int64_t walk_count, uint64_t seed,
+                           int32_t pooling, double s_min, double divisor,
+                           double *final)
 {
     if (algorithm < ALG_DIJKSTRA || algorithm > ALG_RANDOM_WALK)
         return PP_BAD_ALGORITHM;
-    size_t nv1 = (size_t)nv + 1, nes = (size_t)ne;
+    size_t nv1 = 2 * (size_t)nv + 1;
     Fold f = {scores, final, pooling == 0, pooling ? -INFINITY : 0.0, s_min, divisor};
     char *visited = calloc(nv1, 1);
-    int32_t *ints = malloc((8 * nv1 + 2 * nes) * sizeof(int32_t));
+    int32_t *ints = malloc(6 * nv1 * sizeof(int32_t));
     double *reals = malloc(2 * nv1 * sizeof(double));
     int status = PP_NO_MEMORY;
     if (visited && ints && reals) {
-        /* ints holds 2 CSR lists, then the 6 int work arrays */
-        int32_t *csr = ints, *vtx = ints + 2 * (nv1 + nes);
-        int32_t *off[2] = {csr, csr + nv1 + nes}, *eid[2] = {csr + nv1, csr + 2 * nv1 + nes};
-        const int32_t *endpoint[2] = {tails, heads};
-        Work w = {{vtx, vtx + nv1, vtx + 2 * nv1, vtx + 3 * nv1, vtx + 4 * nv1, vtx + 5 * nv1},
+        Work w = {{ints, ints + nv1, ints + 2 * nv1, ints + 3 * nv1, ints + 4 * nv1, ints + 5 * nv1},
                   {reals, reals + nv1}};
-        build_csr(nv, ne, heads, off[0], eid[0]); /* from the query: out-edges */
-        build_csr(nv, ne, tails, off[1], eid[1]); /* to the query: in-edges */
         for (int32_t e = 0; e < ne; e++)
             final[e] = -INFINITY;
-        for (int32_t d = 0; d < 2 && nsrc > 0; d++) {
-            if (algorithm == ALG_DIJKSTRA) {
-                shortest_path_tree(&w, &f, nv, endpoint[d], off[d], eid[d], lex,
-                                   sources, nsrc);
-            } else if (algorithm == ALG_BFS) {
-                for (int32_t i = 0; i < nsrc; i++)
-                    simple_paths(&w, &f, endpoint[d], off[d], eid[d], sources[i],
-                                 max_path_len, visited);
-            } else if (d == 0) {
-                random_walks(&w, &f, tails, off[0], eid[0], sources, nsrc, max_path_len,
-                             walk_count, seed, visited);
-            }
+        if (algorithm == ALG_DIJKSTRA) {
+            shortest_path_tree(&w, &f, nv, off, eid, dst, lex, sources, nsrc);
+        } else if (algorithm == ALG_BFS) {
+            for (int32_t i = 0; i < 2 * nsrc; i++)
+                simple_paths(&w, &f, off, eid, dst, root(sources, nsrc, nv, i),
+                             max_path_len, visited);
+        } else {
+            random_walks(&w, &f, off, eid, dst, sources, nsrc, max_path_len,
+                         walk_count, seed, visited);
         }
         for (int32_t e = 0; e < ne; e++)
             if (final[e] == -INFINITY)

@@ -2,16 +2,16 @@
 
 This is the reference implementation: ``search_kernels`` lives only here,
 and the optional compiled ``_kernels_c.c`` implements ``smooth_scores``
-alone, bit for bit the same. Both operate on a flattened subgraph: per-edge
-``heads``/``tails``/``scores``/``rank`` numpy columns plus one CSR adjacency
-over the doubled graph (``off``/``eid``), with each slot's ends: ``src``,
-the vertex that owns the slot, and ``dst``, the one its edge reaches.
-Vertex u of the from-query search is u, with the edges u heads; vertex u
-of the to-query search is ``u + n_vertices``, with the edges u tails; no
-edge joins the halves. The from-query slots come first, so the out-CSR is
-``off[:n_vertices + 1]``, ``eid[:n_edges]`` and the in-CSR the rest
-(``_halves``); each vertex's edges are in edge order. ``rank`` orders the
-edges by their (head, relation, tail) labels; only its order is read.
+alone, bit for bit the same. Both read one adjacency, the CSR over the
+doubled graph (``off``/``eid``), with each slot's ends: ``src``, the vertex
+that owns the slot, and ``dst``, the one its edge reaches; ``scores`` and
+``rank`` are per-edge numpy columns. Vertex u of the from-query search is
+u, with the edges u heads; vertex u of the to-query search is
+``u + n_vertices``, with the edges u tails. No edge joins the halves, so
+every search runs once over the doubled graph, from each source in both
+halves. The from-query slots come first, and each vertex's edges are in
+edge order. ``rank`` orders the edges by their (head, relation, tail)
+labels; only its order is read.
 
 Conventions the compiled ``smooth_scores`` shares:
 
@@ -90,26 +90,27 @@ class _SplitMix:
                 return value
 
 
-def _shortest_path_tree(n_vertices, endpoint, off, eid, scores, rank, sources):
+def _shortest_path_tree(off, eid, dst, scores, rank, roots):
     """Multi-source min-hop tree; one path per reachable vertex.
 
     Ties at equal hop count prefer higher cumulative edge score, then the
     lexicographically smaller sequence of edge ranks.
     """
+    n_vertices = len(off) - 1
     dist = [-1] * n_vertices
     parent_edge = [-1] * n_vertices
     parent_vertex = [-1] * n_vertices
     cum = [0.0] * n_vertices
-    for s in sources:
+    for s in roots:
         dist[s] = 0
-    frontier = list(sources)
+    frontier = list(roots)
     depth = 0
     while frontier:
         nxt: list[int] = []
         for u in frontier:
             for k in range(off[u], off[u + 1]):
                 e = eid[k]
-                v = endpoint[e]
+                v = dst[k]
                 if dist[v] == -1:
                     dist[v] = depth + 1
                     parent_edge[v] = e
@@ -168,9 +169,9 @@ def _path_edges(parent_edge, parent_vertex, v, length):
     return buf
 
 
-def _enumerate_simple_paths(n_vertices, endpoint, off, eid, source, max_len, emit):
+def _enumerate_simple_paths(off, eid, dst, source, max_len, emit):
     """Preorder emission of every simple path of 1..max_len edges from source."""
-    visited = bytearray(n_vertices)
+    visited = bytearray(len(off) - 1)
     visited[source] = 1
     path: list[int] = []
     stack = [[source, off[source]]]
@@ -180,11 +181,12 @@ def _enumerate_simple_paths(n_vertices, endpoint, off, eid, source, max_len, emi
         if k >= off[u + 1]:
             stack.pop()
             if path:
-                visited[endpoint[path.pop()]] = 0
+                path.pop()
+                visited[u] = 0
             continue
         frame[1] = k + 1
         e = eid[k]
-        v = endpoint[e]
+        v = dst[k]
         if visited[v]:
             continue
         path.append(e)
@@ -504,10 +506,12 @@ def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divi
         np.maximum.at(final, edges, best[vertices] + s_min / (depth * divisor))
 
 
-def _random_walks(tails, off, eid, sources, max_len, walk_count, rng):
+def _random_walks(off, eid, dst, sources, max_len, walk_count, rng):
     """Uniform out-edge walks; a walk ends at a dead end, max_len, or a revisit.
 
-    Yields each walk's edge list once it ends; its kernels are its prefixes.
+    Walks start at the sources and stay in the from-query half of the
+    doubled graph. Yields each walk's edge list once it ends; its kernels
+    are its prefixes.
     """
     for s in sources:
         for _ in range(walk_count):
@@ -519,8 +523,9 @@ def _random_walks(tails, off, eid, sources, max_len, walk_count, rng):
                 degree = off[u + 1] - lo
                 if degree == 0:
                     break
-                e = eid[lo + rng.below(degree)]
-                v = tails[e]
+                k = lo + rng.below(degree)
+                e = eid[k]
+                v = dst[k]
                 if v in visited:
                     break
                 path.append(e)
@@ -565,12 +570,9 @@ def _walk_smooth(walks, scores, average, pos, final):
 
 def _dispatch(
     n_vertices,
-    heads,
-    tails,
-    out_off,
-    out_eid,
-    in_off,
-    in_eid,
+    off,
+    eid,
+    dst,
     scores,
     rank,
     sources,
@@ -580,52 +582,38 @@ def _dispatch(
     seed,
     emit,
 ):
-    """Run one search algorithm, feeding every kernel to ``emit(path, dircode)``."""
+    """Run one search algorithm, feeding every kernel to ``emit(path, dircode)``.
+
+    Dijkstra and BFS search from every root of the doubled graph, the
+    sources and then each source + n_vertices; a path is to the query when
+    its root is in the second half.
+    """
     if not sources:
         return
-    directions = (
-        (DIR_FROM_QUERY, tails, out_off, out_eid),
-        (DIR_TO_QUERY, heads, in_off, in_eid),
-    )
+    roots = [*sources, *(s + n_vertices for s in sources)]
     if algorithm == ALG_DIJKSTRA:
-        for dircode, endpoint, off, eid in directions:
-            dist, parent_edge, parent_vertex = _shortest_path_tree(
-                n_vertices, endpoint, off, eid, scores, rank, sources
-            )
-            for v in range(n_vertices):
-                if dist[v] >= 1:
-                    emit(_path_edges(parent_edge, parent_vertex, v, dist[v]), dircode)
+        dist, parent_edge, parent_vertex = _shortest_path_tree(
+            off, eid, dst, scores, rank, roots
+        )
+        for v, d in enumerate(dist):
+            if d >= 1:
+                dircode = DIR_TO_QUERY if v >= n_vertices else DIR_FROM_QUERY
+                emit(_path_edges(parent_edge, parent_vertex, v, d), dircode)
     elif algorithm == ALG_BFS:
-        for dircode, endpoint, off, eid in directions:
-            for s in sources:
-                _enumerate_simple_paths(
-                    n_vertices,
-                    endpoint,
-                    off,
-                    eid,
-                    s,
-                    max_path_len,
-                    lambda path, d=dircode: emit(path, d),
-                )
+        for s in roots:
+            dircode = DIR_TO_QUERY if s >= n_vertices else DIR_FROM_QUERY
+            _enumerate_simple_paths(
+                off, eid, dst, s, max_path_len, lambda path, d=dircode: emit(path, d)
+            )
     elif algorithm == ALG_RANDOM_WALK:
         walks = _random_walks(
-            tails, out_off, out_eid, sources, max_path_len, walk_count, _SplitMix(seed)
+            off, eid, dst, sources, max_path_len, walk_count, _SplitMix(seed)
         )
         for walk in walks:
             for length in range(1, len(walk) + 1):
                 emit(walk[:length], DIR_FROM_QUERY)
     else:
         raise ValueError(f"unknown algorithm code {algorithm}")
-
-
-def _halves(n_vertices, off, eid):
-    """The out- and in-CSR that make up the doubled one.
-
-    ``out_off, out_eid, in_off, in_eid``: views of ``off`` and ``eid``,
-    except ``in_off``, which is shifted to start at 0.
-    """
-    n_out = off[n_vertices]
-    return off[: n_vertices + 1], eid[:n_out], off[n_vertices:] - n_out, eid[n_out:]
 
 
 def _stable_order(keys, bound):
@@ -645,14 +633,12 @@ def _as_lists(*columns):
 
 def search_kernels(
     n_vertices,
-    heads,
-    tails,
     off,
     eid,
-    scores,
-    rank,
     src,
     dst,
+    scores,
+    rank,
     sources,
     algorithm,
     max_path_len,
@@ -660,7 +646,7 @@ def search_kernels(
     seed,
 ):
     """All path kernels in canonical order, deduplicated, singletons last."""
-    ne = len(heads)
+    ne = len(scores)
     kernels: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -672,7 +658,7 @@ def search_kernels(
 
     _dispatch(
         n_vertices,
-        *_as_lists(heads, tails, *_halves(n_vertices, off, eid), scores, rank),
+        *_as_lists(off, eid, dst, scores, rank),
         sources,
         algorithm,
         max_path_len,
@@ -692,14 +678,12 @@ def search_kernels(
 
 def smooth_scores(
     n_vertices,
-    heads,
-    tails,
     off,
     eid,
-    scores,
-    rank,
     src,
     dst,
+    scores,
+    rank,
     sources,
     algorithm,
     max_path_len,
@@ -716,7 +700,7 @@ def smooth_scores(
     """
     if algorithm not in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
         raise ValueError(f"unknown algorithm code {algorithm}")
-    ne = len(heads)
+    ne = len(scores)
     final = np.full(ne, -np.inf)  # -inf: on no kernel yet
     if not len(sources):
         return _fill_singletons(final, scores, s_min, divisor)
@@ -733,11 +717,8 @@ def smooth_scores(
         sources = np.asarray(sources, dtype=np.intp)
         _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final)
         return _fill_singletons(final, scores, s_min, divisor)
-    out_off, out_eid = _halves(n_vertices, off, eid)[:2]
-    tails, out_off, out_eid, score_list = _as_lists(tails, out_off, out_eid, scores)
-    walks = _random_walks(
-        tails, out_off, out_eid, sources, max_len, walk_count, _SplitMix(seed)
-    )
+    off, eid, dst, score_list = _as_lists(off, eid, dst, scores)
+    walks = _random_walks(off, eid, dst, sources, max_len, walk_count, _SplitMix(seed))
     values = final.tolist()
     _walk_smooth(walks, score_list, average, pos, values)
     return _fill_singletons(np.array(values), scores, s_min, divisor)

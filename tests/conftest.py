@@ -89,12 +89,14 @@ def grown_store(data) -> tuple[TripleStore, list[tuple[str, str, str]]]:
 def flat_args(n_vertices, edges, scores, rank=None):
     """The leading ``smooth_scores``/``search_kernels`` arguments of a flat graph.
 
-    ``edges`` are (head, tail) vertex pairs; ``rank`` defaults to edge order.
+    ``(n_vertices, off, eid, src, dst, scores, rank)``: the doubled CSR and
+    the per-edge columns. ``edges`` are (head, tail) vertex pairs; ``rank``
+    defaults to edge order.
     """
     heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     off, eid, src, dst = _doubled_csr(n_vertices, heads, tails)
     rank = np.arange(len(edges)) if rank is None else np.asarray(rank, dtype=np.int64)
-    return (n_vertices, heads, tails, off, eid, np.array(scores), rank, src, dst)
+    return (n_vertices, off, eid, src, dst, np.array(scores), rank)
 
 
 # a score in [-1, 1], never -0.0 (whose sign the max of a zero may lose)

@@ -63,12 +63,14 @@ def built_core(tmp_path_factory) -> Path:
 
 def test_compiled_core_compiles_clean_under_strict_warnings():
     # every warning is an error, so a slip in the work-buffer layout that a
-    # compiler only warns about (a sign change, an unused or shadowed name)
-    # fails here rather than in a bit-identity test
+    # compiler only warns about (a sign change or a narrowing of the doubled
+    # graph's sizes, an unused or shadowed name) fails here rather than in a
+    # bit-identity test
     if not _compiler_found():
         pytest.skip("no C compiler found")
     source = ROOT / "src" / "pathpool" / "pooling" / "_kernels_c.c"
-    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
+    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion", "-Wshadow"]
+    flags += ["-Werror", "-fsyntax-only"]
     result = subprocess.run(
         [*_compiler(), *flags, str(source)], capture_output=True, text=True
     )

@@ -79,8 +79,10 @@ def _assert_subgraph_matches_naive(store, edges):
     assert g.heads.tolist() == naive["heads"]
     assert g.tails.tolist() == naive["tails"]
     assert g.scores.tolist() == naive["scores"]
-    assert (g.out_off.tolist(), g.out_eid.tolist()) == naive["out"]
-    assert (g.in_off.tolist(), g.in_eid.tolist()) == naive["in"]
+    # the doubled CSR: the from-query (out) half, then the to-query (in) half
+    n, n_out = g.n_vertices, g.off[g.n_vertices]
+    assert (g.off[: n + 1].tolist(), g.eid[:n_out].tolist()) == naive["out"]
+    assert ((g.off[n:] - n_out).tolist(), g.eid[n_out:].tolist()) == naive["in"]
     assert g.edge_rank.argsort().argsort().tolist() == naive["lex_rank"]
 
 

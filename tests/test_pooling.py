@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
 from naive_ref import naive_kernel_smoothing, naive_smooth
-from pathpool import bench
+from pathpool import bench, pooling
 from pathpool.errors import ConfigError, EmptyInputError
 from pathpool.pooling import (
     SCORE_SHIFT_EPS,
@@ -140,7 +141,7 @@ def test_subgraph_fan_out_adjacency():
     )
     (a,) = g.vertices_for_labels(["A"])
     assert g.vertex_entities[a] == g.store.entity_id("A")
-    assert g.out_eid[g.out_off[a] : g.out_off[a + 1]].tolist() == [0, 1]
+    assert g.eid[g.off[a] : g.off[a + 1]].tolist() == [0, 1]
 
 
 def test_vertices_for_labels_skips_labels_outside_the_subgraph():
@@ -270,6 +271,47 @@ def test_rng_below_is_roughly_uniform():
     for _ in range(30000):
         counts[rng.below(3)] += 1
     assert all(abs(c - 10000) < 500 for c in counts)
+
+
+# -- canonical kernel order ---------------------------------------------------
+
+# sha256 of every kernel ``search_path_kernels`` lists, in list order, over
+# random_case(seed, max_edges=24) for seeds 0..299 and max_path_len 1, 3, 5:
+# one "seed max_path_len direction edge_indices pooled_score.hex()" line each
+KERNEL_ORDER_DIGESTS = {
+    "dijkstra": (
+        10680,
+        "2e8fdf676b00f6cbc6ca153afd6c6eabc000a72486b5f6b21661d025ee5b3f76",
+    ),
+    "bfs": (
+        19166,
+        "e18cf55e695178007d16f7c50d0d0c10aa3efa5e260edd19b0d7054bfb9e0ee8",
+    ),
+    "random_walk": (
+        13678,
+        "af16c6108a81ca5a55625f0ed1b241cc31e0e78bdfc354c08db24eb55c4753c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(KERNEL_ORDER_DIGESTS))
+def test_search_path_kernels_canonical_order_is_pinned(algorithm):
+    # the whole list, not its set: "the first kernel in canonical order"
+    # depends on where each search direction's kernels fall
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(300):
+        seq, queries = random_case(seed, max_edges=24)
+        g = build_scored_subgraph(seq)
+        for max_path_len in (1, 3, 5):
+            cfg = PoolingConfig(
+                search_algorithm=algorithm, max_path_len=max_path_len, rng_seed=seed
+            )
+            for k in search_path_kernels(g, queries, cfg, backend="py"):
+                line = f"{seed} {max_path_len} {k.direction} {k.edge_indices} "
+                digest.update(f"{line}{k.pooled_score.hex()}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == KERNEL_ORDER_DIGESTS[algorithm]
 
 
 # -- bfs smoothing vs exhaustive enumeration --------------------------------
@@ -490,6 +532,39 @@ def test_smoothing_sorts_no_entity_ids(monkeypatch, algorithm):
 
     monkeypatch.setattr(np, "unique", unique)
     assert smoothed() == expected
+
+
+# -- compiled core adapter ----------------------------------------------------
+
+
+def _never_called_core():
+    """A ``_CompiledCore`` around a stand-in that fails if the guards let a call by."""
+
+    def library(*args):
+        raise AssertionError("the int32 guards passed the call on")
+
+    return pooling._CompiledCore(library)
+
+
+def _adapter_args(n_vertices, rank):
+    args = list(flat_args(2, [(0, 1), (1, 0)], [0.5, 0.25], rank))
+    args[0] = n_vertices
+    return (*args, [0], ALG_DIJKSTRA, 4, 1, 0, 0, 0.25, 10.0)
+
+
+@pytest.mark.parametrize(
+    ("n_vertices", "rank", "error", "match"),
+    [
+        # 2 * n_vertices + 1 is the int32 max, then one past it
+        (2**30 - 1, [0, 1], AssertionError, "guards passed"),
+        (2**30, [0, 1], ValueError, "doubled graph"),
+        (2, [0, 2**31 - 1], AssertionError, "guards passed"),
+        (2, [0, 2**31], ValueError, "edge ranks"),
+    ],
+)
+def test_compiled_core_guards_its_int32_sizes(n_vertices, rank, error, match):
+    with pytest.raises(error, match=match):
+        _never_called_core().smooth_scores(*_adapter_args(n_vertices, rank))
 
 
 # -- smoothing properties ------------------------------------------------------
