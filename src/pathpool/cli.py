@@ -297,6 +297,7 @@ def _check_run(cfg: PipelineConfig) -> None:
         cfg.generation_cfg.validate()
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    pooling.backend_module(cfg.backend)
 
 
 def _settled(outcome: Future | dict) -> dict:
@@ -424,7 +425,7 @@ def _transform_artifacts(in_path: str, out_path: str, transform) -> int:
 
 def cmd_pool(args) -> int:
     cfg = _pooling_config(args)
-
+    pooling.backend_module(args.backend)
     n = _transform_artifacts(
         args.infile,
         args.out,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pathpool import cli
+from pathpool import cli, pooling
 
 DATA = resources.files("pathpool") / "data"
 TOY_KG = str(DATA / "toy_kg.tsv")
@@ -872,6 +872,26 @@ def test_run_settings_that_fail_every_query_abort_before_loading(
     argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, "--out", out]
     assert run_cli("run", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "pool"])
+def test_compiled_backend_that_is_not_built_aborts_before_output(
+    tmp_path, capsys, monkeypatch, command
+):
+    # without the check each query became an error row: run exited 1 and
+    # pool 0, both after writing every row
+    monkeypatch.setattr(pooling, "_core", None)
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(_artifact_line("q", [["A", "r", "B", 0.5]]), encoding="utf-8")
+    argv = {
+        "run": ["--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm"],
+        "pool": ["--in", artifact],
+    }[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *argv, "--backend", "c", "--out", out) == 2
+    message = "error: compiled backend requested but not built\n"
+    assert capsys.readouterr() == ("", message)
     assert not out.exists()
 
 
