@@ -11,8 +11,15 @@ order included, are held as well. A refactor that must not change
 behaviour leaves ``golden_prompts.json`` and ``golden_outputs.json`` as
 they are.
 
-``python tests/test_golden.py PROMPTS.json OUTPUTS.json`` writes the digests
-of the current code to those two files in the same formats.
+The artifact stage chain ``retrieve`` -> ``pool`` -> ``select`` ->
+``prompt`` is pinned the same way in ``golden_stages.json``: per ``--algo``
+x ``--mode``, under the ``uniform`` scorer and the ``precomputed`` toy
+scores, the sha256 of each stage's JSONL file and of the prompt
+``manifest.jsonl``. Each stage after ``retrieve`` rebuilds its sequences
+from the artifact rows, so these digests hold that path as well.
+
+``python tests/test_golden.py PROMPTS.json OUTPUTS.json STAGES.json`` writes
+the digests of the current code to those three files in the same formats.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from pathpool import cli
 DATA = Path(cli.__file__).parent / "data"
 GOLDEN = Path(__file__).with_name("golden_prompts.json")
 GOLDEN_OUTPUTS = Path(__file__).with_name("golden_outputs.json")
+GOLDEN_STAGES = Path(__file__).with_name("golden_stages.json")
 OUTPUT_FILES = ("results.jsonl", "metrics.json")
 
 SCORERS = ("uniform", "precomputed", "cosine")
@@ -43,6 +51,12 @@ RUNS = {
     **{f"baseline-{mode}": ["--baseline", "--mode", mode] for mode in ("rerank", "reselect")},
 }
 CASES = [f"{scorer}-{run}" for scorer in SCORERS for run in RUNS]
+STAGE_RUNS = {
+    f"{scorer}-{algo}-{mode}": (scorer, algo, mode)
+    for scorer in ("uniform", "precomputed")
+    for algo in ("dijkstra", "bfs", "random-walk")
+    for mode in ("rerank", "reselect")
+}
 
 
 def toy_embeddings() -> str:
@@ -109,6 +123,35 @@ def _output_digests(out: Path) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_FILES}
 
 
+def _stage_chain(case: str, out: Path) -> dict[str, str]:
+    """The stage chain of ``case`` into ``out``; the sha256 of each file it wrote."""
+    scorer, algo, mode = STAGE_RUNS[case]
+    out.mkdir(parents=True, exist_ok=True)
+    retrieved, pooled, selected = (
+        out / f"{stage}.jsonl" for stage in ("retrieve", "pool", "select")
+    )
+    commands = [
+        [
+            "retrieve",
+            "--kg", str(DATA / "toy_kg.tsv"),
+            "--queries", str(DATA / "toy_queries.jsonl"),
+            "--scorer", _scorer_spec(scorer, out),
+            "--coarse-k", "20",
+            "--out", str(retrieved),
+        ],
+        ["pool", "--in", str(retrieved), "--algo", algo, "--seed", "0", "--out", str(pooled)],
+        ["select", "--in", str(pooled), "--mode", mode, "--fine-k", "8", "--out", str(selected)],
+        ["prompt", "--in", str(selected), "--out", str(out / "prompts")],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0
+    files = (retrieved, pooled, selected, out / "prompts" / "manifest.jsonl")
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+    }
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_toy_run_prompt_digests(case, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -121,12 +164,20 @@ def test_toy_run_output_digests(case, tmp_path):
     assert _output_digests(_run(case, tmp_path)) == golden[case]
 
 
+@pytest.mark.parametrize("case", STAGE_RUNS)
+def test_toy_stage_chain_digests(case, tmp_path):
+    golden = json.loads(GOLDEN_STAGES.read_text(encoding="utf-8"))
+    assert _stage_chain(case, tmp_path) == golden[case]
+
+
 if __name__ == "__main__":
-    prompts, outputs = {}, {}
+    prompts, outputs, stages = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out = _run(case, Path(tmp) / case)
             prompts[case] = _digests(out)
             outputs[case] = _output_digests(out)
-    Path(sys.argv[1]).write_text(json.dumps(prompts, indent=1) + "\n", encoding="utf-8")
-    Path(sys.argv[2]).write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")
+        for case in STAGE_RUNS:
+            stages[case] = _stage_chain(case, Path(tmp) / "stages" / case)
+    for path, digests in zip(sys.argv[1:4], (prompts, outputs, stages)):
+        Path(path).write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
