@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from pathpool import bench, pooling
@@ -22,6 +24,42 @@ def test_synthesize_store_is_deterministic():
     b = bench.synthesize_store(seed=11, n_entities=60, n_triples=400)
     assert list(a.lines()) == list(b.lines())
     assert a.n_triples == 400
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "digests"),
+    [
+        (
+            {"seed": 0},
+            (
+                "de07fe3c81f29b36f9257da0c3449c23a3ca5fefc3b71ac80109958f5827e8b7",
+                "853ef60550e8d8e49c0727ed4a40c092566d27f80f01915ab5427ed3d0251160",
+                "33cc0e773209d198d8b7d918d3ae591ae57fd3ff3cd4547a54b2f3e9b688e21c",
+            ),
+        ),
+        (
+            {"seed": 4, "n_triples": 6000},
+            (
+                "b1be258a0ac11f135432ad313bcf89742f90bb1ec6a86f6b065e0a06b9570f2a",
+                "07c50859d303224906a76b8188747973028b3fd83b4d2e68d47233e456570336",
+                "053b3689d256e0460e208c6f82f99c104d1093209cdce9c04619e9d267e3adee",
+            ),
+        ),
+    ],
+)
+def test_synthesize_store_is_pinned(kwargs, digests):
+    # the little-endian id array bytes and the entity and relation labels in
+    # id order, one per line; a change to the generator's draws shows here
+    store = bench.synthesize_store(**kwargs)
+    assert (
+        _sha256(store.id_array.astype("<i8").tobytes()),
+        _sha256("\n".join(store.entity_labels()).encode("utf-8")),
+        _sha256("\n".join(store._relation_labels).encode("utf-8")),
+    ) == digests
 
 
 def test_sample_workloads_deterministic_and_sized(small_setup):
