@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_sequence
+from cases import make_sequence
 from naive_ref import naive_smooth
 from pathpool import bench, cli, generation, pooling, selection
 from pathpool.kg_store import TripleStore, load_queries

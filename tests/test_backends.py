@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
+from cases import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError
 from pathpool.pooling import PoolingConfig, _kernels_py, build_scored_subgraph

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_case
+from cases import random_case
 from naive_ref import naive_scored_subgraph
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError

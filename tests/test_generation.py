@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sequence
+from cases import make_sequence
 from pathpool.errors import ConfigError, EndpointError, TransportError
 from pathpool.generation import (
     EXAMPLE_ASSISTANT,

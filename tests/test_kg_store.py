@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import grown_store
+from cases import grown_store
 from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError

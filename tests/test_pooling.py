@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
+from cases import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
 from naive_ref import naive_kernel_smoothing, naive_smooth
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError, EmptyInputError

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grown_store
+from cases import grown_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
 from naive_ref import (
     NaiveTableError,

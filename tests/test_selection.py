@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sequence, random_case
+from cases import make_sequence, random_case
 from pathpool.errors import ConfigError
 from pathpool.selection import SelectionConfig, rerank, reselect, top_k
 
