@@ -108,18 +108,19 @@ def synthesize_store(
         [f"E{c:03d}_{i:02d}" for i in range(community_size)]
         for c in range(n_communities)
     ]
-    store = TripleStore()
+    # distinct label rows in first-seen order; a repeated draw adds nothing
+    rows: dict[tuple[str, str, str], None] = {}
     cross_target = int(n_triples * cross_fraction) if n_communities > 1 else 0
     intra_target = n_triples - cross_target
     budget = 200 * n_triples  # duplicate draws count against this
-    while store.n_triples < intra_target:
+    while len(rows) < intra_target:
         budget -= 1
         if budget < 0:
             raise ConfigError("synthetic KG generation stalled on duplicates")
         community = members[rnd.randrange(n_communities)]
         head, tail = rnd.sample(community, 2)
-        store.add(head, f"R{rnd.randrange(n_relations):03d}", tail)
-    while store.n_triples < n_triples:
+        rows[head, f"R{rnd.randrange(n_relations):03d}", tail] = None
+    while len(rows) < n_triples:
         budget -= 1
         if budget < 0:
             raise ConfigError("synthetic KG generation stalled on duplicates")
@@ -129,8 +130,8 @@ def synthesize_store(
             continue
         head = rnd.choice(members[c1])
         tail = rnd.choice(members[c2])
-        store.add(head, f"R{rnd.randrange(n_relations):03d}", tail)
-    return store
+        rows[head, f"R{rnd.randrange(n_relations):03d}", tail] = None
+    return TripleStore(rows)
 
 
 def sample_workloads(

@@ -122,27 +122,31 @@ def _artifact_row(record: QueryRecord, sequence: TripleSequence) -> dict:
 
 
 def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
+    """The record and sequence of an artifact row.
+
+    The store holds the row's distinct triples in first-seen order, so an
+    entry's store row is the number of distinct triples before its first
+    occurrence.
+    """
     record = QueryRecord(
         id=check_query_id(str(row.get("id", ""))),
         question=str(row.get("question", "")),
         query_entities=tuple(map(str, _list_field(row, "query_entities"))),
         gold_answers=tuple(map(str, _list_field(row, "answers"))),
     )
-    store = TripleStore()
+    distinct: dict[tuple[str, str, str], int] = {}
     rows, scores = [], []
     for entry in _list_field(row, "triples"):
         try:
             head, relation, tail, score = entry
             score = float(score)
         except (TypeError, ValueError):
-            raise ParseError(f"malformed triple entry in artifact: {entry!r}")
-        head, relation, tail = str(head), str(relation), str(tail)
-        store.add(head, relation, tail)
-        # a repeated row adds nothing, so resolve the triple just read
-        rows.append(store.find(head, relation, tail))
+            raise ParseError(f"malformed triple entry in artifact: {entry!r}") from None
+        labels = (str(head), str(relation), str(tail))
+        rows.append(distinct.setdefault(labels, len(distinct)))
         scores.append(score)
     sequence = TripleSequence.from_scores(
-        store, rows, scores, str(row.get("provenance", "artifact"))
+        TripleStore(distinct), rows, scores, str(row.get("provenance", "artifact"))
     )
     return record, sequence
 

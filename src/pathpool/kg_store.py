@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -37,6 +36,11 @@ class Triple(NamedTuple):
 class TripleStore:
     """Deduplicated triples held as id columns, with interning tables.
 
+    ``TripleStore(rows)`` interns an iterable of ``(head, relation, tail)``
+    label rows in first-seen order, keeps the first of each repeated row and
+    builds every column once; the store is immutable after that, and so
+    safe to share across threads.
+
     ``id_array`` is one ``(n, 3)`` int64 array of (head, relation, tail)
     ids, a row per triple in first-seen order. ``incidence()`` is a CSR
     over it that lists, entity by entity, every triple touching the entity:
@@ -46,71 +50,31 @@ class TripleStore:
     each in store order, so a self-loop is listed twice.
 
     ``row_rank`` ranks the rows in (head, relation, tail) label order. It is
-    built with the columns, and no other code computes label order.
-
-    ``load_triples`` builds the columns in bulk. ``add`` appends to an
-    insertion-ordered buffer that also dedups the rows added since the
-    columns were last built; the next read of the columns rebuilds them,
-    under a lock. Only that buffer holds a ``Triple`` per row: ``triples``
-    builds the list on request. Immutable by convention once loaded; safe
-    for concurrent readers. ``cli`` reads a store from one thread only, so
-    the lock guards library callers that share a store across their own
-    threads.
+    built with the columns, and no other code computes label order. No
+    ``Triple`` is held per row: ``triples`` builds the list on request.
     """
 
-    def __init__(self) -> None:
-        self._entity_labels: list[str] = []
-        self._entity_ids: dict[str, int] = {}
-        self._relation_labels: list[str] = []
-        self._relation_ids: dict[str, int] = {}
-        # (id array, offsets, other, triple, row rank), replaced as one tuple
-        self._columns = _build_columns(np.empty((0, 3), dtype=np.int64), [], [])
-        # rows added since the last build, each with the row it will get
-        self._pending: dict[Triple, int] = {}
-        self._build_lock = threading.Lock()
-
-    # -- construction -------------------------------------------------
-
-    def _intern_entity(self, label: str) -> int:
-        eid = self._entity_ids.get(label)
-        if eid is None:
-            eid = len(self._entity_labels)
-            self._entity_ids[label] = eid
-            self._entity_labels.append(label)
-        return eid
-
-    def _intern_relation(self, label: str) -> int:
-        rid = self._relation_ids.get(label)
-        if rid is None:
-            rid = len(self._relation_labels)
-            self._relation_ids[label] = rid
-            self._relation_labels.append(label)
-        return rid
-
-    def add(self, head: str, relation: str, tail: str) -> bool:
-        """Add one triple; returns False if it was a duplicate."""
-        triple = Triple(
-            self._intern_entity(head),
-            self._intern_relation(relation),
-            self._intern_entity(tail),
+    def __init__(self, rows: Iterable[tuple[str, str, str]] = ()) -> None:
+        entity_ids: dict[str, int] = {}
+        relation_ids: dict[str, int] = {}
+        heads: list[int] = []
+        relations: list[int] = []
+        tails: list[int] = []
+        for head, relation, tail in rows:
+            heads.append(entity_ids.setdefault(head, len(entity_ids)))
+            relations.append(relation_ids.setdefault(relation, len(relation_ids)))
+            tails.append(entity_ids.setdefault(tail, len(entity_ids)))
+        self._entity_ids = entity_ids
+        self._entity_labels = list(entity_ids)
+        self._relation_ids = relation_ids
+        self._relation_labels = list(relation_ids)
+        ids = np.array([heads, relations, tails], dtype=np.int64).T
+        # drop the interning lists, so the column build reuses their memory
+        del heads, relations, tails
+        self.id_array, *incidence, self.row_rank = _build_columns(
+            _first_seen(ids, self.n_entities), self._entity_labels, self._relation_labels
         )
-        if self.row_of(triple) is not None:
-            return False
-        self._pending[triple] = self.n_triples
-        return True
-
-    def _fresh_columns(self) -> tuple[np.ndarray, ...]:
-        """The columns, first rebuilt with the rows ``add`` left pending."""
-        if self._pending:
-            with self._build_lock:
-                if self._pending:
-                    rows = np.array(list(self._pending), dtype=np.int64).reshape(-1, 3)
-                    ids = np.concatenate((self._columns[0], rows))
-                    self._columns = _build_columns(
-                        ids, self._entity_labels, self._relation_labels
-                    )
-                    self._pending.clear()
-        return self._columns
+        self._incidence = tuple(incidence)
 
     # -- lookups ------------------------------------------------------
 
@@ -129,21 +93,16 @@ class TripleStore:
 
     @property
     def n_triples(self) -> int:
-        return len(self._columns[0]) + len(self._pending)
+        return len(self.id_array)
 
     @property
     def rows(self) -> np.ndarray:
         """Every row number; a whole store is its own candidate set."""
         return np.arange(self.n_triples)
 
-    @property
-    def id_array(self) -> np.ndarray:
-        """The read-only ``(n, 3)`` int64 ids of every triple, in store order."""
-        return self._fresh_columns()[0]
-
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only incidence CSR: ``offsets``, ``other`` and ``triple``."""
-        return self._fresh_columns()[1:4]
+        return self._incidence
 
     @property
     def triples(self) -> list[Triple]:
@@ -162,26 +121,16 @@ class TripleStore:
     def entity_label(self, eid: int) -> str:
         return self._entity_labels[eid]
 
-    def row_of(self, triple: Triple) -> int | None:
-        """The row holding ``triple``, or None; a built one is found via its head's incidence."""
-        # pending first: a build publishes its columns before it clears them
-        row = self._pending.get(triple)
-        if row is not None:
-            return row
-        ids, offsets, _, rows, _ = self._columns
-        head = triple.head
-        if not 0 <= head < len(offsets) - 1:
-            return None
-        touching = rows[offsets[head] : offsets[head + 1]]
-        found = touching[(ids[touching] == triple).all(axis=1)]
-        return int(found[0]) if len(found) else None
-
     def find(self, head: str, relation: str, tail: str) -> int | None:
-        """The row of the triple with these labels, or None."""
+        """The row of the triple with these labels, or None; found via its head's incidence."""
         entity = self._entity_ids.get
-        return self.row_of(
-            Triple(entity(head, -1), self._relation_ids.get(relation, -1), entity(tail, -1))
-        )
+        triple = (entity(head), self._relation_ids.get(relation), entity(tail))
+        if None in triple:
+            return None
+        offsets, _, rows = self._incidence
+        touching = rows[offsets[triple[0]] : offsets[triple[0] + 1]]
+        found = touching[(self.id_array[touching] == triple).all(axis=1)]
+        return int(found[0]) if len(found) else None
 
     def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
         return (
@@ -189,14 +138,6 @@ class TripleStore:
             self._relation_labels[triple.relation],
             self._entity_labels[triple.tail],
         )
-
-    @property
-    def row_rank(self) -> np.ndarray:
-        """Each row's position in (head, relation, tail) label order, read-only.
-
-        Built with the columns; an array taken before a later ``add`` is stale.
-        """
-        return self._fresh_columns()[4]
 
     def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
         """Head, relation and tail labels of the rows of an ``(n, 3)`` id array."""
@@ -330,16 +271,16 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
 
     Blank lines and ``#`` comments are skipped; duplicate triples collapse to
     one. Raises ParseError (with line number) on wrong arity or empty fields.
-    The lines are interned into three id lists, and the id array, the
-    incidence CSR and the row rank are then built from them in bulk.
     """
-    store = TripleStore()
-    entity_ids = store._entity_ids
-    relation_ids = store._relation_ids
-    heads: list[int] = []
-    relations: list[int] = []
-    tails: list[int] = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    if isinstance(source, (str, Path)):
+        # the file's own line iterator, one generator frame fewer per line
+        with open(source, "r", encoding="utf-8") as handle:
+            return TripleStore(_parse_triples(handle))
+    return TripleStore(_parse_triples(_iter_lines(source)))
+
+
+def _parse_triples(lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
@@ -352,19 +293,7 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
         head, relation, tail = parts[0].strip(), parts[1].strip(), parts[2].strip()
         if not head or not relation or not tail:
             raise ParseError("empty field in triple", line=lineno)
-        # ids in first-seen order, as ``add`` interns them
-        heads.append(entity_ids.setdefault(head, len(entity_ids)))
-        relations.append(relation_ids.setdefault(relation, len(relation_ids)))
-        tails.append(entity_ids.setdefault(tail, len(entity_ids)))
-    store._entity_labels.extend(entity_ids)
-    store._relation_labels.extend(relation_ids)
-    ids = np.array([heads, relations, tails], dtype=np.int64).T
-    # drop the parse lists, so the column build reuses their memory
-    del heads, relations, tails
-    store._columns = _build_columns(
-        _first_seen(ids, store.n_entities), store._entity_labels, store._relation_labels
-    )
-    return store
+        yield head, relation, tail
 
 
 def check_query_id(qid: str, line: int | None = None) -> str:

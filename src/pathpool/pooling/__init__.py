@@ -327,10 +327,10 @@ def _vertex_buffer(n_entities: int) -> np.ndarray:
 
     ``ScoredSubgraph`` numbers its vertices in it, reading only the entries
     of its own entities after writing them, so nothing in it outlives one
-    build. It is allocated once per thread and replaced only by a larger
-    one, when a store (one that ``add`` grew, say) has more entities. Each
-    thread has its own, because library callers may share a store across
-    threads.
+    build. It is allocated once per thread and kept across stores: a later
+    store with more entities than any before replaces it with a larger one.
+    Each thread has its own, because library callers may share a store
+    across threads.
     """
     buf = getattr(_thread_scratch, "vertex_of", None)
     if buf is None or len(buf) < n_entities:

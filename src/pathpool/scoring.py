@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from itertools import compress, filterfalse, islice, repeat
-from operator import attrgetter, methodcaller
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -47,11 +47,6 @@ def scored_rows(
     return list(map(tuple.__new__, repeat(ScoredTriple), zip(triples, scores, ranks)))
 
 
-_TRIPLE = attrgetter("triple")
-_SCORE = attrgetter("score")
-_RANK = attrgetter("rank")
-
-
 class TripleSequence:
     """Ordered scored triples, each named by its row in the store resolving its labels.
 
@@ -61,21 +56,11 @@ class TripleSequence:
     ``id_array`` gathers the rows' ids from the store, and ``items`` builds
     ``ScoredTriple`` rows only when a caller asks, anew on each access.
 
-    Every triple is a row of the store (the constructor resolves each
-    ``Triple`` to its row), scores are finite and no row repeats; the first
-    offender is named. A stage that keeps, reorders or rescores rows of a
-    valid sequence (``_take``) needs no second check.
+    ``from_scores`` is the one way in: every row is a row of the store,
+    scores are finite and no row repeats; the first offender is named. A
+    stage that keeps, reorders or rescores rows of a valid sequence
+    (``_take``) needs no second check.
     """
-
-    def __init__(self, store: TripleStore, items: list[ScoredTriple], provenance: str):
-        n = len(items)
-        rows = list(map(store.row_of, map(_TRIPLE, items)))
-        if None in rows:
-            raise ConfigError(f"triple not in store: {items[rows.index(None)].triple}")
-        scores = np.fromiter(map(_SCORE, items), np.float64, n)
-        ranks = np.fromiter(map(_RANK, items), np.int64, n)
-        self._set(store, np.array(rows, dtype=np.int64), scores, ranks, provenance)
-        self._check()
 
     def _set(self, store, rows, scores, ranks, provenance) -> None:
         for column in (rows, scores, ranks):

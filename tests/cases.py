@@ -23,10 +23,8 @@ def make_sequence(
     rows: list[tuple[str, str, str, float]], provenance: str = "test"
 ) -> TripleSequence:
     """Sequence over a fresh store from (head, relation, tail, score) rows."""
-    store = TripleStore()
-    for head, relation, tail, _ in rows:
-        store.add(head, relation, tail)
-    triples = [store.find(head, relation, tail) for head, relation, tail, _ in rows]
+    store = TripleStore(row[:3] for row in rows)
+    triples = [store.find(*row[:3]) for row in rows]
     return TripleSequence.from_scores(store, triples, [row[3] for row in rows], provenance)
 
 
@@ -42,8 +40,8 @@ def random_case(
     rnd = random.Random(seed)
     nv = rnd.randint(2, max_vertices)
     labels = [f"E{i}" for i in range(nv)]
-    store = TripleStore()
-    triples, scores = [], []
+    # each distinct row with the score of its first draw, in first-seen order
+    edges: dict[tuple[str, str, str], float] = {}
     for _ in range(rnd.randint(1, max_edges)):
         head = rnd.choice(labels)
         tail = rnd.choice(labels)
@@ -54,10 +52,11 @@ def random_case(
             score = rnd.uniform(1e-3, 1.0)
         else:
             score = rnd.uniform(-1.0, 1.0)
-        if store.add(head, relation, tail):
-            triples.append(store.find(head, relation, tail))
-            scores.append(score)
-    sequence = TripleSequence.from_scores(store, triples, scores, "random")
+        edges.setdefault((head, relation, tail), score)
+    store = TripleStore(edges)
+    sequence = TripleSequence.from_scores(
+        store, range(len(edges)), list(edges.values()), "random"
+    )
     n_queries = rnd.randint(0, min(max_queries, nv))
     queries = rnd.sample(labels, n_queries)
     if rnd.random() < 0.15:
@@ -65,26 +64,22 @@ def random_case(
     return sequence, queries
 
 
-def grown_store(data) -> tuple[TripleStore, list[tuple[str, str, str]]]:
-    """A store loaded in bulk and then grown by ``add``, and its distinct rows.
+def small_store(data) -> tuple[TripleStore, list[tuple[str, str, str]]]:
+    """A store built in one call from drawn rows, and its distinct rows.
 
-    The columns are built after the load and possibly once more among the
-    adds, so later rows are added past built columns. Few entities and
-    relations make self-loops, parallel edges and repeats common. Returns
-    the store and the label rows it must hold, in first-seen order.
+    Few entities and relations make self-loops, parallel edges and repeats
+    common. The store is drawn to come from ``load_triples`` or from
+    ``TripleStore`` itself. Returns the store and the label rows it must
+    hold, in first-seen order.
     """
     n = data.draw(st.integers(1, 7))
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, n - 1))
-    loaded = data.draw(st.lists(edge, max_size=20))
-    added = data.draw(st.lists(edge, min_size=1, max_size=20))
-    rows = [(f"E{h}", f"r{r}", f"E{t}") for h, r, t in loaded + added]
-    text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows[: len(loaded)])
-    store = load_triples(io.StringIO(text))
-    rebuild_at = data.draw(st.integers(0, len(added)))
-    for i in range(len(loaded), len(rows)):
-        if i - len(loaded) == rebuild_at:
-            store.id_array  # reading the columns builds them
-        assert store.add(*rows[i]) == (rows[i] not in rows[:i])
+    drawn = data.draw(st.lists(edge, min_size=1, max_size=40))
+    rows = [(f"E{h}", f"r{r}", f"E{t}") for h, r, t in drawn]
+    if data.draw(st.booleans()):
+        store = load_triples(io.StringIO("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows)))
+    else:
+        store = TripleStore(rows)
     return store, list(dict.fromkeys(rows))
 
 

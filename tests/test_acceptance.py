@@ -33,16 +33,16 @@ def _random_graph(seed: int, dyadic: bool, max_vertices=12, max_edges=20):
     rnd = random.Random(seed)
     nv = rnd.randint(2, max_vertices)
     labels = [f"N{i}" for i in range(nv)]
-    store = TripleStore()
-    triples, scores = [], []
+    # each distinct row with the score of its first draw, in first-seen order
+    edges: dict[tuple[str, str, str], float] = {}
     for _ in range(rnd.randint(1, max_edges)):
         head, tail = rnd.choice(labels), rnd.choice(labels)
         relation = f"rel{rnd.randint(0, 6)}"
         score = rnd.randrange(1, 1025) / 1024.0 if dyadic else rnd.uniform(1e-3, 1.0)
-        if store.add(head, relation, tail):
-            triples.append(store.find(head, relation, tail))
-            scores.append(score)
-    sequence = TripleSequence.from_scores(store, triples, scores, "acceptance")
+        edges.setdefault((head, relation, tail), score)
+    sequence = TripleSequence.from_scores(
+        TripleStore(edges), range(len(edges)), list(edges.values()), "acceptance"
+    )
     queries = rnd.sample(labels, rnd.randint(0, min(3, nv)))
     return sequence, queries
 

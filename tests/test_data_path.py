@@ -39,12 +39,11 @@ _LABELS = st.text(alphabet="aAbé中_ ", min_size=1, max_size=3)
 _RELATIONS = st.sampled_from(["r", "R", "r1", "é", "r "])
 
 
-def _store_with_decoys(labels: list[str]) -> TripleStore:
-    """A store that interned ``labels`` in reverse, so ids differ from first-seen order."""
-    store = TripleStore()
-    for label in reversed(labels):
-        store.add(label, "decoy", label)
-    return store
+def _store_with_decoys(labels: list[str], rows) -> TripleStore:
+    """A store of ``rows`` that first interned ``labels`` in reverse, so ids
+    differ from the rows' first-seen order."""
+    decoys = [(label, "decoy", label) for label in reversed(labels)]
+    return TripleStore(decoys + [tuple(row[:3]) for row in rows])
 
 
 def _rows(data, min_size=1, max_size=20):
@@ -64,10 +63,7 @@ def _rows(data, min_size=1, max_size=20):
 
 
 def _assert_subgraph_matches_naive(store, edges):
-    triples = []
-    for head, relation, tail, _ in edges:
-        store.add(head, relation, tail)
-        triples.append(store.find(head, relation, tail))
+    triples = [store.find(head, relation, tail) for head, relation, tail, _ in edges]
     scores = [edge[3] for edge in edges]
     g = build_scored_subgraph(TripleSequence.from_scores(store, triples, scores, "t"))
     naive = naive_scored_subgraph(edges)
@@ -94,7 +90,7 @@ def test_scored_subgraph_matches_naive_arrays(data):
         st.lists(st.floats(-1, 1, allow_nan=False), min_size=len(rows), max_size=len(rows))
     )
     edges = [(*row, score) for row, score in zip(rows, scores)]
-    _assert_subgraph_matches_naive(_store_with_decoys(pool), edges)
+    _assert_subgraph_matches_naive(_store_with_decoys(pool, edges), edges)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +113,7 @@ def test_scored_subgraph_matches_naive_arrays(data):
     ],
 )
 def test_scored_subgraph_hand_cases(edges):
-    _assert_subgraph_matches_naive(_store_with_decoys(["zz", "a", "b"]), edges)
+    _assert_subgraph_matches_naive(_store_with_decoys(["zz", "a", "b"], edges), edges)
 
 
 def test_scored_subgraph_matches_naive_past_16_bit_vertex_keys():
@@ -132,7 +128,7 @@ def test_scored_subgraph_matches_naive_past_16_bit_vertex_keys():
         edges.append((head, f"s{rnd.randrange(3)}", tail, rnd.random()))
     edges = list({edge[:3]: edge for edge in edges}.values())
     rnd.shuffle(edges)
-    _assert_subgraph_matches_naive(_store_with_decoys(labels), edges)
+    _assert_subgraph_matches_naive(_store_with_decoys(labels, edges), edges)
 
 
 def _on_fresh_thread(fn):
@@ -195,7 +191,7 @@ def test_subgraph_answers_after_a_later_build_on_its_thread():
     assert answers(g) == _on_fresh_thread(lambda: answers(build_scored_subgraph(first)))
 
 
-def test_smooth_after_the_store_gains_entities():
+def test_smooth_after_a_larger_store_on_one_thread():
     rows = [(f"E{i}", "r", f"E{i + 1}", 1.0 / (i + 1)) for i in range(40)]
     more = [(f"E{i}", "s", f"N{i}", 0.5) for i in range(0, 40, 3)] + [
         (f"N{i}", "s", f"N{i + 1}", 0.25) for i in range(100)
@@ -207,25 +203,22 @@ def test_smooth_after_the_store_gains_entities():
         scores = [edge[3] for edge in edges]
         return TripleSequence.from_scores(store, triples, scores, "t")
 
-    def grown():
-        store = TripleStore()
-        for h, r, t, _ in rows:
-            store.add(h, r, t)
-        before = _smoothed_bytes(sequence(store, rows), ["E0"], cfg)
+    def smaller_then_larger():
+        smaller = _store_with_decoys([], rows)
+        before = _smoothed_bytes(sequence(smaller, rows), ["E0"], cfg)
+        larger = _store_with_decoys([], rows + more)
         # the buffer this thread sized for 41 entities must grow to 142
-        _assert_subgraph_matches_naive(store, more)
-        return before, _smoothed_bytes(sequence(store, rows + more), ["E0", "N7"], cfg)
+        _assert_subgraph_matches_naive(larger, more)
+        return before, _smoothed_bytes(sequence(larger, rows + more), ["E0", "N7"], cfg)
 
-    def loaded():
-        store = TripleStore()
-        for h, r, t, _ in rows + more:
-            store.add(h, r, t)
+    def larger_only():
+        store = _store_with_decoys([], rows + more)
         return (
             _smoothed_bytes(sequence(store, rows), ["E0"], cfg),
             _smoothed_bytes(sequence(store, rows + more), ["E0", "N7"], cfg),
         )
 
-    assert _on_fresh_thread(grown) == _on_fresh_thread(loaded)
+    assert _on_fresh_thread(smaller_then_larger) == _on_fresh_thread(larger_only)
 
 
 # -- label order --------------------------------------------------------------
@@ -234,22 +227,15 @@ def test_smooth_after_the_store_gains_entities():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_row_rank_orders_like_label_tuples(data):
-    _, rows = _rows(data)
-    store = TripleStore()
-    for row in rows[: len(rows) // 2]:
-        store.add(*row)
-    store.row_rank  # rank the rows, then intern more labels
-    for row in rows[len(rows) // 2 :]:
-        store.add(*row)
+    pool, rows = _rows(data)
+    store = _store_with_decoys(pool, rows)
     triples = store.triples
     by_labels = sorted(range(len(triples)), key=lambda i: store.triple_labels(triples[i]))
     assert np.argsort(store.row_rank).tolist() == by_labels
 
 
 def test_find_resolves_stored_triples_only():
-    store = TripleStore()
-    store.add("a", "r", "b")
-    store.add("c", "s", "d")
+    store = TripleStore([("a", "r", "b"), ("c", "s", "d")])
     assert store.find("c", "s", "d") == 1
     assert store.find("a", "s", "d") is None
     assert store.find("a", "r", "x") is None
@@ -272,9 +258,7 @@ def test_score_triples_matches_sort_by_score_then_labels(data):
         )
     )
     k = data.draw(st.integers(1, len(rows) + 3))
-    store = _store_with_decoys(pool)
-    for row in rows:
-        store.add(*row)
+    store = _store_with_decoys(pool, rows)
     table = {("q1", *row): score for row, score in zip(rows, scores)}
     got = score_triples(QUERY, store, PrecomputedScorer(table), k)
     expected = sorted(zip(rows, scores), key=lambda p: (-p[1], p[0]))[:k]
@@ -286,14 +270,28 @@ def test_score_triples_matches_sort_by_score_then_labels(data):
 
 
 def test_score_triples_with_no_candidates_is_empty():
-    store = TripleStore()
-    store.add("a", "r", "b")
+    store = TripleStore([("a", "r", "b")])
     # the table names the query, but scores no candidate of it
     scorer = PrecomputedScorer({("q1", "x", "r", "y"): 0.5})
     assert len(score_triples(QUERY, store, scorer, 5)) == 0
 
 
 # -- smooth output order ------------------------------------------------------
+
+
+def _with_ranks(sequence, ranks):
+    """``sequence`` with each row's rank taken from ``ranks``, a permutation.
+
+    As in the pipeline, the ranks come from ``from_scores`` over the rows in
+    rank order, and a reorder by ``_take`` keeps them.
+    """
+    by_rank = np.argsort(ranks)
+    ranked = TripleSequence.from_scores(
+        sequence.store, sequence.row_array[by_rank], sequence.score_array[by_rank], "ranked"
+    )
+    shuffled = ranked._take(np.argsort(by_rank), "shuffled ranks")
+    assert shuffled.rank_array.tolist() == list(ranks)
+    return shuffled
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -303,8 +301,8 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
     sequence, queries = random_case(seed, dyadic=True)
     ranks = list(range(len(sequence)))
     random.Random(seed).shuffle(ranks)
-    items = [ScoredTriple(item.triple, item.score, r) for item, r in zip(sequence, ranks)]
-    sequence = TripleSequence(sequence.store, items, "shuffled ranks")
+    sequence = _with_ranks(sequence, ranks)
+    items = sequence.items
     cfg = PoolingConfig(search_algorithm=algorithm, max_path_len=3)
     g = build_scored_subgraph(sequence)
     scores = pooling._shifted(g.scores)
@@ -328,9 +326,7 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
 
 
 def test_smooth_keeps_input_order_when_every_final_score_ties():
-    store = TripleStore()
-    for i in range(12):
-        store.add(f"h{i}", "r", f"t{i}")
+    store = TripleStore((f"h{i}", "r", f"t{i}") for i in range(12))
     sequence = TripleSequence.from_scores(store, np.arange(12)[::-1], [0.5] * 12, "t")
     out = smooth(sequence, [], PoolingConfig())
     assert [item.triple for item in out.items] == [item.triple for item in sequence.items]
@@ -343,16 +339,12 @@ def test_smooth_keeps_input_order_when_every_final_score_ties():
 def test_selection_orders_by_score_then_rank_not_list_position(seed):
     rnd = random.Random(seed)
     n = rnd.randint(1, 14)
-    store = TripleStore()
-    for i in range(n):
-        store.add(f"h{i}", "r", f"t{i}")
+    store = TripleStore((f"h{i}", "r", f"t{i}") for i in range(n))
     ranks = list(range(n))
     rnd.shuffle(ranks)
-    items = [
-        ScoredTriple(t, rnd.choice([0.0, -0.0, 0.25, 0.5]), r)
-        for t, r in zip(store.triples, ranks)
-    ]
-    sequence = TripleSequence(store, items, "t")
+    scores = [rnd.choice([0.0, -0.0, 0.25, 0.5]) for _ in range(n)]
+    sequence = _with_ranks(TripleSequence.from_scores(store, range(n), scores, "t"), ranks)
+    items = sequence.items
     k = rnd.randint(1, n + 2)
     expected = sorted(items, key=lambda item: (-item.score, item.rank))
 
@@ -381,9 +373,7 @@ def test_selection_orders_by_score_then_rank_not_list_position(seed):
 
 
 def _two_triple_store():
-    store = TripleStore()
-    store.add("a", "r", "b")
-    store.add("c", "r", "d")
+    store = TripleStore([("a", "r", "b"), ("c", "r", "d")])
     return store, store.triples[0], store.triples[1]
 
 
@@ -402,32 +392,10 @@ def _two_triple_store():
     ],
 )
 def test_sequence_names_the_first_invalid_item(rows, message):
-    store, t0, t1 = _two_triple_store()
-    triples = (t0, t1)
+    store, _, t1 = _two_triple_store()
     message = message.format(t1=store.triple_labels(t1))
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence.from_scores(store, *zip(*rows), "t")
-    items = [ScoredTriple(triples[i], s, r) for r, (i, s) in enumerate(rows)]
-    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-        TripleSequence(store, items, "t")
-
-
-@pytest.mark.parametrize(
-    "triple",
-    [
-        Triple(0, 0, 0),  # every id interned, the combination never added
-        Triple(1, 0, 0),
-        Triple(0, 0, 2),  # an entity id beyond the store's
-        Triple(-1, 0, 1),
-    ],
-)
-def test_sequence_rejects_a_triple_absent_from_the_store(triple):
-    store = TripleStore()
-    store.add("a", "r", "b")
-    items = [ScoredTriple(Triple(0, 0, 1), 0.5, 0), ScoredTriple(triple, 0.25, 1)]
-    message = f"triple not in store: {triple}"
-    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-        TripleSequence(store, items, "t")
 
 
 @pytest.mark.parametrize(
@@ -439,8 +407,7 @@ def test_sequence_rejects_a_triple_absent_from_the_store(triple):
     ],
 )
 def test_from_scores_rejects_numbers_that_are_no_store_row(rows, message):
-    store = TripleStore()
-    store.add("a", "r", "b")
+    store = TripleStore([("a", "r", "b")])
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence.from_scores(store, rows, [0.5] * len(rows), "t")
     items = [ScoredTriple(Triple(0, 0, 1), 0.5, 0)]
@@ -460,8 +427,7 @@ def test_from_scores_builds_float_rows_in_order():
 # an infinite candidate ahead of the NaN is not the one named
 @pytest.mark.parametrize("first", [0.5, float("inf"), float("-inf")])
 def test_score_triples_rejects_a_nan_score_wherever_it_would_sort(k, first):
-    store, t0, t1 = _two_triple_store()
-    store.add("e", "r", "f")
+    store = TripleStore([("a", "r", "b"), ("c", "r", "d"), ("e", "r", "f")])
     table = {
         ("q1", "a", "r", "b"): first,
         ("q1", "c", "r", "d"): float("nan"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cases import grown_store
+from cases import small_store
 from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
@@ -159,9 +159,7 @@ def test_subgraph_matches_full_scan_oracle(data):
             max_size=30,
         )
     )
-    store = TripleStore()
-    for h, r, t in edges:
-        store.add(f"E{h}", f"r{r}", f"E{t}")
+    store = TripleStore((f"E{h}", f"r{r}", f"E{t}") for h, r, t in edges)
     labels = [store.triple_labels(t) for t in store.triples]
     present = sorted(store.entity_labels())
     anchors = data.draw(st.lists(st.sampled_from(present), min_size=1, max_size=3))
@@ -176,8 +174,8 @@ def test_subgraph_matches_full_scan_oracle(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_store_grown_past_its_built_columns_matches_its_rows(data):
-    store, rows = grown_store(data)
+def test_store_matches_its_rows(data):
+    store, rows = small_store(data)
     assert list(store.lines()) == ["\t".join(row) for row in rows]
     assert store.n_triples == len(store.id_array) == len(rows)
     for row in rows:
@@ -219,18 +217,16 @@ def _label_order(store):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_LABELS, _LABELS, _LABELS), min_size=1, max_size=25))
 def test_row_rank_matches_label_tuples(rows):
-    store = TripleStore()
-    for row in rows:
-        store.add(*row)
+    store = TripleStore(rows)
     by_labels = sorted(store.triples, key=store.triple_labels)
     assert _label_order(store) == by_labels
     assert sorted(store.row_rank.tolist()) == list(range(store.n_triples))
 
 
 def test_row_rank_case_and_prefix_labels():
-    store = TripleStore()
-    for row in [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]:
-        store.add(*row)
+    store = TripleStore(
+        [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]
+    )
     ordered = _label_order(store)
     assert [store.triple_labels(t) for t in ordered] == [
         ("A", "R", "AB"),
@@ -238,22 +234,6 @@ def test_row_rank_case_and_prefix_labels():
         ("AB", "r", "a"),
         ("a", "R", "A"),
     ]
-
-
-def test_row_rank_rebuilt_after_add():
-    store = TripleStore()
-    store.add("M", "r", "N")
-    store.add("Z", "r", "N")
-    stale = store.row_rank
-    assert _label_order(store) == store.triples
-    # new labels sorting before, between and after the existing ones
-    store.add("B", "q", "Z")
-    store.add("N", "s", "A")
-    ordered = _label_order(store)
-    assert ordered == sorted(store.triples, key=store.triple_labels)
-    assert ordered.index(store.triples[2]) < ordered.index(store.triples[0])
-    assert stale.tolist() == [0, 1]
-    assert store.row_rank.tolist() == [1, 3, 0, 2]
 
 
 def _queries(*ids):

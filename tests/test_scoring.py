@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import grown_store
+from cases import small_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
 from naive_ref import (
     NaiveTableError,
@@ -621,7 +621,7 @@ def test_view_and_standalone_store_score_identically(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_extract_and_score_triples_equal_the_naive_oracles(data):
-    store, rows = grown_store(data)
+    store, rows = small_store(data)
     if data.draw(st.booleans()):
         candidates, candidate_rows = store, rows
     else:
