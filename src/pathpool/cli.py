@@ -43,6 +43,7 @@ from .kg_store import (
     extract_subgraph,
     load_queries,
     load_triples,
+    read_label,
 )
 from .scoring import TripleSequence, build_scorer, score_triples
 
@@ -124,25 +125,33 @@ def _artifact_row(record: QueryRecord, sequence: TripleSequence) -> dict:
 def _artifact_sequence(row: dict) -> tuple[QueryRecord, TripleSequence]:
     """The record and sequence of an artifact row.
 
-    The store holds the row's distinct triples in first-seen order, so an
-    entry's store row is the number of distinct triples before its first
-    occurrence.
+    Every label is read by ``read_label`` and every score must be a JSON
+    number. The store holds the row's distinct triples in first-seen order,
+    so an entry's store row is the number of distinct triples before its
+    first occurrence.
     """
     record = QueryRecord(
-        id=check_query_id(str(row.get("id", ""))),
-        question=str(row.get("question", "")),
-        query_entities=tuple(map(str, _list_field(row, "query_entities"))),
-        gold_answers=tuple(map(str, _list_field(row, "answers"))),
+        id=check_query_id(row.get("id", "")),
+        question=read_label(row.get("question"), "question"),
+        query_entities=tuple(
+            read_label(e, "query entity") for e in _list_field(row, "query_entities")
+        ),
+        gold_answers=tuple(read_label(a, "answer") for a in _list_field(row, "answers")),
     )
     distinct: dict[tuple[str, str, str], int] = {}
     rows, scores = [], []
     for entry in _list_field(row, "triples"):
         try:
             head, relation, tail, score = entry
-            score = float(score)
+            labels = (
+                read_label(head, "head"),
+                read_label(relation, "relation"),
+                read_label(tail, "tail"),
+            )
+            if isinstance(score, bool) or not isinstance(score, (int, float)):
+                raise TypeError
         except (TypeError, ValueError):
             raise ParseError(f"malformed triple entry in artifact: {entry!r}") from None
-        labels = (str(head), str(relation), str(tail))
         rows.append(distinct.setdefault(labels, len(distinct)))
         scores.append(score)
     sequence = TripleSequence.from_scores(

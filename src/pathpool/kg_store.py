@@ -296,15 +296,32 @@ def _parse_triples(lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
         yield head, relation, tail
 
 
-def check_query_id(qid: str, line: int | None = None) -> str:
-    """``qid`` unchanged if it can name a file inside an output directory.
+def read_label(value: object, field: str, line: int | None = None) -> str:
+    """A JSON value read as a label: a string as it is, a number as its text.
+
+    ``null``, a bool, a list, an object or ``""`` raises ParseError naming
+    ``field``; ``str()`` would read them as labels such as ``"None"``.
+    """
+    if isinstance(value, str) and value:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ParseError(
+        f"{field} must be a non-empty string or a number, got {json.dumps(value)}",
+        line=line,
+    )
+
+
+def check_query_id(qid: object, line: int | None = None) -> str:
+    """``qid`` read as a label, if it can name a file inside an output directory.
 
     Ids name prompt and completion files, so ids that are empty, ``.``/``..``,
-    or contain ``/``, ``\\`` or NUL raise ParseError.
+    or contain ``/``, ``\\`` or NUL raise ParseError, as does any value that
+    ``read_label`` rejects.
     """
-    if qid in ("", ".", "..") or any(c in qid for c in "/\\\0"):
+    if isinstance(qid, str) and (qid in ("", ".", "..") or any(c in qid for c in "/\\\0")):
         raise ParseError(f"query id {qid!r} cannot name a file", line=line)
-    return qid
+    return read_label(qid, "query id", line)
 
 
 def _list_field(payload: dict, key: str, line: int | None = None) -> list:
@@ -325,7 +342,8 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
 
     Gold answers are deduplicated by normalized form, keeping the first
     spelling. ``query_entities`` may be empty (evaluation-only records); it
-    and ``answers`` must be JSON lists when given. Ids that
+    and ``answers`` must be JSON lists when given. The question, each
+    entity and each answer are read by ``read_label``. Ids that
     ``check_query_id`` rejects, or that repeat an earlier id, raise
     ParseError.
     """
@@ -341,20 +359,24 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
         if not isinstance(payload, dict):
             raise ParseError("query record must be a JSON object", line=lineno)
-        question = str(payload.get("question", "")).strip()
+        question = payload.get("question", "")
+        # a missing or empty question is reported as such, not as a bad label
+        if question != "":
+            question = read_label(question, "question", lineno).strip()
         if not question:
             raise ParseError("query record has no question", line=lineno)
-        qid = check_query_id(str(payload.get("id", lineno)), line=lineno)
+        qid = check_query_id(payload.get("id", lineno), line=lineno)
         if qid in seen_ids:
             raise ParseError(f"duplicate query id {qid!r}", line=lineno)
         seen_ids.add(qid)
         entities = tuple(
-            str(e) for e in _list_field(payload, "query_entities", line=lineno)
+            read_label(e, "query entity", lineno)
+            for e in _list_field(payload, "query_entities", line=lineno)
         )
         answers: list[str] = []
         seen: set[str] = set()
         for answer in _list_field(payload, "answers", line=lineno):
-            answer = str(answer)
+            answer = read_label(answer, "answer", lineno)
             key = normalize_answer(answer)
             if key not in seen:
                 seen.add(key)

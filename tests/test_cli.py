@@ -1101,6 +1101,74 @@ def test_artifact_query_fields_are_read_as_strings(tmp_path, command):
         assert none["x"]["triples"] != text["x"]["triples"]
 
 
+_NOT_A_LABEL = "must be a non-empty string or a number, got"
+
+
+@pytest.mark.parametrize(
+    ("field", "message"),
+    [
+        ({"question": None}, f"question {_NOT_A_LABEL} null"),
+        ({"id": None}, f"query id {_NOT_A_LABEL} null"),
+        ({"id": True}, f"query id {_NOT_A_LABEL} true"),
+        ({"query_entities": [None, True]}, f"query entity {_NOT_A_LABEL} null"),
+        ({"query_entities": ["Mira Voss", ""]}, f'query entity {_NOT_A_LABEL} ""'),
+        ({"answers": [{"a": 1}]}, f'answer {_NOT_A_LABEL} {{"a": 1}}'),
+    ],
+    ids=["question-null", "id-null", "id-true", "entity-null", "entity-empty", "answer-object"],
+)
+def test_query_value_that_is_not_a_label_exits_cleanly(tmp_path, capsys, field, message):
+    queries = tmp_path / "queries.jsonl"
+    bad = {"id": "q2", "question": "Q?", "query_entities": ["Mira Voss"], **field}
+    queries.write_text(
+        '{"id": "q1", "question": "Q?", "query_entities": ["Mira Voss"]}\n'
+        + json.dumps(bad)
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("run", "--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pool", "select", "prompt"])
+def test_stage_records_a_value_that_is_not_a_label_and_goes_on(tmp_path, command):
+    good = _artifact("good")
+    entries = {
+        "head": [None, "r", "B", 0.5],
+        "empty": ["", "r", "E", 0.1],
+        "bool-score": ["A", "r", "B", True],
+        "text-score": ["A", "r", "B", "0.25"],
+    }
+    bad = {
+        **{
+            qid: _artifact(qid, triples=[["B", "s", "C", 0.25], entry])
+            for qid, entry in entries.items()
+        },
+        None: _artifact(None),
+        "question": _artifact("question", question=None),
+        "entities": _artifact("entities", query_entities=["A", True]),
+        "answers": _artifact("answers", answers=[""]),
+    }
+    errors = {
+        **{
+            qid: f"malformed triple entry in artifact: {entry!r}"
+            for qid, entry in entries.items()
+        },
+        None: f"query id {_NOT_A_LABEL} null",
+        "question": f"question {_NOT_A_LABEL} null",
+        "entities": f"query entity {_NOT_A_LABEL} true",
+        "answers": f'answer {_NOT_A_LABEL} ""',
+    }
+    clean = _stage_outputs(command, [good], tmp_path / "clean")
+    outputs = _stage_outputs(command, [*bad.values(), good], tmp_path / "bad")
+    for qid, error in errors.items():
+        assert outputs[qid] == {"id": qid, "error": error}
+    assert outputs["good"] == clean["good"]
+    if command == "prompt":
+        assert sorted(outputs["files"]) == ["good.json", "manifest.jsonl"]
+
+
 def test_retrieve_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch):
     def retrieve(out):
         assert run_cli(

@@ -12,7 +12,13 @@ from cases import small_store
 from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
-from pathpool.kg_store import TripleStore, extract_subgraph, load_queries, load_triples
+from pathpool.kg_store import (
+    QueryRecord,
+    TripleStore,
+    extract_subgraph,
+    load_queries,
+    load_triples,
+)
 
 
 def test_empty_input_gives_empty_store():
@@ -234,6 +240,12 @@ def test_row_rank_case_and_prefix_labels():
         ("AB", "r", "a"),
         ("a", "R", "A"),
     ]
+
+
+def test_query_numbers_are_read_as_labels():
+    raw = '{"id": 5, "question": 1.5, "query_entities": [7, -2], "answers": [0]}\n'
+    (record,) = load_queries(io.StringIO(raw))
+    assert record == QueryRecord("5", "1.5", ("7", "-2"), ("0",))
 
 
 def _queries(*ids):
