@@ -54,7 +54,7 @@ class TripleStore:
     ``Triple`` is held per row: ``triples`` builds the list on request.
     """
 
-    def __init__(self, rows: Iterable[tuple[str, str, str]] = ()) -> None:
+    def __init__(self, rows: Iterable[tuple[str, str, str]]) -> None:
         entity_ids: dict[str, int] = {}
         relation_ids: dict[str, int] = {}
         heads: list[int] = []
@@ -280,11 +280,11 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
 
 
 def _parse_triples(lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue
+        # the line end stays on the tail, whose strip removes it
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(

@@ -65,7 +65,7 @@ def test_empty_sequence_allowed(caplog):
     from pathpool.kg_store import TripleStore
     from pathpool.scoring import TripleSequence
 
-    seq = TripleSequence.from_scores(TripleStore(), [], [], "empty")
+    seq = TripleSequence.from_scores(TripleStore([]), [], [], "empty")
     with caplog.at_level("WARNING"):
         bundle = assemble_prompt(_query(), seq)
     assert bundle.user == "Triplets:\nQuestion:\nQ?"

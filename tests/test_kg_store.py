@@ -46,6 +46,22 @@ def test_empty_field_rejected():
         load_triples(io.StringIO("A\t\tB\n"))
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("A\tr\t\r\n", "line 2: empty field in triple"),
+        ("A\tr\r\n", "line 2: expected 3 tab-separated fields, got 2"),
+        ("A\tr\tB\t\r\n", "line 2: expected 3 tab-separated fields, got 4"),
+    ],
+)
+def test_line_ends_are_not_part_of_a_field(line, message):
+    # bytes lines keep their "\r\n"; a field's surrounding blanks go too
+    store = load_triples([b"A\tr\tB \r\n", b"# c\r\n", b" \r\n", b"B\tr\tC"])
+    assert list(store.lines()) == ["A\tr\tB", "B\tr\tC"]
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_triples(["# c\r\n", line])
+
+
 def test_comments_and_blank_lines_skipped():
     store = load_triples(io.StringIO("# header\n\nA\tr\tB\n  \n# trailing\n"))
     assert store.n_triples == 1

@@ -156,7 +156,7 @@ def test_empty_sequence_rejected():
     from pathpool.kg_store import TripleStore
     from pathpool.scoring import TripleSequence
 
-    empty = TripleSequence.from_scores(TripleStore(), [], [], "empty")
+    empty = TripleSequence.from_scores(TripleStore([]), [], [], "empty")
     with pytest.raises(EmptyInputError):
         build_scored_subgraph(empty)
     with pytest.raises(EmptyInputError):
