@@ -122,7 +122,10 @@ class TripleStore:
         return self._entity_labels[eid]
 
     def find(self, head: str, relation: str, tail: str) -> int | None:
-        """The row of the triple with these labels, or None; found via its head's incidence."""
+        """The row of the triple with these labels, or None.
+
+        Only the rows in the head's incidence are compared.
+        """
         entity = self._entity_ids.get
         triple = (entity(head), self._relation_ids.get(relation), entity(tail))
         if None in triple:
