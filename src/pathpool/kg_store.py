@@ -283,20 +283,28 @@ def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
 
 
 def _parse_triples(lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
+    """The stripped ``(head, relation, tail)`` of each triple line, in order.
+
+    A line that splits into three non-empty fields, the first not starting
+    with ``#``, is a triple; that test is all a valid line costs. Any other
+    line is blank or a comment, and skipped, or raises ParseError. The line
+    end stays on the tail, whose strip removes it.
+    """
     for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) == 3:
+            head, relation, tail = parts[0].strip(), parts[1].strip(), parts[2].strip()
+            if head and relation and tail and head[0] != "#":
+                yield head, relation, tail
+                continue
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue
-        # the line end stays on the tail, whose strip removes it
-        parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(
                 f"expected 3 tab-separated fields, got {len(parts)}", line=lineno
             )
-        head, relation, tail = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        if not head or not relation or not tail:
-            raise ParseError("empty field in triple", line=lineno)
-        yield head, relation, tail
+        raise ParseError("empty field in triple", line=lineno)
 
 
 def read_label(value: object, field: str, line: int | None = None) -> str:

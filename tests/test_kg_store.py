@@ -220,6 +220,46 @@ def test_store_matches_its_rows(data):
     assert sub.id_array.tolist() == [ids[i] for i in sub.rows.tolist()]
 
 
+def _naive_parse(lines):
+    """The distinct label rows of ``lines``, or the ``(line, message)`` of the
+    first bad one: a plain loop that trims each line, skips blank and ``#``
+    lines, then splits and checks the rest."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            return lineno, f"expected 3 tab-separated fields, got {len(parts)}"
+        row = tuple(part.strip() for part in parts)
+        if "" in row:
+            return lineno, "empty field in triple"
+        rows.append(row)
+    return list(dict.fromkeys(rows))
+
+
+# one to four fields of few characters, so blank, comment, short, long and
+# empty-field lines, padded labels and each line end are all common
+_LINE = st.builds(
+    lambda fields, end: "\t".join(fields) + end,
+    st.lists(st.text(alphabet="ab# \x1c", max_size=3), min_size=1, max_size=4),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=8))
+def test_load_triples_matches_a_plain_line_loop(lines):
+    expected = _naive_parse(lines)
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as err:
+            load_triples(lines)
+        assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+    else:
+        assert list(load_triples(lines).lines()) == ["\t".join(row) for row in expected]
+
+
 def test_subgraph_shares_parent_triples():
     store = load_triples(io.StringIO("A\tr\tA\nA\tr\tB\nA\tq\tB\nC\tr\tD\n"))
     sub = extract_subgraph(store, ["A"], hops=1)
