@@ -570,7 +570,7 @@ def cmd_eval(args) -> int:
     seen_ids: set[str] = set()
 
     def score(row: dict) -> dict:
-        qid = str(row.get("id"))
+        qid = check_query_id(row.get("id"))
         record = queries.get(qid)
         if record is None:
             raise ParseError("unknown query id")
@@ -586,7 +586,7 @@ def cmd_eval(args) -> int:
         return {"id": qid, **_evaluate(predictions, record.gold_answers)}
 
     rows = [
-        _isolated(str(row.get("id")), score, row)
+        _isolated(row.get("id"), score, row)
         for row in _read_jsonl(Path(args.completions))
     ]
     metrics = _eval_metrics(rows)

@@ -35,8 +35,10 @@ prefix of a simple path and per walk. The Python backend folds numpy
 arrays: it grows both shortest-path trees a level at a time and pushes the
 pooled values up each tree as a subtree max, and for BFS it folds path
 prefixes, one depth and one block of ``BFS_BLOCK_PATHS`` prefixes at a
-time, and solves the last edge of the longest paths per prefix and per end
-vertex; a random walk it folds once the walk ends. Both give the same bits
+time, and solves the last edge of the longest paths per prefix and per edge
+from dense tables indexed by vertex (each vertex's best distinct
+out-neighbours, its best prefix and the best that avoid each vertex of
+that one); a random walk it folds once the walk ends. Both give the same bits
 as pooling each kernel, because rounding is monotone, so the max of
 fl(pooled + c) over paths is fl(max pooled + c) (see ``_kernels_py``).
 Only ``search_path_kernels`` and the tests' oracles list and pool kernels

@@ -36,8 +36,10 @@ search directions run as one:
 * BFS (``_bfs_smooth``) holds the prefixes of up to ``max_path_len - 1``
   edges, one depth and one block at a time, each with its running sum (or
   max) and the best pooled value below it, and solves the last edge of the
-  longest paths per prefix and per end vertex from the prefixes that end
-  there;
+  longest paths per prefix and per edge. Both read dense tables indexed by
+  vertex: a prefix takes the best of its end vertex's ``max_path_len`` best
+  distinct out-neighbours that is off it, and an edge u->v the best prefix
+  at u, or when v is on that one, the best prefix at u that avoids v;
 * a random walk (``_walk_smooth``) is folded once it ends: its prefixes are
   its kernels, so each edge takes a suffix max of their pooled values.
 
@@ -219,7 +221,7 @@ class _Level:
 
     __slots__ = (
         "verts", "acc", "edges", "parents", "depth", "best",
-        "first", "count", "bounds", "next",
+        "count", "bounds", "shift", "next",
     )
 
     def __init__(self, verts, acc, edges, parents, depth, best):
@@ -230,11 +232,13 @@ class _Level:
         self.depth = depth
         self.best = best
 
-    def open(self, off) -> None:
+    def open(self, off, degree) -> None:
         """Lay the paths' out-edges end to end, to be expanded a block at a time."""
-        self.first = off[self.verts[-1]]
-        self.count = off[self.verts[-1] + 1] - self.first
+        end = self.verts[-1]
+        self.count = degree[end]
         self.bounds = np.cumsum(self.count)  # where each path's out-edges end
+        # out-edge i of the row lies at CSR slot i + shift of its path
+        self.shift = off[end] - self.bounds + self.count
         self.next = 0
 
     def block(self):
@@ -244,14 +248,8 @@ class _Level:
         limit = start + BFS_BLOCK_PATHS
         hi = max(lo + 1, int(self.bounds.searchsorted(limit, side="right")))
         self.next = hi
-        paths, slots = _spans(self.first[lo:hi], self.count[lo:hi])
-        return paths + lo, slots
-
-
-def _spans(first, count):
-    """Owner and CSR slot of every entry of the spans [first, first + count)."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) + (first - np.cumsum(count) + count)[owner]
+        paths = np.repeat(np.arange(lo, hi), self.count[lo:hi])
+        return paths, np.arange(start, self.bounds[hi - 1]) + self.shift[paths]
 
 
 class _PrefixFold:
@@ -268,18 +266,20 @@ class _PrefixFold:
         self.src = src
         self.dst = dst
         self.n_vertices = (len(off) - 1) // 2
-        self.scores = scores
         self.max_len = max_len
         self.average = average
         self.pos = pos
         self.final = final
+        self.degree = np.diff(off)
+        self.slot_score = scores[eid]
+        self.loop = src == dst
 
     def run(self, sources) -> None:
         sources = np.asarray(sources, dtype=np.intp)
         roots = np.concatenate((sources, sources + self.n_vertices))[None, :]
         start = np.full(roots.shape[1], 0.0 if self.average else -np.inf)
         root = _Level(roots, start, None, None, 0, start.copy())
-        root.open(self.off)
+        root.open(self.off, self.degree)
         stack = [root]
         top = None  # the out-neighbour table, built at the first longest paths
         while stack:
@@ -293,7 +293,7 @@ class _PrefixFold:
             if child is None:
                 continue
             if child.depth < self.max_len - 1:
-                child.open(self.off)
+                child.open(self.off, self.degree)
                 stack.append(child)
                 continue
             if top is None:
@@ -307,13 +307,13 @@ class _PrefixFold:
         paths, slots = level.block()
         ends = self.dst[slots]
         verts = level.verts.take(paths, axis=1)
-        free = (verts != ends).all(axis=0)
-        if not free.any():
+        free = np.flatnonzero((verts != ends).all(axis=0))
+        if not len(free):
             return None
-        paths, slots = paths[free], slots[free]
+        paths, ends, slots = paths[free], ends[free], slots[free]
         edges = self.eid[slots]
         below = level.acc[paths]
-        score = self.scores[edges]
+        score = self.slot_score[slots]
         depth = level.depth + 1
         if self.average:
             acc = below + score
@@ -321,8 +321,7 @@ class _PrefixFold:
         else:
             acc = np.where(score > below, score, below)
             best = acc.copy()
-        # compress keeps the C order the row-wise tests rely on
-        verts = np.concatenate((verts.compress(free, axis=1), ends[None, free]))
+        verts = np.concatenate((verts.take(free, axis=1), ends[None]))
         return _Level(verts, acc, edges, paths, depth, best)
 
     def _fold(self, level, parent_best) -> None:
@@ -336,89 +335,76 @@ class _PrefixFold:
         Such a path is a prefix ending at u plus one edge u->v with v off the
         prefix. Its pooled value never falls when the prefix's running value
         or the edge's score rises, so each prefix takes its best-scored free
-        out-edge, and each edge u->v the best prefix at u that avoids v.
+        out-edge, and each edge u->v the best prefix at u that avoids v. The
+        first reads ``top``, the tables of ``_top_neighbours``, at u; the
+        second reads arrays indexed by vertex, built from ``level``'s
+        prefixes: each vertex's best prefix, and the best that avoids each
+        vertex on that one.
         """
         max_len = self.max_len
         verts, acc = level.verts, level.acc
         u = verts[-1]
-        # each prefix's best extension: the best of u's top out-neighbours
-        # that is off the prefix (slot -1 is the table's pad)
-        top_off, top_dst, top_score, width = top
-        slots = top_off[u] + np.arange(width)[:, None]
-        slots = np.where(slots < top_off[u + 1], slots, -1)
-        free = (verts[:, None, :] != top_dst[slots]).all(axis=0)
-        score = np.where(free, top_score[slots], -np.inf).max(axis=0)
+        # each prefix's best extension: the best of u's top neighbours that
+        # is off the prefix (u itself is none of them)
+        top_dst, top_score = top
+        near = top_dst.take(u, axis=1)
+        score = top_score.take(u, axis=1)
+        for vertex in verts[:-1]:
+            score[near == vertex] = -np.inf
+        score = score.max(axis=0)
         if self.average:
             np.maximum(level.best, (acc + score) / max_len, out=level.best)
         else:
             level.best = np.where(score > acc, score, acc)
-        # per end vertex (group g): its best prefix, and for each vertex j of
-        # that one (u itself included) the best prefix at u that avoids it
-        best_acc = np.full(len(self.off) - 1, -np.inf)
+        # per vertex: its best prefix, and for each vertex of that one but
+        # itself (every prefix at u holds u) the best prefix at u that
+        # avoids it; -inf where no prefix ends
+        n = len(self.off) - 1
+        best_acc = np.full(n, -np.inf)
         np.maximum.at(best_acc, u, acc)
-        ends = np.flatnonzero(best_acc > -np.inf)
-        group = np.full(len(best_acc), -1)
-        group[ends] = np.arange(len(ends))
-        g = group[u]
-        best_acc = best_acc[ends]
-        paths = np.flatnonzero(acc == best_acc[g])
-        best_path = np.empty(len(ends), dtype=np.intp)
-        best_path[g[paths]] = paths
-        best_verts = verts.take(best_path, axis=1)
-        avoid = np.full(best_verts.shape, -np.inf)
-        for j, vertex in enumerate(best_verts.take(g, axis=1)):
-            held = (verts == vertex).any(axis=0)
-            np.maximum.at(avoid[j], g, np.where(held, -np.inf, acc))
-        # each edge u->v out of an end vertex: avoid[j] when v is vertex j
-        # of u's best prefix, else the best (avoid <= best, so take the min)
-        g = group[self.src]
-        slots = np.flatnonzero(g >= 0)
-        g = g[slots]
-        below = np.where(
-            best_verts.take(g, axis=1) == self.dst[slots],
-            avoid.take(g, axis=1),
-            best_acc[g],
-        ).min(axis=0)
-        reached = below > -np.inf
-        edges, below = self.eid[slots[reached]], below[reached]
-        score = self.scores[edges]
+        best_path = np.zeros(n, dtype=np.intp)
+        paths = np.flatnonzero(acc == best_acc[u])
+        best_path[u[paths]] = paths
+        # each edge u->v: the best prefix at u, or the one avoiding v when v
+        # is on it; a self-loop has none
+        src, dst = self.src, self.dst
+        below = np.where(self.loop, -np.inf, best_acc[src])
+        for row in verts[:-1]:
+            vertex = row[best_path]
+            held = (verts[:-1] == vertex[u]).any(axis=0)
+            avoid = np.full(n, -np.inf)
+            np.maximum.at(avoid, u, np.where(held, -np.inf, acc))
+            below = np.where(vertex[src] == dst, avoid[src], below)
+        slots = np.flatnonzero(below > -np.inf)
+        below, score = below[slots], self.slot_score[slots]
         if self.average:
             pooled = (below + score) / max_len
         else:
             pooled = np.where(score > below, score, below)
-        np.maximum.at(self.final, edges, pooled + self.pos[max_len])
+        np.maximum.at(self.final, self.eid[slots], pooled + self.pos[max_len])
 
     def _top_neighbours(self):
         """Each vertex's best-scored distinct out-neighbours, best first.
 
-        A CSR of at most ``max_len + 1`` per vertex: offsets, neighbours and
-        the score of each one's best edge, both ending in a pad entry (-1,
-        -inf), and the largest count. A prefix ending at u holds ``max_len``
-        vertices, so when any neighbour of u is off the prefix, one of these
-        is.
+        Two dense ``(max_len, 2 * n_vertices)`` tables: row k holds each
+        vertex's k-th best neighbour and the score of its best edge there,
+        found as the best edge left once the edges to the neighbours of rows
+        0..k-1 are dropped (of tied neighbours, the largest id). A self-loop
+        counts for none, and a vertex with fewer neighbours scores -inf in
+        the rows past them. A prefix ending at u holds u and ``max_len - 1``
+        other vertices, so when any neighbour of u is off the prefix, one of
+        these is.
         """
         n = len(self.off) - 1
-        # the best edge of each (src, dst) pair; pairs grouped by src. The
-        # int64 pairs are timsorted, which merges runs: the slots come in
-        # src order already, so only each vertex's own pairs are out of order
-        pair = self.src * n + self.dst
-        order = pair.argsort(kind="stable")
-        pair = pair[order]
-        first = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-        score = np.maximum.reduceat(self.scores[self.eid[order]], first)
-        pair = pair[first]
-        # each src's pairs, best first: its pairs in score order, kept in
-        # that order by a stable sort on src
-        order = (-score).argsort()
-        order = order[_stable_order(pair[order] // n, n)]
-        pair, score = pair[order], score[order]
-        src = pair // n
-        keep = np.arange(len(src)) - src.searchsorted(src) <= self.max_len
-        count = np.bincount(src[keep], minlength=n)
-        off = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(count, out=off[1:])
-        dst = np.append(pair[keep] % n, -1)
-        return off, dst, np.append(score[keep], -np.inf), int(count.max())
+        src, dst = self.src, self.dst
+        score = np.where(self.loop, -np.inf, self.slot_score)
+        top_dst = np.full((self.max_len, n), -1)
+        top_score = np.full((self.max_len, n), -np.inf)
+        for near, best in zip(top_dst, top_score):
+            np.maximum.at(best, src, score)
+            np.maximum.at(near, src, np.where(score == best[src], dst, -1))
+            score[dst == near[src]] = -np.inf
+        return top_dst, top_score
 
 
 def _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final):

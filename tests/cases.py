@@ -147,6 +147,39 @@ def deep_tied_chain(length=12):
     return length + 1, edges, [0.5] * len(edges), rank
 
 
+def crowded_end_vertices(max_path_len):
+    """BFS graphs whose longest prefix ends at a vertex crowded by blocked edges.
+
+    A list of (context, n_vertices, edges, scores). From source 0, a chain of
+    low-scored edges 0 -> 1 -> ... -> u, with u = ``max_path_len - 1``, is the
+    one prefix of ``max_path_len - 1`` edges. Its one free extension is the
+    mid-scored edge u -> u + 1, and the high-scored edges out of u all reach
+    a vertex on the prefix:
+
+    * "parallel": ``max_path_len + 2`` parallel edges u -> u - 1;
+    * "self-loop": one edge from u to each vertex of the chain before it, and
+      ``max_path_len + 2`` self-loops at u.
+
+    Unless a table of u's best out-neighbours merges the parallel edges and
+    skips the self-loops, they fill it and hide the free edge.
+    """
+    u = max_path_len - 1
+    chain = [(i, i + 1) for i in range(u)]
+    crowds = {
+        "parallel": [(u, u - 1)] * (max_path_len + 2),
+        "self-loop": [(u, j) for j in range(u)] + [(u, u)] * (max_path_len + 2),
+    }
+    return [
+        (
+            (context, max_path_len),
+            u + 2,
+            [*chain, *crowd, (u, u + 1)],
+            [0.125] * len(chain) + [0.875] * len(crowd) + [0.5],
+        )
+        for context, crowd in crowds.items()
+    ]
+
+
 class _MockChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))

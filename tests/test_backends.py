@@ -19,10 +19,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from cases import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
+from cases import (
+    crowded_end_vertices,
+    deep_tied_chain,
+    flat_args,
+    make_sequence,
+    random_case,
+    tree_graphs,
+)
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError
 from pathpool.pooling import PoolingConfig, _kernels_py, build_scored_subgraph
+from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA, ALG_RANDOM_WALK
 
 ROOT = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("dijkstra", "bfs", "random_walk")
@@ -75,6 +83,55 @@ def test_compiled_core_compiles_clean_under_strict_warnings():
         [*_compiler(), *flags, str(source)], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def _runtime(name: str) -> str | None:
+    """Path of the runtime library ``name`` the C compiler links, or None."""
+    found = subprocess.run(
+        [*_compiler(), f"-print-file-name={name}"], capture_output=True, text=True
+    ).stdout.strip()
+    return found if os.path.isabs(found) and os.path.isfile(found) else None
+
+
+def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
+    tmp_path,
+):
+    # a child pytest runs this file's bit-identity tests on a core that
+    # setup.py builds with the sanitizers (setuptools adds CFLAGS and
+    # LDFLAGS), with their runtimes preloaded into Python; any report aborts
+    if not _compiler_found():
+        pytest.skip("no C compiler found")
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        path = _runtime(name)
+        if path is None:
+            pytest.skip(f"{_compiler()[0]} has no {name}")
+        runtimes.append(path)
+    sanitize = "-fsanitize=address,undefined"
+    env = {
+        **os.environ,
+        "CFLAGS": f"{sanitize} -fno-sanitize-recover=all -g",
+        "LDFLAGS": sanitize,
+        "LD_PRELOAD": " ".join(runtimes),
+        "ASAN_OPTIONS": "detect_leaks=0",
+    }
+    child = subprocess.run(
+        [
+            # -s: a sanitizer report is written just before the child exits
+            sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+            __file__, "-k", "identical or streams_match", f"--basetemp={tmp_path}",
+        ],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+    assert " passed" in child.stdout and "skipped" not in child.stdout
+    built = tmp_path.glob("build*/pathpool/pooling/_kernels_c*")
+    (library,) = {path.resolve() for path in built}  # build0 and its link
+    binary = library.read_bytes()
+    assert b"__asan_init" in binary and b"__ubsan_handle" in binary
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +226,19 @@ def test_dijkstra_tie_breaks_identical_across_backends(compiled):
         assert_backends_agree(flat, queries, cfg, seed)
 
 
+@pytest.mark.parametrize("max_path_len", [2, 3, 4, 5])
+def test_bfs_identical_across_backends_behind_crowded_out_edges(core, max_path_len):
+    # the longest prefix's one free out-edge scores below max_path_len + 2
+    # parallel edges or self-loops that all lead back onto the prefix
+    for context, n_vertices, edges, scores in crowded_end_vertices(max_path_len):
+        args = flat_args(n_vertices, edges, scores)
+        for pooling_code in (0, 1):
+            tail = ([0], ALG_BFS, max_path_len, 1, 0, pooling_code)
+            tail += (min(scores), 10.0)
+            py = _kernels_py.smooth_scores(*args, *tail)
+            assert py.tobytes() == core.smooth_scores(*args, *tail).tobytes(), context
+
+
 def _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources):
     args = flat_args(n_vertices, edges, scores, rank)
     s_min = min(scores)
@@ -191,6 +261,37 @@ def test_dijkstra_fold_identical_to_the_compiled_core_on_a_deep_tied_chain(core)
     n_vertices, edges, scores, rank = deep_tied_chain()
     for sources in ([0], [n_vertices - 1], [0, 5], [4]):
         _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources)
+
+
+def _edge_shapes():
+    """Flat graphs the random cases rarely draw, with what each one runs.
+
+    (context, n_vertices, edges, sources, path lengths, walk_count).
+    """
+    among = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b]
+    hub = [(0, 1 + i % 5) for i in range(2**15 + 3)] + among + [(5, 0), (2, 0)]
+    loops = [(0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (2, 2), (3, 1)]
+    return [
+        ("degree past 2**15", 6, hub, [0], (3,), 64),
+        # vertex 4 has no edge at all
+        ("every vertex a source", 5, loops, [0, 1, 2, 3, 4], (3, 2**40), 256),
+        ("sources of degree zero", 5, loops, [3, 4], (3, 2**40), 256),
+        ("one vertex", 1, [(0, 0), (0, 0)], [0], (1, 2**40), 10**5),
+    ]
+
+
+def test_identical_across_backends_on_edge_shapes(core):
+    for context, n_vertices, edges, sources, lengths, walk_count in _edge_shapes():
+        scores = [0.25 + (e * 37 % 101) / 128 for e in range(len(edges))]
+        args = flat_args(n_vertices, edges, scores)
+        for algorithm in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
+            for max_path_len in lengths:
+                for pooling_code in (0, 1):
+                    tail = (sources, algorithm, max_path_len, walk_count, 7)
+                    tail += (pooling_code, min(scores), 10.0)
+                    py = _kernels_py.smooth_scores(*args, *tail)
+                    cc = core.smooth_scores(*args, *tail)
+                    assert py.tobytes() == cc.tobytes(), (context, algorithm, max_path_len)
 
 
 def _branching_star(branches: int):

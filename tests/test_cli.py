@@ -1353,6 +1353,38 @@ def test_eval_records_a_lost_completion_as_an_error_row(tmp_path, row):
     assert rows[1] == {"id": "q2", "error": "completion is missing or not a string"}
 
 
+def test_eval_records_a_completion_id_that_is_not_a_label(tmp_path):
+    # ``str()`` would read true as the query "True" and null as "None"
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        "".join(
+            json.dumps({"id": qid, "question": "?", "answers": ["x"]}) + "\n"
+            for qid in ("True", "None", "q")
+        ),
+        encoding="utf-8",
+    )
+    completions = tmp_path / "completions.jsonl"
+    completions.write_text(
+        "".join(
+            json.dumps({**row, "completion": "ans: x"}) + "\n"
+            for row in ({"id": True}, {"id": None}, {}, {"id": "q"})
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "eval"
+    assert run_cli(
+        "eval", "--queries", queries, "--completions", completions, "--out", out
+    ) == 0
+    rows = [json.loads(l) for l in (out / "eval.jsonl").read_text().splitlines()]
+    assert rows[:3] == [
+        {"id": True, "error": f"query id {_NOT_A_LABEL} true"},
+        {"id": None, "error": f"query id {_NOT_A_LABEL} null"},
+        {"id": None, "error": f"query id {_NOT_A_LABEL} null"},
+    ]
+    assert rows[3]["id"] == "q" and rows[3]["hit"] == 1
+    assert json.loads((out / "metrics.json").read_text())["n"] == 1
+
+
 def test_perfbench_trace_records_every_wrapped_layer_of_a_toy_run(tmp_path, monkeypatch):
     """``perfbench/run.py --trace 1`` wraps these names and reads these fields.
 

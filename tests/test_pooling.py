@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cases import deep_tied_chain, flat_args, make_sequence, random_case, tree_graphs
+from cases import (
+    crowded_end_vertices,
+    deep_tied_chain,
+    flat_args,
+    make_sequence,
+    random_case,
+    tree_graphs,
+)
 from naive_ref import naive_kernel_smoothing, naive_smooth
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError, EmptyInputError
@@ -396,6 +403,9 @@ def _oracle_cases():
     yield (*BACK_EDGE, [0], "back edge")
     yield (*BACK_EDGE, [0, 2], "back edge, two sources")
     yield (*BLOCKED_PREFIX, [0], "blocked prefix")
+    for max_path_len in range(2, 6):
+        for context, *graph in crowded_end_vertices(max_path_len):
+            yield (*graph, [0], context)
 
 
 def test_bfs_smoothing_equals_enumeration_on_random_multigraphs():
@@ -413,6 +423,14 @@ def test_bfs_smoothing_best_prefix_blocked_by_the_last_edge():
     args = flat_args(*BLOCKED_PREFIX)
     got = _kernels_py.smooth_scores(*args, [0], ALG_BFS, 3, 1, 0, 0, 0.0625, 10.0)
     assert got[4] == (0.125 + 0.0625 + 0.5) / 3 + 0.0625 / 30.0
+
+
+@pytest.mark.parametrize("max_path_len", [2, 3, 4, 5])
+def test_bfs_smoothing_finds_the_free_edge_behind_crowded_out_edges(max_path_len):
+    # the longest prefix's one free out-edge scores below max_path_len + 2
+    # parallel edges or self-loops that all lead back onto the prefix
+    for context, *graph in crowded_end_vertices(max_path_len):
+        _assert_bfs_matches_enumeration(*graph, [0], context)
 
 
 @pytest.mark.parametrize("block_paths", [1, 3])
