@@ -12,7 +12,6 @@ from .errors import (
 )
 from .kg_store import (
     QueryRecord,
-    Triple,
     TripleStore,
     extract_subgraph,
     load_queries,
@@ -47,7 +46,6 @@ __all__ = [
     "ScoringError",
     "SelectionConfig",
     "TransportError",
-    "Triple",
     "TripleSequence",
     "TripleStore",
     "build_scored_subgraph",

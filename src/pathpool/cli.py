@@ -466,12 +466,11 @@ def cmd_prompt(args) -> int:
     def prompt(row: dict) -> dict:
         if "error" in row:
             return row
-        # a repeated id would overwrite the earlier row's prompt file
-        qid = str(row.get("id", ""))
-        if qid in seen_ids:
-            raise ParseError(f"duplicate id {qid!r}")
-        seen_ids.add(qid)
         record, sequence = _artifact_sequence(row)
+        # a repeated id would overwrite the earlier row's prompt file
+        if record.id in seen_ids:
+            raise ParseError(f"duplicate id {record.id!r}")
+        seen_ids.add(record.id)
         _, text, manifest_row = _prompt(record, sequence)
         _write_text_atomic(out_dir / f"{record.id}.json", text)
         return manifest_row

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -177,12 +178,17 @@ class GenerationConfig:
             raise ConfigError("generation endpoint is required")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
+        # JSON has no NaN or infinity, and a socket no infinite deadline
+        if not math.isfinite(self.temperature):
+            raise ConfigError("temperature must be finite")
         if self.max_tokens <= 0:
             raise ConfigError("max_tokens must be > 0")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
         if not self.timeout > 0:  # NaN too
             raise ConfigError("timeout must be > 0")
+        if self.timeout == math.inf:
+            raise ConfigError("timeout must be finite")
 
 
 def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:

@@ -4,7 +4,7 @@ Entities and relations are interned to integer ids in first-seen order, so
 loading the same bytes always produces the same id assignment. Public
 functions take entity *labels*; ids are an internal detail of the store.
 The triples are numpy columns (an id array and an incidence CSR), and
-retrieval runs on them; a ``Triple`` is built only when a caller asks.
+retrieval runs on them; a triple is named by its store row.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -23,14 +22,6 @@ from .errors import ConfigError, EntityLookupError, ParseError
 from .textnorm import normalize_answer
 
 logger = logging.getLogger(__name__)
-
-
-class Triple(NamedTuple):
-    """Directed edge; fields are interned ids resolved through a TripleStore."""
-
-    head: int
-    relation: int
-    tail: int
 
 
 class TripleStore:
@@ -51,7 +42,7 @@ class TripleStore:
 
     ``row_rank`` ranks the rows in (head, relation, tail) label order. It is
     built with the columns, and no other code computes label order. No
-    ``Triple`` is held per row: ``triples`` builds the list on request.
+    object is held per row: ``row_labels`` names one row by its labels.
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str]]) -> None:
@@ -104,11 +95,6 @@ class TripleStore:
         """The read-only incidence CSR: ``offsets``, ``other`` and ``triple``."""
         return self._incidence
 
-    @property
-    def triples(self) -> list[Triple]:
-        """Every triple as a ``Triple``, built from ``id_array`` on each access."""
-        return _triples(self.id_array)
-
     def has_entity(self, label: str) -> bool:
         return label in self._entity_ids
 
@@ -121,25 +107,13 @@ class TripleStore:
     def entity_label(self, eid: int) -> str:
         return self._entity_labels[eid]
 
-    def find(self, head: str, relation: str, tail: str) -> int | None:
-        """The row of the triple with these labels, or None.
-
-        Only the rows in the head's incidence are compared.
-        """
-        entity = self._entity_ids.get
-        triple = (entity(head), self._relation_ids.get(relation), entity(tail))
-        if None in triple:
-            return None
-        offsets, _, rows = self._incidence
-        touching = rows[offsets[triple[0]] : offsets[triple[0] + 1]]
-        found = touching[(self.id_array[touching] == triple).all(axis=1)]
-        return int(found[0]) if len(found) else None
-
-    def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
+    def row_labels(self, row: int) -> tuple[str, str, str]:
+        """The (head, relation, tail) labels of store row ``row``."""
+        head, relation, tail = self.id_array[row].tolist()
         return (
-            self._entity_labels[triple.head],
-            self._relation_labels[triple.relation],
-            self._entity_labels[triple.tail],
+            self._entity_labels[head],
+            self._relation_labels[relation],
+            self._entity_labels[tail],
         )
 
     def label_columns(self, ids: np.ndarray) -> tuple[list[str], list[str], list[str]]:
@@ -151,13 +125,6 @@ class TripleStore:
             list(map(self._relation_labels.__getitem__, relations)),
             list(map(entity, tails)),
         )
-
-    def entity_labels(self) -> list[str]:
-        return list(self._entity_labels)
-
-    def lines(self) -> Iterator[str]:
-        """Emit the store back as tab-separated lines (round-trip view)."""
-        return _lines(self, self.id_array)
 
 
 def _label_ranks(labels: list[str]) -> np.ndarray:
@@ -206,14 +173,6 @@ def _first_seen(ids: np.ndarray, n_entities: int) -> np.ndarray:
     return ids[np.sort(order[first])]
 
 
-def _triples(ids: np.ndarray) -> list[Triple]:
-    return list(map(tuple.__new__, repeat(Triple), ids.tolist()))
-
-
-def _lines(store: TripleStore, ids: np.ndarray) -> Iterator[str]:
-    return map("\t".join, zip(*store.label_columns(ids)))
-
-
 class Subgraph:
     """Candidate view: some triples of a parent store, in parent order.
 
@@ -234,17 +193,6 @@ class Subgraph:
     @property
     def n_triples(self) -> int:
         return len(self.rows)
-
-    @property
-    def triples(self) -> list[Triple]:
-        """The triples as ``Triple``s, built from ``id_array`` on each access."""
-        return _triples(self.id_array)
-
-    def triple_labels(self, triple: Triple) -> tuple[str, str, str]:
-        return self.store.triple_labels(triple)
-
-    def lines(self) -> Iterator[str]:
-        return _lines(self.store, self.id_array)
 
 
 @dataclass(frozen=True)

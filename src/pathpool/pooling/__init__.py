@@ -21,7 +21,7 @@ one CSR adjacency over the doubled graph that holds both search directions
 each slot's two ends), and each edge's label-order rank, the store's
 ``row_rank`` at the sequence's rows. The output is one stable
 ``np.argsort`` of the smoothed scores, applied to the input's row, score
-and rank columns, so no ``ScoredTriple`` row is built. No step before or
+and rank columns, so no object is built per row. No step before or
 after the kernel calls Python code once per triple; the Python random-walk
 loop takes lists of the columns, the compiled core int32 and float64
 copies. That CSR is the only adjacency: both backends and the kernel search
@@ -255,15 +255,16 @@ class ScoredSubgraph:
     """Adjacency view over the triples of one retrieved sequence.
 
     Vertices are the entities appearing in the sequence, interned in
-    first-seen order (head before tail, edge by edge); ``heads`` and
-    ``tails`` are each edge's ends. The one adjacency is the CSR over the
-    doubled graph, ``off`` and ``eid``, with each slot's ends ``src`` and
-    ``dst`` (see ``_doubled_csr``): both backends and the kernel search
-    walk it. Every array is built in bulk with numpy in passes over the
-    sequence's own triples: vertices are numbered in an entity-indexed
-    buffer (``_vertex_buffer``), so no entity id is sorted, and the CSR is
-    one stable argsort of small vertex ids. ``scores`` is the sequence's
-    score column.
+    first-seen order (head before tail, edge by edge); ``vertex_entities``
+    holds the store entity id of each vertex, and ``heads`` and ``tails``
+    each edge's ends. The one adjacency is the CSR over the doubled graph,
+    ``off`` and ``eid``, with each slot's ends ``src`` and ``dst`` (see
+    ``_doubled_csr``): both backends and the kernel search walk it. Every
+    array is built in bulk with numpy in passes over the sequence's own
+    triples: vertices are numbered in an entity-indexed buffer
+    (``_vertex_buffer``), so no entity id is sorted, and the CSR is one
+    stable argsort of small vertex ids. ``scores`` is the sequence's score
+    column.
     """
 
     def __init__(self, sequence: TripleSequence):
@@ -284,7 +285,7 @@ class ScoredSubgraph:
         entities = ends[vertex_of[ends] == seen]
         vertex_of[entities] = np.arange(len(entities))
         heads, tails = vertex_of[ends].reshape(-1, 2).T
-        self._entities = entities  # the entity id of each vertex
+        self.vertex_entities = entities
         self.n_vertices = len(entities)
         self.n_edges = len(ids)
         self.heads = heads
@@ -292,11 +293,6 @@ class ScoredSubgraph:
         self.scores = sequence.score_array
         csr = _doubled_csr(self.n_vertices, heads, tails)
         self.off, self.eid, self.src, self.dst = csr
-
-    @property
-    def vertex_entities(self) -> list[int]:
-        """The store entity id of each vertex, as a list built on each access."""
-        return self._entities.tolist()
 
     @property
     def edge_rank(self) -> np.ndarray:
@@ -317,7 +313,7 @@ class ScoredSubgraph:
         wanted = {store.entity_id(label) for label in labels if store.has_entity(label)}
         held = np.zeros(self.n_vertices, dtype=bool)
         for eid in wanted:
-            held |= self._entities == eid
+            held |= self.vertex_entities == eid
         return np.flatnonzero(held).tolist()
 
 

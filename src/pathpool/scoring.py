@@ -27,24 +27,17 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ConfigError, ParseError, ScoringError
-from .kg_store import QueryRecord, Subgraph, Triple, TripleStore
+from .kg_store import QueryRecord, Subgraph, TripleStore
 
 logger = logging.getLogger(__name__)
 
 
 class ScoredTriple(NamedTuple):
-    """A triple plus its relevance score and original retrieval rank."""
+    """A triple's ``(head, relation, tail)`` ids, its score and its retrieval rank."""
 
-    triple: Triple
+    triple: tuple[int, int, int]
     score: float
     rank: int
-
-
-def scored_rows(
-    triples: Iterable[Triple], scores: Iterable[float], ranks: Iterable[int]
-) -> list[ScoredTriple]:
-    """``ScoredTriple`` rows zipped from three columns, with no Python call per row."""
-    return list(map(tuple.__new__, repeat(ScoredTriple), zip(triples, scores, ranks)))
 
 
 class TripleSequence:
@@ -53,8 +46,8 @@ class TripleSequence:
     The rows are three read-only numpy columns: ``row_array`` (int64 store
     rows), ``score_array`` (float64) and ``rank_array`` (int64). Every stage
     from ``score_triples`` to the prompt reads and writes these columns;
-    ``id_array`` gathers the rows' ids from the store, and ``items`` builds
-    ``ScoredTriple`` rows only when a caller asks, anew on each access.
+    ``id_array`` gathers the rows' ids from the store, and ``label_rows``
+    and ``labeled_items`` their labels.
 
     ``from_scores`` is the one way in: every row is a row of the store,
     scores are finite and no row repeats; the first offender is named. A
@@ -83,14 +76,13 @@ class TripleSequence:
             return
         seen: set[int] = set()
         for row, score in zip(self.row_array.tolist(), self.score_array.tolist()):
-            triple = Triple(*self.store.id_array[row].tolist())
             if not math.isfinite(score):
                 raise ConfigError(
-                    f"non-finite score for triple {self.store.triple_labels(triple)}"
+                    f"non-finite score for triple {self.store.row_labels(row)}"
                 )
             if row in seen:
                 raise ConfigError(
-                    f"duplicate triple in sequence: {self.store.triple_labels(triple)}"
+                    f"duplicate triple in sequence: {self.store.row_labels(row)}"
                 )
             seen.add(row)
 
@@ -135,29 +127,28 @@ class TripleSequence:
 
     @property
     def items(self) -> list[ScoredTriple]:
-        """The rows as ``ScoredTriple``s, built from the columns."""
-        triples = map(tuple.__new__, repeat(Triple), self.id_array.tolist())
-        return scored_rows(triples, self.score_array.tolist(), self.rank_array.tolist())
+        """The rows as ``ScoredTriple``s, built from the columns on each access.
+
+        Each row's ``triple`` is the plain ``(head, relation, tail)`` id tuple.
+        No stage reads these rows; the benchmark's smoothing diagnostic does.
+        """
+        rows = zip(
+            map(tuple, self.id_array.tolist()),
+            self.score_array.tolist(),
+            self.rank_array.tolist(),
+        )
+        return list(map(tuple.__new__, repeat(ScoredTriple), rows))
 
     def __len__(self) -> int:
         return len(self.score_array)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def scores(self) -> list[float]:
-        return self.score_array.tolist()
-
-    def labels(self, index: int) -> tuple[str, str, str]:
-        ids = self.store.id_array[self.row_array[index]]
-        return self.store.triple_labels(Triple(*ids.tolist()))
 
     def label_rows(self) -> list[tuple[str, str, str]]:
         """The (head, relation, tail) labels of every row, in order."""
         return list(zip(*self.store.label_columns(self.id_array)))
 
     def labeled_items(self) -> list[tuple[str, str, str, float]]:
-        return list(zip(*self.store.label_columns(self.id_array), self.scores()))
+        labels = self.store.label_columns(self.id_array)
+        return list(zip(*labels, self.score_array.tolist()))
 
     def trimmed(self, k: int, provenance: str | None = None) -> "TripleSequence":
         return self._take(slice(None, k), provenance or self.provenance)
@@ -301,10 +292,10 @@ class CosineScorer:
             denom = self.norms[rows] * self.norms[qrow]
         finite = np.isfinite(dots) & np.isfinite(denom)
         if not finite.all():
-            triple = Triple(*ids[int(finite.argmin())].tolist())
+            row = candidates.rows[finite.argmin()]
             raise ScoringError(
                 f"cosine of {query.question!r} and triple "
-                f"{candidates.store.triple_labels(triple)} overflows float64"
+                f"{candidates.store.row_labels(row)} overflows float64"
             )
         scores = np.divide(dots, denom, out=np.zeros(n), where=denom > 0.0)
         # rounding can push |score| an ulp past 1
@@ -476,11 +467,11 @@ def score_triples(
     ``candidates.id_array`` (see the module docstring). One ``np.lexsort``
     sorts the kept store rows by -score, then by the store's ``row_rank``,
     which orders triples exactly as their (head, relation, tail) labels do;
-    the first k rows are taken, and no ``Triple`` or ``ScoredTriple`` is
-    built. Returns all candidates when fewer than k exist; a NaN score
-    raises ConfigError. The sequence references the store behind
-    ``candidates`` (the parent store for a subgraph view); the output rank
-    of each triple is its position in this sequence.
+    the first k rows are taken, and no object is built per row. Returns all
+    candidates when fewer than k exist; a NaN score raises ConfigError. The
+    sequence references the store behind ``candidates`` (the parent store
+    for a subgraph view); the output rank of each triple is its position in
+    this sequence.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -491,7 +482,7 @@ def score_triples(
     nan = np.isnan(values)
     if nan.any():
         # NaN has no place in a score order: fail wherever it would sort
-        triple = Triple(*store.id_array[rows[nan.argmax()]].tolist())
-        raise ConfigError(f"non-finite score for triple {store.triple_labels(triple)}")
+        labels = store.row_labels(rows[nan.argmax()])
+        raise ConfigError(f"non-finite score for triple {labels}")
     order = np.lexsort((store.row_rank[rows], -values))[:k]
     return TripleSequence.from_scores(store, rows[order], values[order], scorer.name)

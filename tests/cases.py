@@ -19,12 +19,34 @@ from pathpool.pooling import _doubled_csr
 from pathpool.scoring import TripleSequence
 
 
+def label_rows(candidates) -> list[tuple[str, str, str]]:
+    """The (head, relation, tail) labels of each row of a store or subgraph view."""
+    return list(zip(*candidates.store.label_columns(candidates.id_array)))
+
+
+def store_rows(store: TripleStore, rows) -> list[int]:
+    """The store row of each row of ``rows``, whose first three fields are labels."""
+    index = {labels: row for row, labels in enumerate(label_rows(store))}
+    return [index[tuple(row[:3])] for row in rows]
+
+
+def scores_by_rank(sequence: TripleSequence) -> dict[int, float]:
+    """Each row's score, keyed by its retrieval rank."""
+    return dict(zip(sequence.rank_array.tolist(), sequence.score_array.tolist()))
+
+
+def sequence_rows(sequence: TripleSequence) -> list[tuple[int, float, int]]:
+    """The (store row, score, rank) of each row of ``sequence``, in order."""
+    columns = (sequence.row_array, sequence.score_array, sequence.rank_array)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def make_sequence(
     rows: list[tuple[str, str, str, float]], provenance: str = "test"
 ) -> TripleSequence:
     """Sequence over a fresh store from (head, relation, tail, score) rows."""
     store = TripleStore(row[:3] for row in rows)
-    triples = [store.find(*row[:3]) for row in rows]
+    triples = store_rows(store, rows)
     return TripleSequence.from_scores(store, triples, [row[3] for row in rows], provenance)
 
 

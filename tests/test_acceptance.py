@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cases import make_sequence
+from cases import make_sequence, scores_by_rank
 from naive_ref import naive_smooth
 from pathpool import bench, cli, generation, pooling, selection
 from pathpool.kg_store import TripleStore, load_queries
@@ -98,9 +98,9 @@ def test_invariant_multiset_preservation():
         sequence, queries = _random_graph(seed, dyadic=False, max_edges=8)
         smoothed = smooth(sequence, queries, PoolingConfig())
         reranked = selection.rerank(smoothed, "recency" if seed % 2 else "lost_in_middle")
-        want = sorted(item.triple for item in sequence.items)
-        assert sorted(item.triple for item in smoothed.items) == want
-        assert sorted(item.triple for item in reranked.items) == want
+        want = sorted(sequence.label_rows())
+        assert sorted(smoothed.label_rows()) == want
+        assert sorted(reranked.label_rows()) == want
     _report("invariant-multiset", f"{CASES} cases")
 
 
@@ -114,9 +114,9 @@ def test_invariant_singleton_law():
         for kernel in kernels:
             if len(kernel) > 1:
                 in_multi_edge_kernel.update(kernel.edge_indices)
-        scores = [item.score for item in sequence.items]
+        scores = sequence.score_array.tolist()
         s_min = min(scores)
-        out = {item.rank: item.score for item in smooth(sequence, queries, cfg).items}
+        out = scores_by_rank(smooth(sequence, queries, cfg))
         for e, score in enumerate(scores):
             if e not in in_multi_edge_kernel:
                 assert out[e] == score + s_min / cfg.positional_divisor
@@ -136,7 +136,7 @@ def test_invariant_base_score_sharing_and_max_aggregation():
             rng_seed=seed,
         )
         g = build_scored_subgraph(sequence)
-        scores = [item.score for item in sequence.items]
+        scores = sequence.score_array.tolist()
         s_min = min(scores)
         expected: dict[int, float] = {}
         for kernel in pooling.search_path_kernels(g, queries, cfg):
@@ -145,7 +145,7 @@ def test_invariant_base_score_sharing_and_max_aggregation():
                 value = pooled + s_min / (position * cfg.positional_divisor)
                 if e not in expected or value > expected[e]:
                     expected[e] = value
-        got = {item.rank: item.score for item in smooth(sequence, queries, cfg).items}
+        got = scores_by_rank(smooth(sequence, queries, cfg))
         assert got == expected, (seed, algorithm)
     _report("invariant-base-score-sharing", f"{CASES} cases")
 
@@ -154,7 +154,7 @@ def test_invariant_recency_non_decreasing():
     for seed in range(CASES):
         sequence, queries = _random_graph(seed, dyadic=False, max_edges=8)
         smoothed = smooth(sequence, queries, PoolingConfig())
-        scores = selection.rerank(smoothed, "recency").scores()
+        scores = selection.rerank(smoothed, "recency").score_array.tolist()
         assert scores == sorted(scores)
     _report("invariant-recency-order", f"{CASES} cases")
 

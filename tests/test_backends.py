@@ -98,7 +98,9 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
 ):
     # a child pytest runs this file's bit-identity tests on a core that
     # setup.py builds with the sanitizers (setuptools adds CFLAGS and
-    # LDFLAGS), with their runtimes preloaded into Python; any report aborts
+    # LDFLAGS), with their runtimes preloaded into Python; any report aborts.
+    # Python's own flags hold -fwrapv, which defines signed overflow and so
+    # turns UBSan's check of it off; -fno-wrapv, given last, turns it on
     if not _compiler_found():
         pytest.skip("no C compiler found")
     runtimes = []
@@ -110,7 +112,7 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
     sanitize = "-fsanitize=address,undefined"
     env = {
         **os.environ,
-        "CFLAGS": f"{sanitize} -fno-sanitize-recover=all -g",
+        "CFLAGS": f"{sanitize} -fno-sanitize-recover=all -g -fno-wrapv",
         "LDFLAGS": sanitize,
         "LD_PRELOAD": " ".join(runtimes),
         "ASAN_OPTIONS": "detect_leaks=0",
@@ -131,7 +133,7 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
     built = tmp_path.glob("build*/pathpool/pooling/_kernels_c*")
     (library,) = {path.resolve() for path in built}  # build0 and its link
     binary = library.read_bytes()
-    assert b"__asan_init" in binary and b"__ubsan_handle" in binary
+    assert b"__asan_init" in binary and b"__ubsan_handle_add_overflow" in binary
 
 
 @pytest.fixture(scope="session")
@@ -308,7 +310,7 @@ def test_walk_streams_match_across_seeds(compiled):
     # stream or the rejection sampling changes which paths become kernels
     seq, queries = random_case(5, max_edges=20)
     if not queries:
-        queries = [seq.labels(0)[0]]
+        queries = [seq.label_rows()[0][0]]
     for seed in WALK_SEEDS:
         cfg = PoolingConfig(search_algorithm="random_walk", walk_count=2048, rng_seed=seed)
         assert_backends_agree(seq, queries, cfg, seed)

@@ -22,7 +22,8 @@ def small_setup():
 def test_synthesize_store_is_deterministic():
     a = bench.synthesize_store(seed=11, n_entities=60, n_triples=400)
     b = bench.synthesize_store(seed=11, n_entities=60, n_triples=400)
-    assert list(a.lines()) == list(b.lines())
+    assert a.id_array.tolist() == b.id_array.tolist()
+    assert a.label_columns(a.id_array) == b.label_columns(b.id_array)
     assert a.n_triples == 400
 
 
@@ -57,7 +58,7 @@ def test_synthesize_store_is_pinned(kwargs, digests):
     store = bench.synthesize_store(**kwargs)
     assert (
         _sha256(store.id_array.astype("<i8").tobytes()),
-        _sha256("\n".join(store.entity_labels()).encode("utf-8")),
+        _sha256("\n".join(store._entity_labels).encode("utf-8")),
         _sha256("\n".join(store._relation_labels).encode("utf-8")),
     ) == digests
 
@@ -70,7 +71,7 @@ def test_sample_workloads_deterministic_and_sized(small_setup):
         assert seq_a.labeled_items() == seq_b.labeled_items()
         assert anchors_a == anchors_b
         assert len(seq_a) == 50
-        scores = seq_a.scores()
+        scores = seq_a.score_array.tolist()
         assert scores == sorted(scores, reverse=True)
 
 

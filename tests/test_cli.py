@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from pathpool import cli, pooling
+from pathpool.scoring import TripleSequence
 
 DATA = resources.files("pathpool") / "data"
 TOY_KG = str(DATA / "toy_kg.tsv")
@@ -363,8 +364,8 @@ def test_cosine_scorer_through_pipeline(tmp_path):
         return " ".join(f"{rnd.uniform(-1, 1):.4f}" for _ in range(8))
 
     lines = []
-    for triple in store.triples:
-        lines.append(f"{triple_sentence(*store.triple_labels(triple))}\t{vec()}")
+    for row in range(store.n_triples):
+        lines.append(f"{triple_sentence(*store.row_labels(row))}\t{vec()}")
     for record in queries:
         lines.append(f"{record.question}\t{vec()}")
     table = tmp_path / "embeddings.tsv"
@@ -497,7 +498,8 @@ def test_bench_subcommand_writes_report(tmp_path, capsys):
     from pathpool import bench as bench_mod
 
     store = bench_mod.synthesize_store(seed=5, n_entities=120, n_triples=1200)
-    kg.write_text("\n".join(store.lines()) + "\n", encoding="utf-8")
+    rows = zip(*store.label_columns(store.id_array))
+    kg.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
     out = tmp_path / "bench"
     assert run_cli(
         "bench",
@@ -875,6 +877,28 @@ def test_run_settings_that_fail_every_query_abort_before_loading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--temperature", "nan", "temperature must be finite"),
+        ("--temperature", "inf", "temperature must be finite"),
+        ("--timeout", "inf", "timeout must be finite"),
+    ],
+)
+def test_run_with_a_non_finite_request_setting_posts_nothing(
+    tmp_path, capsys, mock_llm, flag, value, message
+):
+    # a NaN or infinite temperature made every post raise InvalidJSONError
+    # and an infinite timeout OverflowError; each query was retried with
+    # backoff sleeps and ended as a transport error row
+    out = tmp_path / "out"
+    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, "--endpoint", mock_llm.url]
+    assert run_cli("run", *argv, flag, value, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert mock_llm.requests == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "pool"])
 def test_compiled_backend_that_is_not_built_aborts_before_output(
     tmp_path, capsys, monkeypatch, command
@@ -936,6 +960,32 @@ def test_prompt_duplicate_id_keeps_the_first_prompt(tmp_path):
     prompt = (out / "x.json").read_text(encoding="utf-8")
     assert "(A, r, B)" in prompt and "(C, r, D)" not in prompt
     assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "x.json", "y.json"]
+
+
+def test_prompt_claims_an_id_only_for_a_row_it_reads(tmp_path):
+    # ids were claimed as ``str(id)`` before the row was read, so the rows
+    # null and true took "None" and "True" from the two valid rows after
+    # them, and a row with a malformed triple took its own id from a repeat
+    triple = [["A", "r", "B", 0.5]]
+    artifact = tmp_path / "in.jsonl"
+    artifact.write_text(
+        "".join(_artifact_line(qid, triple) for qid in (None, "None", True, "True"))
+        + _artifact_line("z", [["A", "r", "B"]])
+        + _artifact_line("z", triple),
+        encoding="utf-8",
+    )
+    out = tmp_path / "prompts"
+    assert run_cli("prompt", "--in", artifact, "--out", out) == 0
+    manifest = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in manifest] == [None, "None", True, "True", "z", "z"]
+    assert [row.get("error", "") for row in manifest[:5:2]] == [
+        "query id must be a non-empty string or a number, got null",
+        "query id must be a non-empty string or a number, got true",
+        "malformed triple entry in artifact: ['A', 'r', 'B']",
+    ]
+    assert all("prompt_sha256" in row for row in manifest[1::2])
+    names = ["None.json", "True.json", "manifest.jsonl", "z.json"]
+    assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_eval_counts_a_repeated_completion_id_once(tmp_path):
@@ -1258,14 +1308,10 @@ def test_run_pipeline_calls_each_stage_through_its_module_attribute(
 def test_run_never_builds_scored_rows(tmp_path, monkeypatch, flags):
     """Every stage from loading to the prompt reads the store's and sequence's columns."""
 
-    def no_rows(*args, **kwargs):
+    def no_rows(sequence):
         raise AssertionError("a ScoredTriple row was built")
 
-    def no_triples(*args, **kwargs):
-        raise AssertionError("a Triple list was built")
-
-    monkeypatch.setattr("pathpool.scoring.scored_rows", no_rows)
-    monkeypatch.setattr("pathpool.kg_store._triples", no_triples)
+    monkeypatch.setattr(TripleSequence, "items", property(no_rows))
     out = tmp_path / "out"
     assert run_cli(
         "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,

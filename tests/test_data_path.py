@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import random_case
+from cases import random_case, sequence_rows, store_rows
 from naive_ref import naive_scored_subgraph
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError
-from pathpool.kg_store import QueryRecord, Triple, TripleStore
+from pathpool.kg_store import QueryRecord, TripleStore
 from pathpool.pooling import (
     PoolingConfig,
     _kernels_py,
@@ -63,11 +63,12 @@ def _rows(data, min_size=1, max_size=20):
 
 
 def _assert_subgraph_matches_naive(store, edges):
-    triples = [store.find(head, relation, tail) for head, relation, tail, _ in edges]
     scores = [edge[3] for edge in edges]
-    g = build_scored_subgraph(TripleSequence.from_scores(store, triples, scores, "t"))
+    g = build_scored_subgraph(
+        TripleSequence.from_scores(store, store_rows(store, edges), scores, "t")
+    )
     naive = naive_scored_subgraph(edges)
-    assert [store.entity_label(e) for e in g.vertex_entities] == naive["vertices"]
+    assert [store.entity_label(e) for e in g.vertex_entities.tolist()] == naive["vertices"]
     for v, label in enumerate(naive["vertices"]):
         assert g.vertices_for_labels([label, label]) == [v]
     assert g.vertices_for_labels(reversed(naive["vertices"])) == list(range(g.n_vertices))
@@ -199,9 +200,8 @@ def test_smooth_after_a_larger_store_on_one_thread():
     cfg = PoolingConfig(search_algorithm="bfs", max_path_len=3)
 
     def sequence(store, edges):
-        triples = [store.find(h, r, t) for h, r, t, _ in edges]
         scores = [edge[3] for edge in edges]
-        return TripleSequence.from_scores(store, triples, scores, "t")
+        return TripleSequence.from_scores(store, store_rows(store, edges), scores, "t")
 
     def smaller_then_larger():
         smaller = _store_with_decoys([], rows)
@@ -229,17 +229,8 @@ def test_smooth_after_a_larger_store_on_one_thread():
 def test_row_rank_orders_like_label_tuples(data):
     pool, rows = _rows(data)
     store = _store_with_decoys(pool, rows)
-    triples = store.triples
-    by_labels = sorted(range(len(triples)), key=lambda i: store.triple_labels(triples[i]))
+    by_labels = sorted(range(store.n_triples), key=store.row_labels)
     assert np.argsort(store.row_rank).tolist() == by_labels
-
-
-def test_find_resolves_stored_triples_only():
-    store = TripleStore([("a", "r", "b"), ("c", "s", "d")])
-    assert store.find("c", "s", "d") == 1
-    assert store.find("a", "s", "d") is None
-    assert store.find("a", "r", "x") is None
-    assert store.find("a", "q", "b") is None
 
 
 # -- score_triples --------------------------------------------------------------
@@ -265,8 +256,7 @@ def test_score_triples_matches_sort_by_score_then_labels(data):
     assert [(*item[:3], repr(item[3])) for item in got.labeled_items()] == [
         (*row, repr(score)) for row, score in expected
     ]
-    assert [item.rank for item in got.items] == list(range(len(expected)))
-    assert all(type(item) is ScoredTriple for item in got.items)
+    assert got.rank_array.tolist() == list(range(len(expected)))
 
 
 def test_score_triples_with_no_candidates_is_empty():
@@ -302,7 +292,6 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
     ranks = list(range(len(sequence)))
     random.Random(seed).shuffle(ranks)
     sequence = _with_ranks(sequence, ranks)
-    items = sequence.items
     cfg = PoolingConfig(search_algorithm=algorithm, max_path_len=3)
     g = build_scored_subgraph(sequence)
     scores = pooling._shifted(g.scores)
@@ -319,17 +308,16 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
     )
     order = sorted(range(len(final)), key=lambda i: (-final[i], i))
     out = smooth(sequence, queries, cfg, backend="py")
-    assert [tuple(item) for item in out.items] == [
-        (items[i].triple, final[i], items[i].rank) for i in order
-    ]
-    assert all(type(item) is ScoredTriple for item in out.items)
+    assert out.row_array.tolist() == sequence.row_array[order].tolist()
+    assert out.score_array.tolist() == [final[i] for i in order]
+    assert out.rank_array.tolist() == sequence.rank_array[order].tolist()
 
 
 def test_smooth_keeps_input_order_when_every_final_score_ties():
     store = TripleStore((f"h{i}", "r", f"t{i}") for i in range(12))
     sequence = TripleSequence.from_scores(store, np.arange(12)[::-1], [0.5] * 12, "t")
     out = smooth(sequence, [], PoolingConfig())
-    assert [item.triple for item in out.items] == [item.triple for item in sequence.items]
+    assert out.row_array.tolist() == sequence.row_array.tolist()
 
 
 # -- selection order ----------------------------------------------------------
@@ -344,9 +332,8 @@ def test_selection_orders_by_score_then_rank_not_list_position(seed):
     rnd.shuffle(ranks)
     scores = [rnd.choice([0.0, -0.0, 0.25, 0.5]) for _ in range(n)]
     sequence = _with_ranks(TripleSequence.from_scores(store, range(n), scores, "t"), ranks)
-    items = sequence.items
     k = rnd.randint(1, n + 2)
-    expected = sorted(items, key=lambda item: (-item.score, item.rank))
+    expected = sorted(sequence_rows(sequence), key=lambda row: (-row[1], row[2]))
 
     def lost_in_middle(ranked):
         head, tail = [], []
@@ -355,26 +342,20 @@ def test_selection_orders_by_score_then_rank_not_list_position(seed):
         return head + tail[::-1]
 
     def same(got, want):
-        # rows are rebuilt from columns; repr keeps the sign of zero, and the
-        # unique triples and ranks pin each row
-        def key(item):
-            return item.triple, repr(item.score), item.rank
+        # repr keeps the sign of zero, and the unique rows and ranks pin each row
+        def key(row):
+            return row[0], repr(row[1]), row[2]
 
-        return list(map(key, got)) == list(map(key, want))
+        return list(map(key, sequence_rows(got))) == list(map(key, want))
 
-    assert same(top_k(sequence, k).items, expected[:k])
-    assert same(reselect(sequence, k, "recency").items, expected[:k][::-1])
-    assert same(reselect(sequence, k, "lost_in_middle").items, lost_in_middle(expected[:k]))
-    assert same(rerank(sequence, "recency").items, expected[::-1])
-    assert same(rerank(sequence, "lost_in_middle").items, lost_in_middle(expected))
+    assert same(top_k(sequence, k), expected[:k])
+    assert same(reselect(sequence, k, "recency"), expected[:k][::-1])
+    assert same(reselect(sequence, k, "lost_in_middle"), lost_in_middle(expected[:k]))
+    assert same(rerank(sequence, "recency"), expected[::-1])
+    assert same(rerank(sequence, "lost_in_middle"), lost_in_middle(expected))
 
 
 # -- sequence checks ----------------------------------------------------------
-
-
-def _two_triple_store():
-    store = TripleStore([("a", "r", "b"), ("c", "r", "d")])
-    return store, store.triples[0], store.triples[1]
 
 
 @pytest.mark.parametrize(
@@ -392,8 +373,8 @@ def _two_triple_store():
     ],
 )
 def test_sequence_names_the_first_invalid_item(rows, message):
-    store, _, t1 = _two_triple_store()
-    message = message.format(t1=store.triple_labels(t1))
+    store = TripleStore([("a", "r", "b"), ("c", "r", "d")])
+    message = message.format(t1=store.row_labels(1))
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence.from_scores(store, *zip(*rows), "t")
 
@@ -403,24 +384,30 @@ def test_sequence_names_the_first_invalid_item(rows, message):
     [
         ([0, 1], "store rows lie in 0..0, got 0..1"),
         ([-1], "store rows lie in 0..0, got -1..-1"),
-        ([Triple(0, 0, 1)], "3 store rows but 1 scores"),
+        ([(0, 0, 1)], "3 store rows but 1 scores"),
     ],
 )
 def test_from_scores_rejects_numbers_that_are_no_store_row(rows, message):
     store = TripleStore([("a", "r", "b")])
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         TripleSequence.from_scores(store, rows, [0.5] * len(rows), "t")
-    items = [ScoredTriple(Triple(0, 0, 1), 0.5, 0)]
-    assert TripleSequence.from_scores(store, [0], [0.5], "t").items == items
+    sequence = TripleSequence.from_scores(store, [0], [0.5], "t")
+    assert sequence.id_array.tolist() == [[0, 0, 1]]
+    assert (sequence.score_array.tolist(), sequence.rank_array.tolist()) == ([0.5], [0])
 
 
 def test_from_scores_builds_float_rows_in_order():
-    store, t0, t1 = _two_triple_store()
+    store = TripleStore([("a", "r", "b"), ("c", "r", "d")])
     sequence = TripleSequence.from_scores(store, [1, 0], [1, 0.25], "t")
+    assert sequence.labeled_items() == [("c", "r", "d", 1.0), ("a", "r", "b", 0.25)]
+    assert type(sequence.labeled_items()[0][3]) is float
+    assert sequence.rank_array.tolist() == [0, 1]
+    # ``items`` rows hold each triple as its plain id tuple
+    t0, t1 = (0, 0, 1), (2, 0, 3)
     assert sequence.items == [ScoredTriple(t1, 1.0, 0), ScoredTriple(t0, 0.25, 1)]
     assert all(type(item) is ScoredTriple for item in sequence.items)
+    assert all(type(item.triple) is tuple for item in sequence.items)
     assert type(sequence.items[0].score) is float
-    assert isinstance(t0, Triple)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -339,3 +339,8 @@ def test_generation_config_validation():
     for timeout in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="timeout must be > 0"):
             GenerationConfig(endpoint="x", model="m", timeout=timeout).validate()
+    with pytest.raises(ConfigError, match="timeout must be finite"):
+        GenerationConfig(endpoint="x", model="m", timeout=float("inf")).validate()
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            GenerationConfig(endpoint="x", model="m", temperature=temperature).validate()

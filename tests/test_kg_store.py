@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cases import small_store
+from cases import label_rows, small_store
 from naive_ref import naive_extract_subgraph
 
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
@@ -57,7 +57,7 @@ def test_empty_field_rejected():
 def test_line_ends_are_not_part_of_a_field(line, message):
     # bytes lines keep their "\r\n"; a field's surrounding blanks go too
     store = load_triples([b"A\tr\tB \r\n", b"# c\r\n", b" \r\n", b"B\tr\tC"])
-    assert list(store.lines()) == ["A\tr\tB", "B\tr\tC"]
+    assert label_rows(store) == [("A", "r", "B"), ("B", "r", "C")]
     with pytest.raises(ParseError, match=f"^{message}$"):
         load_triples(["# c\r\n", line])
 
@@ -70,15 +70,15 @@ def test_comments_and_blank_lines_skipped():
 def test_round_trip_lines():
     text = "A\tr1\tB\nB\tr2\tC\n"
     store = load_triples(io.StringIO(text))
-    assert "\n".join(store.lines()) + "\n" == text
+    assert "".join("\t".join(row) + "\n" for row in label_rows(store)) == text
 
 
 def test_interning_is_deterministic():
     text = "X\tr\tY\nY\tr\tZ\nA\tq\tX\n"
     first = load_triples(io.StringIO(text))
     second = load_triples(io.StringIO(text))
-    assert first.entity_labels() == second.entity_labels()
-    assert first.triples == second.triples
+    assert first._entity_labels == second._entity_labels
+    assert first.id_array.tolist() == second.id_array.tolist()
 
 
 def test_load_from_byte_stream(tmp_path):
@@ -86,33 +86,33 @@ def test_load_from_byte_stream(tmp_path):
     path.write_bytes("Å\tr\tB\n".encode("utf-8"))
     with open(path, "rb") as handle:
         store = load_triples(handle)
-    assert list(store.lines()) == ["Å\tr\tB"]
+    assert label_rows(store) == [("Å", "r", "B")]
 
 
 def test_subgraph_two_hop_ball_on_chain():
     store = load_triples(io.StringIO("A\tr\tB\nB\tr\tC\nC\tr\tD\n"))
     sub = extract_subgraph(store, ["A"], hops=2)
-    assert sorted(sub.lines()) == ["A\tr\tB", "B\tr\tC"]
+    assert sorted(label_rows(sub)) == [("A", "r", "B"), ("B", "r", "C")]
 
 
 def test_subgraph_one_hop_single_triple():
     store = load_triples(io.StringIO("A\tr\tB\n"))
     sub = extract_subgraph(store, ["A"], hops=1)
-    assert list(sub.lines()) == ["A\tr\tB"]
+    assert label_rows(sub) == [("A", "r", "B")]
 
 
 def test_subgraph_excludes_disconnected_component():
     store = load_triples(io.StringIO("A\tr\tB\nX\tr\tY\n"))
     for hops in (1, 3, 10):
         sub = extract_subgraph(store, ["A"], hops=hops)
-        assert "X\tr\tY" not in set(sub.lines())
+        assert ("X", "r", "Y") not in set(label_rows(sub))
 
 
 def test_subgraph_follows_undirected_steps():
     # C is upstream of A; reachable via one undirected step
     store = load_triples(io.StringIO("C\tr\tA\nA\tr\tB\n"))
     sub = extract_subgraph(store, ["A"], hops=1)
-    assert sorted(sub.lines()) == ["A\tr\tB", "C\tr\tA"]
+    assert sorted(label_rows(sub)) == [("A", "r", "B"), ("C", "r", "A")]
 
 
 def test_subgraph_unknown_entity():
@@ -143,8 +143,8 @@ def test_subgraph_monotone_in_hops(data):
     store = load_triples(io.StringIO("\n".join(lines) + "\n"))
     anchor = f"E{edges[0][0]}"
     hops = data.draw(st.integers(1, 4))
-    smaller = set(extract_subgraph(store, [anchor], hops).lines())
-    larger = set(extract_subgraph(store, [anchor], hops + 1).lines())
+    smaller = set(label_rows(extract_subgraph(store, [anchor], hops)))
+    larger = set(label_rows(extract_subgraph(store, [anchor], hops + 1)))
     assert smaller <= larger
 
 
@@ -182,14 +182,14 @@ def test_subgraph_matches_full_scan_oracle(data):
         )
     )
     store = TripleStore((f"E{h}", f"r{r}", f"E{t}") for h, r, t in edges)
-    labels = [store.triple_labels(t) for t in store.triples]
-    present = sorted(store.entity_labels())
+    labels = label_rows(store)
+    present = sorted(store._entity_labels)
     anchors = data.draw(st.lists(st.sampled_from(present), min_size=1, max_size=3))
     hops = data.draw(st.integers(1, 4))
     sub = extract_subgraph(store, anchors, hops)
     expected = naive_extract_subgraph(labels, anchors, hops)
-    assert [sub.triple_labels(t) for t in sub.triples] == expected
-    assert list(sub.lines()) == ["\t".join(t) for t in expected]
+    assert [store.row_labels(row) for row in sub.rows.tolist()] == expected
+    assert label_rows(sub) == expected
     assert sub.n_triples == len(expected)
     assert sub.store is store
 
@@ -198,11 +198,9 @@ def test_subgraph_matches_full_scan_oracle(data):
 @given(st.data())
 def test_store_matches_its_rows(data):
     store, rows = small_store(data)
-    assert list(store.lines()) == ["\t".join(row) for row in rows]
+    assert label_rows(store) == rows
     assert store.n_triples == len(store.id_array) == len(rows)
-    for row in rows:
-        assert store.triple_labels(store.triples[store.find(*row)]) == row
-    assert store.find("E0", "r9", "E0") is None
+    assert [store.row_labels(row) for row in range(store.n_triples)] == rows
     # the incidence CSR: per entity, the rows it heads, then the rows it tails
     offsets, other, triple = store.incidence()
     ids = store.id_array.tolist()
@@ -212,11 +210,11 @@ def test_store_matches_its_rows(data):
         expected += [(i, h) for i, (h, _, t) in enumerate(ids) if t == e]
         assert list(zip(triple[span].tolist(), other[span].tolist())) == expected
     anchors = data.draw(
-        st.lists(st.sampled_from(sorted(store.entity_labels())), min_size=1, max_size=3)
+        st.lists(st.sampled_from(sorted(store._entity_labels)), min_size=1, max_size=3)
     )
     hops = data.draw(st.integers(1, 4))
     sub = extract_subgraph(store, anchors, hops)
-    assert list(sub.lines()) == ["\t".join(t) for t in naive_extract_subgraph(rows, anchors, hops)]
+    assert label_rows(sub) == naive_extract_subgraph(rows, anchors, hops)
     assert sub.id_array.tolist() == [ids[i] for i in sub.rows.tolist()]
 
 
@@ -257,13 +255,14 @@ def test_load_triples_matches_a_plain_line_loop(lines):
             load_triples(lines)
         assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
     else:
-        assert list(load_triples(lines).lines()) == ["\t".join(row) for row in expected]
+        assert label_rows(load_triples(lines)) == expected
 
 
 def test_subgraph_shares_parent_triples():
     store = load_triples(io.StringIO("A\tr\tA\nA\tr\tB\nA\tq\tB\nC\tr\tD\n"))
     sub = extract_subgraph(store, ["A"], hops=1)
-    assert sub.triples == store.triples[:3]
+    assert sub.rows.tolist() == [0, 1, 2]
+    assert sub.id_array.tolist() == store.id_array[:3].tolist()
     assert store.n_entities == 4  # nothing re-interned into a new store
 
 
@@ -271,17 +270,15 @@ _LABELS = st.text(alphabet="aAbBé\u00c9\u03a9\u4e2d_1 ", min_size=1, max_size=3
 
 
 def _label_order(store):
-    """The store's triples sorted by ``row_rank``."""
-    triples = store.triples
-    return [triples[i] for i in np.argsort(store.row_rank).tolist()]
+    """The labels of the store's rows, sorted by ``row_rank``."""
+    return [store.row_labels(row) for row in np.argsort(store.row_rank).tolist()]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_LABELS, _LABELS, _LABELS), min_size=1, max_size=25))
 def test_row_rank_matches_label_tuples(rows):
     store = TripleStore(rows)
-    by_labels = sorted(store.triples, key=store.triple_labels)
-    assert _label_order(store) == by_labels
+    assert _label_order(store) == sorted(label_rows(store))
     assert sorted(store.row_rank.tolist()) == list(range(store.n_triples))
 
 
@@ -289,8 +286,7 @@ def test_row_rank_case_and_prefix_labels():
     store = TripleStore(
         [("AB", "r", "a"), ("A", "r", "b"), ("a", "R", "A"), ("A", "R", "AB")]
     )
-    ordered = _label_order(store)
-    assert [store.triple_labels(t) for t in ordered] == [
+    assert _label_order(store) == [
         ("A", "R", "AB"),
         ("A", "r", "b"),
         ("AB", "r", "a"),

@@ -16,6 +16,7 @@ from cases import (
     flat_args,
     make_sequence,
     random_case,
+    scores_by_rank,
     tree_graphs,
 )
 from naive_ref import naive_kernel_smoothing, naive_smooth
@@ -589,7 +590,7 @@ def test_compiled_core_guards_its_int32_sizes(n_vertices, rank, error, match):
 
 
 def shifted_scores(sequence):
-    raw = [item.score for item in sequence.items]
+    raw = sequence.score_array.tolist()
     low = min(raw)
     if low > 0.0:
         return raw
@@ -622,9 +623,7 @@ def test_smooth_matches_kernel_aggregation_positive_scores():
                 rng_seed=seed,
             )
             expected = aggregate_reference(seq, queries, cfg)
-            got = {
-                item.rank: item.score for item in smooth(seq, queries, cfg).items
-            }
+            got = scores_by_rank(smooth(seq, queries, cfg))
             assert got == expected, (seed, algorithm)
 
 
@@ -667,9 +666,9 @@ def test_singleton_law_exact():
         for kernel in kernels:
             if len(kernel) > 1:
                 multi.update(kernel.edge_indices)
-        scores = [item.score for item in seq.items]
+        scores = seq.score_array.tolist()
         s_min = min(scores)
-        out = {item.rank: item.score for item in smooth(seq, queries, CFG).items}
+        out = scores_by_rank(smooth(seq, queries, CFG))
         for e in range(len(scores)):
             if e not in multi:
                 assert out[e] == scores[e] + s_min / CFG.positional_divisor
@@ -679,9 +678,7 @@ def test_multiset_preserved(example_sequence):
     for seed in range(60):
         seq, queries = random_case(seed, positive=False)
         out = smooth(seq, queries, CFG)
-        assert sorted(item.triple for item in out.items) == sorted(
-            item.triple for item in seq.items
-        )
+        assert sorted(out.label_rows()) == sorted(seq.label_rows())
 
 
 def test_shift_applies_when_scores_non_positive():

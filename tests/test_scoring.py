@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import small_store
+from cases import label_rows, small_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
 from naive_ref import (
     NaiveTableError,
@@ -66,7 +66,7 @@ def test_scores_non_increasing_and_prefix_monotone():
     }
     scorer = PrecomputedScorer(table)
     seq3 = score_triples(QUERY, store, scorer, k=3)
-    scores = seq3.scores()
+    scores = seq3.score_array.tolist()
     assert scores == sorted(scores, reverse=True)
     seq2 = score_triples(QUERY, store, scorer, k=2)
     assert seq2.labeled_items() == seq3.labeled_items()[:2]
@@ -113,7 +113,7 @@ def test_triple_sentence_rewrites_relation():
 
 def _cosine_table(store, query_text):
     table = {query_text: [1.0, 0.0]}
-    sentences = [triple_sentence(*store.triple_labels(t)) for t in store.triples]
+    sentences = [triple_sentence(*row) for row in label_rows(store)]
     table[sentences[0]] = [1.0, 0.0]   # identical direction
     table[sentences[1]] = [0.0, 1.0]   # orthogonal
     table[sentences[2]] = [-1.0, 0.0]  # opposite
@@ -427,8 +427,7 @@ def _candidate_case(data):
     else:
         anchor = data.draw(st.sampled_from([h for h, _, _ in rows]))
         candidates = extract_subgraph(store, [anchor], data.draw(st.integers(1, 2)))
-    labels = [store.triple_labels(t) for t in candidates.triples]
-    return store, candidates, labels
+    return store, candidates, label_rows(candidates)
 
 
 def _vector(rng, kind, query, dim):
@@ -449,10 +448,8 @@ def test_cosine_scores_equal_the_per_candidate_oracle(data):
     kinds = st.sampled_from(["random", "zero", "parallel", "antiparallel"])
     query = rng.standard_normal(dim) if data.draw(st.booleans()) else np.zeros(dim)
     table = {QUERY.question: query}
-    for triple in store.triples:
-        table[triple_sentence(*store.triple_labels(triple))] = _vector(
-            rng, data.draw(kinds), query, dim
-        )
+    for row in label_rows(store):
+        table[triple_sentence(*row)] = _vector(rng, data.draw(kinds), query, dim)
     kept, scores = CosineScorer(table).score_candidates(QUERY, candidates)
     assert kept == slice(None)
     expected = naive_cosine_scores(table, QUERY.question, labels)
@@ -465,7 +462,7 @@ def test_cosine_scores_equal_the_per_candidate_oracle(data):
 @given(st.data())
 def test_cosine_missing_sentence_is_named_as_the_oracle_names_it(data):
     store, candidates, labels = _candidate_case(data)
-    sentences = sorted({triple_sentence(*store.triple_labels(t)) for t in store.triples})
+    sentences = sorted({triple_sentence(*row) for row in label_rows(store)})
     kept = data.draw(st.lists(st.sampled_from(sentences), unique=True))
     table = {text: np.ones(3) for text in [QUERY.question, *kept]}
     scorer = CosineScorer(table)
@@ -490,20 +487,20 @@ def test_cosine_clips_a_quotient_rounded_past_one(vector, factor):
     parallel = query * factor
     raw = np.dot(query, parallel) / (np.linalg.norm(query) * np.linalg.norm(parallel))
     assert abs(raw) > 1.0  # the case the clip exists for
-    sentence = triple_sentence(*store.triple_labels(store.triples[0]))
+    sentence = triple_sentence(*store.row_labels(0))
     scorer = CosineScorer({QUERY.question: query, sentence: parallel})
     _, (score,) = scorer.score_candidates(QUERY, Subgraph(store, [0]))
     assert score == math.copysign(1.0, factor)
     assert [score] == naive_cosine_scores(
         {QUERY.question: query, sentence: parallel},
         QUERY.question,
-        [store.triple_labels(store.triples[0])],
+        [store.row_labels(0)],
     )
 
 
 def test_cosine_zero_vectors_score_zero():
     store = _store()
-    labels = [store.triple_labels(t) for t in store.triples]
+    labels = label_rows(store)
     sentences = [triple_sentence(*row) for row in labels]
     table = {QUERY.question: np.array([1.0, 2.0]), sentences[0]: np.zeros(2)}
     table.update({text: np.array([2.0, 4.5]) for text in sentences[1:]})
@@ -527,7 +524,7 @@ def test_cosine_zero_vectors_score_zero():
 def test_cosine_overflow_is_an_error_naming_the_triple(query, big, named):
     # such a quotient was NaN, which the clip turned into a silent -1.0
     store = _store()
-    sentences = [triple_sentence(*store.triple_labels(t)) for t in store.triples]
+    sentences = [triple_sentence(*row) for row in label_rows(store)]
     table = {QUERY.question: np.array(query), **{text: np.ones(2) for text in sentences}}
     table[sentences[big]] = np.array([1e200, 1e200])
     scorer = CosineScorer(table)
@@ -604,7 +601,8 @@ def test_view_and_standalone_store_score_identically(data):
     store = load_triples(io.StringIO("\n".join(lines) + "\n"))
     anchor = lines[-1].split("\t")[0]
     view = extract_subgraph(store, [anchor], data.draw(st.integers(1, 3)))
-    standalone = load_triples(io.StringIO("".join(f"{line}\n" for line in view.lines())))
+    view_lines = ["\t".join(row) + "\n" for row in label_rows(view)]
+    standalone = load_triples(io.StringIO("".join(view_lines)))
     # few distinct scores, so most of the order comes from the tie-break
     values = data.draw(
         st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(lines), max_size=len(lines))
@@ -626,7 +624,7 @@ def test_extract_and_score_triples_equal_the_naive_oracles(data):
         candidates, candidate_rows = store, rows
     else:
         anchors = data.draw(
-            st.lists(st.sampled_from(sorted(store.entity_labels())), min_size=1, max_size=3)
+            st.lists(st.sampled_from(sorted(store._entity_labels)), min_size=1, max_size=3)
         )
         hops = data.draw(st.integers(1, 4))
         candidates = extract_subgraph(store, anchors, hops)

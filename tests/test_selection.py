@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import make_sequence, random_case
+from cases import make_sequence, random_case, sequence_rows
 from pathpool.errors import ConfigError
 from pathpool.selection import SelectionConfig, rerank, reselect, top_k
 
@@ -66,13 +66,13 @@ def test_rerank_is_permutation():
         seq, _ = random_case(seed, positive=False)
         for order in ("recency", "lost_in_middle"):
             out = rerank(seq, order)
-            assert sorted(out.items) == sorted(seq.items)
+            assert sorted(sequence_rows(out)) == sorted(sequence_rows(seq))
 
 
 def test_recency_scores_non_decreasing():
     for seed in range(50):
         seq, _ = random_case(seed, positive=False)
-        scores = rerank(seq, "recency").scores()
+        scores = rerank(seq, "recency").score_array.tolist()
         assert scores == sorted(scores)
 
 
@@ -82,10 +82,10 @@ def test_reselect_kept_scores_dominate_dropped():
         k = max(1, len(seq) // 2)
         kept = reselect(seq, k, "recency")
         assert len(kept) == min(k, len(seq))
-        kept_set = set(kept.items)
-        dropped = [item for item in seq.items if item not in kept_set]
+        kept_set = set(sequence_rows(kept))
+        dropped = [row for row in sequence_rows(seq) if row not in kept_set]
         if dropped:
-            assert min(i.score for i in kept.items) >= max(i.score for i in dropped)
+            assert min(kept.score_array) >= max(score for _, score, _ in dropped)
 
 
 def test_reselect_equals_rerank_of_topk():
