@@ -308,6 +308,7 @@ def _check_run(cfg: PipelineConfig) -> None:
         if cfg.generation_cfg is None:
             raise ConfigError("an endpoint is required unless --no-llm is given")
         cfg.generation_cfg.validate()
+        generation.http_client()
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     pooling.backend_module(cfg.backend)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
-import requests
-
 from .errors import ConfigError, EndpointError, TransportError
 from .kg_store import QueryRecord
 from .scoring import TripleSequence
@@ -100,18 +98,22 @@ class PromptBundle:
             {"role": "user", "content": self.user},
         ]
 
+    @functools.cached_property
+    def _user_json(self) -> str:
+        """The final user content as both JSON forms encode it, encoded once."""
+        return encode_basestring(self.user)
+
     def sha256(self) -> str:
         """sha256 of the messages' compact JSON (``separators=(",", ":")``)."""
         frames = _frames(self.system, self.example_user, self.example_assistant)
         digest = frames.compact_prefix.copy()
-        tail = encode_basestring(self.user) + frames.compact_suffix
-        digest.update(tail.encode("utf-8"))
+        digest.update((self._user_json + frames.compact_suffix).encode("utf-8"))
         return digest.hexdigest()
 
     def file_text(self) -> str:
         """The messages' ``indent=2`` JSON plus a newline: a prompt file's text."""
         frames = _frames(self.system, self.example_user, self.example_assistant)
-        return frames.file_prefix + encode_basestring(self.user) + frames.file_suffix
+        return frames.file_prefix + self._user_json + frames.file_suffix
 
 
 class _Frames(NamedTuple):
@@ -191,6 +193,18 @@ class GenerationConfig:
             raise ConfigError("timeout must be finite")
 
 
+def http_client():
+    """The ``requests`` module, imported here as only endpoint calls need it.
+
+    Raises ConfigError when it cannot be imported.
+    """
+    try:
+        import requests
+    except ImportError as exc:
+        raise ConfigError(f"an endpoint run needs the requests package: {exc}") from exc
+    return requests
+
+
 def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
     """POST the chat request and return the completion text.
 
@@ -198,6 +212,7 @@ def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
     backoff; a non-2xx response raises EndpointError immediately.
     """
     cfg.validate()
+    requests = http_client()
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env)
     if api_key:

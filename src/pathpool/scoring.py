@@ -123,7 +123,7 @@ class TripleSequence:
     @property
     def id_array(self) -> np.ndarray:
         """The ``(n, 3)`` int64 ids of the rows, gathered from the store."""
-        return self.store.id_array[self.row_array]
+        return self.store.id_array.take(self.row_array, axis=0)
 
     @property
     def items(self) -> list[ScoredTriple]:

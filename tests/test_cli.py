@@ -6,6 +6,8 @@ import errno
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from importlib import resources
@@ -248,9 +250,7 @@ def test_null_completion_costs_only_its_query(tmp_path, monkeypatch):
         def json(self):
             return json.loads(self.text)
 
-    monkeypatch.setattr(
-        "pathpool.generation.requests.post", lambda url, **kwargs: NullContent()
-    )
+    monkeypatch.setattr("requests.post", lambda url, **kwargs: NullContent())
     out = tmp_path / "out"
     assert run_cli(
         "run",
@@ -631,7 +631,7 @@ def test_endpoint_calls_overlap_across_workers(tmp_path, monkeypatch):
         question = kwargs["json"]["messages"][-1]["content"].rsplit("Question:\n", 1)[1]
         return Reply(f"ans: {answers[question]}")
 
-    monkeypatch.setattr("pathpool.generation.requests.post", slow_post)
+    monkeypatch.setattr("requests.post", slow_post)
 
     def run(workers, out):
         argv = ["--kg", TOY_KG, "--queries", queries, "--endpoint", MOCK_URL]
@@ -869,7 +869,7 @@ def test_run_settings_that_fail_every_query_abort_before_loading(
         raise AssertionError("the run went past its config check")
 
     monkeypatch.setattr(cli, "load_triples", untouched)
-    monkeypatch.setattr("pathpool.generation.requests.post", untouched)
+    monkeypatch.setattr("requests.post", untouched)
     out = tmp_path / "out"
     argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, "--out", out]
     assert run_cli("run", *argv) == 2
@@ -897,6 +897,54 @@ def test_run_with_a_non_finite_request_setting_posts_nothing(
     assert capsys.readouterr().err == f"error: {message}\n"
     assert mock_llm.requests == []
     assert not out.exists()
+
+
+def test_run_without_the_http_client_fails_before_any_output(
+    tmp_path, capsys, monkeypatch, mock_llm
+):
+    # a client that cannot be imported would otherwise fail every query
+    monkeypatch.setitem(sys.modules, "requests", None)
+    out = tmp_path / "out"
+    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, "--out", out]
+    assert run_cli("run", *argv, "--endpoint", mock_llm.url) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an endpoint run needs the requests package: ")
+    assert mock_llm.requests == []
+    assert not out.exists()
+    assert run_cli("run", *argv, "--no-llm") == 0
+
+
+def test_dry_runs_and_stages_never_import_the_http_client(tmp_path):
+    # a fresh interpreter: this one has imported requests for the mock endpoint
+    commands = [
+        ["run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm",
+         "--out", tmp_path / "run"],
+        ["retrieve", "--kg", TOY_KG, "--queries", TOY_QUERIES,
+         "--out", tmp_path / "retrieved.jsonl"],
+        ["pool", "--in", tmp_path / "retrieved.jsonl", "--out", tmp_path / "pooled.jsonl"],
+        ["select", "--in", tmp_path / "pooled.jsonl", "--out", tmp_path / "selected.jsonl"],
+        ["prompt", "--in", tmp_path / "selected.jsonl", "--out", tmp_path / "prompts"],
+        ["load-check", "--kg", TOY_KG, "--queries", TOY_QUERIES],
+    ]
+    child = (
+        "import json, sys\n"
+        "from pathpool import cli\n"
+        "loaded = ['requests' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('requests' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", child, argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    # the subcommands print summaries first
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == [False] * (len(commands) + 1)
 
 
 @pytest.mark.parametrize("command", ["run", "pool"])

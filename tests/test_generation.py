@@ -284,7 +284,7 @@ def test_call_llm_recovers_after_transient_failure(mock_llm, monkeypatch):
             raise requests_mod.ConnectionError("boom")
         return real_post(url, **kwargs)
 
-    monkeypatch.setattr("pathpool.generation.requests.post", flaky_post)
+    monkeypatch.setattr("requests.post", flaky_post)
     mock_llm.answers["Q?"] = ["ok"]
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
     assert call_llm(bundle, _cfg(mock_llm.url)) == "ans: ok"
@@ -322,7 +322,7 @@ def test_call_llm_non_string_content_is_endpoint_error(monkeypatch):
         calls.append(url)
         return _NullContentResponse()
 
-    monkeypatch.setattr("pathpool.generation.requests.post", post)
+    monkeypatch.setattr("requests.post", post)
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
     with pytest.raises(EndpointError, match="malformed completion body"):
         call_llm(bundle, _cfg("http://mock.invalid/v1/chat/completions"))
