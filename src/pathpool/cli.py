@@ -197,11 +197,10 @@ def _pooling_config(args, algo: str | None = None) -> pooling.PoolingConfig:
 
 
 def _selection_config(args) -> selection.SelectionConfig:
+    """The config the selection flags name; ``select`` reads no ``--coarse-k``."""
+    coarse = {"coarse_k": args.coarse_k} if "coarse_k" in args else {}
     cfg = selection.SelectionConfig(
-        mode=args.mode,
-        order=_ORDER_FLAGS[args.order],
-        coarse_k=args.coarse_k,
-        fine_k=args.fine_k,
+        mode=args.mode, order=_ORDER_FLAGS[args.order], fine_k=args.fine_k, **coarse
     )
     cfg.validate()
     return cfg
@@ -303,7 +302,12 @@ def _final_sequence(
 
 def _check_run(cfg: PipelineConfig) -> None:
     """Reject a run config that would fail every query, before anything is loaded."""
-    _check_retrieval(cfg.hops, cfg.selection_cfg.coarse_k)
+    sel = cfg.selection_cfg
+    _check_retrieval(cfg.hops, sel.coarse_k)
+    if sel.fine_k > sel.coarse_k:
+        raise ConfigError(
+            f"fine_k ({sel.fine_k}) must not exceed coarse_k ({sel.coarse_k})"
+        )
     if not cfg.no_llm:
         if cfg.generation_cfg is None:
             raise ConfigError("an endpoint is required unless --no-llm is given")
@@ -631,9 +635,9 @@ def _add_pooling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_selection_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``select`` and ``run`` share; ``run`` adds ``--coarse-k``."""
     parser.add_argument("--mode", choices=sorted(selection.MODES), default="reselect")
     parser.add_argument("--order", choices=sorted(_ORDER_FLAGS), default="recency")
-    parser.add_argument("--coarse-k", type=int, default=500)
     parser.add_argument("--fine-k", type=int, default=100)
 
 
@@ -683,6 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int, default=4)
     _add_pooling_flags(p)
     _add_selection_flags(p)
+    p.add_argument("--coarse-k", type=int, default=500)
     p.add_argument("--endpoint", help="chat-completions URL")
     p.add_argument("--model", default="local-model")
     p.add_argument("--temperature", type=float, default=0.0)

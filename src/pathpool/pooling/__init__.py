@@ -22,10 +22,10 @@ each slot's two ends), and each edge's label-order rank, the store's
 ``row_rank`` at the sequence's rows. The output is one stable
 ``np.argsort`` of the smoothed scores, applied to the input's row, score
 and rank columns, so no object is built per row. No step before or
-after the kernel calls Python code once per triple; the Python random-walk
-loop takes lists of the columns, the compiled core int32 and float64
-copies. That CSR is the only adjacency: both backends and the kernel search
-walk it, and each search runs once over both directions.
+after the kernel calls Python code once per triple; the compiled core
+takes int32 and float64 copies of the columns. That CSR is the only
+adjacency: both backends and the kernel search walk it, and each search
+runs once over both directions.
 
 Neither backend pools a kernel on its own: both fold. Each path's best
 pooled value, over the path and every kernel that extends it, goes to the
@@ -38,7 +38,11 @@ prefixes, one depth and one block of ``BFS_BLOCK_PATHS`` prefixes at a
 time, and solves the last edge of the longest paths per prefix and per edge
 from dense tables indexed by vertex (each vertex's best distinct
 out-neighbours, its best prefix and the best that avoid each vertex of
-that one); a random walk it folds once the walk ends. Both give the same bits
+that one). Random walks it steps a block of up to ``BFS_BLOCK_PATHS``
+walks at once and folds the block once its walks end. Each step of a walk
+is drawn from a counter, a pure function of the seed, the source, the walk,
+the step and the attempt (see ``_kernels_py``), so the walks of a block
+need no shared stream and both backends walk the same. Both give the same bits
 as pooling each kernel, because rounding is monotone, so the max of
 fl(pooled + c) over paths is fl(max pooled + c) (see ``_kernels_py``).
 Only ``search_path_kernels`` and the tests' oracles list and pool kernels
@@ -440,7 +444,10 @@ def smooth(
     """Smoothed sequence: per-triple max over kernels of pooled + positional score.
 
     Output is sorted descending by smoothed score, ties by position in the
-    input sequence; the triple multiset is preserved.
+    input sequence; the triple multiset is preserved. A smoothed score that
+    overflows float64 (say, under a positional divisor so small that
+    ``s_min / (position * divisor)`` is infinite) raises ``ConfigError``
+    naming the first such triple in input order.
     """
     cfg.validate()
     if len(sequence) == 0:
@@ -461,6 +468,10 @@ def smooth(
         s_min,
         cfg.positional_divisor,
     )
+    if not np.isfinite(final).all():
+        row = sequence.row_array[np.isfinite(final).argmin()]
+        labels = sequence.store.row_labels(row)
+        raise ConfigError(f"non-finite smoothed score for triple {labels}")
     # descending, ties by input position: a stable argsort of the negated
     # scores equals a stable sort with reverse=True for finite scores
     order = np.argsort(-final, kind="stable")

@@ -1,15 +1,16 @@
 /* Compiled smooth_scores for pathpool.pooling, loaded through ctypes.
  *
  * Computes the same per-edge smoothed scores as _kernels_py.smooth_scores,
- * to the last bit and by the same fold, which pools no kernel on its own
- * (_kernels_py describes the fold, kernel order and direction). It reads
- * the one adjacency both backends share, the CSR over the doubled graph:
- * vertex u of the to-query search is u + nv, so each search runs once over
- * both directions. The RNG stream is the same splitmix64, and floating-point
- * expressions follow Python's evaluation order. Build with -ffp-contract=off
- * so the compiler fuses no multiply-add. Plain C: no Python headers,
- * fixed-width int32/float64 buffers owned by the caller, no global state.
- */
+ * to the last bit, folding as it searches (_kernels_py describes the folds,
+ * kernel order and direction), over the CSR of the doubled graph: vertex u
+ * of the to-query search is u + nv. With splitmix(base, n) the n-th output
+ * of the splitmix64 stream seeded with base (mod 2**64), walk w from
+ * sources[i] has key k = splitmix(seed, i * walk_count + w + 1); attempt a
+ * of its step t draws splitmix(k, t * 2**32 + a + 1) & mask, kept when
+ * below the out-degree d (mask: the least 2**b - 1 >= d - 1). Floats follow
+ * Python's evaluation order; build with -ffp-contract=off so no multiply-add
+ * is fused. Plain C: no Python headers, caller-owned int32/float64 buffers,
+ * no global state. */
 
 #include <math.h>
 #include <stdint.h>
@@ -45,28 +46,6 @@ static void raise_to(double *x, double value)
 static void lift(const Fold *f, int32_t e, double best, int32_t position)
 {
     raise_to(&f->final[e], best + f->s_min / ((double)position * f->divisor));
-}
-
-/* -- splitmix64 with mask-rejection sampling ------------------------------ */
-
-static uint64_t next_u64(uint64_t *state)
-{
-    uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-static int32_t below(uint64_t *state, int32_t n)
-{
-    uint64_t mask = 0;
-    for (uint64_t m = (uint64_t)(n - 1); m; m >>= 1)
-        mask = (mask << 1) | 1;
-    for (;;) {
-        uint64_t value = next_u64(state) & mask;
-        if (value < (uint64_t)n)
-            return (int32_t)value;
-    }
 }
 
 /* -- shortest-path trees: min hops, then score, then edge-rank order ------ */
@@ -210,6 +189,27 @@ static void simple_paths(const Work *w, const Fold *f, const int32_t *off,
 
 /* -- uniform out-edge walks; a walk ends at a dead end, max_len or a revisit */
 
+/* Output n of the splitmix64 stream seeded with base. */
+static uint64_t splitmix(uint64_t base, uint64_t n)
+{
+    uint64_t z = base + 0x9E3779B97F4A7C15ULL * n;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The out-slot below n that the walk keyed key takes at step. */
+static int32_t below(uint64_t key, int32_t step, int32_t n)
+{
+    uint64_t mask = 0, counter = (uint64_t)step << 32, value;
+    for (uint64_t m = (uint64_t)(n - 1); m; m >>= 1)
+        mask = (mask << 1) | 1;
+    do
+        value = splitmix(key, ++counter) & mask;
+    while (value >= (uint64_t)n);
+    return (int32_t)value;
+}
+
 /* A walk's kernels are its prefixes: edge i takes the best of those of >= i
  * edges. Walks stay in the from-query half; step i reaches vertex path_v[i]. */
 static void random_walks(const Work *w, const Fold *f, const int32_t *off,
@@ -219,9 +219,10 @@ static void random_walks(const Work *w, const Fold *f, const int32_t *off,
 {
     int32_t *path = w->ints[0], *path_v = w->ints[1];
     double *prefix = w->reals[0];
-    uint64_t state = seed;
+    uint64_t lane = 0; /* si * walk_count + walk, plus one */
     for (int32_t si = 0; si < nsrc; si++) {
         for (int64_t walk = 0; walk < walk_count; walk++) {
+            uint64_t key = splitmix(seed, ++lane);
             int32_t u = sources[si], plen = 0;
             double running = f->empty, best = -INFINITY;
             visited[u] = 1;
@@ -229,7 +230,7 @@ static void random_walks(const Work *w, const Fold *f, const int32_t *off,
                 int32_t lo = off[u], degree = off[u + 1] - lo;
                 if (degree == 0)
                     break;
-                int32_t k = lo + below(&state, degree), e = eid[k], v = dst[k];
+                int32_t k = lo + below(key, plen, degree), e = eid[k], v = dst[k];
                 if (visited[v])
                     break;
                 running = extend(f, running, e);
@@ -249,13 +250,12 @@ static void random_walks(const Work *w, const Fold *f, const int32_t *off,
     }
 }
 
-/* Per-edge smoothed score into final[0..ne): max over kernels of the pooled
- * kernel score plus s_min / (position * divisor); edges on no kernel score
- * as singletons. off (2 * nv + 1 entries), eid and dst (2 * ne each) are
- * the CSR over the doubled graph and each slot's far end. lex is read by
- * dijkstra only and may be NULL otherwise. max_path_len bounds bfs and
- * random-walk kernels, and may exceed any path. Returns PP_OK, PP_NO_MEMORY
- * or PP_BAD_ALGORITHM. */
+/* Per-edge smoothed score into final[0..ne): max over kernels of pooled
+ * score plus s_min / (position * divisor); edges on no kernel score as
+ * singletons. off (2 * nv + 1 entries), eid and dst (2 * ne each) are the
+ * CSR over the doubled graph and each slot's far end. lex is read by
+ * dijkstra only and may be NULL otherwise. max_path_len bounds bfs and walk
+ * kernels and may exceed any path. Returns PP_OK, PP_NO_MEMORY or PP_BAD_ALGORITHM. */
 int pathpool_smooth_scores(int32_t nv, int32_t ne, const int32_t *off,
                            const int32_t *eid, const int32_t *dst,
                            const double *scores, const int32_t *lex,

@@ -19,17 +19,26 @@ Conventions the compiled ``smooth_scores`` shares:
   position 1 is always the edge nearest a query entity, in both directions;
 * direction codes: 0 = from query, 1 = to query, 2 = singleton;
 * ``sources`` is a strictly ascending list of vertex ids;
-* random walks draw from a splitmix64 stream with mask-rejection sampling,
-  seeded with the seed modulo 2**64, so the walk sequence is identical
-  across backends for a given seed.
+* a random walk draws each step by counter, with no stream state. With
+  ``splitmix(base, n) = mix(base + G * n)`` the n-th output of the
+  splitmix64 stream seeded with base (``mix`` its output function,
+  ``G = 0x9E3779B97F4A7C15``, all arithmetic modulo 2**64), walk w from
+  ``sources[i]`` has the key ``k = splitmix(seed, i * walk_count + w + 1)``.
+  Attempt a (from 0) of its step t (from 0), at a vertex of d out-slots,
+  draws ``splitmix(k, t * 2**32 + a + 1) & m``, with m the least
+  ``2**b - 1`` that is at least ``d - 1``. A draw below d picks that
+  out-slot; any other is rejected, and attempt a + 1 draws. So each step is
+  a pure function of (seed, source position, walk, step, attempt): every
+  walk is uniform, seeded and identical across backends.
 
 Only ``search_kernels``, the test oracle, lists kernels: ``_dispatch``
-feeds each one to a callback, on Python lists of the columns. Smoothing
-pools no kernel on its own, in either backend. It folds: a path's best
-pooled value, over the path and every kernel that extends it, goes to the
-path or tree vertex it extends and, plus the positional term, onto its last
-edge. Dijkstra and BFS fold numpy arrays over the doubled graph, so the two
-search directions run as one:
+feeds each dijkstra or BFS kernel to a callback, on Python lists of the
+columns, and each walk's prefixes are read off ``_walks``. Smoothing pools
+no kernel on its own, in either backend. It folds: a path's best pooled
+value, over the path and every kernel that extends it, goes to the path or
+tree vertex it extends and, plus the positional term, onto its last edge.
+All three fold numpy arrays, and dijkstra and BFS run over the doubled
+graph, so the two search directions run as one:
 
 * Dijkstra (``_tree_smooth``) grows both min-hop trees a level at a time
   and then pushes each vertex's pooled value up its tree as a subtree max;
@@ -40,8 +49,10 @@ search directions run as one:
   vertex: a prefix takes the best of its end vertex's ``max_path_len`` best
   distinct out-neighbours that is off it, and an edge u->v the best prefix
   at u, or when v is on that one, the best prefix at u that avoids v;
-* a random walk (``_walk_smooth``) is folded once it ends: its prefixes are
-  its kernels, so each edge takes a suffix max of their pooled values.
+* random walks (``_walks``) step a block of walks at once, and
+  ``_walk_smooth`` folds the block's edge matrix once its walks end: a
+  walk's prefixes are its kernels, so each edge takes a suffix max of their
+  pooled values.
 
 The compiled core folds the same way as it searches: per tree vertex, per
 depth-first prefix and per walk. The fold equals the per-kernel max bit for
@@ -67,29 +78,7 @@ DIR_TO_QUERY = 1
 DIR_SINGLETON = 2
 
 _MASK64 = (1 << 64) - 1
-
-
-class _SplitMix:
-    """splitmix64 with unbiased sampling of integers below n."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        mask = (1 << (n - 1).bit_length()) - 1
-        while True:
-            value = self.next_u64() & mask
-            if value < n:
-                return value
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 
 
 def _shortest_path_tree(off, eid, dst, scores, rank, roots):
@@ -203,7 +192,7 @@ def _enumerate_simple_paths(off, eid, dst, source, max_len, emit):
 # Longer prefixes one block of BFS smoothing may create at once, counted
 # before the simple-path test; a prefix with more out-edges than this is a
 # block alone. The arrays held per prefix depth grow with this, not with the
-# number of paths.
+# number of paths. A block of random walks holds this many walks.
 BFS_BLOCK_PATHS = 4096
 
 
@@ -492,83 +481,95 @@ def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divi
         np.maximum.at(final, edges, best[vertices] + s_min / (depth * divisor))
 
 
-def _random_walks(off, eid, dst, sources, max_len, walk_count, rng):
-    """Uniform out-edge walks; a walk ends at a dead end, max_len, or a revisit.
+def _walks(off, eid, dst, sources, max_len, walk_count, seed):
+    """Uniform out-edge walks, every walk of a block stepped at once.
 
-    Walks start at the sources and stay in the from-query half of the
-    doubled graph. Yields each walk's edge list once it ends; its kernels
-    are its prefixes.
+    Walk w from ``sources[i]`` is lane ``i * walk_count + w``; a block is at
+    most ``BFS_BLOCK_PATHS`` consecutive lanes. A walk ends at a dead end,
+    after ``max_len`` edges or where its next vertex is one it holds, and
+    stays in the from-query half of the doubled graph. Each step draws by
+    counter (module docstring), and the live walks' vertices are a
+    (steps + 1, walks) matrix. Yields each block as a (steps, walks) matrix
+    of edge ids, column j the walk of the block's lane j, -1 past its end.
     """
-    for s in sources:
-        for _ in range(walk_count):
-            u = s
-            visited = {s}
-            path: list[int] = []
-            while len(path) < max_len:
-                lo = off[u]
-                degree = off[u + 1] - lo
-                if degree == 0:
-                    break
-                k = lo + rng.below(degree)
-                e = eid[k]
-                v = dst[k]
-                if v in visited:
-                    break
-                path.append(e)
-                visited.add(v)
-                u = v
-            yield path
+    degree = np.diff(off)
+    total = len(sources) * walk_count
+    for lo in range(0, total, BFS_BLOCK_PATHS):
+        hi = min(lo + BFS_BLOCK_PATHS, total)
+        lanes = np.arange(lo, hi)
+        u = np.asarray(sources)[lanes // walk_count]
+        keys = (lanes + 1).astype(np.uint64) * np.uint64(_GOLDEN)
+        keys = _mix(keys + np.uint64(seed & _MASK64))
+        live = np.arange(hi - lo)
+        verts = u[None]
+        rows = []
+        for step in range(max_len):
+            out = degree[u]
+            # a dead end draws the slot after its own, and stops below
+            slot = off[u] + _draw(keys, np.maximum(out, 1), step)
+            v = dst[slot]
+            go = np.flatnonzero((out > 0) & (verts != v).all(axis=0))
+            if not len(go):
+                break
+            live, u, keys = live[go], v[go], keys[go]
+            verts = np.vstack((verts[:, go], u))
+            row = np.full(hi - lo, -1)
+            row[live] = eid[slot[go]]
+            rows.append(row)
+        yield np.array(rows, dtype=np.intp).reshape(len(rows), hi - lo)
 
 
-def _walk_smooth(walks, scores, average, pos, final):
-    """Fold the prefixes of every walk into ``final``, a list.
+def _mix(z):
+    """splitmix64's output function, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
-    Edge i of a walk is edge i of each prefix of i or more edges, so it
-    takes the best of their pooled values: a suffix max from the walk's end.
-    Each prefix's running sum (or max) is the float sequence a per-prefix
-    loop computes. ``pos`` has an entry for every walk length.
+
+def _draw(keys, degree, step):
+    """Each walk's out-slot below ``degree`` at ``step``, by mask rejection."""
+    mask = (np.ldexp(1.0, np.frexp(degree - 1)[1]) - 1).astype(np.uint64)
+    bound = degree.astype(np.uint64)
+    slot = np.empty(len(keys), dtype=np.intp)
+    todo = np.arange(len(keys))
+    attempt = 0
+    while len(todo):
+        counter = _GOLDEN * ((step << 32) + attempt + 1) & _MASK64
+        value = _mix(keys[todo] + np.uint64(counter)) & mask[todo]
+        kept = value < bound[todo]
+        slot[todo[kept]] = value[kept]
+        todo = todo[~kept]
+        attempt += 1
+    return slot
+
+
+def _walk_smooth(edges, scores, average, pos, final):
+    """Fold one block of walks, ``_walks``' edge matrix, into ``final``.
+
+    A walk's kernels are its prefixes, and edge i of a walk is edge i of
+    each prefix of i or more edges, so it takes the best of their pooled
+    values: a suffix max down the walk's column. The running sums are an
+    ``np.cumsum`` down each column, the float sequence a per-prefix loop
+    computes. ``pos`` has an entry for every walk length.
     """
-    start = 0.0 if average else -np.inf
-    lowest = -np.inf
-    prefix = [0.0] * len(pos)  # the pooled value of each prefix, by length
-    for walk in walks:
-        acc = start
-        length = 0
-        for e in walk:
-            score = scores[e]
-            length += 1
-            if average:
-                acc += score
-                prefix[length] = acc / length
-            else:
-                acc = score if score > acc else acc
-                prefix[length] = acc
-        best = lowest
-        while length:
-            if prefix[length] > best:
-                best = prefix[length]
-            value = best + pos[length]
-            e = walk[length - 1]
-            if value > final[e]:
-                final[e] = value
-            length -= 1
+    on = edges >= 0
+    score = np.where(on, scores[edges], 0.0)
+    if average:
+        pooled = np.cumsum(score, axis=0) / np.arange(1, len(edges) + 1)[:, None]
+    else:
+        pooled = np.maximum.accumulate(score, axis=0)
+    pooled[~on] = -np.inf
+    best = np.maximum.accumulate(pooled[::-1], axis=0)[::-1]
+    best += np.array(pos[1 : len(edges) + 1])[:, None]
+    np.maximum.at(final, edges[on], best[on])
 
 
-def _dispatch(
-    n_vertices,
-    off,
-    eid,
-    dst,
-    scores,
-    rank,
-    sources,
-    algorithm,
-    max_path_len,
-    walk_count,
-    seed,
-    emit,
-):
-    """Run one search algorithm, feeding every kernel to ``emit(path, dircode)``.
+def _dispatch(n_vertices, off, eid, dst, scores, rank, sources, algorithm, max_path_len,
+              emit):
+    """Run dijkstra or BFS, feeding every kernel to ``emit(path, dircode)``.
 
     Dijkstra and BFS search from every root of the doubled graph, the
     sources and then each source + n_vertices; a path is to the query when
@@ -591,13 +592,6 @@ def _dispatch(
             _enumerate_simple_paths(
                 off, eid, dst, s, max_path_len, lambda path, d=dircode: emit(path, d)
             )
-    elif algorithm == ALG_RANDOM_WALK:
-        walks = _random_walks(
-            off, eid, dst, sources, max_path_len, walk_count, _SplitMix(seed)
-        )
-        for walk in walks:
-            for length in range(1, len(walk) + 1):
-                emit(walk[:length], DIR_FROM_QUERY)
     else:
         raise ValueError(f"unknown algorithm code {algorithm}")
 
@@ -642,16 +636,14 @@ def search_kernels(
             seen.add(key)
             kernels.append((key, dircode))
 
-    _dispatch(
-        n_vertices,
-        *_as_lists(off, eid, dst, scores, rank),
-        sources,
-        algorithm,
-        max_path_len,
-        walk_count,
-        seed,
-        add,
-    )
+    if algorithm == ALG_RANDOM_WALK:
+        for edges in _walks(off, eid, dst, sources, max_path_len, walk_count, seed):
+            for walk, length in zip(edges.T.tolist(), (edges >= 0).sum(axis=0).tolist()):
+                for end in range(1, length + 1):
+                    add(walk[:end], DIR_FROM_QUERY)
+    else:
+        lists = _as_lists(off, eid, dst, scores, rank)
+        _dispatch(n_vertices, *lists, sources, algorithm, max_path_len, add)
     covered = bytearray(ne)
     for key, _ in kernels:
         for e in key:
@@ -703,11 +695,9 @@ def smooth_scores(
         sources = np.asarray(sources, dtype=np.intp)
         _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final)
         return _fill_singletons(final, scores, s_min, divisor)
-    off, eid, dst, score_list = _as_lists(off, eid, dst, scores)
-    walks = _random_walks(off, eid, dst, sources, max_len, walk_count, _SplitMix(seed))
-    values = final.tolist()
-    _walk_smooth(walks, score_list, average, pos, values)
-    return _fill_singletons(np.array(values), scores, s_min, divisor)
+    for edges in _walks(off, eid, dst, sources, max_len, walk_count, seed):
+        _walk_smooth(edges, scores, average, pos, final)
+    return _fill_singletons(final, scores, s_min, divisor)
 
 
 def _fill_singletons(final, scores, s_min, divisor):

@@ -33,10 +33,6 @@ class SelectionConfig:
             raise ConfigError(f"unknown ordering: {self.order!r}")
         if self.coarse_k < 1 or self.fine_k < 1:
             raise ConfigError("coarse_k and fine_k must be >= 1")
-        if self.fine_k > self.coarse_k:
-            raise ConfigError(
-                f"fine_k ({self.fine_k}) must not exceed coarse_k ({self.coarse_k})"
-            )
 
 
 def _descending(sequence: TripleSequence) -> np.ndarray:

@@ -96,11 +96,13 @@ def _runtime(name: str) -> str | None:
 def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
     tmp_path,
 ):
-    # a child pytest runs this file's bit-identity tests on a core that
-    # setup.py builds with the sanitizers (setuptools adds CFLAGS and
-    # LDFLAGS), with their runtimes preloaded into Python; any report aborts.
-    # Python's own flags hold -fwrapv, which defines signed overflow and so
-    # turns UBSan's check of it off; -fno-wrapv, given last, turns it on
+    # a child pytest runs every other test of this file but the syntax check
+    # on a core that setup.py builds with the sanitizers (setuptools adds
+    # CFLAGS and LDFLAGS), with their runtimes preloaded into Python; any
+    # report aborts. Tests are left out by node id, so a renamed test stays
+    # in, and the child must pass all that the selection collects. Python's
+    # own flags hold -fwrapv, which defines signed overflow and so turns
+    # UBSan's check of it off; -fno-wrapv, given last, turns it on
     if not _compiler_found():
         pytest.skip("no C compiler found")
     runtimes = []
@@ -117,19 +119,30 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
         "LD_PRELOAD": " ".join(runtimes),
         "ASAN_OPTIONS": "detect_leaks=0",
     }
+    left_out = (
+        test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers,
+        test_compiled_core_compiles_clean_under_strict_warnings,
+    )
+    here = Path(__file__).relative_to(ROOT).as_posix()  # pytest's node-id prefix
+    pytest_argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    pytest_argv += [here, *(f"--deselect={here}::{test.__name__}" for test in left_out)]
+    collected = subprocess.run(
+        [*pytest_argv, "--collect-only"], cwd=ROOT, capture_output=True, text=True
+    ).stdout
+    assert not any(test.__name__ in collected for test in left_out), collected
+    selected = sum("::" in line for line in collected.splitlines())
     child = subprocess.run(
-        [
-            # -s: a sanitizer report is written just before the child exits
-            sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-            __file__, "-k", "identical or streams_match", f"--basetemp={tmp_path}",
-        ],
+        # -s: a sanitizer report is written just before the child exits
+        [*pytest_argv, "-s", f"--basetemp={tmp_path}"],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
     )
     assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
-    assert " passed" in child.stdout and "skipped" not in child.stdout
+    summary = child.stdout.strip().splitlines()[-1]
+    assert selected and summary.startswith(f"{selected} passed"), (selected, summary)
+    assert "skipped" not in summary
     built = tmp_path.glob("build*/pathpool/pooling/_kernels_c*")
     (library,) = {path.resolve() for path in built}  # build0 and its link
     binary = library.read_bytes()
@@ -305,9 +318,10 @@ def _branching_star(branches: int):
     return make_sequence(rows), ["Q"]
 
 
-def test_walk_streams_match_across_seeds(compiled):
-    # long walk budgets consume thousands of RNG draws; any divergence in the
-    # stream or the rejection sampling changes which paths become kernels
+def test_walk_counter_draws_identical_across_seeds(compiled):
+    # long walk budgets take thousands of counter draws; any divergence in a
+    # walk's key, a step's counter or the rejection sampling changes which
+    # paths become kernels
     seq, queries = random_case(5, max_edges=20)
     if not queries:
         queries = [seq.label_rows()[0][0]]

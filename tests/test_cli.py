@@ -806,6 +806,51 @@ def test_bench_rejects_unknown_algorithm_names(tmp_path, capsys, algos):
     assert not (tmp_path / "bench").exists()
 
 
+def test_select_reads_no_coarse_k(tmp_path, capsys):
+    # select keeps the top fine_k of whatever the artifact holds, so no
+    # coarse_k, which it would not read, may cap fine_k
+    retrieved, selected = tmp_path / "retrieved.jsonl", tmp_path / "selected.jsonl"
+    assert run_cli(
+        "retrieve", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--coarse-k", "1000",
+        "--out", retrieved,
+    ) == 0
+    assert run_cli("select", "--in", retrieved, "--fine-k", "600", "--out", selected) == 0
+    rows = [json.loads(line) for line in selected.read_text().splitlines()]
+    sizes = [len(json.loads(line)["triples"]) for line in retrieved.read_text().splitlines()]
+    assert [len(row["triples"]) for row in rows] == sizes
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("select", "--in", retrieved, "--coarse-k", "5", "--out", selected)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --coarse-k 5" in capsys.readouterr().err
+
+
+def _strict_json(line: str) -> dict:
+    """One JSONL row, refusing the ``Infinity`` and ``NaN`` that JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_smoothed_score_overflow_is_an_error_row(tmp_path):
+    # under --a 1e-310 the positional term s_min / (position * a) is infinite:
+    # each query is an error row, not Infinity in JSON or a tie of every score
+    run_out, retrieved, pooled = (tmp_path / name for name in ("run", "r.jsonl", "p.jsonl"))
+    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES]
+    assert run_cli("run", *argv, "--a", "1e-310", "--no-llm", "--out", run_out) == 1
+    assert run_cli("retrieve", *argv, "--out", retrieved) == 0
+    assert run_cli("pool", "--in", retrieved, "--a", "1e-310", "--out", pooled) == 0
+    results = (run_out / "results.jsonl").read_text().splitlines()
+    run_rows = [_strict_json(line) for line in results]
+    pool_rows = [_strict_json(line) for line in pooled.read_text().splitlines()]
+    assert len(run_rows) == len(pool_rows) == 5
+    for row in run_rows + pool_rows:
+        assert row["error"].startswith("non-finite smoothed score for triple ("), row
+    assert json.loads((run_out / "metrics.json").read_text())["n_errors"] == 5
+    assert not list((run_out / "prompts").iterdir())
+
+
 @pytest.mark.parametrize(
     ("command", "flags", "message"),
     [
@@ -860,6 +905,7 @@ def test_walk_count_past_int64_aborts_before_output(
             ["--no-llm", "--algo", "random-walk", "--walk-count", 2**63],
             WALK_COUNT_LIMIT,
         ),
+        (["--no-llm", "--fine-k", "600"], "fine_k (600) must not exceed coarse_k (500)"),
     ],
 )
 def test_run_settings_that_fail_every_query_abort_before_loading(

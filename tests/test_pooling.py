@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from pathpool.pooling import (
     smooth,
 )
 from pathpool.pooling import _kernels_py
-from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA, _SplitMix
+from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA
 
 CFG = PoolingConfig()
 
@@ -273,12 +274,60 @@ def test_random_walk_kernels_are_simple_paths():
             assert len(kernel) <= cfg.max_path_len
 
 
-def test_rng_below_is_roughly_uniform():
-    rng = _SplitMix(12345)
-    counts = [0, 0, 0]
-    for _ in range(30000):
-        counts[rng.below(3)] += 1
-    assert all(abs(c - 10000) < 500 for c in counts)
+def _first_steps(degree, walk_count, seed):
+    """How often each out-slot of a star's centre takes a walk's first step."""
+    args = flat_args(degree + 1, [(0, 1 + i) for i in range(degree)], [0.5] * degree)
+    _, off, eid, _, dst = args[:5]
+    blocks = _kernels_py._walks(off, eid, dst, [0], 1, walk_count, seed)
+    first = np.concatenate([edges[0] for edges in blocks])
+    return np.bincount(first, minlength=degree)
+
+
+@pytest.mark.parametrize("degree", [3, 6, 11])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_walk_first_step_is_uniform_over_out_slots(degree, seed):
+    # 6000 walks span two blocks. Reducing a masked draw modulo the degree
+    # instead of rejecting it doubles the first slots' share: a chi-square
+    # statistic in the hundreds against the 0.001 critical value here
+    walk_count = 6000
+    counts = _first_steps(degree, walk_count, seed)
+    expected = walk_count / degree
+    chi_square = float(((counts - expected) ** 2 / expected).sum())
+    critical = {3: 13.82, 6: 20.52, 11: 29.59}[degree]  # df = degree - 1, p = 0.001
+    assert counts.sum() == walk_count
+    assert chi_square < critical, counts
+
+
+def _python_calls(fn) -> int:
+    """The Python function calls ``fn()`` makes, counted by ``sys.setprofile``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_random_walk_smoothing_makes_no_python_call_per_walk():
+    # a binary tree three levels deep: every out-degree is a power of two, so
+    # no draw is rejected, and every walk runs to max_path_len, so the steps
+    # and draw rounds are the same at any walk count
+    seq = make_sequence(
+        [(f"V{v}", "r", f"V{2 * v + c}", 0.25 + v / 64) for v in range(1, 8) for c in (0, 1)]
+    )
+    counts = []
+    for walk_count in (16, 1024):
+        cfg = PoolingConfig(
+            search_algorithm="random_walk", max_path_len=3, walk_count=walk_count
+        )
+        counts.append(_python_calls(lambda: smooth(seq, ["V1"], cfg, backend="py")))
+    assert counts[0] == counts[1]
 
 
 # -- canonical kernel order ---------------------------------------------------
@@ -679,6 +728,16 @@ def test_multiset_preserved(example_sequence):
         seq, queries = random_case(seed, positive=False)
         out = smooth(seq, queries, CFG)
         assert sorted(out.label_rows()) == sorted(seq.label_rows())
+
+
+def test_smoothed_score_that_overflows_raises_naming_its_triple():
+    # s_min / (position * divisor) is infinite at every position here
+    seq = make_sequence([("A", "r", "B", 0.5), ("B", "r", "C", 0.25), ("X", "r", "Y", 0.75)])
+    for algorithm in ("dijkstra", "bfs", "random_walk"):
+        cfg = PoolingConfig(search_algorithm=algorithm, positional_divisor=1e-310)
+        with pytest.raises(ConfigError) as info:
+            smooth(seq, ["A"], cfg)
+        assert str(info.value) == "non-finite smoothed score for triple ('A', 'r', 'B')"
 
 
 def test_shift_applies_when_scores_non_positive():

@@ -118,8 +118,9 @@ def test_config_validation():
         SelectionConfig(mode="blend").validate()
     with pytest.raises(ConfigError):
         SelectionConfig(order="random").validate()
-    with pytest.raises(ConfigError):
-        SelectionConfig(coarse_k=10, fine_k=20).validate()
+    # fine_k <= coarse_k is a run's check (``cli._check_run``): ``select``
+    # reads no coarse_k
+    SelectionConfig(coarse_k=10, fine_k=20).validate()
     with pytest.raises(ConfigError):
         SelectionConfig(fine_k=0).validate()
 
