@@ -345,8 +345,8 @@ KERNEL_ORDER_DIGESTS = {
         "e18cf55e695178007d16f7c50d0d0c10aa3efa5e260edd19b0d7054bfb9e0ee8",
     ),
     "random_walk": (
-        13678,
-        "af16c6108a81ca5a55625f0ed1b241cc31e0e78bdfc354c08db24eb55c4753c8",
+        13684,
+        "ed9dd983efc529eec70fc89020cbd6a82a305a8da5e776c63855bcd1c816032c",
     ),
 }
 
