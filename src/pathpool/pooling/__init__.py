@@ -401,13 +401,16 @@ def search_path_kernels(
     no searched path are emitted as singletons. Query entities absent from
     the subgraph contribute nothing; with no usable query entity every
     triple becomes a singleton. The search always runs in ``_kernels_py``;
-    ``backend`` is only checked, as ``smooth`` checks it.
+    ``backend`` is only checked, as ``smooth`` checks it. It searches the
+    scores ``smooth`` searches, shifted positive (``_shifted``), so the
+    kernels are the ones ``smooth`` folds, the dijkstra trees included;
+    each ``pooled_score`` pools the subgraph's own scores.
     """
     cfg.validate()
     backend_module(backend)
     sources = g.vertices_for_labels(query_entities)
     raw = _kernels_py.search_kernels(
-        *_backend_args(g, g.scores, cfg),
+        *_backend_args(g, _shifted(g.scores), cfg),
         sources,
         _ALGORITHM_CODES[cfg.search_algorithm],
         cfg.max_path_len,

@@ -31,17 +31,19 @@ Conventions the compiled ``smooth_scores`` shares:
   a pure function of (seed, source position, walk, step, attempt): every
   walk is uniform, seeded and identical across backends.
 
-Only ``search_kernels``, the test oracle, lists kernels: ``_dispatch``
-feeds each dijkstra or BFS kernel to a callback, on Python lists of the
-columns, and each walk's prefixes are read off ``_walks``. Smoothing pools
-no kernel on its own, in either backend. It folds: a path's best pooled
-value, over the path and every kernel that extends it, goes to the path or
-tree vertex it extends and, plus the positional term, onto its last edge.
-All three fold numpy arrays, and dijkstra and BFS run over the doubled
-graph, so the two search directions run as one:
+Only ``search_kernels`` lists kernels: each dijkstra tree path is read off
+``_tree_levels``, the trees ``_tree_smooth`` folds, each BFS path is
+emitted by ``_enumerate_simple_paths`` and each walk's prefixes are read
+off ``_walks``. Smoothing pools no kernel on its own, in either backend. It
+folds: a path's best pooled value, over the path and every kernel that
+extends it, goes to the path or tree vertex it extends and, plus the
+positional term, onto its last edge. All three fold numpy arrays, and
+dijkstra and BFS run over the doubled graph, so the two search directions
+run as one:
 
-* Dijkstra (``_tree_smooth``) grows both min-hop trees a level at a time
-  and then pushes each vertex's pooled value up its tree as a subtree max;
+* Dijkstra (``_tree_smooth``) takes both min-hop trees, grown a level at a
+  time by ``_tree_levels``, and pushes each vertex's pooled value up its
+  tree as a subtree max;
 * BFS (``_bfs_smooth``) holds the prefixes of up to ``max_path_len - 1``
   edges, one depth and one block at a time, each with its running sum (or
   max) and the best pooled value below it, and solves the last edge of the
@@ -79,85 +81,6 @@ DIR_SINGLETON = 2
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
-
-
-def _shortest_path_tree(off, eid, dst, scores, rank, roots):
-    """Multi-source min-hop tree; one path per reachable vertex.
-
-    Ties at equal hop count prefer higher cumulative edge score, then the
-    lexicographically smaller sequence of edge ranks.
-    """
-    n_vertices = len(off) - 1
-    dist = [-1] * n_vertices
-    parent_edge = [-1] * n_vertices
-    parent_vertex = [-1] * n_vertices
-    cum = [0.0] * n_vertices
-    for s in roots:
-        dist[s] = 0
-    frontier = list(roots)
-    depth = 0
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for k in range(off[u], off[u + 1]):
-                e = eid[k]
-                v = dst[k]
-                if dist[v] == -1:
-                    dist[v] = depth + 1
-                    parent_edge[v] = e
-                    parent_vertex[v] = u
-                    cum[v] = cum[u] + scores[e]
-                    nxt.append(v)
-                elif dist[v] == depth + 1:
-                    candidate = cum[u] + scores[e]
-                    if candidate > cum[v]:
-                        replace = True
-                    elif candidate == cum[v]:
-                        cand_ranks = _tail_ranks(
-                            parent_edge, parent_vertex, rank, e, u, depth + 1
-                        )
-                        best_ranks = _tail_ranks(
-                            parent_edge,
-                            parent_vertex,
-                            rank,
-                            parent_edge[v],
-                            parent_vertex[v],
-                            depth + 1,
-                        )
-                        replace = cand_ranks < best_ranks
-                    else:
-                        replace = False
-                    if replace:
-                        parent_edge[v] = e
-                        parent_vertex[v] = u
-                        cum[v] = candidate
-        frontier = nxt
-        depth += 1
-    return dist, parent_edge, parent_vertex
-
-
-def _tail_ranks(parent_edge, parent_vertex, rank, last_edge, last_vertex, length):
-    """Front-to-back edge ranks of path(last_vertex) extended by last_edge."""
-    buf = [0] * length
-    buf[length - 1] = rank[last_edge]
-    x = last_vertex
-    i = length - 2
-    while i >= 0:
-        buf[i] = rank[parent_edge[x]]
-        x = parent_vertex[x]
-        i -= 1
-    return buf
-
-
-def _path_edges(parent_edge, parent_vertex, v, length):
-    buf = [0] * length
-    x = v
-    i = length - 1
-    while i >= 0:
-        buf[i] = parent_edge[x]
-        x = parent_vertex[x]
-        i -= 1
-    return buf
 
 
 def _enumerate_simple_paths(off, eid, dst, source, max_len, emit):
@@ -419,43 +342,39 @@ def _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, fina
     _PrefixFold(off, eid, src, dst, scores, max_len, average, pos, final).run(sources)
 
 
-def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divisor,
-                 final):
-    """Fold the min-hop trees of both directions into ``final``.
+def _tree_levels(off, eid, src, dst, scores, rank, sources):
+    """Both min-hop trees, grown as one a level at a time over the doubled graph.
 
-    Per edge, the max over the tree paths ``_shortest_path_tree`` gives of
-    pooled + s_min / (position * divisor), without walking a path:
+    The roots, at depth 0, are ``sources`` and each ``source + n_vertices``.
+    A vertex first reached at depth d + 1 takes, of the edges into it from a
+    depth-d vertex u, the one whose path (u's tree path, then the edge) has
+    the largest running sum, ``acc[u] + score`` with ``acc[u]`` the float sum
+    of u's tree path's scores front to back; a tie goes to the smallest
+    sequence of edge ranks, compared front to back. So each vertex extends
+    one depth-d vertex's tree path: this is a tree, not the best of all
+    min-hop paths to each vertex, which differ where two sums round equal
+    at depth d but not once extended.
 
-    * both trees grow as one, a level at a time over the doubled graph. A
-      vertex first reached at depth d + 1 takes, of the edges into it from
-      depth d, the one with the largest running sum ``acc[u] + score``; a
-      tie goes to the smallest pair (u's place in its level, the edge's
-      ``rank``). A level's vertices are placed in the order of the pairs
-      that reached them, so the pair orders two tied paths as comparing
-      their edge ranks front to back does (every source has place 0, as
-      its path has no edge);
-    * a vertex's pooled value is its running sum over its depth, or its
-      running max;
-    * from the deepest level up, each vertex's best value, the max over its
-      subtree, goes to its parent, and best + positional term to its parent
-      edge, which is at position ``depth`` on every path through it.
-
-    ``final`` holds -inf for an edge on no tree path; scores are finite.
+    The rank comparison is one pair per candidate, (u's place in its level,
+    the edge's ``rank``): a level's vertices are placed in the order of the
+    pairs that reached them, and every root has place 0. Returns the levels,
+    one ``(vertices, parents, edges)`` triple of arrays per depth 1, 2, ...
+    (each vertex of the level in place order, its tree parent and the edge
+    from that parent), and ``acc``, indexed by vertex.
     """
     n = len(off) - 1
+    sources = np.asarray(sources, dtype=np.intp)
     depth_of = np.full(n, -1)
     depth_of[sources] = depth_of[sources + n // 2] = 0
     place = np.zeros(n, dtype=np.int64)
     acc = np.zeros(n)  # running sum of each tree path's scores
-    peak = np.full(n, -np.inf)  # running max, for max pooling
-    best = np.empty(n)  # pooled value, then the max over the subtree
     width = int(rank.max()) + 1
     levels = []
     while True:
         depth = len(levels)
         slots = np.flatnonzero((depth_of[src] == depth) & (depth_of[dst] < 0))
         if not len(slots):
-            break
+            return levels, acc
         ends, edges, parents = dst[slots], eid[slots], src[slots]
         total = acc[parents] + scores[edges]
         pair = place[parents] * width + rank[edges]
@@ -464,16 +383,36 @@ def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divi
         ends_sorted = ends[order]
         won = order[np.concatenate(([True], ends_sorted[1:] != ends_sorted[:-1]))]
         won = won[pair[won].argsort()]
-        vertices, parents, edges = ends[won], parents[won], edges[won]
+        vertices = ends[won]
         depth_of[vertices] = depth + 1
         place[vertices] = np.arange(len(vertices))
         acc[vertices] = total[won]
+        levels.append((vertices, parents[won], edges[won]))
+
+
+def _tree_smooth(off, eid, src, dst, scores, rank, sources, average, s_min, divisor,
+                 final):
+    """Fold the min-hop trees of both directions into ``final``.
+
+    Per edge, the max over the paths of the ``_tree_levels`` trees of
+    pooled + s_min / (position * divisor), without walking a path:
+
+    * a vertex's pooled value is its tree path's running sum ``acc`` over
+      its depth, or its running max, found a level at a time from its
+      parent's;
+    * from the deepest level up, each vertex's best value, the max over its
+      subtree, goes to its parent, and best + positional term to its parent
+      edge, which is at position ``depth`` on every path through it.
+
+    ``final`` holds -inf for an edge on no tree path; scores are finite.
+    """
+    levels, acc = _tree_levels(off, eid, src, dst, scores, rank, sources)
+    best = np.full(len(off) - 1, -np.inf)  # pooled value, then the subtree max
+    for depth, (vertices, parents, edges) in enumerate(levels, 1):
         if average:
-            best[vertices] = acc[vertices] / (depth + 1)
-        else:
-            peak[vertices] = np.maximum(peak[parents], scores[edges])
-            best[vertices] = peak[vertices]
-        levels.append((vertices, parents, edges))
+            best[vertices] = acc[vertices] / depth
+        else:  # the running max, from -inf at the roots
+            best[vertices] = np.maximum(best[parents], scores[edges])
     for depth in range(len(levels), 0, -1):
         vertices, parents, edges = levels[depth - 1]
         if depth > 1:
@@ -567,35 +506,6 @@ def _walk_smooth(edges, scores, average, pos, final):
     np.maximum.at(final, edges[on], best[on])
 
 
-def _dispatch(n_vertices, off, eid, dst, scores, rank, sources, algorithm, max_path_len,
-              emit):
-    """Run dijkstra or BFS, feeding every kernel to ``emit(path, dircode)``.
-
-    Dijkstra and BFS search from every root of the doubled graph, the
-    sources and then each source + n_vertices; a path is to the query when
-    its root is in the second half.
-    """
-    if not sources:
-        return
-    roots = [*sources, *(s + n_vertices for s in sources)]
-    if algorithm == ALG_DIJKSTRA:
-        dist, parent_edge, parent_vertex = _shortest_path_tree(
-            off, eid, dst, scores, rank, roots
-        )
-        for v, d in enumerate(dist):
-            if d >= 1:
-                dircode = DIR_TO_QUERY if v >= n_vertices else DIR_FROM_QUERY
-                emit(_path_edges(parent_edge, parent_vertex, v, d), dircode)
-    elif algorithm == ALG_BFS:
-        for s in roots:
-            dircode = DIR_TO_QUERY if s >= n_vertices else DIR_FROM_QUERY
-            _enumerate_simple_paths(
-                off, eid, dst, s, max_path_len, lambda path, d=dircode: emit(path, d)
-            )
-    else:
-        raise ValueError(f"unknown algorithm code {algorithm}")
-
-
 def _stable_order(keys, bound):
     """``keys.argsort(kind="stable")`` for integer keys in ``0..bound``.
 
@@ -604,11 +514,6 @@ def _stable_order(keys, bound):
     timsort for wider ones, and both give this one permutation.
     """
     return keys.astype(np.min_scalar_type(bound)).argsort(kind="stable")
-
-
-def _as_lists(*columns):
-    """Lists of numpy columns, for the loops that read them an item at a time."""
-    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
 
 
 def search_kernels(
@@ -641,9 +546,24 @@ def search_kernels(
             for walk, length in zip(edges.T.tolist(), (edges >= 0).sum(axis=0).tolist()):
                 for end in range(1, length + 1):
                     add(walk[:end], DIR_FROM_QUERY)
+    elif algorithm == ALG_DIJKSTRA:
+        # each reached vertex's tree path, the vertices in ascending order
+        paths: dict[int, tuple[int, ...]] = {}
+        levels, _ = _tree_levels(off, eid, src, dst, scores, rank, sources)
+        for level in levels:
+            for v, u, e in zip(*(column.tolist() for column in level)):
+                paths[v] = paths.get(u, ()) + (e,)
+        for v in sorted(paths):
+            add(paths[v], DIR_TO_QUERY if v >= n_vertices else DIR_FROM_QUERY)
+    elif algorithm == ALG_BFS:
+        off, eid, dst = off.tolist(), eid.tolist(), dst.tolist()
+        for s in [*sources, *(s + n_vertices for s in sources)]:
+            dircode = DIR_TO_QUERY if s >= n_vertices else DIR_FROM_QUERY
+            _enumerate_simple_paths(
+                off, eid, dst, s, max_path_len, lambda path, d=dircode: add(path, d)
+            )
     else:
-        lists = _as_lists(off, eid, dst, scores, rank)
-        _dispatch(n_vertices, *lists, sources, algorithm, max_path_len, add)
+        raise ValueError(f"unknown algorithm code {algorithm}")
     covered = bytearray(ne)
     for key, _ in kernels:
         for e in key:
@@ -684,7 +604,6 @@ def smooth_scores(
         return _fill_singletons(final, scores, s_min, divisor)
     average = pooling == 0
     if algorithm == ALG_DIJKSTRA:
-        sources = np.asarray(sources, dtype=np.intp)
         _tree_smooth(
             off, eid, src, dst, scores, rank, sources, average, s_min, divisor, final
         )

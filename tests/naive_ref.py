@@ -3,7 +3,8 @@
 Written directly from the algorithm definitions: extraction by full scans
 of the whole KG, top-k by one sort of label tuples, cosine scoring one
 candidate at a time, the embedding table parsed one line at a time,
-smoothing by exhaustive path enumeration and a global best-path selection. Shares no code or data structures with the
+smoothing by exhaustive path enumeration (BFS) and greedily grown
+min-hop trees (dijkstra). Shares no code or data structures with the
 package implementation it checks. Operates on plain label tuples.
 """
 
@@ -137,6 +138,41 @@ def _all_simple_paths(adjacency, endpoint_of, start, limit):
     return paths
 
 
+def naive_tree_paths(heads, tails, scores, rank, sources) -> list[tuple[int, ...]]:
+    """Every tree path of the from-query and the to-query min-hop trees.
+
+    Each tree is grown greedily a level at a time from the sources: a vertex
+    first reached at depth d + 1 extends the tree path of one depth-d
+    vertex by one edge, taking of its candidates the largest sum of scores
+    (added one by one from the source), then the smallest tuple of edge
+    ranks from the source on. Edges are ``heads[e] -> tails[e]``, followed
+    backwards for the to-query tree.
+    """
+    paths = []
+    for near, far in ((heads, tails), (tails, heads)):
+        adjacency: dict = {}
+        for e, vertex in enumerate(near):
+            adjacency.setdefault(vertex, []).append(e)
+        tree = {q: ((), 0.0) for q in sources}  # vertex -> (path, sum)
+        frontier = list(tree)
+        while frontier:
+            offers: dict = {}
+            for u in frontier:
+                path, total = tree[u]
+                for e in adjacency.get(u, ()):
+                    if far[e] in tree:
+                        continue
+                    step = path + (e,)
+                    key = (-(total + scores[e]), tuple(rank[x] for x in step))
+                    if far[e] not in offers or key < offers[far[e]][0]:
+                        offers[far[e]] = (key, step, total + scores[e])
+            for vertex, (_, step, total) in offers.items():
+                tree[vertex] = (step, total)
+                paths.append(step)
+            frontier = list(offers)
+    return paths
+
+
 def naive_smooth(
     edges: list[tuple[str, str, str, float]],
     query_labels: list[str],
@@ -168,29 +204,13 @@ def naive_smooth(
 
     vertices = set(heads) | set(tails)
     queries = sorted({q for q in query_labels if q in vertices})
-    query_set = set(queries)
 
     kernels: set[tuple[int, ...]] = set()
     if queries:
-        directions = ((out_adj, tails), (in_adj, heads))
         if algorithm == "dijkstra":
-            for adjacency, endpoint_of in directions:
-                best: dict[str, tuple] = {}
-                for q in queries:
-                    for path in _all_simple_paths(adjacency, endpoint_of, q, None):
-                        terminal = endpoint_of[path[-1]]
-                        if terminal in query_set:
-                            continue
-                        cum = 0.0
-                        for e in path:
-                            cum += scores[e]
-                        key = (len(path), -cum, tuple(lex[e] for e in path))
-                        if terminal not in best or key < best[terminal][0]:
-                            best[terminal] = (key, tuple(path))
-                for key, path in best.values():
-                    kernels.add(path)
+            kernels.update(naive_tree_paths(heads, tails, scores, lex, queries))
         elif algorithm == "bfs":
-            for adjacency, endpoint_of in directions:
+            for adjacency, endpoint_of in ((out_adj, tails), (in_adj, heads)):
                 for q in queries:
                     for path in _all_simple_paths(adjacency, endpoint_of, q, max_path_len):
                         kernels.add(tuple(path))

@@ -69,6 +69,20 @@ def test_oracle_equivalence_200_random_subgraphs():
     _report("oracle-equivalence", f"200 graphs, {elapsed:.2f}s")
 
 
+def test_oracle_equivalence_200_random_subgraphs_free_mixed_sign_scores():
+    # free floats of both signs: sums round, ties fall to the edge ranks only
+    # after rounding, and every score is shifted positive first
+    for seed in range(200):
+        sequence, queries = _random_graph(seed, dyadic=False)
+        rows = [(h, r, t, 2.0 * s - 1.0) for h, r, t, s in sequence.labeled_items()]
+        mixed = make_sequence(rows)
+        strategy = "average" if seed % 2 == 0 else "max"
+        cfg = PoolingConfig(search_algorithm="dijkstra", pooling=strategy)
+        expected = naive_smooth(rows, queries, algorithm="dijkstra", pooling=strategy)
+        assert smooth(mixed, queries, cfg).labeled_items() == expected, f"seed {seed}"
+    _report("oracle-equivalence-mixed-signs", "200 graphs")
+
+
 # -- criterion: worked-example fidelity ---------------------------------------
 
 

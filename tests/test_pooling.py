@@ -20,7 +20,7 @@ from cases import (
     scores_by_rank,
     tree_graphs,
 )
-from naive_ref import naive_kernel_smoothing, naive_smooth
+from naive_ref import naive_kernel_smoothing, naive_smooth, naive_tree_paths
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError, EmptyInputError
 from pathpool.pooling import (
@@ -513,17 +513,17 @@ def test_bfs_smoothing_memory_is_bounded_by_the_block_size():
     assert peak < 64 * _kernels_py.BFS_BLOCK_PATHS * max_path_len**2
 
 
-# -- dijkstra smoothing vs the shortest-path-tree oracle --------------------
+# -- dijkstra smoothing vs the naive tree oracle ----------------------------
 
 
 def _assert_tree_fold_matches_oracle(n_vertices, edges, scores, rank, sources):
-    """The dijkstra fold equals pooling each path ``search_kernels`` lists."""
+    """The dijkstra fold equals pooling each path of the naive trees."""
     args = flat_args(n_vertices, edges, scores, rank)
     s_min = min(scores)
-    kernels = [
-        path
-        for path, _ in _kernels_py.search_kernels(*args, sources, ALG_DIJKSTRA, 1, 1, 0)
-    ]
+    heads, tails = zip(*edges)
+    kernels = naive_tree_paths(heads, tails, scores, rank, sources)
+    covered = {e for kernel in kernels for e in kernel}
+    kernels += [(e,) for e in range(len(edges)) if e not in covered]
     for code, strategy in enumerate(("average", "max")):
         for divisor in (10.0, 0.75):
             got = _kernels_py.smooth_scores(
@@ -556,6 +556,39 @@ def test_dijkstra_smoothing_on_a_deep_tied_chain():
     assert longest == tuple(range(1, len(edges), 2))
 
 
+def test_dijkstra_listing_breaks_ties_on_the_scores_smoothing_searches():
+    # shifted by 1e-6, the two Q->M scores round equal and the edge rank
+    # picks r0; the raw scores would pick r1
+    seq = make_sequence(
+        [("Q", "r0", "M", 0.0), ("Q", "r1", "M", 1e-97), ("M", "r2", "T", 0.0)]
+    )
+    kernels = kernel_set(seq, ["Q"], CFG)
+    assert list(kernels) == [
+        ((0,), "from_query"),
+        ((0, 2), "from_query"),
+        ((1,), "singleton"),
+    ]
+    assert kernels[(1,), "singleton"] == 1e-97
+    assert scores_by_rank(smooth(seq, ["Q"], CFG)) == aggregate_reference(
+        seq, ["Q"], CFG
+    )
+
+
+def test_naive_dijkstra_is_the_tree_when_sums_round_equal_only_further_down():
+    # r1 wins M on the larger sum, though both Q->M->T paths sum to 1.0
+    rows = [("Q", "r0", "M", 1e-20), ("Q", "r1", "M", 2e-20), ("M", "r2", "T", 1.0)]
+    seq = make_sequence(rows)
+    assert set(kernel_set(seq, ["Q"], CFG)) == {
+        ((1,), "from_query"),
+        ((1, 2), "from_query"),
+        ((0,), "singleton"),
+    }
+    for strategy in ("average", "max"):
+        cfg = PoolingConfig(pooling=strategy)
+        expected = naive_smooth(rows, ["Q"], algorithm="dijkstra", pooling=strategy)
+        assert smooth(seq, ["Q"], cfg).labeled_items() == expected, strategy
+
+
 @pytest.mark.parametrize("strategy", ["average", "max"])
 @pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
 def test_smoothing_walks_no_path(monkeypatch, algorithm, strategy):
@@ -574,15 +607,36 @@ def test_smoothing_walks_no_path(monkeypatch, algorithm, strategy):
     def walk(*args):
         raise AssertionError(f"{algorithm} smoothing walked a path in Python")
 
-    for name in (
-        "_dispatch",
-        "_enumerate_simple_paths",
-        "_shortest_path_tree",
-        "_tail_ranks",
-        "_path_edges",
-    ):
+    for name in ("search_kernels", "_enumerate_simple_paths"):
         monkeypatch.setattr(_kernels_py, name, walk)
     assert smoothed() == expected
+
+
+def test_dijkstra_smoothing_and_listing_grow_one_tree_each(monkeypatch):
+    # py smoothing and kernel listing both read the one tree helper, once
+    cfg = PoolingConfig(search_algorithm="dijkstra")
+    grow = _kernels_py._tree_levels
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(_kernels_py, "_tree_levels", spy)
+    cases = [random_case(seed, max_edges=24) for seed in range(20)]
+    cases = [
+        (seq, queries)
+        for seq, queries in cases
+        if build_scored_subgraph(seq).vertices_for_labels(queries)
+    ]
+    assert len(cases) >= 10
+    for seq, queries in cases:
+        calls.clear()
+        smooth(seq, queries, cfg, backend="py")
+        assert len(calls) == 1
+        calls.clear()
+        search_path_kernels(build_scored_subgraph(seq), queries, cfg)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
