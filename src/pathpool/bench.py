@@ -211,9 +211,9 @@ def measure_overhead(
 
     The first WARMUP_RUNS timings of every cell are discarded; each cell must
     keep at least MIN_QUERIES_PER_CELL measurements. Everything runs on one
-    thread to keep the numbers contention-free, and each query runs on every
-    backend back to back, so drift in the machine's speed hits them alike.
-    Cells are reported backend by backend.
+    thread to keep the numbers contention-free, and each query runs at every
+    size and on every backend back to back, so drift in the machine's speed
+    hits all of them alike. Cells are reported backend by backend.
     """
     if not algorithms or not triple_counts:
         raise ConfigError("benchmark grid is empty")
@@ -234,19 +234,16 @@ def measure_overhead(
     for a, algorithm in enumerate(algorithms):
         cfg = replace(base, search_algorithm=algorithm)
         cfg.validate()
-        for c, count in enumerate(triple_counts):
-            trimmed = [
-                (sequence.trimmed(count), anchors) for sequence, anchors in workloads
-            ]
-            for sequence, _ in trimmed:
-                if len(sequence) < count:
+        for sequence, anchors in workloads:
+            for c, count in enumerate(triple_counts):
+                trimmed = sequence.trimmed(count)
+                if len(trimmed) < count:
                     raise ConfigError(
-                        f"workload has {len(sequence)} triples, cell needs {count}"
+                        f"workload has {len(trimmed)} triples, cell needs {count}"
                     )
-            for sequence, anchors in trimmed:
                 for b, backend in enumerate(backends):
                     start = time.perf_counter()
-                    pooling.smooth(sequence, anchors, cfg, backend=backend)
+                    pooling.smooth(trimmed, anchors, cfg, backend=backend)
                     elapsed = (time.perf_counter() - start) * 1e3
                     times_ms.setdefault((b, a, c), []).append(elapsed)
     cells = [

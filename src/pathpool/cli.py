@@ -304,6 +304,8 @@ def _check_run(cfg: PipelineConfig) -> None:
     """Reject a run config that would fail every query, before anything is loaded."""
     sel = cfg.selection_cfg
     _check_retrieval(cfg.hops, sel.coarse_k)
+    sel.validate()
+    cfg.pooling_cfg.validate()
     if sel.fine_k > sel.coarse_k:
         raise ConfigError(
             f"fine_k ({sel.fine_k}) must not exceed coarse_k ({sel.coarse_k})"

@@ -84,7 +84,7 @@ _SMOOTH_ARGTYPES = [
     _PTR,  # eid, 2 * n_edges
     _PTR,  # dst, 2 * n_edges
     _PTR,  # scores
-    _PTR,  # label-order rank per edge, or NULL when the algorithm is not dijkstra
+    _PTR,  # label-order rank per edge, read only by dijkstra
     _PTR,  # sources
     ctypes.c_int32,  # n_sources
     ctypes.c_int32,  # algorithm
@@ -140,7 +140,7 @@ class _CompiledCore:
         eid_buf = _int32_buffer(eid)
         dst_buf = _int32_buffer(dst)
         score_buf = np.ascontiguousarray(scores, dtype=np.float64)
-        rank_buf = _int32_buffer(rank if dijkstra else ())
+        rank_buf = _int32_buffer(rank)
         source_buf = _int32_buffer(sources)
         final = np.zeros(n_edges)
         status = self._fn(
@@ -383,10 +383,30 @@ def pool_path(
     raise ConfigError(f"unknown pooling strategy: {strategy!r}")
 
 
-def _backend_args(g: ScoredSubgraph, scores: np.ndarray, cfg: PoolingConfig):
-    # edge ranks are only consulted by dijkstra tie-breaks
-    rank = g.edge_rank if cfg.search_algorithm == "dijkstra" else None
-    return (g.n_vertices, g.off, g.eid, g.src, g.dst, scores, rank)
+def _kernel_args(
+    g: ScoredSubgraph, query_entities: Iterable[str], cfg: PoolingConfig
+) -> tuple:
+    """The leading arguments of ``smooth_scores`` and ``search_kernels``.
+
+    ``cfg`` is validated first. The kernels search the subgraph's scores
+    shifted positive (``_shifted``), at index 5 of the tuple, from the
+    vertices of the query entities the subgraph holds.
+    """
+    cfg.validate()
+    return (
+        g.n_vertices,
+        g.off,
+        g.eid,
+        g.src,
+        g.dst,
+        _shifted(g.scores),
+        g.edge_rank,
+        g.vertices_for_labels(query_entities),
+        _ALGORITHM_CODES[cfg.search_algorithm],
+        cfg.max_path_len,
+        cfg.walk_count,
+        cfg.rng_seed,
+    )
 
 
 def search_path_kernels(
@@ -401,22 +421,13 @@ def search_path_kernels(
     no searched path are emitted as singletons. Query entities absent from
     the subgraph contribute nothing; with no usable query entity every
     triple becomes a singleton. The search always runs in ``_kernels_py``;
-    ``backend`` is only checked, as ``smooth`` checks it. It searches the
-    scores ``smooth`` searches, shifted positive (``_shifted``), so the
+    ``backend`` is only checked, as ``smooth`` checks it. The search gets
+    the arguments ``smooth`` gives its kernel (``_kernel_args``), so the
     kernels are the ones ``smooth`` folds, the dijkstra trees included;
     each ``pooled_score`` pools the subgraph's own scores.
     """
-    cfg.validate()
     backend_module(backend)
-    sources = g.vertices_for_labels(query_entities)
-    raw = _kernels_py.search_kernels(
-        *_backend_args(g, _shifted(g.scores), cfg),
-        sources,
-        _ALGORITHM_CODES[cfg.search_algorithm],
-        cfg.max_path_len,
-        cfg.walk_count,
-        cfg.rng_seed,
-    )
+    raw = _kernels_py.search_kernels(*_kernel_args(g, query_entities, cfg))
     scores = g.scores.tolist()
     return [
         PathKernel(tuple(edges), DIRECTIONS[code], pool_path(edges, scores, cfg.pooling))
@@ -452,24 +463,11 @@ def smooth(
     ``s_min / (position * divisor)`` is infinite) raises ``ConfigError``
     naming the first such triple in input order.
     """
-    cfg.validate()
-    if len(sequence) == 0:
-        raise EmptyInputError("cannot smooth an empty sequence")
     module = backend_module(backend)
-    g = build_scored_subgraph(sequence)
-    scores = _shifted(g.scores)
-    s_min = float(scores.min())
-    sources = g.vertices_for_labels(query_entities)
+    args = _kernel_args(build_scored_subgraph(sequence), query_entities, cfg)
+    s_min = float(args[5].min())
     final = module.smooth_scores(
-        *_backend_args(g, scores, cfg),
-        sources,
-        _ALGORITHM_CODES[cfg.search_algorithm],
-        cfg.max_path_len,
-        cfg.walk_count,
-        cfg.rng_seed,
-        _POOLING_CODES[cfg.pooling],
-        s_min,
-        cfg.positional_divisor,
+        *args, _POOLING_CODES[cfg.pooling], s_min, cfg.positional_divisor
     )
     if not np.isfinite(final).all():
         row = sequence.row_array[np.isfinite(final).argmin()]

@@ -44,7 +44,7 @@ run as one:
 * Dijkstra (``_tree_smooth``) takes both min-hop trees, grown a level at a
   time by ``_tree_levels``, and pushes each vertex's pooled value up its
   tree as a subtree max;
-* BFS (``_bfs_smooth``) holds the prefixes of up to ``max_path_len - 1``
+* BFS (``_PrefixFold``) holds the prefixes of up to ``max_path_len - 1``
   edges, one depth and one block at a time, each with its running sum (or
   max) and the best pooled value below it, and solves the last edge of the
   longest paths per prefix and per edge. Both read dense tables indexed by
@@ -165,11 +165,24 @@ class _Level:
 
 
 class _PrefixFold:
-    """BFS smoothing of both search directions; see ``_bfs_smooth``.
+    """BFS smoothing: fold every simple path of 1..max_len edges into ``final``.
+
+    Per edge, the max over the paths ``_enumerate_simple_paths`` would emit
+    in both directions of pooled + ``pos[position]``, without listing them:
+
+    * the prefixes of up to ``max_len - 1`` edges are built as numpy
+      columns (``_Level``), one depth at a time and at most
+      ``BFS_BLOCK_PATHS`` new ones at a time; each carries its prefix's
+      running sum (or max), the float sequence a per-path loop computes;
+    * the paths of ``max_len`` edges are solved per prefix and per edge
+      (``_close``), so they are never listed either;
+    * once every block below a prefix is done, its best pooled value goes
+      to its parent and to ``final`` at its last edge, by ``np.maximum.at``.
 
     The two searches run as one on the doubled graph. Per CSR slot, ``src``
     is the vertex the edge leaves, ``dst`` the one it reaches and ``eid``
-    the edge.
+    the edge. ``final`` holds -inf for an edge no path has reached yet;
+    scores are finite, and ``max_len`` is at least 2.
     """
 
     def __init__(self, off, eid, src, dst, scores, max_len, average, pos, final):
@@ -187,7 +200,6 @@ class _PrefixFold:
         self.loop = src == dst
 
     def run(self, sources) -> None:
-        sources = np.asarray(sources, dtype=np.intp)
         roots = np.concatenate((sources, sources + self.n_vertices))[None, :]
         start = np.full(roots.shape[1], 0.0 if self.average else -np.inf)
         root = _Level(roots, start, None, None, 0, start.copy())
@@ -319,29 +331,6 @@ class _PrefixFold:
         return top_dst, top_score
 
 
-def _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final):
-    """Fold every simple path of 1..max_len edges into ``final``.
-
-    Per edge, the max over the paths ``_enumerate_simple_paths`` would emit
-    in both directions of pooled + ``pos[position]``, without listing them:
-
-    * the prefixes of up to ``max_len - 1`` edges are built as numpy
-      columns (``_Level``), one depth at a time and at most
-      ``BFS_BLOCK_PATHS`` new ones at a time; each carries its prefix's
-      running sum (or max), the float sequence a per-path loop computes;
-    * the paths of ``max_len`` edges are solved per prefix and per edge
-      (``_PrefixFold._close``), so they are never listed either;
-    * once every block below a prefix is done, its best pooled value goes
-      to its parent and to ``final`` at its last edge, by ``np.maximum.at``.
-
-    ``final`` holds -inf for an edge no path has reached yet; scores are
-    finite.
-    """
-    if max_len < 2:
-        return  # a one-edge path scores as the singleton the caller gives it
-    _PrefixFold(off, eid, src, dst, scores, max_len, average, pos, final).run(sources)
-
-
 def _tree_levels(off, eid, src, dst, scores, rank, sources):
     """Both min-hop trees, grown as one a level at a time over the doubled graph.
 
@@ -363,7 +352,6 @@ def _tree_levels(off, eid, src, dst, scores, rank, sources):
     from that parent), and ``acc``, indexed by vertex.
     """
     n = len(off) - 1
-    sources = np.asarray(sources, dtype=np.intp)
     depth_of = np.full(n, -1)
     depth_of[sources] = depth_of[sources + n // 2] = 0
     place = np.zeros(n, dtype=np.int64)
@@ -436,7 +424,7 @@ def _walks(off, eid, dst, sources, max_len, walk_count, seed):
     for lo in range(0, total, BFS_BLOCK_PATHS):
         hi = min(lo + BFS_BLOCK_PATHS, total)
         lanes = np.arange(lo, hi)
-        u = np.asarray(sources)[lanes // walk_count]
+        u = sources[lanes // walk_count]
         keys = (lanes + 1).astype(np.uint64) * np.uint64(_GOLDEN)
         keys = _mix(keys + np.uint64(seed & _MASK64))
         live = np.arange(hi - lo)
@@ -531,6 +519,7 @@ def search_kernels(
     seed,
 ):
     """All path kernels in canonical order, deduplicated, singletons last."""
+    sources = np.asarray(sources, dtype=np.intp)
     ne = len(scores)
     kernels: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple[int, ...]] = set()
@@ -557,7 +546,7 @@ def search_kernels(
             add(paths[v], DIR_TO_QUERY if v >= n_vertices else DIR_FROM_QUERY)
     elif algorithm == ALG_BFS:
         off, eid, dst = off.tolist(), eid.tolist(), dst.tolist()
-        for s in [*sources, *(s + n_vertices for s in sources)]:
+        for s in np.concatenate((sources, sources + n_vertices)).tolist():
             dircode = DIR_TO_QUERY if s >= n_vertices else DIR_FROM_QUERY
             _enumerate_simple_paths(
                 off, eid, dst, s, max_path_len, lambda path, d=dircode: add(path, d)
@@ -593,32 +582,26 @@ def smooth_scores(
 ):
     """Per-edge smoothed score: max over kernels of pooled + positional term.
 
-    The columns are numpy arrays (``rank`` may be None unless the algorithm
-    is dijkstra) and ``scores`` are finite; the result is a float64 array.
+    The columns are numpy arrays and ``scores`` are finite; the result is a
+    float64 array. An edge on no kernel scores as a one-edge kernel,
+    score + s_min / divisor.
     """
-    if algorithm not in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
-        raise ValueError(f"unknown algorithm code {algorithm}")
-    ne = len(scores)
-    final = np.full(ne, -np.inf)  # -inf: on no kernel yet
-    if not len(sources):
-        return _fill_singletons(final, scores, s_min, divisor)
+    sources = np.asarray(sources, dtype=np.intp)
+    final = np.full(len(scores), -np.inf)  # -inf: on no kernel yet
     average = pooling == 0
+    max_len = min(max_path_len, len(scores))
+    pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
     if algorithm == ALG_DIJKSTRA:
         _tree_smooth(
             off, eid, src, dst, scores, rank, sources, average, s_min, divisor, final
         )
-        return _fill_singletons(final, scores, s_min, divisor)
-    max_len = min(max_path_len, ne)
-    pos = [0.0] + [s_min / (i * divisor) for i in range(1, max_len + 1)]
-    if algorithm == ALG_BFS:
-        sources = np.asarray(sources, dtype=np.intp)
-        _bfs_smooth(off, eid, src, dst, scores, sources, max_len, average, pos, final)
-        return _fill_singletons(final, scores, s_min, divisor)
-    for edges in _walks(off, eid, dst, sources, max_len, walk_count, seed):
-        _walk_smooth(edges, scores, average, pos, final)
-    return _fill_singletons(final, scores, s_min, divisor)
-
-
-def _fill_singletons(final, scores, s_min, divisor):
-    """Edges on no kernel score as a one-edge kernel: score + s_min/divisor."""
+    elif algorithm == ALG_BFS:
+        if max_len > 1:  # a one-edge path scores as the singleton given below
+            fold = _PrefixFold(off, eid, src, dst, scores, max_len, average, pos, final)
+            fold.run(sources)
+    elif algorithm == ALG_RANDOM_WALK:
+        for edges in _walks(off, eid, dst, sources, max_len, walk_count, seed):
+            _walk_smooth(edges, scores, average, pos, final)
+    else:
+        raise ValueError(f"unknown algorithm code {algorithm}")
     return np.where(final == -np.inf, scores + s_min / divisor, final)

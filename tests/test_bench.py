@@ -144,8 +144,8 @@ def test_each_query_runs_on_every_backend_back_to_back(small_setup, monkeypatch)
     expected = [
         (algorithm, count, anchors, backend)
         for algorithm in ("dijkstra", "bfs")
-        for count in (25, 60)
         for _, anchors in workloads
+        for count in (25, 60)
         for backend in backends
     ]
     assert calls == expected

@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from pathpool import cli, pooling
+from pathpool.errors import ConfigError
 from pathpool.scoring import TripleSequence
 
 DATA = resources.files("pathpool") / "data"
@@ -920,6 +922,44 @@ def test_run_settings_that_fail_every_query_abort_before_loading(
     argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, "--out", out]
     assert run_cli("run", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("selection_cfg", "pooling_cfg", "message"),
+    [
+        ({"mode": "bogus"}, {}, "unknown selection mode: 'bogus'"),
+        ({"order": "bogus"}, {}, "unknown ordering: 'bogus'"),
+        ({}, {"search_algorithm": "bogus"}, "unknown search algorithm: 'bogus'"),
+        ({}, {"max_path_len": 0}, "max_path_len must be >= 1"),
+    ],
+)
+def test_run_pipeline_rejects_a_bad_library_config_before_loading(
+    tmp_path, monkeypatch, selection_cfg, pooling_cfg, message
+):
+    # an unknown mode ran as reselect, with no error row; a bad order or
+    # pooling config made every query an error row
+    from pathpool import selection
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("the run went past its config check")
+
+    monkeypatch.setattr(cli, "load_triples", untouched)
+    out = tmp_path / "out"
+    cfg = cli.PipelineConfig(
+        kg_path=TOY_KG,
+        queries_path=TOY_QUERIES,
+        scorer_spec=f"precomputed:{TOY_SCORES}",
+        hops=4,
+        pooling_cfg=pooling.PoolingConfig(**pooling_cfg),
+        selection_cfg=selection.SelectionConfig(fine_k=3, coarse_k=20, **selection_cfg),
+        generation_cfg=None,
+        out_dir=str(out),
+        no_llm=True,
+        workers=1,
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.run_pipeline(cfg)
     assert not out.exists()
 
 

@@ -293,18 +293,9 @@ def test_smooth_orders_by_final_score_then_input_position(seed, algorithm):
     random.Random(seed).shuffle(ranks)
     sequence = _with_ranks(sequence, ranks)
     cfg = PoolingConfig(search_algorithm=algorithm, max_path_len=3)
-    g = build_scored_subgraph(sequence)
-    scores = pooling._shifted(g.scores)
+    args = pooling._kernel_args(build_scored_subgraph(sequence), queries, cfg)
     final = _kernels_py.smooth_scores(
-        *pooling._backend_args(g, scores, cfg),
-        g.vertices_for_labels(queries),
-        pooling._ALGORITHM_CODES[algorithm],
-        cfg.max_path_len,
-        cfg.walk_count,
-        cfg.rng_seed,
-        pooling._POOLING_CODES[cfg.pooling],
-        min(scores),
-        cfg.positional_divisor,
+        *args, pooling._POOLING_CODES[cfg.pooling], min(args[5]), cfg.positional_divisor
     )
     order = sorted(range(len(final)), key=lambda i: (-final[i], i))
     out = smooth(sequence, queries, cfg, backend="py")

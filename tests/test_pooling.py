@@ -278,7 +278,7 @@ def _first_steps(degree, walk_count, seed):
     """How often each out-slot of a star's centre takes a walk's first step."""
     args = flat_args(degree + 1, [(0, 1 + i) for i in range(degree)], [0.5] * degree)
     _, off, eid, _, dst = args[:5]
-    blocks = _kernels_py._walks(off, eid, dst, [0], 1, walk_count, seed)
+    blocks = _kernels_py._walks(off, eid, dst, np.array([0]), 1, walk_count, seed)
     first = np.concatenate([edges[0] for edges in blocks])
     return np.bincount(first, minlength=degree)
 
@@ -637,6 +637,40 @@ def test_dijkstra_smoothing_and_listing_grow_one_tree_each(monkeypatch):
         calls.clear()
         search_path_kernels(build_scored_subgraph(seq), queries, cfg)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
+def test_smoothing_and_listing_pass_the_kernels_equal_arguments(monkeypatch, algorithm):
+    # the listing once searched the raw scores where smoothing searched them
+    # shifted positive, so the two disagreed wherever a score was <= 0
+    cfg = PoolingConfig(search_algorithm=algorithm, max_path_len=3)
+    calls = []
+
+    def spy(fn):
+        def record(*args):
+            calls.append(args[:12])
+            return fn(*args)
+
+        return record
+
+    targets = [(_kernels_py, "search_kernels"), (_kernels_py, "smooth_scores")]
+    if pooling._core is not None:
+        targets.append((pooling._core, "smooth_scores"))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    cases = [
+        random_case(seed, max_edges=24, positive=seed % 2 == 0) for seed in range(30)
+    ]
+    assert sum(seq.score_array.min() <= 0 for seq, _ in cases) >= 10
+    for seq, queries in cases:
+        for backend in pooling.available_backends():
+            calls.clear()
+            search_path_kernels(build_scored_subgraph(seq), queries, cfg, backend)
+            smooth(seq, queries, cfg, backend=backend)
+            listed, smoothed = calls
+            assert len(listed) == len(smoothed) == 12
+            for a, b in zip(listed, smoothed):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("algorithm", ["dijkstra", "bfs", "random_walk"])
