@@ -34,6 +34,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import generation, pooling, selection
+from ._bulk import utf8_errors
 from .errors import ConfigError, ParseError, PathPoolError
 from .kg_store import (
     QueryRecord,
@@ -92,9 +93,10 @@ def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
 
 
 def _read_jsonl(path: Path) -> list[dict]:
-    """The JSON objects of a JSONL file; any other line raises ParseError."""
+    """The JSON objects of a JSONL file; any other line, or a file that is
+    not UTF-8, raises ParseError."""
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with utf8_errors(path), open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -9,15 +9,18 @@ retrieval runs on them; a triple is named by its store row.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain, count, cycle
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ._bulk import count_lines, line_blocks, stable_order, utf8_errors
 from .errors import ConfigError, EntityLookupError, ParseError
 from .textnorm import normalize_answer
 
@@ -30,7 +33,9 @@ class TripleStore:
     ``TripleStore(rows)`` interns an iterable of ``(head, relation, tail)``
     label rows in first-seen order, keeps the first of each repeated row and
     builds every column once; the store is immutable after that, and so
-    safe to share across threads.
+    safe to share across threads. ``load_triples`` builds one from a
+    file's flat label blocks through ``_from_fields``; both go through
+    ``_build``, which interns with ``_intern``.
 
     ``id_array`` is one ``(n, 3)`` int64 array of (head, relation, tail)
     ids, a row per triple in first-seen order. ``incidence()`` is a CSR
@@ -46,24 +51,25 @@ class TripleStore:
     """
 
     def __init__(self, rows: Iterable[tuple[str, str, str]]) -> None:
-        entity_ids: dict[str, int] = {}
-        relation_ids: dict[str, int] = {}
-        heads: list[int] = []
-        relations: list[int] = []
-        tails: list[int] = []
-        for head, relation, tail in rows:
-            heads.append(entity_ids.setdefault(head, len(entity_ids)))
-            relations.append(relation_ids.setdefault(relation, len(relation_ids)))
-            tails.append(entity_ids.setdefault(tail, len(entity_ids)))
+        self._build(map(_row_fields, line_blocks(rows)), 0)
+
+    @classmethod
+    def _from_fields(
+        cls, field_blocks: Iterable[list[str]], capacity: int
+    ) -> "TripleStore":
+        """A store of flat ``[head, relation, tail, ...]`` label blocks."""
+        store = cls.__new__(cls)
+        store._build(field_blocks, capacity)
+        return store
+
+    def _build(self, field_blocks: Iterable[list[str]], capacity: int) -> None:
+        entity_ids, relation_ids, ids = _intern(field_blocks, capacity)
         self._entity_ids = entity_ids
         self._entity_labels = list(entity_ids)
         self._relation_ids = relation_ids
         self._relation_labels = list(relation_ids)
-        ids = np.array([heads, relations, tails], dtype=np.int64).T
-        # drop the interning lists, so the column build reuses their memory
-        del heads, relations, tails
         self.id_array, *incidence, self.row_rank = _build_columns(
-            _first_seen(ids, self.n_entities), self._entity_labels, self._relation_labels
+            ids, self._entity_labels, self._relation_labels
         )
         self._incidence = tuple(incidence)
 
@@ -128,7 +134,8 @@ class TripleStore:
 
 
 def _label_ranks(labels: list[str]) -> np.ndarray:
-    ranks = np.empty(len(labels), dtype=np.int64)
+    """Each label's place in sorted order, in the narrowest dtype that holds it."""
+    ranks = np.empty(len(labels), dtype=np.min_scalar_type(max(len(labels) - 1, 0)))
     ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     return ranks
 
@@ -136,41 +143,103 @@ def _label_ranks(labels: list[str]) -> np.ndarray:
 def _build_columns(
     ids: np.ndarray, entity_labels: list[str], relation_labels: list[str]
 ) -> tuple[np.ndarray, ...]:
-    """``ids``, the incidence CSR over it and the row rank (see ``TripleStore``).
+    """The distinct rows of ``ids`` in first-seen order, the incidence CSR
+    over them and their row rank (see ``TripleStore``).
 
-    The rank sorts the rows by relation and tail label rank, then by head
-    rank keeping that order; no key wraps, as each is below
-    ``n_entities * max(n_relations, n)``. One stable argsort of the head
-    column followed by the tail column puts each entity's headed triples
-    before its tailed ones, each in row order. Every array is read-only.
+    One ``stable_order`` of the head column followed by the tail column
+    puts each entity's headed triples before its tailed ones, each in row
+    order; its keys are entity ids, below ``n_entities``. ``ids`` may be of
+    any integer dtype; every array built is int64 and read-only.
     """
+    ids, rank = _first_seen(ids, entity_labels, relation_labels)
     n, n_entities = len(ids), len(entity_labels)
-    erank, rrank = _label_ranks(entity_labels), _label_ranks(relation_labels)
-    by_label = np.argsort(rrank[ids[:, 1]] * n_entities + erank[ids[:, 2]])
-    by_label = by_label[np.argsort(erank[ids[by_label, 0]] * n + np.arange(n))]
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_label] = np.arange(n)
     ends = np.concatenate((ids[:, 0], ids[:, 2]))
-    order = np.argsort(ends, kind="stable")
     offsets = np.zeros(n_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=n_entities), out=offsets[1:])
-    other = np.concatenate((ids[:, 2], ids[:, 0]))[order]
-    columns = (ids, offsets, other, order % max(n, 1), rank)
+    triple = stable_order(ends, n_entities - 1)
+    other = np.concatenate((ids[:, 2], ids[:, 0]))[triple].astype(np.int64)
+    triple %= max(n, 1)  # an index into the tails half is its row plus n
+    columns = (ids.astype(np.int64), offsets, other, triple, rank)
     for column in columns:
         column.flags.writeable = False
     return columns
 
 
-def _first_seen(ids: np.ndarray, n_entities: int) -> np.ndarray:
-    """The distinct rows of ``ids``, each where it first occurs, in order."""
-    # below n_entities ** 2, so no store that fits in memory wraps it
-    pair = ids[:, 0] * n_entities + ids[:, 2]
-    # stable, so a repeat sorts after the row it repeats
-    order = np.lexsort((ids[:, 1], pair))
-    pair, relation = pair[order], ids[order, 1]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (pair[1:] != pair[:-1]) | (relation[1:] != relation[:-1])
-    return ids[np.sort(order[first])]
+def _first_seen(
+    ids: np.ndarray, entity_labels: list[str], relation_labels: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``ids``, each where it first occurs, and their row rank.
+
+    Three ``stable_order`` passes, by tail, relation and then head label
+    rank, sort the rows in label order. The sort is stable, so a repeated
+    row sorts right after the row it repeats and is dropped; the kept rows'
+    places in it are the row rank. Every sort key is a label rank, below
+    ``n_entities`` or ``n_relations``, and no key is combined with another,
+    so none can wrap.
+    """
+    n_entities, n_relations = len(entity_labels), len(relation_labels)
+    erank, rrank = _label_ranks(entity_labels), _label_ranks(relation_labels)
+    keys = (erank[ids[:, 0]], rrank[ids[:, 1]], erank[ids[:, 2]])
+    by_label = stable_order(keys[2], n_entities - 1)
+    for key, bound in ((keys[1], n_relations - 1), (keys[0], n_entities - 1)):
+        by_label = by_label[stable_order(key[by_label], bound)]
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[:1] = False
+    for key in keys:
+        key = key[by_label]
+        repeat[1:] &= key[1:] == key[:-1]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[by_label] = np.cumsum(~repeat) - 1
+    keep = np.ones(len(ids), dtype=bool)
+    keep[by_label[repeat]] = False
+    return ids.compress(keep, axis=0), rank.compress(keep)
+
+
+def _intern(
+    field_blocks: Iterable[list[str]], capacity: int
+) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
+    """The entity and relation ids, in first-seen order, and the ``(n, 3)``
+    ids of every row of the blocks, repeats included.
+
+    Each block is a flat ``[head, relation, tail, head, ...]`` label list.
+    One C-level map of ``dict.setdefault`` over a block looks every label up
+    in its table, and gives a new one the next value of a counter that both
+    tables share, into an id array of ``capacity`` rows (grown when the
+    blocks hold more). A label's value rises with its first sighting but
+    skips the values of later sightings, so at the end one array indexed
+    by value maps each table's values to ``0, 1, ...`` in table order. The
+    ids come back in the narrowest dtype that holds them, which keeps the
+    load's peak memory low.
+    """
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    ids = np.empty((capacity, 3), dtype=np.int64)
+    n = 0
+    tick = count()
+    for fields in field_blocks:
+        end = n + len(fields) // 3
+        if end > len(ids):
+            ids = np.resize(ids, (max(end, 2 * len(ids)), 3))
+        tables = cycle((entity_ids, relation_ids, entity_ids))
+        looked_up = map(dict.setdefault, tables, fields, tick)
+        ids[n:end] = np.fromiter(looked_up, np.int64, len(fields)).reshape(-1, 3)
+        n = end
+    widest = max(len(entity_ids), len(relation_ids), 1) - 1
+    dense = np.empty(next(tick), dtype=np.min_scalar_type(widest))
+    for table in (entity_ids, relation_ids):
+        dense[np.fromiter(table.values(), np.int64, len(table))] = np.arange(len(table))
+    return (
+        dict(zip(entity_ids, range(len(entity_ids)))),
+        dict(zip(relation_ids, range(len(relation_ids)))),
+        dense[ids[:n]],
+    )
+
+
+def _row_fields(rows: list[tuple[str, str, str]]) -> list[str]:
+    """The labels of a block of ``(head, relation, tail)`` rows, flat."""
+    if set(map(len, rows)) != {3}:
+        raise ValueError("every row must be a (head, relation, tail) triple")
+    return list(chain.from_iterable(rows))
 
 
 class Subgraph:
@@ -206,39 +275,122 @@ class QueryRecord:
 
 
 def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-        return
-    for raw in source:
-        if isinstance(raw, bytes):
-            yield raw.decode("utf-8")
-        else:
-            yield raw
+    """The text lines of a path, or the items of an iterable, bytes decoded.
+
+    Bytes that are not UTF-8 raise ParseError naming the path, or the
+    handle's ``name``.
+    """
+    path = isinstance(source, (str, Path))
+    with utf8_errors(source if path else getattr(source, "name", "input")):
+        if path:
+            with open(source, "r", encoding="utf-8") as handle:
+                yield from handle
+            return
+        for raw in source:
+            if isinstance(raw, bytes):
+                yield raw.decode("utf-8")
+            else:
+                yield raw
 
 
 def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
     """Parse tab-separated ``head<TAB>relation<TAB>tail`` lines into a store.
 
     Blank lines and ``#`` comments are skipped; duplicate triples collapse to
-    one. Raises ParseError (with line number) on wrong arity or empty fields.
+    one. Raises ParseError (with line number) on wrong arity or empty
+    fields, and naming the source on bytes that are not UTF-8.
+
+    A path is read once, in binary, ``LOAD_BLOCK`` lines at a time
+    (``_file_fields``), into ids sized by ``count_lines``; its lines are
+    those of a text-mode read, so a ``\\r`` or ``\\r\\n`` ends one too.
+    Any other source goes through the line loop, its items taken as lines
+    as they are, bytes decoded.
     """
     if isinstance(source, (str, Path)):
-        # the file's own line iterator, one generator frame fewer per line
-        with open(source, "r", encoding="utf-8") as handle:
-            return TripleStore(_parse_triples(handle))
-    return TripleStore(_parse_triples(_iter_lines(source)))
+        with utf8_errors(source), open(source, "rb") as handle:
+            capacity = count_lines(handle)
+            return TripleStore._from_fields(_file_fields(handle), capacity)
+    return TripleStore(_parse_triples(_iter_lines(source), 1))
 
 
-def _parse_triples(lines: Iterable[str]) -> Iterator[tuple[str, str, str]]:
+def _file_fields(handle: IO[bytes]) -> Iterator[list[str]]:
+    """The flat ``[head, relation, tail, ...]`` labels of each block's triples.
+
+    A block's ``\\r\\n`` line ends are checked as the ``\\n`` a text-mode
+    read turns them into, so a CRLF file is split in bulk too; a binary
+    read ends a line only after a ``\\n``, so none spans two blocks. A
+    block ``_clean_fields`` accepts is split at once. Any other is split
+    into lines as a text-mode read splits it and goes through
+    ``_parse_triples``, numbered from its first line, so that loop alone
+    raises and each ParseError names the line a whole-file line loop would.
+    """
+    lineno = 1
+    for block in line_blocks(handle):
+        data = b"".join(block)
+        fields = _clean_fields(data.replace(b"\r\n", b"\n"), len(block))
+        if fields is None:
+            lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+            fields = list(chain.from_iterable(_parse_triples(lines, lineno)))
+            lineno += len(lines)
+        else:
+            lineno += len(block)
+        yield fields
+
+
+# the bytes a clean block's separators read, line by line: tab, tab, newline
+_SEPARATORS = np.array([9, 9, 10], dtype=np.uint8)
+# the bytes a field of a clean block may start or end with: printable ASCII
+# other than the space, so no field is empty or padded
+_BARE = np.zeros(256, dtype=bool)
+_BARE[33:127] = True
+
+
+def _clean_fields(data: bytes, n_lines: int) -> list[str] | None:
+    """The flat labels of ``n_lines`` lines of UTF-8, or None if they are not clean.
+
+    The lines are clean when no ``\\r`` occurs, the bytes below 11 are
+    exactly a tab, a tab and a newline per line (so every line ends in its
+    newline), every field starts and ends on a ``_BARE`` byte (so none is
+    empty or padded, and a non-ASCII byte at a field edge counts as
+    padding) and no line starts with ``#``. Then each line is a triple
+    whose fields ``_parse_triples`` keeps as they are, so one split of the
+    decoded text gives them all. The checks are numpy passes over the
+    block's bytes, made before they are decoded.
+    """
+    if b"\r" in data:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # where each field ends: three per line, the last a newline
+    ends = np.flatnonzero(raw < 11)
+    if len(ends) != 3 * n_lines:
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if not (
+        (raw[ends].reshape(-1, 3) == _SEPARATORS).all()
+        and _BARE[raw[starts]].all()
+        and _BARE[raw[ends - 1]].all()
+        and (raw[starts[::3]] != ord("#")).all()
+    ):
+        return None
+    fields = data.decode("utf-8").replace("\n", "\t").split("\t")
+    fields.pop()  # after the last newline
+    return fields
+
+
+def _parse_triples(
+    lines: Iterable[str], start: int
+) -> Iterator[tuple[str, str, str]]:
     """The stripped ``(head, relation, tail)`` of each triple line, in order.
 
     A line that splits into three non-empty fields, the first not starting
     with ``#``, is a triple; that test is all a valid line costs. Any other
-    line is blank or a comment, and skipped, or raises ParseError. The line
-    end stays on the tail, whose strip removes it.
+    line is blank or a comment, and skipped, or raises ParseError; the
+    lines are numbered from ``start``. The line end stays on the tail,
+    whose strip removes it.
     """
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         parts = line.split("\t")
         if len(parts) == 3:
             head, relation, tail = parts[0].strip(), parts[1].strip(), parts[2].strip()

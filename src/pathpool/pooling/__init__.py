@@ -60,6 +60,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._bulk import stable_order
 from ..errors import ConfigError, EmptyInputError
 from ..scoring import TripleSequence
 from . import _kernels_py
@@ -347,17 +348,18 @@ def _doubled_csr(
 
     Vertex u of the from-query search is u and owns the edges u heads;
     vertex u of the to-query search is ``u + n_vertices`` and owns the edges
-    u tails. One stable argsort keeps each vertex's edges in ascending edge
-    order and puts the from-query slots first. The same permutation gives
-    each slot's ``src``, the vertex that owns it, and ``dst``, the edge's
-    other end in the same half.
+    u tails. One ``stable_order`` of the owning vertices, whose keys are
+    below ``2 * n_vertices`` and so cannot wrap, keeps each vertex's edges
+    in ascending edge order and puts the from-query slots first. The same
+    permutation gives each slot's ``src``, the vertex that owns it, and
+    ``dst``, the edge's other end in the same half.
     """
     n_edges = len(heads)
     anchor = np.concatenate((heads, np.add(tails, n_vertices)))
     other = np.concatenate((tails, np.add(heads, n_vertices)))
     offsets = np.zeros(2 * n_vertices + 1, dtype=np.intp)
     np.cumsum(np.bincount(anchor, minlength=2 * n_vertices), out=offsets[1:])
-    eid = _kernels_py._stable_order(anchor, 2 * n_vertices)
+    eid = stable_order(anchor, 2 * n_vertices)
     src, dst = anchor[eid], other[eid]
     eid[n_edges:] -= n_edges  # to-query slots point into anchor's tails half
     return offsets, eid, src, dst

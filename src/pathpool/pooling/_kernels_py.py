@@ -494,16 +494,6 @@ def _walk_smooth(edges, scores, average, pos, final):
     np.maximum.at(final, edges[on], best[on])
 
 
-def _stable_order(keys, bound):
-    """``keys.argsort(kind="stable")`` for integer keys in ``0..bound``.
-
-    The keys are sorted in the narrowest dtype that holds ``bound``: numpy's
-    stable sort is a radix sort for integers of 16 bits or fewer and a
-    timsort for wider ones, and both give this one permutation.
-    """
-    return keys.astype(np.min_scalar_type(bound)).argsort(kind="stable")
-
-
 def search_kernels(
     n_vertices,
     off,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import compress, filterfalse, islice, repeat
+from itertools import compress, filterfalse, repeat
 from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ._bulk import count_lines, line_blocks, utf8_errors
 from .errors import ConfigError, ParseError, ScoringError
 from .kg_store import QueryRecord, Subgraph, TripleStore
 
@@ -234,21 +235,27 @@ class CosineScorer:
     def load(cls, path: str | Path) -> "CosineScorer":
         """Parse ``label<TAB>components`` lines straight into the matrix rows.
 
-        A first pass counts the lines, so the matrix is allocated once; a
-        repeated label keeps its first row and its last vector. The lines
-        are read ``_LOAD_BLOCK`` at a time, and ``_parse_block`` parses a
-        block's components with one ``np.loadtxt`` call. A block it does
-        not accept is read again by ``_load_lines``, one line at a time;
-        that loop alone raises, so every ParseError names its line as a
-        whole-file line loop would.
+        The file is read once. ``count_lines`` bounds its lines from its
+        bytes, so the matrix is allocated once (a pipe, which it cannot
+        count ahead, grows the matrix as its blocks arrive); a repeated
+        label keeps its first row and its last vector. The lines are read
+        ``LOAD_BLOCK`` at a time by ``line_blocks``, and ``_parse_block``
+        parses a block's components with one ``np.loadtxt`` call. A block
+        it does not accept is read again by ``_load_lines``, one line at a
+        time; that loop alone raises, so every ParseError names its line as
+        a whole-file line loop would. A file that is not UTF-8 raises
+        ParseError naming it.
         """
-        with open(path, "r", encoding="utf-8") as handle:
-            n_lines = sum(1 for _ in handle)
         rows: dict[str, int] = {}
         matrix: np.ndarray | None = None
         lineno = 1
-        with open(path, "r", encoding="utf-8") as handle:
-            while block := list(islice(handle, _LOAD_BLOCK)):
+        with utf8_errors(path), open(path, "r", encoding="utf-8") as handle:
+            n_lines = count_lines(handle.buffer)
+            for block in line_blocks(handle):
+                if len(rows) + len(block) > n_lines:
+                    n_lines = 2 * (len(rows) + len(block))
+                    if matrix is not None:
+                        matrix = np.resize(matrix, (n_lines, matrix.shape[1]))
                 parsed = _parse_block(block, None if matrix is None else matrix.shape[1])
                 if parsed is None:
                     matrix = _load_lines(block, lineno, rows, matrix, n_lines)
@@ -303,10 +310,6 @@ class CosineScorer:
         scores = np.where(scores < 1.0, scores, 1.0)
         return slice(None), scores
 
-
-# lines of an embedding table parsed per ``np.loadtxt`` call; at 64
-# dimensions a block holds about 2 MB of text and floats
-_LOAD_BLOCK = 1024
 
 _SPLIT_LABEL = methodcaller("partition", "\t")
 
@@ -401,7 +404,7 @@ class PrecomputedScorer:
     @classmethod
     def load(cls, path: str | Path) -> "PrecomputedScorer":
         table: dict[tuple[str, str, str, str], float] = {}
-        with open(path, "r", encoding="utf-8") as handle:
+        with utf8_errors(path), open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.rstrip("\r\n")
                 if not line.strip() or line.lstrip().startswith("#"):

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -22,6 +24,22 @@ from pathpool.scoring import TripleSequence
 def label_rows(candidates) -> list[tuple[str, str, str]]:
     """The (head, relation, tail) labels of each row of a store or subgraph view."""
     return list(zip(*candidates.store.label_columns(candidates.id_array)))
+
+
+@contextmanager
+def pipe_path(data: bytes):
+    """A ``/dev/fd`` path to a pipe holding ``data``, as a shell's ``<(...)`` gives.
+
+    A reader that opened the path twice would find the second read empty.
+    ``data`` must fit in the pipe's buffer (64 KiB on Linux).
+    """
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
 
 
 def store_rows(store: TripleStore, rows) -> list[int]:

@@ -1626,3 +1626,26 @@ def test_perfbench_trace_records_every_wrapped_layer_of_a_toy_run(tmp_path, monk
     for extract, score in zip(spans["kg_store.extract"], spans["scoring.score"]):
         assert extract.attrs["triples"] == score.attrs["candidates"] > 0
     assert all(span.attrs["multiset_ok"] for span in spans["pooling.smooth"])
+
+
+@pytest.mark.parametrize(
+    "reader", ["kg", "queries", "cosine", "precomputed", "completions", "artifact"]
+)
+def test_a_file_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    run = ("run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm")
+    argv = {
+        "kg": ("run", "--kg", bad, "--queries", TOY_QUERIES, "--no-llm"),
+        "queries": ("run", "--kg", TOY_KG, "--queries", bad, "--no-llm"),
+        "cosine": (*run, "--scorer", f"cosine:{bad}"),
+        "precomputed": (*run, "--scorer", f"precomputed:{bad}"),
+        "completions": ("eval", "--queries", TOY_QUERIES, "--completions", bad),
+        "artifact": ("prompt", "--in", bad),
+    }[reader]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid UTF-8")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import io
+import re
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cases import label_rows, small_store
+from cases import label_rows, pipe_path, small_store
 from naive_ref import naive_extract_subgraph
 
+from pathpool import _bulk, kg_store
 from pathpool.errors import ConfigError, EntityLookupError, ParseError
 from pathpool.kg_store import (
     QueryRecord,
@@ -256,6 +261,238 @@ def test_load_triples_matches_a_plain_line_loop(lines):
         assert (err.value.line, str(err.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
     else:
         assert label_rows(load_triples(lines)) == expected
+
+
+# lines for blocks of 2 or 3: clean triples most often, else a line that
+# fails the bulk check in one way: a "\r\n" end, "\x1c" or space padding,
+# a "#" head, a blank line, a BOM, a non-ASCII byte at a field edge, or too
+# few, too many or empty fields
+_CLEAN_LINE = st.builds(
+    lambda fields: "\t".join(fields) + "\n",
+    st.lists(
+        st.sampled_from(["a", "b", "a b", "a\u00e9b", "x#"]), min_size=3, max_size=3
+    ),
+)
+_UNCLEAN_LINE = st.sampled_from(
+    [
+        "a\tb\tc\r\n",
+        "a\x1c\tb\tc\n",
+        "a\tb\t\x1cc\n",
+        " a\tb\tc\n",
+        "a\tb \tc\n",
+        "#a\tb\tc\n",
+        "# comment\n",
+        "\n",
+        " \t \n",
+        "\ufeffa\tb\tc\n",
+        "\u00e9\tb\tc\n",
+        "a\tb\t\u4e2d\n",
+        "a\tb\n",
+        "a\tb\tc\td\n",
+        "a\t\tc\n",
+        "a\tb\t\n",
+    ]
+)
+_BLOCK_LINE = st.one_of(_CLEAN_LINE, _CLEAN_LINE, _CLEAN_LINE, _UNCLEAN_LINE)
+
+
+def _store_outcome(source):
+    """The rows and columns of the store ``source`` loads, or its ParseError."""
+    try:
+        store = load_triples(source)
+    except ParseError as err:
+        return err.line, str(err)
+    columns = (store.id_array, *store.incidence(), store.row_rank)
+    return label_rows(store), [(c.dtype.str, c.tolist()) for c in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_BLOCK_LINE, max_size=12),
+    ended=st.booleans(),
+    block=st.integers(2, 3),
+)
+def test_load_triples_matches_a_plain_line_loop_across_blocks(
+    tmp_path_factory, lines, ended, block
+):
+    text = "".join(lines)
+    if not ended:
+        text = text.removesuffix("\n").removesuffix("\r")
+    path = tmp_path_factory.mktemp("kg") / "kg.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    sources = {
+        "path": path,
+        "text handle": io.StringIO(text),
+        "str lines without ends": text.split("\n"),
+        "bytes lines": io.BytesIO(text.encode("utf-8")).readlines(),
+    }
+    with mock.patch.object(_bulk, "LOAD_BLOCK", block):
+        outcomes = {name: _store_outcome(source) for name, source in sources.items()}
+    expected = _naive_parse(text.split("\n"))
+    got = outcomes["path"]
+    if isinstance(expected, tuple):
+        assert got == (expected[0], f"line {expected[0]}: {expected[1]}")
+    else:
+        assert got[0] == expected
+    assert all(outcome == got for outcome in outcomes.values())
+
+
+# texts whose two-line blocks each defeat one check of the bulk path
+_BLOCK_CASES = {
+    "a tab moved to the next line": "a\tb\tc\td\ne\tf\n",
+    "a lone carriage return": "a\rb\tc\td\ne\tf\tg\n",
+    "crlf ends": "a\tb\tc\r\nd\te\tf\r\n",
+    "a lone carriage return before a crlf": "a\tb\tc\r\r\nd\te\n",
+    "padding before a head": "\x1ca\tb\tc\nd\te\tf\n",
+    "padding after a tail": "a\tb\tc \nd\te\tf\n",
+    "a non-ASCII field edge": "a\tb\t\u00e9\nd\te\tf\n",
+    "a # head": "#a\tb\tc\nd\te\tf\n",
+    "a BOM": "\ufeffa\tb\tc\nd\te\tf\n",
+    "no newline at the end": "a\tb\tc\nd\te\tf",
+    "an empty field": "a\t\tc\nd\te\tf\n",
+}
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES)
+def test_load_triples_matches_a_text_mode_line_loop_on_edge_cases(
+    tmp_path, monkeypatch, case
+):
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(_BLOCK_CASES[case].encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        expected = _naive_parse(handle.readlines())
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
+    got = _store_outcome(path)
+    if isinstance(expected, tuple):
+        assert got == (expected[0], f"line {expected[0]}: {expected[1]}")
+    else:
+        assert got[0] == expected
+
+
+def test_load_triples_takes_each_item_as_one_line():
+    # the newlines count matches the items, but one item holds two
+    rows = label_rows(load_triples(["a\tb\tc", "d\ne\tf\tg\n"]))
+    assert rows == [("a", "b", "c"), ("d\ne", "f", "g")]
+
+
+def test_load_triples_reads_only_an_unclean_block_line_by_line(tmp_path, monkeypatch):
+    calls = []
+    parse_triples = kg_store._parse_triples
+
+    def spy(lines, start):
+        calls.append((start, len(lines)))
+        return parse_triples(lines, start)
+
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
+    monkeypatch.setattr(kg_store, "_parse_triples", spy)
+    path = tmp_path / "kg.tsv"
+    clean = ["a\tr\tb\n", "b\tr\tc\n", "c\tr\td\n", "d\tr\te\n", "e\tr\tf\n"]
+    expected = [tuple(line.split()) for line in clean]
+    # CRLF line ends are checked in bulk too
+    for end in ("\n", "\r\n"):
+        path.write_bytes("".join(clean).replace("\n", end).encode())
+        assert label_rows(load_triples(path)) == expected
+    assert calls == []
+    unclean = clean[:3] + ["# d\n"] + clean[4:]
+    path.write_bytes("".join(unclean).encode())
+    assert len(label_rows(load_triples(path))) == 4
+    assert calls == [(3, 2)]
+
+
+def test_load_triples_reads_a_pipe_once(monkeypatch):
+    # a pipe cannot be counted ahead, so the ids grow block by block
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
+    text = "".join(f"e{i}\tr\te{i + 1}\n" for i in range(5))
+    with pipe_path(text.encode()) as path:
+        rows = label_rows(load_triples(path))
+    assert rows == [tuple(line.split("\t")) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("n_entities", [1_000, 70_000])
+def test_incidence_equals_an_int64_stable_argsort(n_entities):
+    # under 65,536 entities the ends sort as uint16, by radix; above, as uint32
+    rng = np.random.default_rng(n_entities)
+    heads = np.concatenate((np.arange(n_entities), rng.integers(0, n_entities, 5_000)))
+    tails = rng.integers(0, n_entities, len(heads))
+    relations = rng.integers(0, 4, len(heads))
+    store = TripleStore(
+        zip(
+            [f"e{i}" for i in heads.tolist()],
+            [f"r{i}" for i in relations.tolist()],
+            [f"e{i}" for i in tails.tolist()],
+        )
+    )
+    assert store.n_entities == n_entities
+    ids, n = store.id_array, store.n_triples
+    ends = np.concatenate((ids[:, 0], ids[:, 2]))
+    order = ends.astype(np.int64).argsort(kind="stable")
+    offsets, other, triple = store.incidence()
+    counts = np.bincount(ends, minlength=n_entities)
+    assert offsets.tolist() == [0, *np.cumsum(counts).tolist()]
+    assert other.tolist() == np.concatenate((ids[:, 2], ids[:, 0]))[order].tolist()
+    assert triple.tolist() == (order % n).tolist()
+    by_label = sorted(range(n), key=store.row_labels)
+    assert np.argsort(store.row_rank).tolist() == by_label
+    for column in (ids, offsets, other, triple, store.row_rank):
+        assert column.dtype == np.int64 and not column.flags.writeable
+
+
+def _store_bytes(store) -> int:
+    """The memory a store holds: its columns, its tables and their labels."""
+    arrays = (store.id_array, *store.incidence(), store.row_rank)
+    tables = (
+        store._entity_ids,
+        store._relation_ids,
+        store._entity_labels,
+        store._relation_labels,
+    )
+    labels = [*store._entity_labels, *store._relation_labels]
+    return (
+        sum(array.nbytes for array in arrays)
+        + sum(map(sys.getsizeof, tables))
+        + sum(map(sys.getsizeof, labels))
+    )
+
+
+def test_load_triples_peak_memory_is_near_the_store(tmp_path):
+    """A 120,000-line KG of 4,800 entities loads within its store and 4 MiB.
+
+    The store itself takes about 7.7 MiB. Blocks of lines, ids kept narrow
+    until the columns are built, and temporaries freed before the CSR is
+    built keep the load about 2 MiB above it; a per-line list of ids took
+    more than 7 MiB.
+    """
+    path = tmp_path / "kg.tsv"
+    path.write_text(
+        "".join(
+            f"E{i % 4799}\tR{i % 24}\tE{i * 7919 % 4801}\n" for i in range(120_000)
+        ),
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        store = load_triples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.n_triples == 120_000
+    assert peak < _store_bytes(store) + 4 * 2**20
+
+
+def test_load_triples_names_a_source_that_is_not_utf8(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(b"A\tr\tB\nC\tr\t\xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not valid UTF-8"):
+        load_triples(path)
+    with pytest.raises(ParseError, match="^input is not valid UTF-8"):
+        load_triples([b"A\tr\tB\n", b"C\tr\t\xff\n"])
+
+
+def test_load_queries_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_bytes(b'{"id": "q", "question": "Q\xff?"}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not valid UTF-8"):
+        load_queries(path)
 
 
 def test_subgraph_shares_parent_triples():

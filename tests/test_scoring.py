@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import label_rows, small_store
+from cases import label_rows, pipe_path, small_store
 from pathpool.errors import ConfigError, ParseError, ScoringError
 from naive_ref import (
     NaiveTableError,
@@ -23,7 +23,7 @@ from naive_ref import (
     naive_load_table,
     naive_top_k,
 )
-from pathpool import scoring
+from pathpool import _bulk, scoring
 from pathpool.kg_store import QueryRecord, Subgraph, extract_subgraph, load_triples
 from pathpool.scoring import (
     CosineScorer,
@@ -307,7 +307,7 @@ def _tables(draw) -> str:
 def test_cosine_loader_equals_the_line_loop_oracle(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("table") / "emb.tsv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(scoring, "_LOAD_BLOCK", block), np.errstate(over="ignore"):
+    with mock.patch.object(_bulk, "LOAD_BLOCK", block), np.errstate(over="ignore"):
         got, want = _load_outcomes(path)
     assert got == want
 
@@ -356,7 +356,7 @@ def test_cosine_loader_equals_the_oracle_on_edge_cases(tmp_path, monkeypatch, ca
     text, failure = _LOADER_CASES[case]
     path = tmp_path / "emb.tsv"
     path.write_bytes(text.encode("utf-8"))
-    monkeypatch.setattr(scoring, "_LOAD_BLOCK", 2)
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
     got, want = _load_outcomes(path)
     assert got == want
     if failure is None:
@@ -373,7 +373,7 @@ def test_cosine_loader_reads_only_a_failing_block_line_by_line(tmp_path, monkeyp
         calls.append((first, len(lines)))
         return load_lines(lines, first, *args)
 
-    monkeypatch.setattr(scoring, "_LOAD_BLOCK", 2)
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
     monkeypatch.setattr(scoring, "_load_lines", spy)
     path = tmp_path / "emb.tsv"
     clean = "a\t1 2\nb\t3 4\nc\t5 6\nd\t7 8\ne\t9 0\n"
@@ -384,6 +384,17 @@ def test_cosine_loader_reads_only_a_failing_block_line_by_line(tmp_path, monkeyp
     got, want = _load_outcomes(path)
     assert got == want
     assert calls == [(3, 2)]
+
+
+def test_cosine_loader_reads_a_pipe_once(monkeypatch):
+    # a pipe cannot be counted ahead, so the matrix grows block by block;
+    # the blank line sends its block through the line loop
+    monkeypatch.setattr(_bulk, "LOAD_BLOCK", 2)
+    text = "a\t1 2\nb\t3 4\n\nc\t5 6\nd\t7 8\ne\t9 0\n"
+    with pipe_path(text.encode()) as path:
+        scorer = CosineScorer.load(path)
+    assert scorer.rows == dict(zip("abcde", range(5)))
+    assert scorer.matrix.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 0]]
 
 
 def test_cosine_loader_peak_memory_is_one_block_past_its_result(tmp_path):
@@ -407,6 +418,20 @@ def test_cosine_loader_peak_memory_is_one_block_past_its_result(tmp_path):
     assert scorer.matrix.shape == (20_000, 64)
     rows = sys.getsizeof(scorer.rows) + sum(map(sys.getsizeof, scorer.rows))
     assert peak < scorer.matrix.nbytes + rows + 4 * 2**20
+
+
+def test_cosine_table_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(b"a\t1 2\nb\xff\t3 4\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not valid UTF-8"):
+        CosineScorer.load(path)
+
+
+def test_precomputed_table_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "scores.tsv"
+    path.write_bytes(b"q1\tA\tr\tB\xff\t0.5\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not valid UTF-8"):
+        PrecomputedScorer.load(path)
 
 
 # -- cosine scorer against the per-candidate oracle ---------------------------
