@@ -420,6 +420,8 @@ class PrecomputedScorer:
                     score = float(score_text)
                 except ValueError:
                     raise ParseError("non-numeric score", line=lineno)
+                if not math.isfinite(score):
+                    raise ParseError("non-finite score", line=lineno)
                 table[(qid, head, relation, tail)] = score
         return cls(table)
 

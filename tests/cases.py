@@ -187,6 +187,36 @@ def deep_tied_chain(length=12):
     return length + 1, edges, [0.5] * len(edges), rank
 
 
+# random-walk seeds, the negative and the 2**63 ones taken modulo 2**64
+WALK_SEEDS = (0, 1, 7, 123456789, -3, 2**63)
+
+
+def branching_star(branches: int):
+    """Q -> A_i -> B_i for each i: a two-edge walk shows which branch it drew."""
+    rows = []
+    for i in range(branches):
+        rows.append(("Q", "r", f"A{i}", 0.25 + i / 512))
+        rows.append((f"A{i}", "r", f"B{i}", 0.75 - i / 1024))
+    return make_sequence(rows), ["Q"]
+
+
+def edge_shapes():
+    """Flat graphs the random cases rarely draw, with what each one runs.
+
+    (context, n_vertices, edges, sources, path lengths, walk_count).
+    """
+    among = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b]
+    hub = [(0, 1 + i % 5) for i in range(2**15 + 3)] + among + [(5, 0), (2, 0)]
+    loops = [(0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (2, 2), (3, 1)]
+    return [
+        ("degree past 2**15", 6, hub, [0], (3,), 64),
+        # vertex 4 has no edge at all
+        ("every vertex a source", 5, loops, [0, 1, 2, 3, 4], (3, 2**40), 256),
+        ("sources of degree zero", 5, loops, [3, 4], (3, 2**40), 256),
+        ("one vertex", 1, [(0, 0), (0, 0)], [0], (1, 2**40), 10**5),
+    ]
+
+
 def crowded_end_vertices(max_path_len):
     """BFS graphs whose longest prefix ends at a vertex crowded by blocked edges.
 

@@ -3,8 +3,9 @@
 Written directly from the algorithm definitions: extraction by full scans
 of the whole KG, top-k by one sort of label tuples, cosine scoring one
 candidate at a time, the embedding table parsed one line at a time,
-smoothing by exhaustive path enumeration (BFS) and greedily grown
-min-hop trees (dijkstra). Shares no code or data structures with the
+smoothing by exhaustive path enumeration (BFS), greedily grown min-hop
+trees (dijkstra) and walks drawn one step at a time with Python ints
+(random walk). Shares no code or data structures with the
 package implementation it checks. Operates on plain label tuples.
 """
 
@@ -173,6 +174,54 @@ def naive_tree_paths(heads, tails, scores, rank, sources) -> list[tuple[int, ...
     return paths
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix(base: int, n: int) -> int:
+    """The n-th output of the splitmix64 stream seeded with base."""
+    z = (base + _GOLDEN * n) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def naive_walk_kernels(heads, tails, sources, max_len, walk_count, seed):
+    """Every prefix of every counter-drawn walk, one walk and one step at a time.
+
+    Vertices may be ids or labels. Walk w from ``sources[i]`` has the key
+    ``splitmix(seed, i * walk_count + w + 1)``. Attempt a of its step t, at a
+    vertex whose out-edges ``heads[e] == u`` are d in edge order, draws
+    ``splitmix(key, t * 2**32 + a + 1) & m``, m the least ``2**b - 1`` that
+    is at least d - 1: a draw below d takes that out-edge, any other is
+    redrawn. A walk ends at a vertex with no out-edge, after ``max_len``
+    edges, or before an edge into a vertex it holds.
+    """
+    out: dict = {}
+    for e, vertex in enumerate(heads):
+        out.setdefault(vertex, []).append(e)
+    kernels = []
+    for i, source in enumerate(sources):
+        for w in range(walk_count):
+            key = _splitmix(seed, i * walk_count + w + 1)
+            u, held, path = source, {source}, []
+            while len(path) < max_len and u in out:
+                slots = out[u]
+                mask = (1 << (len(slots) - 1).bit_length()) - 1
+                draw, attempt = len(slots), 0
+                while draw >= len(slots):
+                    attempt += 1  # attempt a draws with the counter a + 1
+                    draw = _splitmix(key, (len(path) << 32) + attempt) & mask
+                e = slots[draw]
+                u = tails[e]
+                if u in held:
+                    break
+                held.add(u)
+                path.append(e)
+                kernels.append(tuple(path))
+    return kernels
+
+
 def naive_smooth(
     edges: list[tuple[str, str, str, float]],
     query_labels: list[str],
@@ -180,8 +229,14 @@ def naive_smooth(
     pooling: str = "average",
     divisor: float = 10.0,
     max_path_len: int = 4,
+    walk_count: int = 256,
+    seed: int = 0,
 ) -> list[tuple[str, str, str, float]]:
-    """Smoothed (head, relation, tail, score) rows, sorted like the library."""
+    """Smoothed (head, relation, tail, score) rows, sorted like the library.
+
+    Random walks start from the query entities in first-seen vertex order
+    (head before tail, edge by edge), the order that numbers their lanes.
+    """
     n = len(edges)
     assert n > 0
     raw = [float(e[3]) for e in edges]
@@ -214,6 +269,12 @@ def naive_smooth(
                 for q in queries:
                     for path in _all_simple_paths(adjacency, endpoint_of, q, max_path_len):
                         kernels.add(tuple(path))
+        elif algorithm == "random_walk":
+            first_seen = list(dict.fromkeys(label for e in edges for label in (e[0], e[2])))
+            sources = sorted(queries, key=first_seen.index)
+            kernels.update(
+                naive_walk_kernels(heads, tails, sources, max_path_len, walk_count, seed)
+            )
         else:
             raise ValueError(f"no naive reference for algorithm {algorithm!r}")
 

@@ -20,8 +20,11 @@ import pytest
 from hypothesis import given, settings
 
 from cases import (
+    WALK_SEEDS,
+    branching_star,
     crowded_end_vertices,
     deep_tied_chain,
+    edge_shapes,
     flat_args,
     make_sequence,
     random_case,
@@ -34,7 +37,6 @@ from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA, ALG_RANDOM_WALK
 
 ROOT = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("dijkstra", "bfs", "random_walk")
-WALK_SEEDS = (0, 1, 7, 123456789, -3, 2**63)
 
 
 def _compiler() -> list[str]:
@@ -278,25 +280,8 @@ def test_dijkstra_fold_identical_to_the_compiled_core_on_a_deep_tied_chain(core)
         _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources)
 
 
-def _edge_shapes():
-    """Flat graphs the random cases rarely draw, with what each one runs.
-
-    (context, n_vertices, edges, sources, path lengths, walk_count).
-    """
-    among = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b]
-    hub = [(0, 1 + i % 5) for i in range(2**15 + 3)] + among + [(5, 0), (2, 0)]
-    loops = [(0, 1), (1, 1), (1, 2), (2, 0), (2, 2), (2, 2), (3, 1)]
-    return [
-        ("degree past 2**15", 6, hub, [0], (3,), 64),
-        # vertex 4 has no edge at all
-        ("every vertex a source", 5, loops, [0, 1, 2, 3, 4], (3, 2**40), 256),
-        ("sources of degree zero", 5, loops, [3, 4], (3, 2**40), 256),
-        ("one vertex", 1, [(0, 0), (0, 0)], [0], (1, 2**40), 10**5),
-    ]
-
-
 def test_identical_across_backends_on_edge_shapes(core):
-    for context, n_vertices, edges, sources, lengths, walk_count in _edge_shapes():
+    for context, n_vertices, edges, sources, lengths, walk_count in edge_shapes():
         scores = [0.25 + (e * 37 % 101) / 128 for e in range(len(edges))]
         args = flat_args(n_vertices, edges, scores)
         for algorithm in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
@@ -307,15 +292,6 @@ def test_identical_across_backends_on_edge_shapes(core):
                     py = _kernels_py.smooth_scores(*args, *tail)
                     cc = core.smooth_scores(*args, *tail)
                     assert py.tobytes() == cc.tobytes(), (context, algorithm, max_path_len)
-
-
-def _branching_star(branches: int):
-    """Q -> A_i -> B_i for each i: a two-edge walk shows which branch it drew."""
-    rows = []
-    for i in range(branches):
-        rows.append(("Q", "r", f"A{i}", 0.25 + i / 512))
-        rows.append((f"A{i}", "r", f"B{i}", 0.75 - i / 1024))
-    return make_sequence(rows), ["Q"]
 
 
 def test_walk_counter_draws_identical_across_seeds(compiled):
@@ -330,7 +306,7 @@ def test_walk_counter_draws_identical_across_seeds(compiled):
         assert_backends_agree(seq, queries, cfg, seed)
     # on a 48-branch star (draws below 48 reject masked values of 48..63) a
     # few walks leave most branches unwalked, so each draw shows in the scores
-    star, anchors = _branching_star(48)
+    star, anchors = branching_star(48)
     for seed in WALK_SEEDS:
         for walk_count in (1, 5, 20):
             cfg = PoolingConfig(

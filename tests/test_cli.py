@@ -332,6 +332,21 @@ def test_query_the_precomputed_table_never_names_is_an_error_row(tmp_path):
     assert not (out / "prompts" / "q1.json").exists()
 
 
+def test_a_non_finite_precomputed_score_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the row once loaded, and q1, which meets the triple, became an error row
+    scores = tmp_path / "scores.tsv"
+    lines = Path(TOY_SCORES).read_text(encoding="utf-8").splitlines(keepends=True)
+    head, _, _ = lines[0].rpartition("\t")
+    scores.write_text("".join([f"{head}\tnan\n", *lines[1:]]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", TOY_QUERIES,
+        "--scorer", f"precomputed:{scores}", "--no-llm", "--out", out,
+    ) == 2
+    assert capsys.readouterr() == ("", "error: line 1: non-finite score\n")
+    assert not out.exists()
+
+
 def test_question_with_a_lone_surrogate_is_an_error_row(tmp_path):
     queries = tmp_path / "queries.jsonl"
     rows = [

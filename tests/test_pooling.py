@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 import tracemalloc
@@ -12,15 +13,23 @@ import pytest
 from hypothesis import given, settings
 
 from cases import (
+    WALK_SEEDS,
+    branching_star,
     crowded_end_vertices,
     deep_tied_chain,
+    edge_shapes,
     flat_args,
     make_sequence,
     random_case,
     scores_by_rank,
     tree_graphs,
 )
-from naive_ref import naive_kernel_smoothing, naive_smooth, naive_tree_paths
+from naive_ref import (
+    naive_kernel_smoothing,
+    naive_smooth,
+    naive_tree_paths,
+    naive_walk_kernels,
+)
 from pathpool import bench, pooling
 from pathpool.errors import ConfigError, EmptyInputError
 from pathpool.pooling import (
@@ -33,7 +42,7 @@ from pathpool.pooling import (
     smooth,
 )
 from pathpool.pooling import _kernels_py
-from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA
+from pathpool.pooling._kernels_py import ALG_BFS, ALG_DIJKSTRA, ALG_RANDOM_WALK
 
 CFG = PoolingConfig()
 
@@ -688,6 +697,158 @@ def test_smoothing_sorts_no_entity_ids(monkeypatch, algorithm):
 
     monkeypatch.setattr(np, "unique", unique)
     assert smoothed() == expected
+
+
+# -- py smoothing against the oracles on chosen graph families ---------------
+
+ALGORITHMS = ("dijkstra", "bfs", "random_walk")
+
+
+def _assert_smooth_matches_oracles(seq, queries, cfg, context):
+    """py ``smooth`` equals ``naive_smooth``, whose walks are ``naive_walk_kernels``."""
+    expected = naive_smooth(
+        seq.labeled_items(),
+        queries,
+        algorithm=cfg.search_algorithm,
+        pooling=cfg.pooling,
+        divisor=cfg.positional_divisor,
+        max_path_len=cfg.max_path_len,
+        walk_count=cfg.walk_count,
+        seed=cfg.rng_seed,
+    )
+    assert smooth(seq, queries, cfg, backend="py").labeled_items() == expected, context
+
+
+def test_smooth_matches_the_oracles_on_random_cases():
+    # mixed-sign scores, so the shift runs; 2**40 exceeds every edge count
+    for seed in range(150):
+        seq, queries = random_case(seed, max_edges=24, positive=False)
+        for algorithm, strategy, max_path_len in itertools.product(
+            ALGORITHMS, ("average", "max"), (1, 3, 4, 2**40)
+        ):
+            cfg = PoolingConfig(
+                search_algorithm=algorithm,
+                pooling=strategy,
+                max_path_len=max_path_len,
+                positional_divisor=0.5 + seed % 7,
+                rng_seed=seed,
+            )
+            context = (seed, algorithm, strategy, max_path_len)
+            _assert_smooth_matches_oracles(seq, queries, cfg, context)
+
+
+def test_dijkstra_tie_breaks_match_the_tree_oracle():
+    # with one score for every triple (the uniform scorer's case) equal-hop
+    # paths tie on score, and the edge-rank order picks the tree path
+    for seed in range(150):
+        seq, queries = random_case(seed, max_edges=24)
+        flat = make_sequence([(h, r, t, 0.5) for h, r, t, _ in seq.labeled_items()])
+        _assert_smooth_matches_oracles(flat, queries, CFG, seed)
+
+
+def test_smooth_matches_the_oracles_on_whole_graph_chains():
+    # a chain of n edges holds a kernel with every edge, reached with
+    # max_path_len == n and above
+    for n in (1, 2, 5):
+        seq = make_sequence([(f"V{i}", "r", f"V{i + 1}", 0.1 + i / 8) for i in range(n)])
+        for anchor in ("V0", f"V{n}"):
+            for algorithm in ALGORITHMS:
+                for max_path_len in (n, n + 1, 2**40):
+                    cfg = PoolingConfig(
+                        search_algorithm=algorithm, max_path_len=max_path_len
+                    )
+                    context = (n, anchor, algorithm, max_path_len)
+                    _assert_smooth_matches_oracles(seq, [anchor], cfg, context)
+
+
+def test_bfs_smoothing_matches_the_oracle_on_dense_bench_graphs():
+    # bench sequences are dense community multigraphs with many parallel
+    # edges: about 20,000 simple paths of four triples per anchor
+    store = bench.synthesize_store(seed=0)
+    for sequence, anchors in bench.sample_workloads(store, 2, 200, seed=1):
+        first = anchors[0]
+        other = next(h for h, _, _ in sequence.label_rows()[::-1] if h != first)
+        for anchor_set in ([first], [first, other]):
+            for strategy in ("average", "max"):
+                cfg = PoolingConfig(search_algorithm="bfs", pooling=strategy)
+                _assert_smooth_matches_oracles(sequence, anchor_set, cfg, anchor_set)
+
+
+def test_walk_smoothing_matches_the_reference_across_seeds():
+    # long walk budgets take thousands of counter draws; any divergence in a
+    # walk's key, a step's counter or the rejection sampling changes which
+    # paths become kernels
+    seq, queries = random_case(5, max_edges=20)
+    queries = queries or [seq.label_rows()[0][0]]
+    for seed in WALK_SEEDS:
+        cfg = PoolingConfig(
+            search_algorithm="random_walk", walk_count=2048, rng_seed=seed
+        )
+        _assert_smooth_matches_oracles(seq, queries, cfg, seed)
+    # on a 48-branch star (draws below 48 reject masked values of 48..63) a
+    # few walks leave most branches unwalked, so each draw shows in the scores
+    star, anchors = branching_star(48)
+    for seed in WALK_SEEDS:
+        for walk_count in (1, 5, 20):
+            cfg = PoolingConfig(
+                search_algorithm="random_walk", walk_count=walk_count, rng_seed=seed
+            )
+            _assert_smooth_matches_oracles(star, anchors, cfg, (seed, walk_count))
+
+
+def test_smoothing_matches_naive_smooth_on_edge_shapes():
+    # the kernel runs on the flat graph, so a source of degree zero reaches
+    # it; naive_smooth runs on labels, with one relation per edge so that
+    # parallel edges stay apart, and never sees a vertex with no edge
+    for context, n_vertices, edges, sources, lengths, _ in edge_shapes():
+        scores = [0.25 + (e * 37 % 101) / 128 for e in range(len(edges))]
+        rows = [
+            (f"V{h}", f"r{e:06d}", f"V{t}", scores[e]) for e, (h, t) in enumerate(edges)
+        ]
+        rank = np.empty(len(rows), dtype=np.int64)
+        rank[sorted(range(len(rows)), key=lambda e: rows[e][:3])] = np.arange(len(rows))
+        args = flat_args(n_vertices, edges, scores, rank)
+        for algorithm, code in (("dijkstra", ALG_DIJKSTRA), ("bfs", ALG_BFS)):
+            for max_path_len in lengths:
+                for pooling_code, strategy in enumerate(pooling.POOLING_STRATEGIES):
+                    tail = (sources, code, max_path_len, 1, 0, pooling_code)
+                    got = _kernels_py.smooth_scores(*args, *tail, min(scores), 10.0)
+                    expected = naive_smooth(
+                        rows,
+                        [f"V{s}" for s in sources],
+                        algorithm=algorithm,
+                        pooling=strategy,
+                        max_path_len=max_path_len,
+                    )
+                    by_edge = {int(r[1:]): score for _, r, _, score in expected}
+                    want = [by_edge[e] for e in range(len(edges))]
+                    case = (context, algorithm, max_path_len, strategy)
+                    assert got.tolist() == want, case
+
+
+def test_walk_smoothing_matches_the_reference_on_edge_shapes():
+    for context, n_vertices, edges, sources, lengths, walk_count in edge_shapes():
+        scores = [0.25 + (e * 37 % 101) / 128 for e in range(len(edges))]
+        args = flat_args(n_vertices, edges, scores)
+        heads, tails = zip(*edges)
+        s_min = min(scores)
+        for max_path_len in lengths:
+            kernels = naive_walk_kernels(
+                heads, tails, sources, max_path_len, walk_count, 7
+            )
+            covered = {e for kernel in kernels for e in kernel}
+            kernels += [(e,) for e in range(len(edges)) if e not in covered]
+            for pooling_code, strategy in enumerate(pooling.POOLING_STRATEGIES):
+                tail = (sources, ALG_RANDOM_WALK, max_path_len, walk_count, 7)
+                got = _kernels_py.smooth_scores(*args, *tail, pooling_code, s_min, 10.0)
+                expected = naive_kernel_smoothing(
+                    kernels,
+                    len(edges),
+                    lambda kernel: pool_path(kernel, scores, strategy),
+                    s_min,
+                    10.0,
+                )
+                assert got.tolist() == expected, (context, max_path_len, strategy)
 
 
 # -- compiled core adapter ----------------------------------------------------

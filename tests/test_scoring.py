@@ -566,6 +566,16 @@ def test_precomputed_loader_rejects_bad_arity(tmp_path):
         PrecomputedScorer.load(path)
 
 
+@pytest.mark.parametrize("spelling", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999"])
+def test_precomputed_loader_rejects_a_non_finite_score(tmp_path, spelling):
+    # each loaded once, and every query that met the triple became an error
+    # row naming neither the file nor the line
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"q\tA\tr\tB\t0.5\nq\tB\tr\tC\t{spelling}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: non-finite score$"):
+        PrecomputedScorer.load(path)
+
+
 def test_build_scorer_dispatch(tmp_path):
     assert isinstance(build_scorer("uniform"), UniformScorer)
     scores = tmp_path / "s.tsv"
