@@ -10,8 +10,8 @@ the current triple sequence, so intermediate results are inspectable files:
 that fails in any stage becomes an error row, ``{"id": ..., "error": ...}``
 (``run`` adds ``"status": "error"`` and counts it in ``n_errors``), and the
 command goes on with the next one; only configuration problems and
-unreadable input files abort, and ``run`` checks its settings before it
-loads anything. ``run`` exits 1 when ``n_errors`` is above 0.
+unreadable input files abort. ``run`` checks its settings, an endpoint's
+http(s) URL too, before it loads anything, and exits 1 on any error row.
 
 Every stage runs on the calling thread; threads only wait on I/O. ``run``
 writes the prompt files on one pool thread under ``--no-llm``; with an
@@ -316,7 +316,6 @@ def _check_run(cfg: PipelineConfig) -> None:
         if cfg.generation_cfg is None:
             raise ConfigError("an endpoint is required unless --no-llm is given")
         cfg.generation_cfg.validate()
-        generation.http_client()
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     pooling.backend_module(cfg.backend)

@@ -4,7 +4,8 @@ The prompt is a fixed four-message chat: a system instruction, a one-shot
 exemplar (user turn with triplets and question, assistant turn with worked
 reasoning and ``ans:`` lines), and the final user turn. Answers are parsed
 back out of ``ans:``-prefixed lines and scored as Hit@1 / Macro-F1 against
-the gold answer set.
+the gold answer set. ``call_llm`` posts with ``urllib.request``, imported only
+there, so code that never posts loads no HTTP module.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, EndpointError, TransportError
 from .kg_store import QueryRecord
@@ -164,6 +166,10 @@ def assemble_prompt(query: QueryRecord, triples: TripleSequence) -> PromptBundle
     )
 
 
+API_KEY_ENV = "LLM_API_KEY"  # its value, when set, is sent as a bearer token
+BACKOFF_BASE_S = 0.5  # the first retry's wait; each later wait doubles
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     endpoint: str
@@ -172,12 +178,8 @@ class GenerationConfig:
     max_tokens: int = 4000
     timeout: float = 60.0
     retries: int = 2
-    backoff_base: float = 0.5
-    api_key_env: str = "LLM_API_KEY"
 
     def validate(self) -> None:
-        if not self.endpoint:
-            raise ConfigError("generation endpoint is required")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
         # JSON has no NaN or infinity, and a socket no infinite deadline
@@ -191,31 +193,31 @@ class GenerationConfig:
             raise ConfigError("timeout must be > 0")
         if self.timeout == math.inf:
             raise ConfigError("timeout must be finite")
-
-
-def http_client():
-    """The ``requests`` module, imported here as only endpoint calls need it.
-
-    Raises ConfigError when it cannot be imported.
-    """
-    try:
-        import requests
-    except ImportError as exc:
-        raise ConfigError(f"an endpoint run needs the requests package: {exc}") from exc
-    return requests
+        # urlopen would read a file:// endpoint from disk as a "completion"
+        try:
+            url = urlsplit(self.endpoint)
+            url.port  # raises ValueError unless the port is a number in range
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"endpoint is not an http(s) URL: {self.endpoint!r}")
 
 
 def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
     """POST the chat request and return the completion text.
 
-    Transport failures are retried ``cfg.retries`` times with exponential
-    backoff; a non-2xx response raises EndpointError immediately.
+    A failure to connect, or to send or read a reply (OSError or
+    ``http.client.HTTPException``), is retried ``cfg.retries`` times with
+    exponential backoff, then raises TransportError. A reply that is not
+    2xx, or that holds no string completion, raises EndpointError at once.
     """
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
     cfg.validate()
-    requests = http_client()
     headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(cfg.api_key_env)
-    if api_key:
+    if api_key := os.environ.get(API_KEY_ENV):
         headers["Authorization"] = f"Bearer {api_key}"
     payload = {
         "model": cfg.model,
@@ -223,35 +225,33 @@ def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
     }
-    last_exc: Exception | None = None
+    data = json.dumps(payload).encode("utf-8")
+    request = Request(cfg.endpoint, data=data, headers=headers, method="POST")
     for attempt in range(cfg.retries + 1):
         try:
-            response = requests.post(
-                cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
-            )
-        except requests.RequestException as exc:
-            last_exc = exc
-            if attempt < cfg.retries:
-                delay = cfg.backoff_base * (2**attempt)
-                logger.warning(
-                    "LLM call failed (%s); retrying in %.2fs", exc, delay
-                )
-                time.sleep(delay)
-            continue
-        if not 200 <= response.status_code < 300:
-            raise EndpointError(response.status_code, response.text)
-        try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            content = None
-        if not isinstance(content, str):
-            raise EndpointError(
-                response.status_code, f"malformed completion body: {response.text}"
-            )
-        return content
-    raise TransportError(
-        f"endpoint unreachable after {cfg.retries + 1} attempts: {last_exc}"
-    )
+            try:
+                with urlopen(request, timeout=cfg.timeout) as response:
+                    status, body = response.status, response.read()
+            except HTTPError as exc:  # not 2xx, or a 307/308 redirect of the POST
+                with exc:  # inside the outer try, so a failed read is retried
+                    raise EndpointError(exc.code, exc.read().decode("utf-8", "replace"))
+            break
+        except (OSError, HTTPException) as exc:
+            if attempt == cfg.retries:
+                raise TransportError(
+                    f"endpoint unreachable after {attempt + 1} attempts: {exc}"
+                ) from exc
+            delay = BACKOFF_BASE_S * 2**attempt
+            logger.warning("LLM call failed (%s); retrying in %.2fs", exc, delay)
+            time.sleep(delay)
+    text = body.decode("utf-8", "replace")
+    try:
+        content = json.loads(text)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise EndpointError(status, f"malformed completion body: {text}")
+    return content
 
 
 def parse_answers(completion: str) -> list[str]:

@@ -5,13 +5,19 @@ Test modules import these by name; ``conftest.py`` holds only fixtures.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
 import random
+import shlex
+import shutil
+import sysconfig
 import threading
+import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -40,6 +46,24 @@ def pipe_path(data: bytes):
         yield f"/dev/fd/{read}"
     finally:
         os.close(read)
+
+
+def c_compiler() -> list[str]:
+    """The C compiler command ``setup.py build_ext`` would run."""
+    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+
+
+def c_compiler_found() -> bool:
+    return shutil.which(c_compiler()[0]) is not None
+
+
+def read_tree(root: Path) -> dict[str, str]:
+    """The text of every file under ``root``, keyed by its relative path."""
+    return {
+        str(p.relative_to(root)): p.read_text(encoding="utf-8")
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 def store_rows(store: TripleStore, rows) -> list[int]:
@@ -254,17 +278,28 @@ class _MockChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         payload = json.loads(self.rfile.read(length)) if length else {}
-        self.server.requests.append(
-            {"payload": payload, "headers": dict(self.headers)}
-        )
-        script = self.server.script
-        if script:
-            status, body = script.pop(0)
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(body.encode("utf-8"))
+        server = self.server
+        with server.lock:
+            server.requests.append({"payload": payload, "headers": dict(self.headers)})
+            step = server.script.pop(0) if server.script else None
+            server.active += 1
+            server.peak = max(server.peak, server.active)
+        try:
+            time.sleep(server.delay)
+        finally:
+            with server.lock:
+                server.active -= 1
+        status, body = step or (200, self._answer(payload))
+        if status is None:  # drop the connection without a reply
             return
+        self.send_response(status)
+        if 300 <= status < 400:  # redirect to this same endpoint
+            self.send_header("Location", self.path)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(body.encode("utf-8"))
+
+    def _answer(self, payload) -> str:
         question = ""
         messages = payload.get("messages", [])
         if messages:
@@ -272,48 +307,40 @@ class _MockChatHandler(BaseHTTPRequestHandler):
             question = content.rsplit("Question:\n", 1)[-1].strip()
         answers = self.server.answers.get(question, [])
         completion = "\n".join(f"ans: {answer}" for answer in answers) or "no answer"
-        body = json.dumps({"choices": [{"message": {"content": completion}}]})
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body.encode("utf-8"))
+        return json.dumps({"choices": [{"message": {"content": completion}}]})
 
     def log_message(self, *args):  # keep pytest output clean
         pass
 
 
-class MockChatServer:
+class MockChatServer(ThreadingHTTPServer):
     """Local chat-completions endpoint answering from a question->answers map.
 
-    ``script`` (a list of (status, body) pairs) overrides normal behaviour
-    for fault-injection tests; entries are consumed one per request.
+    Each request is served on a thread of its own. ``script`` (a list of
+    (status, body) pairs) overrides normal behaviour for fault-injection
+    tests; entries are consumed one per request, and a ``None`` status drops
+    the connection without a reply. Each reply waits ``delay`` seconds;
+    ``peak`` is the most requests that have been waiting at once.
     """
 
     def __init__(self):
-        self._httpd = HTTPServer(("127.0.0.1", 0), _MockChatHandler)
-        self._httpd.answers = {}
-        self._httpd.script = []
-        self._httpd.requests = []
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
+        super().__init__(("127.0.0.1", 0), _MockChatHandler)
+        self.answers = {}
+        self.script = []
+        self.requests = []
+        self.lock = threading.Lock()
+        self.delay = 0.0
+        self.active = 0
+        self.peak = 0
+        # a short poll lets close() return at once rather than in 0.5 s
+        serve = functools.partial(self.serve_forever, poll_interval=0.01)
+        threading.Thread(target=serve, daemon=True).start()
 
     @property
     def url(self) -> str:
-        host, port = self._httpd.server_address
+        host, port = self.server_address
         return f"http://{host}:{port}/v1/chat/completions"
 
-    @property
-    def answers(self) -> dict:
-        return self._httpd.answers
-
-    @property
-    def script(self) -> list:
-        return self._httpd.script
-
-    @property
-    def requests(self) -> list:
-        return self._httpd.requests
-
     def close(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self.shutdown()
+        self.server_close()

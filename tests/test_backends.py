@@ -9,11 +9,9 @@ loader. The tests skip only when no C compiler is found.
 from __future__ import annotations
 
 import os
-import shlex
 import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import pytest
@@ -22,6 +20,8 @@ from hypothesis import given, settings
 from cases import (
     WALK_SEEDS,
     branching_star,
+    c_compiler,
+    c_compiler_found,
     crowded_end_vertices,
     deep_tied_chain,
     edge_shapes,
@@ -39,50 +39,18 @@ ROOT = Path(__file__).resolve().parents[1]
 ALGORITHMS = ("dijkstra", "bfs", "random_walk")
 
 
-def _compiler() -> list[str]:
-    """The C compiler command ``setup.py build_ext`` would run."""
-    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
-
-
-def _compiler_found() -> bool:
-    return shutil.which(_compiler()[0]) is not None
-
-
-@pytest.fixture(scope="session")
-def built_core(tmp_path_factory) -> Path:
-    """Directory that holds the freshly built library."""
-    if not _compiler_found():
-        pytest.skip("no C compiler found")
-    out = tmp_path_factory.mktemp("build")
-    subprocess.run(
-        [
-            sys.executable,
-            "setup.py",
-            "build_ext",
-            "--build-lib",
-            str(out),
-            "--build-temp",
-            str(out / "temp"),
-        ],
-        cwd=ROOT,
-        check=True,
-        capture_output=True,
-    )
-    return out / "pathpool" / "pooling"
-
-
 def test_compiled_core_compiles_clean_under_strict_warnings():
     # every warning is an error, so a slip in the work-buffer layout that a
     # compiler only warns about (a sign change or a narrowing of the doubled
     # graph's sizes, an unused or shadowed name) fails here rather than in a
     # bit-identity test
-    if not _compiler_found():
+    if not c_compiler_found():
         pytest.skip("no C compiler found")
     source = ROOT / "src" / "pathpool" / "pooling" / "_kernels_c.c"
     flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion", "-Wshadow"]
     flags += ["-Werror", "-fsyntax-only"]
     result = subprocess.run(
-        [*_compiler(), *flags, str(source)], capture_output=True, text=True
+        [*c_compiler(), *flags, str(source)], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
 
@@ -90,7 +58,7 @@ def test_compiled_core_compiles_clean_under_strict_warnings():
 def _runtime(name: str) -> str | None:
     """Path of the runtime library ``name`` the C compiler links, or None."""
     found = subprocess.run(
-        [*_compiler(), f"-print-file-name={name}"], capture_output=True, text=True
+        [*c_compiler(), f"-print-file-name={name}"], capture_output=True, text=True
     ).stdout.strip()
     return found if os.path.isabs(found) and os.path.isfile(found) else None
 
@@ -105,13 +73,13 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
     # in, and the child must pass all that the selection collects. Python's
     # own flags hold -fwrapv, which defines signed overflow and so turns
     # UBSan's check of it off; -fno-wrapv, given last, turns it on
-    if not _compiler_found():
+    if not c_compiler_found():
         pytest.skip("no C compiler found")
     runtimes = []
     for name in ("libasan.so", "libubsan.so"):
         path = _runtime(name)
         if path is None:
-            pytest.skip(f"{_compiler()[0]} has no {name}")
+            pytest.skip(f"{c_compiler()[0]} has no {name}")
         runtimes.append(path)
     sanitize = "-fsanitize=address,undefined"
     env = {
@@ -149,21 +117,6 @@ def test_bit_identity_holds_under_address_and_undefined_behaviour_sanitizers(
     (library,) = {path.resolve() for path in built}  # build0 and its link
     binary = library.read_bytes()
     assert b"__asan_init" in binary and b"__ubsan_handle_add_overflow" in binary
-
-
-@pytest.fixture(scope="session")
-def core(built_core):
-    """The freshly built library's ``smooth_scores``."""
-    loaded = pooling._load_core(built_core)
-    assert loaded is not None, f"setup.py built no loadable core in {built_core}"
-    return loaded
-
-
-@pytest.fixture
-def compiled(core, monkeypatch):
-    """Make ``backend="c"`` run the freshly built library."""
-    monkeypatch.setattr(pooling, "_core", core)
-    assert pooling.available_backends() == ("py", "c")
 
 
 def assert_backends_agree(seq, queries, cfg, context):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from cases import read_tree
 from pathpool import cli, pooling
 from pathpool.errors import ConfigError
 from pathpool.scoring import TripleSequence
@@ -24,19 +25,11 @@ DATA = resources.files("pathpool") / "data"
 TOY_KG = str(DATA / "toy_kg.tsv")
 TOY_QUERIES = str(DATA / "toy_queries.jsonl")
 TOY_SCORES = str(DATA / "toy_scores.tsv")
-MOCK_URL = "http://mock.invalid/v1/chat/completions"
+MOCK_URL = "http://mock.invalid/v1/chat/completions"  # stands for mock_llm.url in flags
 
 
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
-
-
-def read_tree(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): p.read_text(encoding="utf-8")
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 def test_load_check(capsys):
@@ -244,21 +237,15 @@ def test_run_with_mock_llm_scores_gold(tmp_path, mock_llm):
     assert (out / "completions" / "q1.txt").exists()
 
 
-def test_null_completion_costs_only_its_query(tmp_path, monkeypatch):
-    class NullContent:
-        status_code = 200
-        text = '{"choices": [{"message": {"content": null}}]}'
-
-        def json(self):
-            return json.loads(self.text)
-
-    monkeypatch.setattr("requests.post", lambda url, **kwargs: NullContent())
+def test_null_completion_costs_only_its_query(tmp_path, mock_llm):
+    null = json.dumps({"choices": [{"message": {"content": None}}]})
+    mock_llm.script.extend([(200, null)] * 5)
     out = tmp_path / "out"
     assert run_cli(
         "run",
         "--kg", TOY_KG,
         "--queries", TOY_QUERIES,
-        "--endpoint", "http://mock.invalid/v1/chat/completions",
+        "--endpoint", mock_llm.url,
         "--out", out,
     ) == 1
     rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
@@ -613,7 +600,7 @@ def test_unwritable_prompt_costs_only_its_query(tmp_path):
     assert not list((out / "prompts").glob("*.tmp"))
 
 
-def test_endpoint_calls_overlap_across_workers(tmp_path, monkeypatch):
+def test_endpoint_calls_overlap_across_workers(tmp_path, mock_llm):
     records = [json.loads(line) for line in Path(TOY_QUERIES).read_text().splitlines()]
     queries = tmp_path / "queries.jsonl"
     queries.write_text(
@@ -624,43 +611,22 @@ def test_endpoint_calls_overlap_across_workers(tmp_path, monkeypatch):
         ),
         encoding="utf-8",
     )
-    answers = {record["question"]: record["answers"][0] for record in records}
+    for record in records:
+        mock_llm.answers[record["question"]] = record["answers"][:1]
     delay = 0.15
-    lock = threading.Lock()
-    calls = {"now": 0, "peak": 0}
-
-    class Reply:
-        status_code = 200
-
-        def __init__(self, completion):
-            self.text = json.dumps({"choices": [{"message": {"content": completion}}]})
-
-        def json(self):
-            return json.loads(self.text)
-
-    def slow_post(url, **kwargs):
-        with lock:
-            calls["now"] += 1
-            calls["peak"] = max(calls["peak"], calls["now"])
-        time.sleep(delay)
-        with lock:
-            calls["now"] -= 1
-        question = kwargs["json"]["messages"][-1]["content"].rsplit("Question:\n", 1)[1]
-        return Reply(f"ans: {answers[question]}")
-
-    monkeypatch.setattr("requests.post", slow_post)
+    mock_llm.delay = delay
 
     def run(workers, out):
-        argv = ["--kg", TOY_KG, "--queries", queries, "--endpoint", MOCK_URL]
+        argv = ["--kg", TOY_KG, "--queries", queries, "--endpoint", mock_llm.url]
         start = time.perf_counter()
         assert run_cli("run", *argv, "--workers", workers, "--out", out) == 0
         return time.perf_counter() - start
 
     n = 2 * len(records)
     assert run(4, tmp_path / "four") < n * delay / 2
-    assert 1 < calls["peak"] <= 4
+    assert 1 < mock_llm.peak <= 4
     run(1, tmp_path / "one")
-    assert calls["peak"] <= 4
+    assert mock_llm.peak <= 4
     assert read_tree(tmp_path / "four") == read_tree(tmp_path / "one")
     metrics = json.loads((tmp_path / "one" / "metrics.json").read_text())
     assert metrics["n"] == n and metrics["hit_at_1"] == 1.0
@@ -923,21 +889,34 @@ def test_walk_count_past_int64_aborts_before_output(
             WALK_COUNT_LIMIT,
         ),
         (["--no-llm", "--fine-k", "600"], "fine_k (600) must not exceed coarse_k (500)"),
+        # urlopen reads a file:// URL from disk; no other scheme has a chat endpoint
+        *(
+            (["--endpoint", url], f"endpoint is not an http(s) URL: {url!r}")
+            for url in (
+                f"file://{TOY_QUERIES}",
+                "ftp://127.0.0.1/v1/chat/completions",
+                "notaurl",
+                "http:///v1/chat/completions",
+                "http://127.0.0.1:notaport/v1/chat/completions",
+                "http://[::1/v1/chat/completions",
+            )
+        ),
     ],
 )
 def test_run_settings_that_fail_every_query_abort_before_loading(
-    tmp_path, capsys, monkeypatch, flags, message
+    tmp_path, capsys, monkeypatch, mock_llm, flags, message
 ):
     def untouched(*args, **kwargs):
         raise AssertionError("the run went past its config check")
 
     monkeypatch.setattr(cli, "load_triples", untouched)
-    monkeypatch.setattr("requests.post", untouched)
+    flags = [mock_llm.url if flag == MOCK_URL else flag for flag in flags]
     out = tmp_path / "out"
     argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, *flags, "--out", out]
     assert run_cli("run", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    assert mock_llm.requests == []
 
 
 @pytest.mark.parametrize(
@@ -1000,23 +979,37 @@ def test_run_with_a_non_finite_request_setting_posts_nothing(
     assert not out.exists()
 
 
-def test_run_without_the_http_client_fails_before_any_output(
-    tmp_path, capsys, monkeypatch, mock_llm
-):
-    # a client that cannot be imported would otherwise fail every query
-    monkeypatch.setitem(sys.modules, "requests", None)
+def _child_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's pathpool."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_an_endpoint_run_needs_no_third_party_http_package(tmp_path, mock_llm):
+    import pathpool.kg_store as kg_store
+
+    for record in kg_store.load_queries(TOY_QUERIES):
+        mock_llm.answers[record.question] = list(record.gold_answers)
     out = tmp_path / "out"
-    argv = ["--kg", TOY_KG, "--queries", TOY_QUERIES, "--out", out]
-    assert run_cli("run", *argv, "--endpoint", mock_llm.url) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: an endpoint run needs the requests package: ")
-    assert mock_llm.requests == []
-    assert not out.exists()
-    assert run_cli("run", *argv, "--no-llm") == 0
+    child = (
+        "import sys\n"
+        "sys.modules['requests'] = None  # any import of it raises ImportError\n"
+        "from pathpool import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--endpoint", mock_llm.url]
+    result = _child_python(child, *argv, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n"] == 5 and metrics["hit_at_1"] == 1.0
+    assert len(mock_llm.requests) == 5
 
 
 def test_dry_runs_and_stages_never_import_the_http_client(tmp_path):
-    # a fresh interpreter: this one has imported requests for the mock endpoint
+    # a fresh interpreter: this one has imported http.client for the mock endpoint
     commands = [
         ["run", "--kg", TOY_KG, "--queries", TOY_QUERIES, "--no-llm",
          "--out", tmp_path / "run"],
@@ -1030,18 +1023,15 @@ def test_dry_runs_and_stages_never_import_the_http_client(tmp_path):
     child = (
         "import json, sys\n"
         "from pathpool import cli\n"
-        "loaded = ['requests' in sys.modules]\n"
+        "http = ('urllib.request', 'http.client')\n"
+        "loaded = [any(name in sys.modules for name in http)]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "    loaded.append('requests' in sys.modules)\n"
+        "    loaded.append(any(name in sys.modules for name in http))\n"
         "print(json.dumps(loaded))\n"
     )
     argv = json.dumps([[str(a) for a in command] for command in commands])
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run(
-        [sys.executable, "-c", child, argv], env=env, capture_output=True, text=True
-    )
+    result = _child_python(child, argv)
     assert result.returncode == 0, result.stderr
     # the subcommands print summaries first
     loaded = json.loads(result.stdout.splitlines()[-1])

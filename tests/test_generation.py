@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cases import make_sequence
+from pathpool import generation
 from pathpool.errors import ConfigError, EndpointError, TransportError
 from pathpool.generation import (
     EXAMPLE_ASSISTANT,
@@ -36,11 +37,14 @@ def _query(question="Q?"):
 
 
 def _cfg(url, **kwargs):
-    defaults = dict(
-        endpoint=url, model="test-model", timeout=5.0, retries=2, backoff_base=0.01
-    )
+    defaults = dict(endpoint=url, model="test-model", timeout=5.0, retries=2)
     defaults.update(kwargs)
     return GenerationConfig(**defaults)
+
+
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    monkeypatch.setattr(generation, "BACKOFF_BASE_S", 0.01)
 
 
 # -- prompt assembly ----------------------------------------------------------
@@ -270,25 +274,14 @@ def test_call_llm_unreachable_retries_then_transport_error():
     assert time.perf_counter() - started < 5.0
 
 
-def test_call_llm_recovers_after_transient_failure(mock_llm, monkeypatch):
-    # first attempt hits a refused port, then we fail over to the live mock;
-    # patched post() lets the retry loop drive both
-    import requests as requests_mod
-
-    calls = {"n": 0}
-    real_post = requests_mod.post
-
-    def flaky_post(url, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise requests_mod.ConnectionError("boom")
-        return real_post(url, **kwargs)
-
-    monkeypatch.setattr("requests.post", flaky_post)
+def test_call_llm_recovers_after_transient_failure(mock_llm):
+    # the first request's connection is dropped without a reply; the retry
+    # is answered
+    mock_llm.script.append((None, ""))
     mock_llm.answers["Q?"] = ["ok"]
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
     assert call_llm(bundle, _cfg(mock_llm.url)) == "ans: ok"
-    assert calls["n"] == 2
+    assert len(mock_llm.requests) == 2
 
 
 def test_call_llm_non_2xx_is_endpoint_error(mock_llm):
@@ -300,6 +293,17 @@ def test_call_llm_non_2xx_is_endpoint_error(mock_llm):
     assert len(mock_llm.requests) == 1  # not retried
 
 
+@pytest.mark.parametrize("status", [307, 308])
+def test_call_llm_redirected_post_is_endpoint_error(mock_llm, status):
+    # urllib re-sends no POST body to a 307 or 308 Location
+    mock_llm.script.append((status, ""))
+    bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
+    with pytest.raises(EndpointError) as err:
+        call_llm(bundle, _cfg(mock_llm.url))
+    assert err.value.status == status
+    assert len(mock_llm.requests) == 1
+
+
 def test_call_llm_malformed_body(mock_llm):
     mock_llm.script.append((200, json.dumps({"unexpected": True})))
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
@@ -307,26 +311,13 @@ def test_call_llm_malformed_body(mock_llm):
         call_llm(bundle, _cfg(mock_llm.url))
 
 
-class _NullContentResponse:
-    status_code = 200
-    text = '{"choices": [{"message": {"content": null}}]}'
-
-    def json(self):
-        return json.loads(self.text)
-
-
-def test_call_llm_non_string_content_is_endpoint_error(monkeypatch):
-    calls = []
-
-    def post(url, **kwargs):
-        calls.append(url)
-        return _NullContentResponse()
-
-    monkeypatch.setattr("requests.post", post)
+def test_call_llm_non_string_content_is_endpoint_error(mock_llm):
+    null = {"choices": [{"message": {"content": None}}]}
+    mock_llm.script.append((200, json.dumps(null)))
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
     with pytest.raises(EndpointError, match="malformed completion body"):
-        call_llm(bundle, _cfg("http://mock.invalid/v1/chat/completions"))
-    assert len(calls) == 1  # not retried
+        call_llm(bundle, _cfg(mock_llm.url))
+    assert len(mock_llm.requests) == 1  # not retried
 
 
 def test_generation_config_validation():
