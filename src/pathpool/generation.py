@@ -193,13 +193,18 @@ class GenerationConfig:
             raise ConfigError("timeout must be > 0")
         if self.timeout == math.inf:
             raise ConfigError("timeout must be finite")
-        # urlopen would read a file:// endpoint from disk as a "completion"
+        # urlopen would read a file:// endpoint from disk as a "completion";
+        # it sends no user:password@ credentials, and http.client refuses a
+        # space, a control character or non-ASCII in the URL
         try:
             url = urlsplit(self.endpoint)
             url.port  # raises ValueError unless the port is a number in range
+            is_http = url.scheme in ("http", "https")
+            sendable = is_http and bool(url.hostname) and "@" not in url.netloc
         except ValueError:
-            url = None
-        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            sendable = False
+        printable = all(" " < char < "\x7f" for char in self.endpoint)
+        if not (sendable and printable):
             raise ConfigError(f"endpoint is not an http(s) URL: {self.endpoint!r}")
 
 
@@ -216,9 +221,6 @@ def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
     from urllib.request import Request, urlopen
 
     cfg.validate()
-    headers = {"Content-Type": "application/json"}
-    if api_key := os.environ.get(API_KEY_ENV):
-        headers["Authorization"] = f"Bearer {api_key}"
     payload = {
         "model": cfg.model,
         "messages": bundle.messages(),
@@ -226,7 +228,11 @@ def call_llm(bundle: PromptBundle, cfg: GenerationConfig) -> str:
         "max_tokens": cfg.max_tokens,
     }
     data = json.dumps(payload).encode("utf-8")
-    request = Request(cfg.endpoint, data=data, headers=headers, method="POST")
+    request = Request(cfg.endpoint, data, {"Content-Type": "application/json"}, method="POST")
+    if api_key := os.environ.get(API_KEY_ENV):
+        # an unredirected header is not copied to a 301-303 redirect's GET,
+        # so the key never reaches the host that a Location names
+        request.add_unredirected_header("Authorization", f"Bearer {api_key}")
     for attempt in range(cfg.retries + 1):
         try:
             try:
@@ -268,10 +274,7 @@ def parse_answers(completion: str) -> list[str]:
         if stripped[:4].lower() != "ans:":
             continue
         rest = stripped[4:].strip()
-        if not rest:
-            continue
-        key = normalize_answer(rest)
-        if key not in seen:
+        if rest and (key := normalize_answer(rest)) not in seen:
             seen.add(key)
             answers.append(rest)
     return answers
@@ -298,11 +301,7 @@ def evaluate(predictions: Sequence[str], gold: Sequence[str]) -> EvalResult:
     overlap = len(pred_set & gold_set)
     precision = overlap / len(pred_set) if pred_set else 0.0
     recall = overlap / len(gold_set)
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
+    f1 = 2 * precision * recall / (precision + recall) if overlap else 0.0
     hit = 1 if pred_list and pred_list[0] in gold_set else 0
     hit_any = 1 if overlap > 0 else 0
     return EvalResult(hit=hit, hit_any=hit_any, precision=precision, recall=recall, f1=f1)

@@ -280,7 +280,9 @@ class _MockChatHandler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length)) if length else {}
         server = self.server
         with server.lock:
-            server.requests.append({"payload": payload, "headers": dict(self.headers)})
+            server.requests.append(
+                {"method": self.command, "payload": payload, "headers": dict(self.headers)}
+            )
             step = server.script.pop(0) if server.script else None
             server.active += 1
             server.peak = max(server.peak, server.active)
@@ -293,11 +295,13 @@ class _MockChatHandler(BaseHTTPRequestHandler):
         if status is None:  # drop the connection without a reply
             return
         self.send_response(status)
-        if 300 <= status < 400:  # redirect to this same endpoint
-            self.send_header("Location", self.path)
+        if 300 <= status < 400:  # redirect to the body's URL, or to this endpoint
+            self.send_header("Location", body or self.path)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
         self.wfile.write(body.encode("utf-8"))
+
+    do_GET = do_POST  # a 301-303 redirect of the POST arrives as a GET
 
     def _answer(self, payload) -> str:
         question = ""
@@ -318,8 +322,9 @@ class MockChatServer(ThreadingHTTPServer):
 
     Each request is served on a thread of its own. ``script`` (a list of
     (status, body) pairs) overrides normal behaviour for fault-injection
-    tests; entries are consumed one per request, and a ``None`` status drops
-    the connection without a reply. Each reply waits ``delay`` seconds;
+    tests; entries are consumed one per request, a ``None`` status drops
+    the connection without a reply, and a 3xx status redirects to the URL
+    its body names (to this endpoint when the body is empty). Each reply waits ``delay`` seconds;
     ``peak`` is the most requests that have been waiting at once.
     """
 

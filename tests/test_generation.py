@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cases import make_sequence
+from cases import MockChatServer, make_sequence
 from pathpool import generation
 from pathpool.errors import ConfigError, EndpointError, TransportError
 from pathpool.generation import (
@@ -262,6 +262,24 @@ def test_call_llm_sends_api_key(mock_llm, monkeypatch):
     bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
     call_llm(bundle, _cfg(mock_llm.url))
     assert mock_llm.requests[0]["headers"].get("Authorization") == "Bearer sekrit"
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_call_llm_redirect_never_carries_the_api_key(mock_llm, monkeypatch, status):
+    # the redirect becomes a GET, on a server whose port differs, so on
+    # another origin; the bearer token must stay with the configured endpoint
+    monkeypatch.setenv("LLM_API_KEY", "sekrit")
+    other = MockChatServer()
+    try:
+        mock_llm.script.append((status, other.url))
+        bundle = assemble_prompt(_query(), make_sequence([("A", "r", "B", 0.5)]))
+        assert call_llm(bundle, _cfg(mock_llm.url)) == "no answer"
+        assert mock_llm.requests[0]["headers"].get("Authorization") == "Bearer sekrit"
+        [redirected] = other.requests
+        assert redirected["method"] == "GET"
+        assert "authorization" not in {name.lower() for name in redirected["headers"]}
+    finally:
+        other.close()
 
 
 def test_call_llm_unreachable_retries_then_transport_error():
