@@ -16,6 +16,9 @@ http(s) URL too, before it loads anything, and exits 1 on any error row.
 Every stage runs on the calling thread; threads only wait on I/O. ``run``
 writes the prompt files on one pool thread under ``--no-llm``; with an
 endpoint, ``--workers`` pool threads write, call the endpoint and evaluate.
+``run`` and ``prompt`` write each prompt as the exact bytes its
+``prompt_sha256`` hashes, which a row that fails after its prompt keeps.
+A query without gold answers is evaluated to its predictions alone.
 """
 
 from __future__ import annotations
@@ -250,17 +253,16 @@ def _select(sequence: TripleSequence, cfg: selection.SelectionConfig) -> TripleS
 
 def _prompt(
     record: QueryRecord, sequence: TripleSequence
-) -> tuple[generation.PromptBundle, str, dict]:
-    """The bundle, the text of its ``<id>.json`` and its ``prompt_sha256`` row."""
+) -> tuple[generation.PromptBundle, dict]:
+    """The bundle and its ``prompt_sha256`` row; the digest caches the file text."""
     bundle = generation.assemble_prompt(record, sequence)
-    text = bundle.file_text()
-    return bundle, text, {"id": record.id, "prompt_sha256": bundle.sha256()}
+    return bundle, {"id": record.id, "prompt_sha256": bundle.sha256()}
 
 
 def _evaluate(predictions: list[str], gold: tuple[str, ...]) -> dict:
-    """The predictions and ``EvalResult`` fields of one evaluated row."""
-    result = generation.evaluate(predictions, gold)
-    return {"predictions": predictions, **asdict(result)}
+    """A row's predictions, and its ``EvalResult`` fields when it has gold answers."""
+    scores = asdict(generation.evaluate(predictions, gold)) if gold else {}
+    return {"predictions": predictions, **scores}
 
 
 def _eval_metrics(rows: list[dict]) -> dict:
@@ -352,10 +354,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         completions_dir.mkdir(parents=True, exist_ok=True)
     io_threads = 1 if cfg.no_llm else cfg.workers
 
-    def io_tail(
-        record: QueryRecord, bundle: generation.PromptBundle, text: str, row: dict
-    ) -> dict:
-        _write_text_atomic(prompts_dir / f"{record.id}.json", text)
+    def io_tail(record: QueryRecord, bundle: generation.PromptBundle, row: dict) -> dict:
+        _write_text_atomic(prompts_dir / f"{record.id}.json", bundle.file_text())
         if cfg.no_llm:
             row["status"] = "dry_run"
             return row
@@ -370,9 +370,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         coarse_k = cfg.selection_cfg.coarse_k
         retrieved = _retrieve(store, record, scorer, cfg.hops, coarse_k)
         final = _final_sequence(cfg, record, retrieved)
-        bundle, text, row = _prompt(record, final)
-        tail = functools.partial(io_tail, record, bundle, text)
-        return pool.submit(_isolated, record.id, tail, row, status="error")
+        bundle, row = _prompt(record, final)
+        tail = functools.partial(io_tail, record, bundle)
+        # a failed tail's error row still names its prompt
+        error_fields = {"status": "error", "prompt_sha256": row["prompt_sha256"]}
+        return pool.submit(_isolated, record.id, tail, row, **error_fields)
 
     rows = []
     in_flight: collections.deque[Future | dict] = collections.deque()
@@ -479,8 +481,8 @@ def cmd_prompt(args) -> int:
         if record.id in seen_ids:
             raise ParseError(f"duplicate id {record.id!r}")
         seen_ids.add(record.id)
-        _, text, manifest_row = _prompt(record, sequence)
-        _write_text_atomic(out_dir / f"{record.id}.json", text)
+        bundle, manifest_row = _prompt(record, sequence)
+        _write_text_atomic(out_dir / f"{record.id}.json", bundle.file_text())
         return manifest_row
 
     manifest = [_isolated(row.get("id"), prompt, row) for row in rows]

@@ -2,9 +2,11 @@
 
 The prompt is a fixed four-message chat: a system instruction, a one-shot
 exemplar (user turn with triplets and question, assistant turn with worked
-reasoning and ``ans:`` lines), and the final user turn. Answers are parsed
-back out of ``ans:``-prefixed lines and scored as Hit@1 / Macro-F1 against
-the gold answer set. ``call_llm`` posts with ``urllib.request``, imported only
+reasoning and ``ans:`` lines), and the final user turn. Its one encoding
+is the messages' compact JSON, a prompt file's exact text, whose UTF-8
+bytes ``prompt_sha256`` hashes. Answers are parsed back out of
+``ans:``-prefixed lines and scored as Hit@1 / Macro-F1 against the gold
+answer set. ``call_llm`` posts with ``urllib.request``, imported only
 there, so code that never posts loads no HTTP module.
 """
 
@@ -19,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, EndpointError, TransportError
@@ -101,56 +103,32 @@ class PromptBundle:
         ]
 
     @functools.cached_property
-    def _user_json(self) -> str:
-        """The final user content as both JSON forms encode it, encoded once."""
-        return encode_basestring(self.user)
-
-    def sha256(self) -> str:
-        """sha256 of the messages' compact JSON (``separators=(",", ":")``)."""
-        frames = _frames(self.system, self.example_user, self.example_assistant)
-        digest = frames.compact_prefix.copy()
-        digest.update((self._user_json + frames.compact_suffix).encode("utf-8"))
-        return digest.hexdigest()
+    def _json(self) -> str:
+        prefix, suffix = _frames(self.system, self.example_user, self.example_assistant)
+        return prefix + encode_basestring(self.user) + suffix
 
     def file_text(self) -> str:
-        """The messages' ``indent=2`` JSON plus a newline: a prompt file's text."""
-        frames = _frames(self.system, self.example_user, self.example_assistant)
-        return frames.file_prefix + self._user_json + frames.file_suffix
+        """The messages' compact JSON (``separators=(",", ":")``): a prompt file's text."""
+        return self._json
 
-
-class _Frames(NamedTuple):
-    compact_prefix: "hashlib._Hash"
-    compact_suffix: str
-    file_prefix: str
-    file_suffix: str
+    def sha256(self) -> str:
+        """sha256 of ``file_text()``'s UTF-8 bytes, the prompt file's bytes."""
+        return hashlib.sha256(self._json.encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=8)
-def _frames(system: str, example_user: str, example_assistant: str) -> _Frames:
-    """The JSON around the final user content, encoded once per set of fixed messages.
+def _frames(system: str, example_user: str, example_assistant: str) -> tuple[str, str]:
+    """The compact JSON before and after the final user content, encoded once
+    per set of fixed messages.
 
     ``json.dumps(..., ensure_ascii=False)`` encodes every string with
-    ``encode_basestring``, in both the compact and the indented form, so a
-    frame's prefix, the encoded content and its suffix join into exactly
-    the dump of the whole list. The compact prefix is kept as a sha256
-    already fed with it.
+    ``encode_basestring``, so the prefix, the encoded content and the suffix
+    join into exactly the dump of the whole list.
     """
     messages = PromptBundle(system, example_user, example_assistant, "").messages()
-    empty = encode_basestring("")
-
-    def split(**layout) -> tuple[str, str]:
-        text = json.dumps(messages, ensure_ascii=False, **layout)
-        prefix, _, suffix = text.rpartition(empty)
-        return prefix, suffix
-
-    compact_prefix, compact_suffix = split(separators=(",", ":"))
-    file_prefix, file_suffix = split(indent=2)
-    return _Frames(
-        hashlib.sha256(compact_prefix.encode("utf-8")),
-        compact_suffix,
-        file_prefix,
-        file_suffix + "\n",
-    )
+    text = json.dumps(messages, ensure_ascii=False, separators=(",", ":"))
+    prefix, _, suffix = text.rpartition(encode_basestring(""))
+    return prefix, suffix
 
 
 def assemble_prompt(query: QueryRecord, triples: TripleSequence) -> PromptBundle:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from itertools import chain, count, cycle
 from pathlib import Path
@@ -408,14 +409,17 @@ def _parse_triples(
 
 
 def read_label(value: object, field: str, line: int | None = None) -> str:
-    """A JSON value read as a label: a string as it is, a number as its text.
+    """A JSON value read as a label: a string as it is, a finite number as its text.
 
-    ``null``, a bool, a list, an object or ``""`` raises ParseError naming
-    ``field``; ``str()`` would read them as labels such as ``"None"``.
+    ``null``, a bool, a list, an object, ``""``, or the ``NaN``, ``Infinity``
+    (``1e400`` too) that Python's JSON reader accepts raises ParseError
+    naming ``field``; ``str()`` would read them as labels such as ``"None"``
+    or ``"nan"``.
     """
     if isinstance(value, str) and value:
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) < math.inf:
         return str(value)
     raise ParseError(
         f"{field} must be a non-empty string or a number, got {json.dumps(value)}",

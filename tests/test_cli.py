@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cases import read_tree
-from pathpool import cli, pooling
+from pathpool import cli, generation, pooling
 from pathpool.errors import ConfigError
 from pathpool.scoring import TripleSequence
 
@@ -209,6 +210,59 @@ def test_three_triple_example_prompt_order(tmp_path):
         "Triplets:\n(D, r3, E)\n(B, r2, C)\n(A, r1, B)\n"
         "Question:\nWhat is reachable from A?"
     )
+
+
+def _results(out: Path) -> dict[str, dict]:
+    lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    return {row["id"]: row for row in map(json.loads, lines)}
+
+
+@pytest.mark.parametrize("command", ["run --no-llm", "run --endpoint", "prompt"])
+def test_every_prompt_file_is_the_bytes_its_digest_names(
+    tmp_path, monkeypatch, mock_llm, command
+):
+    bundles = {}
+    assemble = generation.assemble_prompt
+
+    def recording(record, triples):
+        bundles[record.id] = bundle = assemble(record, triples)
+        return bundle
+
+    monkeypatch.setattr(generation, "assemble_prompt", recording)
+    # quotes, a line separator and non-ASCII text, which JSON can escape or not
+    awkward = {
+        "id": "q6",
+        "question": 'Où «est» "Mira Voss"\u2028 née ? 中文 \U0001F600',
+        "query_entities": ["Mira Voss"],
+        "answers": ["Kestrel River"],
+    }
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        Path(TOY_QUERIES).read_text(encoding="utf-8") + json.dumps(awkward) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    if command == "prompt":
+        retrieved = tmp_path / "retrieved.jsonl"
+        assert run_cli(
+            "retrieve", "--kg", TOY_KG, "--queries", queries, "--out", retrieved
+        ) == 0
+        assert run_cli("prompt", "--in", retrieved, "--out", out) == 0
+        prompts = out
+        manifest = (out / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = {row["id"]: row for row in map(json.loads, manifest)}
+    else:
+        flag = ["--no-llm"] if command == "run --no-llm" else ["--endpoint", mock_llm.url]
+        argv = ["run", "--kg", TOY_KG, "--queries", queries, *flag, "--out", out]
+        assert run_cli(*argv) == 0
+        prompts = out / "prompts"
+        rows = _results(out)
+    assert sorted(rows) == sorted(bundles) == ["q1", "q2", "q3", "q4", "q5", "q6"]
+    assert sorted(path.stem for path in prompts.glob("*.json")) == sorted(rows)
+    for qid, row in rows.items():
+        data = (prompts / f"{qid}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == row["prompt_sha256"]
+        assert json.loads(data) == bundles[qid].messages()
 
 
 def test_run_with_mock_llm_scores_gold(tmp_path, mock_llm):
@@ -494,7 +548,33 @@ def test_eval_skips_queries_without_gold(tmp_path):
         json.loads(l)["id"]: json.loads(l)
         for l in (out / "eval.jsonl").read_text().splitlines()
     }
-    assert "error" in rows["nogold"]
+    assert rows["nogold"] == {"id": "nogold", "predictions": ["whatever"]}
+
+
+def test_run_posts_and_keeps_a_query_without_gold(tmp_path, mock_llm):
+    records = [json.loads(line) for line in Path(TOY_QUERIES).read_text().splitlines()]
+    for record in records:
+        mock_llm.answers[record["question"]] = record["answers"]
+    unscored = {record["id"]: record.pop("answers") for record in records[:2]}
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kg", TOY_KG, "--queries", queries, "--endpoint", mock_llm.url,
+        "--out", out,
+    ) == 0
+    rows = _results(out)
+    for qid, answers in unscored.items():
+        assert rows[qid] == {
+            "id": qid,
+            "prompt_sha256": rows[qid]["prompt_sha256"],
+            "status": "ok",
+            "predictions": answers,
+        }
+        assert (out / "completions" / f"{qid}.txt").exists()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["n"], metrics["n_errors"], metrics["hit_at_1"]) == (3, 0, 1.0)
+    assert len(mock_llm.requests) == 5
 
 
 def test_bench_subcommand_writes_report(tmp_path, capsys):
@@ -598,6 +678,33 @@ def test_unwritable_prompt_costs_only_its_query(tmp_path):
     assert metrics["n_queries"] == 5
     assert metrics["n_errors"] == 1
     assert not list((out / "prompts").glob("*.tmp"))
+
+
+def test_a_failed_io_tail_keeps_the_prompt_digest(tmp_path, mock_llm):
+    clean = tmp_path / "clean"
+    argv = ["run", "--kg", TOY_KG, "--queries", TOY_QUERIES]
+    assert run_cli(*argv, "--no-llm", "--out", clean) == 0
+    digests = {qid: row["prompt_sha256"] for qid, row in _results(clean).items()}
+    # one I/O thread posts in query order: q1 gets a 500, q2's prompt file
+    # cannot be written so it posts nothing, and q3 gets a malformed body
+    mock_llm.script.extend([(500, "down"), (200, "{}")])
+    out = tmp_path / "out"
+    (out / "prompts" / "q2.json").mkdir(parents=True)
+    endpoint = ["--endpoint", mock_llm.url, "--workers", "1"]
+    assert run_cli(*argv, *endpoint, "--out", out) == 1
+    rows = _results(out)
+    assert rows["q1"] == {
+        "id": "q1",
+        "status": "error",
+        "prompt_sha256": digests["q1"],
+        "error": "endpoint returned 500: down",
+    }
+    for qid in ("q2", "q3"):
+        assert rows[qid]["status"] == "error"
+        assert rows[qid]["prompt_sha256"] == digests[qid]
+    assert "malformed completion body" in rows["q3"]["error"]
+    assert all(rows[qid]["status"] == "ok" for qid in ("q4", "q5"))
+    assert len(mock_llm.requests) == 4
 
 
 def test_endpoint_calls_overlap_across_workers(tmp_path, mock_llm):
@@ -1361,6 +1468,52 @@ def test_stage_records_a_value_that_is_not_a_label_and_goes_on(tmp_path, command
     assert outputs["good"] == clean["good"]
     if command == "prompt":
         assert sorted(outputs["files"]) == ["good.json", "manifest.jsonl"]
+
+
+_LABEL_KEYS = {
+    "id": "query id",
+    "question": "question",
+    "query_entities": "query entity",
+    "answers": "answer",
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("key", sorted(_LABEL_KEYS))
+def test_a_number_that_is_not_finite_is_not_a_label(tmp_path, capsys, key, literal):
+    # Python's JSON reader takes these, and str() would make "nan" or "inf" of them
+    message = f"{_LABEL_KEYS[key]} {_NOT_A_LABEL} {literal.replace('1e400', 'Infinity')}"
+    value = f"[{literal}]" if key in ("query_entities", "answers") else literal
+
+    def line(row: dict) -> str:
+        return json.dumps({**row, key: "@"}).replace('"@"', value) + "\n"
+
+    good = {"id": "q1", "question": "Q?", "query_entities": ["Mira Voss"], "answers": ["x"]}
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps(good) + "\n" + line({**good, "id": "q2"}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--kg", TOY_KG, "--queries", queries, "--no-llm", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not out.exists()
+
+    artifact = tmp_path / "artifact.jsonl"
+    artifact.write_text(line(_artifact("bad")) + json.dumps(_artifact("good")) + "\n")
+    assert run_cli("prompt", "--in", artifact, "--out", out) == 0
+    manifest = (out / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    bad, good_row = map(json.loads, manifest)
+    assert bad["error"] == message and "prompt_sha256" not in bad
+    assert sorted(read_tree(out)) == ["good.json", "manifest.jsonl"]
+
+    if key == "id":
+        queries.write_text(json.dumps(good) + "\n", encoding="utf-8")
+        completions = tmp_path / "completions.jsonl"
+        completions.write_text(line({"id": "q1", "completion": "ans: x"}), encoding="utf-8")
+        scored = tmp_path / "eval"
+        argv = ["--queries", queries, "--completions", completions, "--out", scored]
+        assert run_cli("eval", *argv) == 0
+        (row,) = map(json.loads, (scored / "eval.jsonl").read_text().splitlines())
+        assert row["error"] == message
+        assert json.loads((scored / "metrics.json").read_text())["n"] == 0
 
 
 def test_retrieve_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch):

@@ -102,7 +102,7 @@ def _compact_sha256(bundle: PromptBundle) -> str:
 
 
 def _assert_encoded_as_json_dumps(bundle: PromptBundle) -> None:
-    expected = json.dumps(bundle.messages(), ensure_ascii=False, indent=2) + "\n"
+    expected = json.dumps(bundle.messages(), ensure_ascii=False, separators=(",", ":"))
     assert bundle.file_text() == expected
     assert bundle.sha256() == _compact_sha256(bundle)
 
