@@ -8,9 +8,10 @@ the current triple sequence, so intermediate results are inspectable files:
 
 ``run`` and the subcommands call the same stage functions. A query or row
 that fails in any stage becomes an error row, ``{"id": ..., "error": ...}``
-(``run`` adds ``"status": "error"`` and counts it in ``n_errors``), and the
-command goes on with the next one; only configuration problems and
-unreadable input files abort. ``run`` checks its settings, an endpoint's
+(``run`` adds ``"status": "error"`` and counts it in ``n_errors``; an id
+that is ``NaN`` or ``Infinity`` is written as ``null``), and the command
+goes on with the next one; only configuration problems and unreadable
+input files abort. ``run`` checks its settings, an endpoint's
 http(s) URL too, before it loads anything, and exits 1 on any error row.
 
 Every stage runs on the calling thread; threads only wait on I/O. ``run``
@@ -37,7 +38,6 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import generation, pooling, selection
-from ._bulk import utf8_errors
 from .errors import ConfigError, ParseError, PathPoolError
 from .kg_store import (
     QueryRecord,
@@ -45,6 +45,7 @@ from .kg_store import (
     _list_field,
     check_query_id,
     extract_subgraph,
+    iter_jsonl,
     load_queries,
     load_triples,
     read_label,
@@ -93,27 +94,6 @@ def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
     _write_text_atomic(
         path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
     )
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    """The JSON objects of a JSONL file; any other line, or a file that is
-    not UTF-8, raises ParseError."""
-    rows = []
-    with utf8_errors(path), open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"invalid JSON in {path}: {exc.msg}", line=lineno
-                ) from None
-            if not isinstance(row, dict):
-                raise ParseError(f"row of {path} is not a JSON object", line=lineno)
-            rows.append(row)
-    return rows
 
 
 def _artifact_row(record: QueryRecord, sequence: TripleSequence) -> dict:
@@ -169,9 +149,10 @@ def _isolated(row_id, work, item, **error_fields) -> dict:
     """``work(item)`` behind the per-row fault boundary that every command shares.
 
     A row whose work raises costs only itself: it becomes
-    ``{"id": row_id, **error_fields, "error": ...}``. A PathPoolError or
-    OSError is recorded as its message; any other exception as
-    ``"<TypeName>: <message>"``, with its traceback logged.
+    ``{"id": row_id, **error_fields, "error": ...}``, with ``null`` for an
+    id strict JSON cannot carry (``NaN`` or ``Infinity``, as it or in it).
+    A PathPoolError or OSError is recorded as its message; any other
+    exception as ``"<TypeName>: <message>"``, with its traceback logged.
     """
     try:
         return work(item)
@@ -181,6 +162,10 @@ def _isolated(row_id, work, item, **error_fields) -> dict:
     except Exception as exc:
         logger.exception("query %s failed", row_id)
         error = f"{type(exc).__name__}: {exc}"
+    try:
+        json.dumps(row_id, allow_nan=False)
+    except ValueError:
+        row_id = None
     return {"id": row_id, **error_fields, "error": error}
 
 
@@ -440,7 +425,7 @@ def _transform_artifacts(in_path: str, out_path: str, transform) -> int:
         record, sequence = _artifact_sequence(row)
         return _artifact_row(record, transform(record, sequence))
 
-    rows = _read_jsonl(Path(in_path))
+    rows = [row for _, row in iter_jsonl(in_path)]
     rows_out = [_isolated(row.get("id"), apply, row) for row in rows]
     _write_jsonl_atomic(Path(out_path), rows_out)
     return len(rows_out)
@@ -468,7 +453,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    rows = _read_jsonl(Path(args.infile))
+    rows = [row for _, row in iter_jsonl(args.infile)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seen_ids: set[str] = set()
@@ -596,7 +581,7 @@ def cmd_eval(args) -> int:
 
     rows = [
         _isolated(row.get("id"), score, row)
-        for row in _read_jsonl(Path(args.completions))
+        for _, row in iter_jsonl(args.completions)
     ]
     metrics = _eval_metrics(rows)
     if args.out:

@@ -281,9 +281,8 @@ def _iter_lines(source) -> Iterator[str]:
     Bytes that are not UTF-8 raise ParseError naming the path, or the
     handle's ``name``.
     """
-    path = isinstance(source, (str, Path))
-    with utf8_errors(source if path else getattr(source, "name", "input")):
-        if path:
+    with utf8_errors(_source_name(source)):
+        if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as handle:
                 yield from handle
             return
@@ -292,6 +291,33 @@ def _iter_lines(source) -> Iterator[str]:
                 yield raw.decode("utf-8")
             else:
                 yield raw
+
+
+def _source_name(source) -> str | Path:
+    """The path, the handle's ``name``, or ``"input"``: what errors call ``source``."""
+    if isinstance(source, (str, Path)):
+        return source
+    return getattr(source, "name", "input")
+
+
+def iter_jsonl(source) -> Iterator[tuple[int, dict]]:
+    """The line number and object of each non-blank line of a JSONL source.
+
+    ``source`` is anything ``_iter_lines`` reads. A line that is not JSON,
+    or not a JSON object, raises ParseError naming the source and the line.
+    """
+    name = _source_name(source)
+    for lineno, raw in enumerate(_iter_lines(source), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {name}: {exc.msg}", line=lineno) from None
+        if not isinstance(row, dict):
+            raise ParseError(f"row of {name} is not a JSON object", line=lineno)
+        yield lineno, row
 
 
 def load_triples(source: str | Path | IO | Iterable[str]) -> TripleStore:
@@ -464,16 +490,7 @@ def load_queries(source: str | Path | IO | Iterable[str]) -> list[QueryRecord]:
     """
     records: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if not isinstance(payload, dict):
-            raise ParseError("query record must be a JSON object", line=lineno)
+    for lineno, payload in iter_jsonl(source):
         question = payload.get("question", "")
         # a missing or empty question is reported as such, not as a bad label
         if question != "":

@@ -23,7 +23,7 @@ each slot's two ends), and each edge's label-order rank, the store's
 ``np.argsort`` of the smoothed scores, applied to the input's row, score
 and rank columns, so no object is built per row. No step before or
 after the kernel calls Python code once per triple; the compiled core
-takes int32 and float64 copies of the columns. That CSR is the only
+reads the int64 and float64 columns in place. That CSR is the only
 adjacency: both backends and the kernel search walk it, and each search
 runs once over both directions.
 
@@ -75,24 +75,23 @@ _ALGORITHM_CODES = {name: code for code, name in enumerate(ALGORITHMS)}
 _POOLING_CODES = {name: code for code, name in enumerate(POOLING_STRATEGIES)}
 
 _MASK64 = (1 << 64) - 1
-_INT32_MAX = (1 << 31) - 1
 _INT64_MAX = (1 << 63) - 1
-_PTR = ctypes.c_void_p  # address of a C-contiguous int32 or float64 numpy buffer
+_PTR = ctypes.c_void_p  # address of a C-contiguous int64 or float64 numpy buffer
 _SMOOTH_ARGTYPES = [
-    ctypes.c_int32,  # n_vertices
-    ctypes.c_int32,  # n_edges
+    ctypes.c_int64,  # n_vertices
+    ctypes.c_int64,  # n_edges
     _PTR,  # off, 2 * n_vertices + 1 offsets of the doubled CSR
     _PTR,  # eid, 2 * n_edges
     _PTR,  # dst, 2 * n_edges
     _PTR,  # scores
     _PTR,  # label-order rank per edge, read only by dijkstra
     _PTR,  # sources
-    ctypes.c_int32,  # n_sources
-    ctypes.c_int32,  # algorithm
-    ctypes.c_int32,  # max_path_len, clamped to n_edges
+    ctypes.c_int64,  # n_sources
+    ctypes.c_int64,  # algorithm
+    ctypes.c_int64,  # max_path_len, clamped to n_edges
     ctypes.c_int64,  # walk_count
     ctypes.c_uint64,  # seed
-    ctypes.c_int32,  # pooling
+    ctypes.c_int64,  # pooling
     ctypes.c_double,  # s_min
     ctypes.c_double,  # divisor
     _PTR,  # final (written)
@@ -102,9 +101,8 @@ _SMOOTH_ARGTYPES = [
 class _CompiledCore:
     """``smooth_scores`` of the compiled library, with ``_kernels_py``'s signature.
 
-    The library walks the same doubled CSR as the Python backend, from int32
-    copies of ``off``, ``eid`` and ``dst``; ``src`` is unused. Sizes the
-    library cannot index with int32 are a ``ValueError``.
+    The library walks the same doubled CSR as the Python backend, reading
+    the int64 columns ``off``, ``eid`` and ``dst`` in place; ``src`` is unused.
     """
 
     def __init__(self, fn):
@@ -131,29 +129,24 @@ class _CompiledCore:
         divisor,
     ):
         n_edges = len(scores)
-        if 2 * n_vertices + 1 > _INT32_MAX or 2 * n_edges > _INT32_MAX:
-            raise ValueError("the compiled core indexes the doubled graph with int32")
-        dijkstra = algorithm == _ALGORITHM_CODES["dijkstra"]
-        if dijkstra and n_edges and rank.max() > _INT32_MAX:
-            raise ValueError("the compiled core compares edge ranks as int32")
-        # every buffer stays referenced by a local until the call returns
-        off_buf = _int32_buffer(off)
-        eid_buf = _int32_buffer(eid)
-        dst_buf = _int32_buffer(dst)
-        score_buf = np.ascontiguousarray(scores, dtype=np.float64)
-        rank_buf = _int32_buffer(rank)
-        source_buf = _int32_buffer(sources)
+        # every buffer stays referenced by a local until the call returns;
+        # of the int64 columns, only the sources list is copied
+        off, eid, dst, rank, sources = [
+            np.ascontiguousarray(column, np.int64)
+            for column in (off, eid, dst, rank, sources)
+        ]
+        scores = np.ascontiguousarray(scores, dtype=np.float64)
         final = np.zeros(n_edges)
         status = self._fn(
             n_vertices,
             n_edges,
-            off_buf.ctypes.data,
-            eid_buf.ctypes.data,
-            dst_buf.ctypes.data,
-            score_buf.ctypes.data,
-            rank_buf.ctypes.data,
-            source_buf.ctypes.data,
-            len(source_buf),
+            off.ctypes.data,
+            eid.ctypes.data,
+            dst.ctypes.data,
+            scores.ctypes.data,
+            rank.ctypes.data,
+            sources.ctypes.data,
+            len(sources),
             algorithm,
             min(max_path_len, n_edges),
             walk_count,
@@ -168,11 +161,6 @@ class _CompiledCore:
         if status != 0:
             raise ValueError(f"unknown algorithm code {algorithm}")
         return final
-
-
-def _int32_buffer(values) -> np.ndarray:
-    """A C-contiguous int32 copy of ``values``, which the library reads."""
-    return np.ascontiguousarray(values, dtype=np.int32)
 
 
 def _load_core(directory: Path) -> _CompiledCore | None:

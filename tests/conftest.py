@@ -14,6 +14,24 @@ from pathpool.kg_store import QueryRecord
 from pathpool.scoring import TripleSequence
 
 
+# a test under tests/ that leaks a file or socket fails: the ResourceWarning
+# is an error, and so is the warning pytest gives for one that a finalizer
+# raised, where it cannot propagate
+_LEAKS_ARE_ERRORS = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
+
+def pytest_collection_modifyitems(items):
+    """Mark the items under this directory; others, perfbench's, keep the defaults."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for mark in _LEAKS_ARE_ERRORS:
+                item.add_marker(mark)
+
+
 @pytest.fixture
 def example_sequence() -> TripleSequence:
     """The three-triple hand example: A->B 0.9, B->C 0.3, D->E 0.5."""

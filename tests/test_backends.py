@@ -137,8 +137,8 @@ def test_smooth_identical_across_backends(compiled):
 
 
 def test_smooth_identical_across_path_lengths(compiled):
-    # max_path_len 2**40 exceeds every edge count and the C int range: the
-    # compiled core clamps it to n_edges, which must change no kernel
+    # max_path_len 2**40 exceeds every edge count: the compiled core clamps
+    # it to n_edges, which must change no kernel
     for seed in range(150):
         seq, queries = random_case(seed, max_edges=24, positive=False)
         for algorithm in ALGORITHMS:
@@ -231,6 +231,22 @@ def test_dijkstra_fold_identical_to_the_compiled_core_on_a_deep_tied_chain(core)
     n_vertices, edges, scores, rank = deep_tied_chain()
     for sources in ([0], [n_vertices - 1], [0, 5], [4]):
         _assert_tree_folds_agree(core, n_vertices, edges, scores, rank, sources)
+
+
+@pytest.mark.parametrize("low", [2**31 - 1, 2**31, 2**40])
+def test_identical_across_backends_with_edge_ranks_past_int32(core, low):
+    # every score ties, so the edge ranks pick each dijkstra tree edge; they
+    # start at low and step by 2**31 + 1, so an int32 copy would reorder them
+    n_vertices, edges, scores, order = deep_tied_chain()
+    rank = [low + r * (2**31 + 1) for r in order]
+    args = flat_args(n_vertices, edges, scores, rank)
+    for algorithm in (ALG_DIJKSTRA, ALG_BFS, ALG_RANDOM_WALK):
+        for sources in ([0], [n_vertices - 1], [0, 5]):
+            for pooling_code in (0, 1):
+                tail = (sources, algorithm, 4, 8, 3, pooling_code, 0.5, 10.0)
+                py = _kernels_py.smooth_scores(*args, *tail)
+                cc = core.smooth_scores(*args, *tail)
+                assert py.tobytes() == cc.tobytes(), (algorithm, sources)
 
 
 def test_identical_across_backends_on_edge_shapes(core):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,6 +132,26 @@ def test_backend_comparison_rows(small_setup):
     assert {cell.backend for cell in report.cells} == set(backends)
 
 
+def test_a_stalled_call_does_not_count(small_setup, monkeypatch):
+    # on a fake clock every call takes 1 ms, but one of each back-to-back
+    # pair stalls for a second, the first or the second in turn
+    _, workloads = small_setup
+    clock = {"now": 0.0, "calls": 0}
+
+    def smooth(sequence, anchors, cfg, backend):
+        pair, second = divmod(clock["calls"], 2)
+        clock["calls"] += 1
+        clock["now"] += 1.0 if second == pair % 2 else 1e-3
+
+    monkeypatch.setattr(pooling, "smooth", smooth)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    report = bench.measure_overhead(workloads, ["dijkstra"], [25, 60])
+    assert clock["calls"] == 2 * bench.CALLS_PER_TIMING * len(workloads)
+    for cell in report.cells:
+        stats = (cell.mean_ms, cell.median_ms, cell.p95_ms)
+        assert stats == pytest.approx((1.0, 1.0, 1.0)), cell
+
+
 def test_each_query_runs_on_every_backend_back_to_back(small_setup, monkeypatch):
     _, workloads = small_setup
     calls = []
@@ -147,6 +168,7 @@ def test_each_query_runs_on_every_backend_back_to_back(small_setup, monkeypatch)
         for _, anchors in workloads
         for count in (25, 60)
         for backend in backends
+        for _ in range(bench.CALLS_PER_TIMING)
     ]
     assert calls == expected
     cells = [(c.backend, c.algorithm, c.triple_count) for c in report.cells]

@@ -1516,6 +1516,36 @@ def test_a_number_that_is_not_finite_is_not_a_label(tmp_path, capsys, key, liter
         assert json.loads((scored / "metrics.json").read_text())["n"] == 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["pool", "select", "prompt", "eval"])
+def test_an_error_row_is_strict_json(tmp_path, command, literal):
+    # the id that failed is written as null; the error names the value read
+    message = f"query id {_NOT_A_LABEL} {literal.replace('1e400', 'Infinity')}"
+    if command == "eval":
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id": "q1", "question": "Q?", "answers": ["x"]}\n')
+        rows = [{"id": "@", "completion": "ans: x"}, {"id": "q1", "completion": "ans: x"}]
+        argv = ["--queries", queries, "--completions", tmp_path / "in.jsonl"]
+        written = tmp_path / "out" / "eval.jsonl"
+    else:
+        rows = [_artifact("@"), _artifact("good")]
+        argv = ["--in", tmp_path / "in.jsonl"]
+        written = tmp_path / "out"
+        if command == "prompt":
+            written = written / "manifest.jsonl"
+    lines = (json.dumps(row).replace('"@"', literal) + "\n" for row in rows)
+    (tmp_path / "in.jsonl").write_text("".join(lines), encoding="utf-8")
+    assert run_cli(command, *argv, "--out", tmp_path / "out") == 0
+    text = written.read_text(encoding="utf-8").splitlines()
+    bad, good = (json.loads(line, parse_constant=_reject_constant) for line in text)
+    assert bad == {"id": None, "error": message}
+    assert "error" not in good
+
+
 def test_retrieve_unexpected_stage_exception_costs_only_its_query(tmp_path, monkeypatch):
     def retrieve(out):
         assert run_cli(

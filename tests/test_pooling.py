@@ -851,39 +851,6 @@ def test_walk_smoothing_matches_the_reference_on_edge_shapes():
                 assert got.tolist() == expected, (context, max_path_len, strategy)
 
 
-# -- compiled core adapter ----------------------------------------------------
-
-
-def _never_called_core():
-    """A ``_CompiledCore`` around a stand-in that fails if the guards let a call by."""
-
-    def library(*args):
-        raise AssertionError("the int32 guards passed the call on")
-
-    return pooling._CompiledCore(library)
-
-
-def _adapter_args(n_vertices, rank):
-    args = list(flat_args(2, [(0, 1), (1, 0)], [0.5, 0.25], rank))
-    args[0] = n_vertices
-    return (*args, [0], ALG_DIJKSTRA, 4, 1, 0, 0, 0.25, 10.0)
-
-
-@pytest.mark.parametrize(
-    ("n_vertices", "rank", "error", "match"),
-    [
-        # 2 * n_vertices + 1 is the int32 max, then one past it
-        (2**30 - 1, [0, 1], AssertionError, "guards passed"),
-        (2**30, [0, 1], ValueError, "doubled graph"),
-        (2, [0, 2**31 - 1], AssertionError, "guards passed"),
-        (2, [0, 2**31], ValueError, "edge ranks"),
-    ],
-)
-def test_compiled_core_guards_its_int32_sizes(n_vertices, rank, error, match):
-    with pytest.raises(error, match=match):
-        _never_called_core().smooth_scores(*_adapter_args(n_vertices, rank))
-
-
 # -- smoothing properties ------------------------------------------------------
 
 
