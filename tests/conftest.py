@@ -1,4 +1,4 @@
-"""Shared fixtures; the helpers they build on are in ``cases.py``."""
+"""Shared fixtures and the leak marks; the helpers they build on are in ``cases.py``."""
 
 from __future__ import annotations
 
